@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/hash.h"
 #include "core/pipeline.h"
 #include "core/random.h"
 #include "core/trajectory.h"
@@ -127,21 +128,13 @@ double CpuSeconds() {
 
 // FNV-1a over the raw bit patterns: any single-bit divergence shows.
 uint64_t FleetChecksum(const std::vector<Trajectory>& fleet) {
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
+  uint64_t h = kFnvOffset;
   for (const Trajectory& t : fleet) {
-    mix(static_cast<uint64_t>(t.object_id()));
+    h = FnvMix(h, static_cast<uint64_t>(t.object_id()));
     for (const TrajectoryPoint& pt : t.points()) {
-      mix(static_cast<uint64_t>(pt.t));
-      uint64_t bits = 0;
-      static_assert(sizeof(bits) == sizeof(pt.p.x));
-      std::memcpy(&bits, &pt.p.x, sizeof(bits));
-      mix(bits);
-      std::memcpy(&bits, &pt.p.y, sizeof(bits));
-      mix(bits);
+      h = FnvMix(h, static_cast<uint64_t>(pt.t));
+      h = FnvMix(h, DoubleBits(pt.p.x));
+      h = FnvMix(h, DoubleBits(pt.p.y));
     }
   }
   return h;

@@ -31,11 +31,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/hash.h"
 #include "core/random.h"
 #include "core/trajectory.h"
 #include "index/rtree.h"
@@ -85,17 +85,9 @@ std::vector<Trajectory> MakeFleet() {
 
 // FNV-1a over raw bit patterns: any rounding difference flips the hash.
 struct Checksum {
-  uint64_t h = 1469598103934665603ull;
-  void Mix(uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  }
-  void MixDouble(double d) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(d));
-    std::memcpy(&bits, &d, sizeof(bits));
-    Mix(bits);
-  }
+  uint64_t h = kFnvShortOffset;
+  void Mix(uint64_t v) { h = FnvMix(h, v); }
+  void MixDouble(double d) { Mix(DoubleBits(d)); }
 };
 
 struct PrimitiveResult {

@@ -2,12 +2,14 @@
 // coder throughput, and filter throughput. These quantify the building
 // blocks the experiment harness stands on.
 
+#include <utility>
+
 #include <benchmark/benchmark.h>
 
 #include "core/random.h"
 #include "index/grid_index.h"
-#include "index/kdtree.h"
 #include "index/rtree.h"
+#include "kernels/packed_rtree.h"
 #include "reduce/coding.h"
 #include "reduce/simplify.h"
 #include "refine/kalman.h"
@@ -40,18 +42,22 @@ void BM_GridIndexRange(benchmark::State& state) {
 }
 BENCHMARK(BM_GridIndexRange)->Arg(10'000)->Arg(100'000);
 
-void BM_KdTreeKnn(benchmark::State& state) {
+// The kNN path trajectory calibration runs: point boxes in a PackedRTree.
+void BM_PackedRTreeKnn(benchmark::State& state) {
   const auto pts = MakePoints(state.range(0));
-  std::vector<index::KdTree::Item> items;
-  for (size_t i = 0; i < pts.size(); ++i) items.push_back({i, pts[i]});
-  const index::KdTree tree(items);
+  std::vector<kernels::PackedRTree::Item> items;
+  for (size_t i = 0; i < pts.size(); ++i) {
+    items.push_back({i, geometry::BBox(pts[i], pts[i])});
+  }
+  kernels::PackedRTree tree;
+  tree.BulkLoad(std::move(items));
   Rng rng(3);
   for (auto _ : state) {
     benchmark::DoNotOptimize(tree.Knn(
         geometry::Point(rng.Uniform(0, 10000), rng.Uniform(0, 10000)), 10));
   }
 }
-BENCHMARK(BM_KdTreeKnn)->Arg(10'000)->Arg(100'000);
+BENCHMARK(BM_PackedRTreeKnn)->Arg(10'000)->Arg(100'000);
 
 void BM_RTreeRange(benchmark::State& state) {
   const auto pts = MakePoints(state.range(0));

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/hash.h"
 #include "core/random.h"
 #include "core/stid.h"
 #include "store/store.h"
@@ -85,29 +86,15 @@ std::vector<StRecord> MakeRecords(size_t n) {
   return out;
 }
 
-uint64_t MixBits(uint64_t h, uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ull;  // FNV-1a
-  return h;
-}
-
-uint64_t DoubleBits(double d) {
-  uint64_t u;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
 uint64_t RecordChecksum(uint64_t h, const StRecord& rec) {
-  h = MixBits(h, rec.sensor);
-  h = MixBits(h, static_cast<uint64_t>(rec.t));
-  h = MixBits(h, DoubleBits(rec.loc.x));
-  h = MixBits(h, DoubleBits(rec.loc.y));
-  h = MixBits(h, DoubleBits(rec.value));
-  h = MixBits(h, DoubleBits(rec.stddev));
+  h = FnvMix(h, rec.sensor);
+  h = FnvMix(h, static_cast<uint64_t>(rec.t));
+  h = FnvMix(h, DoubleBits(rec.loc.x));
+  h = FnvMix(h, DoubleBits(rec.loc.y));
+  h = FnvMix(h, DoubleBits(rec.value));
+  h = FnvMix(h, DoubleBits(rec.stddev));
   return h;
 }
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 
 void RemoveTree(const std::string& dir) {
   store::Vfs* vfs = store::DefaultVfs();

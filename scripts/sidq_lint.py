@@ -21,9 +21,9 @@ Rules
                          includer; banned in *.h. No suppression.
   R4  pragma-once        every header starts with `#pragma once` as its
                          first non-comment line. Fixable with --fix.
-  R5  naked-new          `new` / `delete` outside index internals; use
-                         std::make_unique / containers. Index node pools
-                         (src/index/) are the one sanctioned exception.
+  R5  naked-new          `new` / `delete`; use std::make_unique /
+                         containers. The arena (core/arena.h) is the one
+                         sanctioned exception.
   R6  stray-thread       `std::thread` / `std::jthread` / `std::async`
                          outside src/exec/; ad-hoc threads bypass the
                          pool's determinism and shutdown guarantees. Go
@@ -35,15 +35,21 @@ Rules
                          geometry::LocalProjection (or
                          kernels::SoaBuffer::FromLatLon) and use the
                          planar kernels.
-  R8  wallclock          `std::this_thread::sleep_for` / `sleep_until` and
-                         `std::chrono::system_clock::now` outside
-                         src/exec/. All timing goes through the Clock
-                         abstraction (core/clock.h) so tests run on
-                         VirtualClock instantly and deterministically.
-  R9  obs-own-timing     any `std::chrono` clock inside src/obs/. The
-                         observability layer takes every timestamp from an
-                         injected Clock (core/clock.h); that is the whole
-                         determinism contract. No suppression.
+  R8  wallclock          time comes from the Clock abstraction
+                         (core/clock.h), so tests run on VirtualClock
+                         instantly and deterministically. One rule, scoped
+                         per directory by WALLCLOCK_SCOPES:
+                         - outside src/exec/: `std::this_thread::sleep_for`
+                           / `sleep_until` and
+                           `std::chrono::system_clock::now`; waivable with
+                           `// sidq: allow-wallclock(<reason>)`.
+                         - src/obs/ and src/stream/: any `std::chrono`
+                           clock and `SteadyClock`, with no waiver.
+                           Observability timestamps come from the injected
+                           Clock, and stream watermarks advance on event
+                           time; a wall-clock read would make traces and
+                           stream-vs-batch replay depend on arrival time.
+  R9                     retired (merged into R8).
   R10 raw-mutex          raw `std::mutex` / `std::lock_guard` /
                          `std::unique_lock` / `std::condition_variable`
                          (and friends) outside src/core/mutex.h. The
@@ -67,13 +73,7 @@ Rules
                          same class or struct. A guard expression the
                          analysis cannot resolve locally is a contract
                          that cannot be checked.
-  R13 stream-wallclock-watermark
-                         any `std::chrono` clock or `SteadyClock` inside
-                         src/stream/. Watermarks and window closes advance
-                         on EVENT time (or an injected Clock/VirtualClock
-                         via core/clock.h); a wall-clock reading would make
-                         lateness depend on arrival wall time and break the
-                         stream-vs-batch replay contract. No suppression.
+  R13                    retired (merged into R8).
   R14 hotloop-heap-alloc heap allocation inside a loop in src/kernels/:
                          `new`/`delete`, `malloc`/`free` and friends, or
                          `push_back`/`emplace_back` onto a container with
@@ -168,11 +168,9 @@ RULES = {
     "R6": "stray-thread",
     "R7": "scalar-haversine",
     "R8": "wallclock",
-    "R9": "obs-own-timing",
     "R10": "raw-mutex",
     "R11": "unordered-iter",
     "R12": "guarded-by-unknown-lock",
-    "R13": "stream-wallclock-watermark",
     "R14": "hotloop-heap-alloc",
     "R15": "raw-io",
     "R16": "raw-read",
@@ -201,7 +199,7 @@ RAND_RE = re.compile(r"\b(?:srand|rand)\s*\(")
 USING_NAMESPACE_RE = re.compile(r"\busing\s+namespace\b")
 NEW_RE = re.compile(r"\bnew\b(?!\s*\()")  # `new (ptr) T` placement incl.
 DELETE_RE = re.compile(r"\bdelete(\[\])?\b")
-NAKED_NEW_ALLOWED = re.compile(r"(^|/)src/index/|arena")
+NAKED_NEW_ALLOWED = re.compile(r"arena")
 
 THREAD_RE = re.compile(
     r"\bstd::(?:jthread\b|async\b|thread\b(?!::hardware_concurrency))")
@@ -211,14 +209,29 @@ HAVERSINE_RE = re.compile(r"\bHaversineDistance\s*\(")
 LOOP_HEADER_RE = re.compile(r"\b(?:for|while)\s*\(")
 HAVERSINE_SCOPED = re.compile(r"(^|/)src/(?:query|outlier|refine)/")
 
-WALLCLOCK_RE = re.compile(
-    r"\bstd::this_thread::sleep_(?:for|until)\b"
-    r"|\bstd::chrono::system_clock::now\b")
-WALLCLOCK_ALLOWED = re.compile(r"(^|/)src/exec/")
-
-OBS_CLOCK_RE = re.compile(
-    r"\bstd::chrono::(?:steady_clock|high_resolution_clock|system_clock)\b")
-OBS_SCOPED = re.compile(r"(^|/)src/obs/")
+# R8 scope table: (applies to path?, banned pattern, waivable, message).
+# Checked in order; the first matching row reports, so a line yields at
+# most one R8. The strict obs/stream row comes first: there no annotation
+# waives a wall-clock read.
+WALLCLOCK_SCOPES = (
+    (lambda rel: re.search(r"(^|/)src/(?:obs|stream)/", rel) is not None,
+     re.compile(
+         r"\bstd::chrono::(?:steady_clock|high_resolution_clock"
+         r"|system_clock)\b|\bSteadyClock\b"),
+     False,
+     "wall-clock source inside src/obs/ or src/stream/; observability "
+     "timestamps come from the injected Clock and watermarks advance on "
+     "event time (core/clock.h, VirtualClock in tests), or traces and "
+     "stream-vs-batch replay diverge"),
+    (lambda rel: re.search(r"(^|/)src/exec/", rel) is None,
+     re.compile(r"\bstd::this_thread::sleep_(?:for|until)\b"
+                r"|\bstd::chrono::system_clock::now\b"),
+     True,
+     "wall-clock sleep_for/sleep_until/system_clock::now outside "
+     "src/exec/; time goes through core/clock.h (ExecContext::Stall, "
+     "VirtualClock in tests), or annotate with "
+     "'// sidq: allow-wallclock(<reason>)'"),
+)
 
 # R10: every raw standard synchronization primitive. sidq::Mutex and
 # friends (src/core/mutex.h) are the only sanctioned users.
@@ -227,15 +240,6 @@ RAW_MUTEX_RE = re.compile(
     r"|recursive_timed_mutex|shared_timed_mutex|lock_guard|unique_lock"
     r"|shared_lock|scoped_lock|condition_variable|condition_variable_any)\b")
 RAW_MUTEX_ALLOWED_FILE = "src/core/mutex.h"
-
-# R13 scope: the streaming layer. Watermarks advance on event time (or an
-# injected Clock), never on a wall-clock reading -- otherwise lateness
-# depends on when an event arrived, and replay stops being a pure function
-# of the recorded log.
-STREAM_SCOPED = re.compile(r"(^|/)src/stream/")
-STREAM_CLOCK_RE = re.compile(
-    r"\bstd::chrono::(?:steady_clock|high_resolution_clock|system_clock)\b"
-    r"|\bSteadyClock\b")
 
 # R14 scope: the kernel layer's hot loops. Kernel scratch comes from the
 # bump arena (core/arena.h); a heap allocation inside a kernel loop is an
@@ -498,6 +502,9 @@ def run_line_rules(ctx):
                     fix=("insert_pragma_once",))
 
     haversine_scoped = bool(HAVERSINE_SCOPED.search(rel))
+    wallclock_rows = [(pattern, waivable, message)
+                      for applies, pattern, waivable, message
+                      in WALLCLOCK_SCOPES if applies(rel)]
     raw_mutex_exempt = rel == RAW_MUTEX_ALLOWED_FILE
     kernel_hot_scoped = bool(KERNEL_HOT_SCOPED.search(rel))
     # R14 pre-scan: ArenaVec-declared names grow out of the arena, and any
@@ -536,12 +543,12 @@ def run_line_rules(ctx):
         if ctx.is_header and USING_NAMESPACE_RE.search(code):
             ctx.add(lineno, "R3", "'using namespace' is banned in headers")
 
-        # R5: naked new/delete outside index internals.
+        # R5: naked new/delete outside the arena.
         if not NAKED_NEW_ALLOWED.search(rel):
             if NEW_RE.search(code) or DELETE_RE.search(
                     re.sub(r"=\s*delete", "", code)):
                 ctx.add(lineno, "R5",
-                        "naked new/delete outside src/index/; use "
+                        "naked new/delete; use "
                         "std::make_unique or a container")
 
         # R6: thread spawning outside src/exec/ without an annotation.
@@ -563,32 +570,12 @@ def run_line_rules(ctx):
                         "kernels, or annotate with "
                         "'// sidq: allow-scalar-haversine(<reason>)'")
 
-        # R8: wall-clock sleeps/reads outside src/exec/.
-        if not WALLCLOCK_ALLOWED.search(rel) and WALLCLOCK_RE.search(code):
-            if not ctx.suppressed(lineno, "wallclock"):
-                ctx.add(lineno, "R8",
-                        "wall-clock sleep_for/sleep_until/"
-                        "system_clock::now outside src/exec/; time goes "
-                        "through core/clock.h (ExecContext::Stall, "
-                        "VirtualClock in tests), or annotate with "
-                        "'// sidq: allow-wallclock(<reason>)'")
-
-        # R9: std::chrono clocks inside src/obs/ -- no annotation escape.
-        if OBS_SCOPED.search(rel) and OBS_CLOCK_RE.search(code):
-            ctx.add(lineno, "R9",
-                    "std::chrono clock inside src/obs/; observability "
-                    "timestamps must come from the injected Clock "
-                    "(core/clock.h) so traces stay deterministic under "
-                    "VirtualClock")
-
-        # R13: wall-clock sources inside src/stream/ -- no annotation
-        # escape. Event time or an injected Clock only.
-        if STREAM_SCOPED.search(rel) and STREAM_CLOCK_RE.search(code):
-            ctx.add(lineno, "R13",
-                    "wall-clock source inside src/stream/; watermarks "
-                    "advance on event time (or an injected Clock / "
-                    "VirtualClock from core/clock.h), never on arrival "
-                    "wall time, or stream-vs-batch replay diverges")
+        # R8: wall-clock sources, per the WALLCLOCK_SCOPES table.
+        for pattern, waivable, message in wallclock_rows:
+            if pattern.search(code):
+                if not (waivable and ctx.suppressed(lineno, "wallclock")):
+                    ctx.add(lineno, "R8", message)
+                break
 
         # R10: raw standard sync primitives outside the sidq wrappers.
         if not raw_mutex_exempt and RAW_MUTEX_RE.search(code):

@@ -1,8 +1,10 @@
 #include "core/failpoint.h"
 
+#include <cstring>
 #include <unordered_map>
 #include <utility>
 
+#include "core/hash.h"
 #include "core/mutex.h"
 #include "core/random.h"
 #include "core/thread_annotations.h"
@@ -39,12 +41,7 @@ Registry& GlobalRegistry() {
 // FNV-1a over the site name, mixed into the draw so two sites armed with
 // the same seed still fire independently.
 uint64_t HashSite(const char* site) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char* c = site; *c != '\0'; ++c) {
-    h ^= static_cast<uint64_t>(*c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return FnvBytes(kFnvShortOffset, site, std::strlen(site));
 }
 
 }  // namespace

@@ -106,19 +106,20 @@ std::vector<uint64_t> GridIndex::Knn(const geometry::Point& p,
   std::priority_queue<Cand> best;            // max-heap of the k best
   int64_t pcx, pcy;
   CellCoords(p, &pcx, &pcy);
-  for (int64_t ring = 0;; ++ring) {
-    if (best.size() == k) {
-      const double ring_min =
-          (static_cast<double>(ring) - 1.0) * cell_size_;
-      if (ring_min > 0.0 && best.top().first <= ring_min * ring_min) break;
-    }
-    bool any_cell_in_index = false;
+  // Rings past the farthest occupied cell are empty, so the search ends
+  // there at the latest -- also when k exceeds the index size.
+  int64_t max_ring = 0;
+  for (const auto& [key, entries] : cells_) {
+    int64_t cx, cy;
+    CellCoords(entries.front().p, &cx, &cy);
+    max_ring = std::max({max_ring, std::abs(cx - pcx), std::abs(cy - pcy)});
+  }
+  for (int64_t ring = 0; ring <= max_ring; ++ring) {
     for (int64_t dx = -ring; dx <= ring; ++dx) {
       for (int64_t dy = -ring; dy <= ring; ++dy) {
         if (std::max(std::abs(dx), std::abs(dy)) != ring) continue;
         auto it = cells_.find(KeyOf(pcx + dx, pcy + dy));
         if (it == cells_.end()) continue;
-        any_cell_in_index = true;
         for (const Entry& e : it->second) {
           const double d = geometry::DistanceSq(e.p, p);
           if (best.size() < k) {
@@ -130,18 +131,10 @@ std::vector<uint64_t> GridIndex::Knn(const geometry::Point& p,
         }
       }
     }
-    (void)any_cell_in_index;
-    // Termination guard: once we have k results and the ring has marched
-    // past the farthest candidate we can stop; also stop when the ring is
-    // absurdly large relative to the index extent.
-    if (best.size() == k && ring > 0) {
-      const double ring_min = static_cast<double>(ring) * cell_size_;
-      if (best.top().first <= ring_min * ring_min) break;
-    }
-    if (ring > 1 && static_cast<size_t>(ring) > cells_.size() + 2 &&
-        best.size() >= std::min(k, size_)) {
-      break;
-    }
+    // Every point outside rings 0..ring lies at least ring * cell_size_
+    // from `p`.
+    const double ring_min = static_cast<double>(ring) * cell_size_;
+    if (best.size() == k && best.top().first <= ring_min * ring_min) break;
   }
   out.resize(best.size());
   for (size_t i = out.size(); i-- > 0;) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "core/logging.h"
 
@@ -102,132 +101,6 @@ void RTree::BulkLoad(std::vector<Item> items) {
   root_ = BuildStr(&items, 0, items.size());
 }
 
-// ------------------------------------------------------------------ insert
-
-namespace {
-
-double Enlargement(const geometry::BBox& box, const geometry::BBox& add) {
-  geometry::BBox merged = box;
-  merged.Extend(add);
-  return merged.Area() - box.Area();
-}
-
-}  // namespace
-
-int32_t RTree::SplitNode(int32_t n) {
-  Node& node = nodes_[n];
-  const int32_t sibling_idx = NewNode(node.leaf);
-  // NewNode may reallocate nodes_, so re-take the reference.
-  Node& self = nodes_[n];
-  Node& sibling = nodes_[sibling_idx];
-
-  // Quadratic split over item/child boxes.
-  auto box_of = [&](size_t i) -> geometry::BBox {
-    return self.leaf ? self.items[i].box : nodes_[self.children[i]].box;
-  };
-  const size_t count = self.leaf ? self.items.size() : self.children.size();
-  // Pick the pair of seeds wasting the most area together.
-  size_t seed_a = 0, seed_b = 1;
-  double worst = -1.0;
-  for (size_t i = 0; i < count; ++i) {
-    for (size_t j = i + 1; j < count; ++j) {
-      geometry::BBox merged = box_of(i);
-      merged.Extend(box_of(j));
-      const double waste =
-          merged.Area() - box_of(i).Area() - box_of(j).Area();
-      if (waste > worst) {
-        worst = waste;
-        seed_a = i;
-        seed_b = j;
-      }
-    }
-  }
-  std::vector<size_t> group_a{seed_a}, group_b{seed_b};
-  geometry::BBox box_a = box_of(seed_a), box_b = box_of(seed_b);
-  for (size_t i = 0; i < count; ++i) {
-    if (i == seed_a || i == seed_b) continue;
-    const double ea = Enlargement(box_a, box_of(i));
-    const double eb = Enlargement(box_b, box_of(i));
-    if (ea < eb || (ea == eb && group_a.size() <= group_b.size())) {
-      group_a.push_back(i);
-      box_a.Extend(box_of(i));
-    } else {
-      group_b.push_back(i);
-      box_b.Extend(box_of(i));
-    }
-  }
-  // Rebuild self from group_a, sibling from group_b.
-  if (self.leaf) {
-    std::vector<Item> items_a, items_b;
-    for (size_t i : group_a) items_a.push_back(self.items[i]);
-    for (size_t i : group_b) items_b.push_back(self.items[i]);
-    self.items = std::move(items_a);
-    sibling.items = std::move(items_b);
-  } else {
-    std::vector<int32_t> kids_a, kids_b;
-    for (size_t i : group_a) kids_a.push_back(self.children[i]);
-    for (size_t i : group_b) kids_b.push_back(self.children[i]);
-    self.children = std::move(kids_a);
-    sibling.children = std::move(kids_b);
-  }
-  RecomputeBox(n);
-  RecomputeBox(sibling_idx);
-  return sibling_idx;
-}
-
-void RTree::Insert(uint64_t id, const geometry::BBox& box) {
-  ++size_;
-  if (root_ < 0) {
-    root_ = NewNode(true);
-    nodes_[root_].items.push_back(Item{id, box});
-    RecomputeBox(root_);
-    return;
-  }
-  // Descend to a leaf, remembering the path.
-  std::vector<int32_t> path;
-  int32_t n = root_;
-  path.push_back(n);
-  while (!nodes_[n].leaf) {
-    const Node& node = nodes_[n];
-    int32_t best = node.children.front();
-    double best_enlarge = Enlargement(nodes_[best].box, box);
-    for (int32_t c : node.children) {
-      const double e = Enlargement(nodes_[c].box, box);
-      if (e < best_enlarge ||
-          (e == best_enlarge && nodes_[c].box.Area() < nodes_[best].box.Area())) {
-        best = c;
-        best_enlarge = e;
-      }
-    }
-    n = best;
-    path.push_back(n);
-  }
-  nodes_[n].items.push_back(Item{id, box});
-
-  // Walk back up: fix boxes and split overflowing nodes.
-  int32_t pending_split = -1;  // newly created sibling at the child level
-  for (size_t level = path.size(); level-- > 0;) {
-    const int32_t cur = path[level];
-    if (pending_split >= 0) {
-      nodes_[cur].children.push_back(pending_split);
-      pending_split = -1;
-    }
-    RecomputeBox(cur);
-    const size_t count =
-        nodes_[cur].leaf ? nodes_[cur].items.size() : nodes_[cur].children.size();
-    if (count > max_entries_) {
-      pending_split = SplitNode(cur);
-    }
-  }
-  if (pending_split >= 0) {
-    // Root split: grow the tree.
-    const int32_t new_root = NewNode(false);
-    nodes_[new_root].children = {root_, pending_split};
-    RecomputeBox(new_root);
-    root_ = new_root;
-  }
-}
-
 // ----------------------------------------------------------------- queries
 
 std::vector<uint64_t> RTree::RangeQuery(const geometry::BBox& query) const {
@@ -248,40 +121,6 @@ std::vector<uint64_t> RTree::RangeQuery(const geometry::BBox& query) const {
     } else {
       for (int32_t c : node.children) {
         if (nodes_[c].box.Intersects(query)) stack.push_back(c);
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<uint64_t> RTree::Knn(const geometry::Point& q, size_t k) const {
-  std::vector<uint64_t> out;
-  if (root_ < 0 || k == 0) return out;
-  // Best-first search over (min-distance, is_item, index/id).
-  struct Entry {
-    double dist;
-    bool is_item;
-    uint64_t id;
-    int32_t node;
-    bool operator>(const Entry& o) const { return dist > o.dist; }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> pq;
-  pq.push(Entry{nodes_[root_].box.MinDistance(q), false, 0, root_});
-  while (!pq.empty() && out.size() < k) {
-    const Entry e = pq.top();
-    pq.pop();
-    if (e.is_item) {
-      out.push_back(e.id);
-      continue;
-    }
-    const Node& node = nodes_[e.node];
-    if (node.leaf) {
-      for (const Item& it : node.items) {
-        pq.push(Entry{it.box.MinDistance(q), true, it.id, -1});
-      }
-    } else {
-      for (int32_t c : node.children) {
-        pq.push(Entry{nodes_[c].box.MinDistance(q), false, 0, c});
       }
     }
   }

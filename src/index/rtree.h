@@ -4,14 +4,16 @@
 #include <vector>
 
 #include "geometry/bbox.h"
-#include "geometry/point.h"
 
 namespace sidq {
 namespace index {
 
-// An R-tree over rectangles, bulk-loaded with Sort-Tile-Recursive (STR) and
-// supporting quadratic-split dynamic inserts. Used for indexing trajectory
-// segments, uncertainty regions, and sensor footprints.
+// A pointer-based R-tree over rectangles, bulk-loaded with
+// Sort-Tile-Recursive (STR): one heap-allocated child/item vector per node.
+// It is the measured baseline for kernels::PackedRTree, which packs an STR
+// tree into flat arrays: bench_kernels times per-query RangeQuery here
+// against the packed batched walk (the gated `packed_range` speedup).
+// Library code uses kernels::PackedRTree.
 class RTree {
  public:
   struct Item {
@@ -23,8 +25,6 @@ class RTree {
 
   // Bulk-loads (replaces) the tree contents with STR packing.
   void BulkLoad(std::vector<Item> items);
-  // Dynamic insert with quadratic split.
-  void Insert(uint64_t id, const geometry::BBox& box);
 
   [[nodiscard]] size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
@@ -32,8 +32,6 @@ class RTree {
 
   // Ids of items whose box intersects `query`.
   [[nodiscard]] std::vector<uint64_t> RangeQuery(const geometry::BBox& query) const;
-  // Ids of the k items nearest to `q` by box MinDistance (best-first).
-  [[nodiscard]] std::vector<uint64_t> Knn(const geometry::Point& q, size_t k) const;
   // Number of nodes visited by the last RangeQuery (pruning statistics).
   mutable size_t last_nodes_visited = 0;
 
@@ -47,10 +45,6 @@ class RTree {
 
   int32_t NewNode(bool leaf);
   void RecomputeBox(int32_t n);
-  int32_t ChooseLeaf(int32_t n, const geometry::BBox& box, int level,
-                     std::vector<int32_t>* path) const;
-  // Splits node `n` in two (quadratic split); returns the new sibling.
-  int32_t SplitNode(int32_t n);
   int32_t BuildStr(std::vector<Item>* items, size_t begin, size_t end);
 
   size_t max_entries_;

@@ -18,21 +18,23 @@ double BoxGap(const geometry::BBox& a, const geometry::BBox& b);
 
 // A read-only, bulk-loaded R-tree packed into contiguous arrays: the
 // items in leaf order and the nodes in level order (all leaves first,
-// root last). Compared to index::RTree this trades dynamic inserts for
-// pointer-free traversal over dense arrays -- child ranges are [begin, end)
-// index spans, and batched query entry points amortize the traversal stack
-// and result buffers across a whole query set. Leaf boxes are additionally
-// stored COLUMNAR (min_x/min_y/max_x/max_y in separate arrays mirroring
-// leaf order, ~40 extra bytes per item) so the per-leaf intersection test
-// is a branch-free SIMD sweep instead of a branchy AoS scan; because the
+// root last). This is the one spatial tree the library queries: range
+// lookups, best-first kNN (trajectory calibration snaps through Knn(p, 1))
+// and incremental BoxGap scans. Traversal is pointer-free over dense
+// arrays -- child ranges are [begin, end) index spans, and batched query
+// entry points amortize the traversal stack and result buffers across a
+// whole query set. Leaf boxes are additionally stored COLUMNAR
+// (min_x/min_y/max_x/max_y in separate arrays mirroring leaf order, ~40
+// extra bytes per item) so the per-leaf intersection test is a
+// branch-free SIMD sweep instead of a branchy AoS scan; because the
 // packing is level-by-level, every subtree's items are one contiguous run,
 // so a query that CONTAINS a node's box emits the whole span with a single
 // linear copy. Wide leaves (max_entries 32..64) are cheap under the
 // vectorized scan and cut traversal overhead for range workloads; the
-// default 16 matches index::RTree fanout. Drop-in alternative for
-// read-mostly workloads; returns the same result SETS as index::RTree
-// (enumeration order may differ, except Knn which is distance-ordered in
-// both).
+// default 16 matches the fanout of index::RTree, the pointer-based
+// baseline bench_kernels measures range queries against. Result sets are
+// exact (tests compare them with brute-force scans); range enumeration
+// order is traversal order, Knn is distance-ordered.
 class PackedRTree {
  public:
   struct Item {
@@ -75,8 +77,7 @@ class PackedRTree {
   [[nodiscard]] bool empty() const { return items_.empty(); }
   [[nodiscard]] int height() const { return height_; }
 
-  // Ids of items whose box intersects `query` (same set as
-  // index::RTree::RangeQuery).
+  // Ids of items whose box intersects `query`.
   [[nodiscard]] std::vector<uint64_t> RangeQuery(
       const geometry::BBox& query) const;
   // Batched range query over a SHARED tree walk: one DFS visits each node
@@ -109,7 +110,7 @@ class PackedRTree {
   [[nodiscard]] const std::vector<Item>& items() const { return items_; }
 
   // Number of nodes visited by the last RangeQuery / Knn on this thread's
-  // call (pruning statistics; mirrors index::RTree).
+  // call (pruning statistics).
   mutable size_t last_nodes_visited = 0;
 
  private:

@@ -7,6 +7,7 @@
 
 #include "core/arena.h"
 #include "core/failpoint.h"
+#include "core/hash.h"
 #include "core/retry.h"
 #include "obs/export.h"
 
@@ -92,12 +93,7 @@ std::string StreamOutputToJson(const StreamOutput& output) {
 
 uint64_t OutputChecksum(const StreamOutput& output) {
   const std::string json = StreamOutputToJson(output);
-  uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  for (unsigned char c : json) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV-1a prime
-  }
-  return h;
+  return FnvBytes(kFnvOffset, json.data(), json.size());
 }
 
 StreamEngine::StreamEngine(const StreamConfig& config,

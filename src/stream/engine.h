@@ -85,7 +85,7 @@ struct StreamOutput {
 //
 // Determinism: outputs depend only on (event log, config). Watermarks are
 // pure event-time arithmetic; arrival wall time never enters any decision
-// (lint rule R13). With chaos armed, fault decisions are deterministic per
+// (lint rule R8). With chaos armed, fault decisions are deterministic per
 // (site, sensor, evaluation#), so chaos runs are reproducible too.
 class StreamEngine {
  public:

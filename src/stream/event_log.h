@@ -23,7 +23,7 @@ namespace stream {
 // `record.t` plus network/battery-induced delay -- and exists only for
 // latency KPIs and human inspection; all stream decisions (watermarks,
 // lateness, windows) are functions of event time and arrival *order*,
-// never of arrival wall time (lint rule R13).
+// never of arrival wall time (lint rule R8).
 struct StreamEvent {
   uint64_t seq = 0;
   Timestamp arrival_ms = 0;

@@ -36,12 +36,12 @@ void TrajectoryCalibrator::BuildAnchors(
 
 void TrajectoryCalibrator::SetAnchors(std::vector<geometry::Point> anchors) {
   anchors_ = std::move(anchors);
-  std::vector<index::KdTree::Item> items;
+  std::vector<kernels::PackedRTree::Item> items;
   items.reserve(anchors_.size());
   for (size_t i = 0; i < anchors_.size(); ++i) {
-    items.push_back(index::KdTree::Item{i, anchors_[i]});
+    items.push_back({i, geometry::BBox(anchors_[i], anchors_[i])});
   }
-  anchor_index_ = index::KdTree(std::move(items));
+  anchor_index_.BulkLoad(std::move(items));
 }
 
 StatusOr<Trajectory> TrajectoryCalibrator::Calibrate(
@@ -52,9 +52,11 @@ StatusOr<Trajectory> TrajectoryCalibrator::Calibrate(
   Trajectory out(noisy.object_id());
   for (const TrajectoryPoint& pt : noisy.points()) {
     TrajectoryPoint calibrated = pt;
-    const auto nn = anchor_index_.KnnWithDistance(pt.p, 1);
-    if (!nn.empty() && nn.front().second <= options_.snap_radius_m) {
-      calibrated.p = anchors_[nn.front().first];
+    const std::vector<uint64_t> nn = anchor_index_.Knn(pt.p, 1);
+    if (!nn.empty() &&
+        geometry::Distance(anchors_[nn.front()], pt.p) <=
+            options_.snap_radius_m) {
+      calibrated.p = anchors_[nn.front()];
     }
     out.AppendUnordered(calibrated);
   }

@@ -4,7 +4,7 @@
 
 #include "core/statusor.h"
 #include "core/trajectory.h"
-#include "index/kdtree.h"
+#include "kernels/packed_rtree.h"
 
 namespace sidq {
 namespace uncertainty {
@@ -37,13 +37,14 @@ class TrajectoryCalibrator {
   const std::vector<geometry::Point>& anchors() const { return anchors_; }
 
   // Snaps every input point to its nearest anchor within snap_radius_m.
-  // Fails when no anchors have been built.
+  // Fails when no anchors have been built. Not safe to call concurrently
+  // on one calibrator: each lookup updates the index's pruning counter.
   [[nodiscard]] StatusOr<Trajectory> Calibrate(const Trajectory& noisy) const;
 
  private:
   Options options_;
   std::vector<geometry::Point> anchors_;
-  index::KdTree anchor_index_;
+  kernels::PackedRTree anchor_index_;  // point boxes, id = anchors_ index
 };
 
 }  // namespace uncertainty

@@ -7,7 +7,7 @@
 #include "core/quality.h"
 #include "core/random.h"
 #include "fault/rfid_cleaning.h"
-#include "index/rtree.h"
+#include "kernels/packed_rtree.h"
 #include "outlier/trajectory_outliers.h"
 #include "query/similarity.h"
 #include "reduce/reference_compression.h"
@@ -108,30 +108,18 @@ TEST(EdgeCaseTest, MapMatcherSinglePoint) {
 // ------------------------------------------------------------------- index
 
 TEST(EdgeCaseTest, RTreeAllIdenticalPoints) {
-  index::RTree tree(8);
+  std::vector<kernels::PackedRTree::Item> items;
   for (uint64_t i = 0; i < 100; ++i) {
-    tree.Insert(i, BBox(Point(5, 5), Point(5, 5)));
+    items.push_back({i, BBox(Point(5, 5), Point(5, 5))});
   }
-  EXPECT_EQ(tree.size(), 100u);
-  EXPECT_EQ(tree.RangeQuery(BBox(4, 4, 6, 6)).size(), 100u);
-  EXPECT_EQ(tree.Knn(Point(0, 0), 7).size(), 7u);
-}
-
-TEST(EdgeCaseTest, RTreeMixedBulkThenInsert) {
-  Rng rng(3);
-  std::vector<index::RTree::Item> items;
-  for (uint64_t i = 0; i < 200; ++i) {
-    const Point p(rng.Uniform(0, 100), rng.Uniform(0, 100));
-    items.push_back({i, BBox(p, p)});
+  for (size_t fanout : {8ul, 16ul, 64ul}) {
+    kernels::PackedRTree tree(fanout);
+    tree.BulkLoad(items);
+    EXPECT_EQ(tree.size(), 100u) << "fanout " << fanout;
+    EXPECT_EQ(tree.RangeQuery(BBox(4, 4, 6, 6)).size(), 100u)
+        << "fanout " << fanout;
+    EXPECT_EQ(tree.Knn(Point(0, 0), 7).size(), 7u) << "fanout " << fanout;
   }
-  index::RTree tree;
-  tree.BulkLoad(items);
-  for (uint64_t i = 200; i < 400; ++i) {
-    const Point p(rng.Uniform(0, 100), rng.Uniform(0, 100));
-    tree.Insert(i, BBox(p, p));
-  }
-  EXPECT_EQ(tree.size(), 400u);
-  EXPECT_EQ(tree.RangeQuery(BBox(-1, -1, 101, 101)).size(), 400u);
 }
 
 // ----------------------------------------------------------------- reduce

@@ -9,13 +9,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/hash.h"
 #include "core/random.h"
 #include "kernels/dispatch.h"
 
@@ -25,16 +25,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
-uint64_t Fnv1a(const void* data, size_t bytes,
-               uint64_t h = 1469598103934665603ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::vector<Isa> CompiledTiers() {
   std::vector<Isa> out;
@@ -324,7 +314,7 @@ TEST(KernelDispatchTest, WorkloadChecksumIdenticalAcrossTiers) {
   const auto run = [](const KernelOps& ops) {
     Rng rng_store(99);
     Rng* rng = &rng_store;
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kFnvOffset;
     for (int trial = 0; trial < 20; ++trial) {
       const size_t n = static_cast<size_t>(rng->UniformInt(1, 96));
       const auto xs = Column(rng, n, trial % 2 == 0);
@@ -332,13 +322,13 @@ TEST(KernelDispatchTest, WorkloadChecksumIdenticalAcrossTiers) {
       std::vector<double> out(n * n);
       ops.pairwise_sq_dist(xs.data(), ys.data(), n, xs.data(), ys.data(), n,
                            out.data());
-      h = Fnv1a(out.data(), out.size() * sizeof(double), h);
+      h = FnvBytes(h, out.data(), out.size() * sizeof(double));
       ops.point_to_many_dist(xs[0], ys[0], xs.data(), ys.data(), n,
                              out.data());
-      h = Fnv1a(out.data(), n * sizeof(double), h);
+      h = FnvBytes(h, out.data(), n * sizeof(double));
       const double poly =
           ops.point_to_polyline_dist(ys[0], xs[0], xs.data(), ys.data(), n);
-      h = Fnv1a(&poly, sizeof(double), h);
+      h = FnvBytes(h, &poly, sizeof(double));
     }
     return h;
   };

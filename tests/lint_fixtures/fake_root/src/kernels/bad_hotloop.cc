@@ -1,7 +1,7 @@
 // R14 fixture: heap allocation inside kernel-layer hot loops. Kernel
 // scratch comes from the arena (core/arena.h); the sanctioned growth
 // paths are ArenaVec and vectors reserved before the loop. The naked-new
-// case also trips R5 (new outside src/index/).
+// case also trips R5.
 
 #include <cstdlib>
 #include <vector>

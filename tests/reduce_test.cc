@@ -1,4 +1,5 @@
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -343,12 +344,21 @@ TEST(NetworkCompressionTest, EndToEndWithMapMatcher) {
 // the endpoints -- invariants any downstream consumer relies on.
 using SimplifierFn = StatusOr<Trajectory> (*)(const Trajectory&, double);
 
+// Carries a printable name so the test's reported name is the simplifier's,
+// not the function's (load-address dependent) pointer value.
+struct NamedSimplifier {
+  const char* name;
+  SimplifierFn fn;
+};
+
+void PrintTo(const NamedSimplifier& s, std::ostream* os) { *os << s.name; }
+
 class SimplifierInvariantTest
-    : public ::testing::TestWithParam<SimplifierFn> {};
+    : public ::testing::TestWithParam<NamedSimplifier> {};
 
 TEST_P(SimplifierInvariantTest, TimeOrderedAndEndpointPreserving) {
   const Trajectory tr = Zigzag(300);
-  const auto simp = GetParam()(tr, 6.0);
+  const auto simp = GetParam().fn(tr, 6.0);
   ASSERT_TRUE(simp.ok());
   EXPECT_TRUE(simp->IsTimeOrdered());
   EXPECT_EQ(simp->front().t, tr.front().t);
@@ -356,11 +366,14 @@ TEST_P(SimplifierInvariantTest, TimeOrderedAndEndpointPreserving) {
   EXPECT_GE(simp->size(), 2u);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSimplifiers, SimplifierInvariantTest,
-                         ::testing::Values(&DouglasPeuckerSed,
-                                           &DouglasPeuckerPerp,
-                                           &DeadReckoning, &OpeningWindow,
-                                           &SquishE));
+INSTANTIATE_TEST_SUITE_P(
+    AllSimplifiers, SimplifierInvariantTest,
+    ::testing::Values(NamedSimplifier{"DouglasPeuckerSed", &DouglasPeuckerSed},
+                      NamedSimplifier{"DouglasPeuckerPerp",
+                                      &DouglasPeuckerPerp},
+                      NamedSimplifier{"DeadReckoning", &DeadReckoning},
+                      NamedSimplifier{"OpeningWindow", &OpeningWindow},
+                      NamedSimplifier{"SquishE", &SquishE}));
 
 }  // namespace
 }  // namespace reduce

@@ -15,7 +15,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <list>
 #include <map>
@@ -26,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hash.h"
 #include "core/stid.h"
 #include "obs/metrics.h"
 #include "store/block_cache.h"
@@ -37,31 +37,14 @@ namespace sidq {
 namespace store {
 namespace {
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-uint64_t Bits(double v) {
-  uint64_t b = 0;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
-}
-
 uint64_t FnvRecord(uint64_t h, uint64_t row, const StRecord& r) {
   h = FnvMix(h, row);
   h = FnvMix(h, r.sensor);
   h = FnvMix(h, static_cast<uint64_t>(r.t));
-  h = FnvMix(h, Bits(r.loc.x));
-  h = FnvMix(h, Bits(r.loc.y));
-  h = FnvMix(h, Bits(r.value));
-  h = FnvMix(h, Bits(r.stddev));
+  h = FnvMix(h, DoubleBits(r.loc.x));
+  h = FnvMix(h, DoubleBits(r.loc.y));
+  h = FnvMix(h, DoubleBits(r.value));
+  h = FnvMix(h, DoubleBits(r.stddev));
   return h;
 }
 

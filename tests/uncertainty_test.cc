@@ -1,4 +1,7 @@
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -107,6 +110,39 @@ TEST(CalibrationTest, FarPointsUntouched) {
   const auto out = calibrator.Calibrate(tr);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value()[0].p, Point(1000, 1000));
+}
+
+// Duplicate anchors and queries equidistant from two anchors: either tied
+// anchor is a correct snap, but the result must be an anchor at the
+// minimum distance.
+TEST(CalibrationTest, TiedAnchorsSnapToANearestOne) {
+  const std::vector<Point> anchors = {Point(0, 0), Point(0, 0), Point(10, 0),
+                                      Point(-10, 0), Point(10, 0),
+                                      Point(0, 25)};
+  TrajectoryCalibrator calibrator;
+  calibrator.SetAnchors(anchors);
+  Trajectory tr(1);
+  const std::vector<Point> queries = {Point(5, 0), Point(-5, 0), Point(0, 0),
+                                      Point(5, 5), Point(0, 12.5)};
+  for (size_t i = 0; i < queries.size(); ++i) {
+    tr.AppendUnordered(
+        TrajectoryPoint(static_cast<Timestamp>(i), queries[i]));
+  }
+  const auto out = calibrator.Calibrate(tr);
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    double nearest = std::numeric_limits<double>::infinity();
+    for (const Point& a : anchors) {
+      nearest = std::min(nearest, geometry::Distance(a, queries[i]));
+    }
+    const Point snapped = (*out)[i].p;
+    EXPECT_NE(std::find(anchors.begin(), anchors.end(), snapped),
+              anchors.end())
+        << "query " << i << " did not snap to an anchor";
+    EXPECT_EQ(geometry::Distance(snapped, queries[i]), nearest)
+        << "query " << i;
+  }
 }
 
 TEST(CalibrationTest, NeedsAnchors) {
