@@ -61,76 +61,12 @@ cmp "${obs_tmp}/t1.json" "${obs_tmp}/t8.json" || {
   echo "FAILED: trace export differs across worker counts" >&2; exit 1; }
 echo "obs determinism gate: OK"
 
-# Stream replay determinism gate: record an event log once, replay it at 1
-# and 8 workers, and require byte-identical stream-output JSON (each replay
-# also self-checks against the batch reference and exits nonzero on
-# divergence). Again cmp, not a parser: the contract is bytes.
-build/examples/fleet_cleaning --record-log "${obs_tmp}/events.log" > /dev/null
-build/examples/fleet_cleaning --replay "${obs_tmp}/events.log" --threads 1 \
-  --stream-out "${obs_tmp}/stream1.json" > /dev/null
-build/examples/fleet_cleaning --replay "${obs_tmp}/events.log" --threads 8 \
-  --stream-out "${obs_tmp}/stream8.json" > /dev/null
-cmp "${obs_tmp}/stream1.json" "${obs_tmp}/stream8.json" || {
-  echo "FAILED: stream replay differs across worker counts" >&2; exit 1; }
-echo "stream determinism gate: OK"
-
-# Durable-store recovery gate: ingest the cleaned stream into the segment
-# store, take a canonical scan, tear the segment tail the way a power cut
-# would (partial append past the committed manifest), and require that
-# recovery (a) serves a byte-identical scan -- the torn bytes were never
-# committed, so nothing readable may change -- and (b) is idempotent: a
-# second reopen finds a clean store and scans identically. cmp, not a
-# parser: the contract is bytes.
-build/examples/fleet_cleaning --replay "${obs_tmp}/events.log" --threads 4 \
-  --store-dir "${obs_tmp}/store" > /dev/null
-build/examples/fleet_cleaning --store-dir "${obs_tmp}/store" \
-  --store-scan "${obs_tmp}/scan_clean.txt" > /dev/null
-tail_seg="$(ls "${obs_tmp}/store"/*.seg | sort | tail -1)"
-printf 'torn-append-garbage' >> "${tail_seg}"
-build/examples/fleet_cleaning --store-dir "${obs_tmp}/store" \
-  --store-scan "${obs_tmp}/scan_torn.txt" > /dev/null
-cmp "${obs_tmp}/scan_clean.txt" "${obs_tmp}/scan_torn.txt" || {
-  echo "FAILED: store scan after torn-tail recovery differs" >&2; exit 1; }
-build/examples/fleet_cleaning --store-dir "${obs_tmp}/store" \
-  --store-scan "${obs_tmp}/scan_again.txt" > /dev/null
-cmp "${obs_tmp}/scan_torn.txt" "${obs_tmp}/scan_again.txt" || {
-  echo "FAILED: store recovery is not idempotent" >&2; exit 1; }
-echo "store recovery gate: OK"
-
-# Compaction gate: grow a multi-segment store (repeated ingests of the same
-# log compose by append), corrupt an interior block of the first rolled
-# segment the way bad media would, and require that (a) compaction rewrites
-# that segment smaller, (b) the readable rows before and after compaction
-# are byte-identical -- maintenance reclaims space, it never touches data --
-# and (c) a second pass finds nothing to do. cmp, not a parser: the
-# contract is bytes.
-for _ in $(seq 1 10); do
-  build/examples/fleet_cleaning --replay "${obs_tmp}/events.log" --threads 4 \
-    --store-dir "${obs_tmp}/cstore" > /dev/null
-done
-first_seg="${obs_tmp}/cstore/000000.seg"
-printf 'CORRUPTION' | dd of="${first_seg}" bs=1 seek=40 conv=notrunc \
-  2> /dev/null
-build/examples/fleet_cleaning --store-dir "${obs_tmp}/cstore" \
-  --store-scan "${obs_tmp}/cscan_pocked.txt" > /dev/null
-pre_size="$(stat -c %s "${first_seg}")"
-build/examples/fleet_cleaning --store-dir "${obs_tmp}/cstore" --compact \
-  | grep -q "compacted 1 segment" || {
-  echo "FAILED: compaction did not rewrite the pocked segment" >&2; exit 1; }
-post_size="$(stat -c %s "${first_seg}")"
-if [[ "${post_size}" -ge "${pre_size}" ]]; then
-  echo "FAILED: compaction reclaimed no bytes" \
-       "(${pre_size} -> ${post_size})" >&2
-  exit 1
-fi
-build/examples/fleet_cleaning --store-dir "${obs_tmp}/cstore" \
-  --store-scan "${obs_tmp}/cscan_compacted.txt" > /dev/null
-cmp "${obs_tmp}/cscan_pocked.txt" "${obs_tmp}/cscan_compacted.txt" || {
-  echo "FAILED: compaction changed the readable rows" >&2; exit 1; }
-build/examples/fleet_cleaning --store-dir "${obs_tmp}/cstore" --compact \
-  | grep -q "nothing to compact" || {
-  echo "FAILED: compaction is not idempotent" >&2; exit 1; }
-echo "store compaction gate: OK"
+# Composed-path smoke: builds the end-to-end benchmark (record -> stream
+# engine -> store -> query, plus the fleet runner) into build-e2e/ and
+# checks every workload's checksum against the pinned quick values in
+# bench/e2e/checksums.json. Stream and store determinism are ctests
+# (StreamDifferentialTest, StoreTest, StoreCrashTest).
+python3 bench/e2e/run.py --quick
 
 # Refresh the recorded parallel-execution perf artifact (also re-checks the
 # serial-vs-parallel determinism gate and the <=5% instrumentation-overhead

@@ -10,9 +10,9 @@
 namespace sidq {
 namespace index {
 
-// A uniform hash-grid index over 2-D points. Supports dynamic insert/remove,
-// which the heavier trees do not need to; this is the workhorse index for
-// streaming IoT feeds.
+// A uniform hash-grid index over 2-D points: insert-only, with range and
+// radius queries. sim::RoadNetwork indexes its edge midpoints here for
+// nearest-edge lookups. Point kNN is kernels::PackedRTree::Knn.
 class GridIndex {
  public:
   explicit GridIndex(double cell_size);
@@ -21,19 +21,12 @@ class GridIndex {
   [[nodiscard]] size_t size() const { return size_; }
 
   void Insert(uint64_t id, const geometry::Point& p);
-  // Removes one entry with this id at (approximately) this point; returns
-  // false if absent.
-  bool Remove(uint64_t id, const geometry::Point& p);
-  void Clear();
 
   // Ids of points inside `box` (inclusive).
   [[nodiscard]] std::vector<uint64_t> RangeQuery(const geometry::BBox& box) const;
   // Ids of points within `radius` of `center`.
   std::vector<uint64_t> RadiusQuery(const geometry::Point& center,
                                     double radius) const;
-  // Ids of the k nearest points to `p` (fewer when the index is smaller),
-  // ordered by increasing distance.
-  [[nodiscard]] std::vector<uint64_t> Knn(const geometry::Point& p, size_t k) const;
 
  private:
   struct Entry {

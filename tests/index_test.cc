@@ -48,23 +48,11 @@ std::vector<uint64_t> BruteKnn(const std::vector<Point>& pts, const Point& q,
 
 // ------------------------------------------------------------- GridIndex
 
-TEST(GridIndexTest, InsertRemove) {
-  GridIndex idx(10.0);
-  idx.Insert(1, Point(5, 5));
-  idx.Insert(2, Point(15, 5));
-  EXPECT_EQ(idx.size(), 2u);
-  EXPECT_TRUE(idx.Remove(1, Point(5, 5)));
-  EXPECT_FALSE(idx.Remove(1, Point(5, 5)));
-  EXPECT_FALSE(idx.Remove(2, Point(500, 500)));  // wrong cell
-  EXPECT_EQ(idx.size(), 1u);
-  idx.Clear();
-  EXPECT_EQ(idx.size(), 0u);
-}
-
 TEST(GridIndexTest, RangeMatchesBruteForce) {
   const auto pts = RandomPoints(500, 1000.0, 5);
   GridIndex idx(50.0);
   for (size_t i = 0; i < pts.size(); ++i) idx.Insert(i, pts[i]);
+  EXPECT_EQ(idx.size(), pts.size());
   for (int trial = 0; trial < 20; ++trial) {
     Rng rng(100 + trial);
     const double x = rng.Uniform(0, 900), y = rng.Uniform(0, 900);
@@ -91,32 +79,10 @@ TEST(GridIndexTest, RadiusMatchesBruteForce) {
   }
 }
 
-TEST(GridIndexTest, KnnMatchesBruteForce) {
-  const auto pts = RandomPoints(300, 500.0, 7);
-  GridIndex idx(25.0);
-  for (size_t i = 0; i < pts.size(); ++i) idx.Insert(i, pts[i]);
-  for (int trial = 0; trial < 10; ++trial) {
-    Rng rng(200 + trial);
-    const Point q(rng.Uniform(0, 500), rng.Uniform(0, 500));
-    const auto got = idx.Knn(q, 5);
-    const auto want = BruteKnn(pts, q, 5);
-    EXPECT_EQ(got, want);
-  }
-}
-
-TEST(GridIndexTest, KnnMoreThanSize) {
-  GridIndex idx(10.0);
-  idx.Insert(1, Point(0, 0));
-  idx.Insert(2, Point(5, 0));
-  const auto got = idx.Knn(Point(1, 0), 10);
-  EXPECT_EQ(got.size(), 2u);
-  EXPECT_EQ(got[0], 1u);
-}
-
 TEST(GridIndexTest, EmptyQueries) {
   GridIndex idx(10.0);
+  EXPECT_EQ(idx.size(), 0u);
   EXPECT_TRUE(idx.RangeQuery(BBox(0, 0, 100, 100)).empty());
-  EXPECT_TRUE(idx.Knn(Point(0, 0), 3).empty());
   EXPECT_TRUE(idx.RadiusQuery(Point(0, 0), 50).empty());
 }
 
@@ -183,8 +149,9 @@ std::vector<double> SortedDistances(const std::vector<Point>& pts,
 }
 
 // Parameterised consistency sweep: the grid index and both R-trees agree
-// with brute force across sizes, on continuous random points and on an
-// integer lattice full of duplicate coordinates.
+// with brute force on range queries (and PackedRTree on kNN) across sizes,
+// on continuous random points and on an integer lattice full of duplicate
+// coordinates.
 class IndexConsistencyTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(IndexConsistencyTest, AllIndexesAgree) {
@@ -225,13 +192,11 @@ TEST_P(IndexConsistencyTest, AllIndexesAgree) {
       EXPECT_EQ(r, want) << "trial " << trial;
       EXPECT_EQ(p, want) << "trial " << trial;
 
-      // kNN: equal-distance ties may resolve to different ids, so compare
-      // the distance sequences.
+      // PackedRTree kNN: equal-distance ties may resolve to different ids,
+      // so compare the distance sequences.
       const Point q(x0, y0);
       const size_t k = std::min<size_t>(5, n);
       const auto want_d = SortedDistances(pts, BruteKnn(pts, q, k), q);
-      EXPECT_EQ(SortedDistances(pts, grid.Knn(q, k), q), want_d)
-          << "trial " << trial;
       EXPECT_EQ(SortedDistances(pts, packed.Knn(q, k), q), want_d)
           << "trial " << trial;
     }

@@ -33,6 +33,7 @@
 
 #include "core/failpoint.h"
 #include "core/stid.h"
+#include "real_store_dir.h"
 #include "store/store.h"
 #include "store/vfs.h"
 
@@ -341,28 +342,40 @@ StoreOptions CompactionOptions() {
 
 constexpr uint64_t kCompactionRows = 48;  // 6 blocks over segments 0..1
 
-// Deterministically builds a quarantine-pocked store: 48 rows committed,
-// one interior block of (rolled) segment 0 corrupted, one reopen+close so
-// the quarantine verdict is itself committed. Byte-identical every call.
-void BuildPockedStore(MemVfs* base) {
+// Deterministically builds a quarantine-pocked store in `dir`: 48 rows
+// committed, one interior block of (rolled) segment 0 corrupted, one
+// reopen+close so the quarantine verdict is itself committed.
+// Byte-identical every call, on any Vfs.
+void BuildPockedStore(Vfs* vfs, const std::string& dir) {
   {
     StatusOr<std::unique_ptr<Store>> store =
-        Store::Open(base, "db", CompactionOptions());
+        Store::Open(vfs, dir, CompactionOptions());
     ASSERT_TRUE(store.ok()) << store.status();
     for (uint64_t i = 0; i < kCompactionRows; ++i) {
       ASSERT_TRUE((*store)->Append(MakeRecord(i)).ok());
     }
     ASSERT_TRUE((*store)->Close().ok());
   }
-  StatusOr<std::string> seg = base->ReadFile("db/000000.seg");
+  // Flip one bit inside the second block, the way bad media would, and
+  // write the segment back whole and synced.
+  const std::string seg_path = dir + "/000000.seg";
+  StatusOr<std::string> seg = vfs->ReadFile(seg_path);
   ASSERT_TRUE(seg.ok());
   const ParsedBlock first = ParseBlockAt(*seg, 0);
   ASSERT_EQ(first.defect, BlockDefect::kNone);
-  ASSERT_TRUE(base->CorruptByte("db/000000.seg", first.bytes_consumed + 20,
-                                0x10).ok());
+  char& byte = (*seg)[first.bytes_consumed + 20];
+  byte = static_cast<char>(byte ^ 0x10);
+  {
+    StatusOr<std::unique_ptr<WritableFile>> f =
+        vfs->NewWritableFile(seg_path, WriteMode::kTruncate);
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE((*f)->Append(*seg).ok());
+    ASSERT_TRUE((*f)->Sync().ok());
+    ASSERT_TRUE((*f)->Close().ok());
+  }
   {
     StatusOr<std::unique_ptr<Store>> store =
-        Store::Open(base, "db", CompactionOptions());
+        Store::Open(vfs, dir, CompactionOptions());
     ASSERT_TRUE(store.ok()) << store.status();
     ASSERT_EQ((*store)->recovery().quarantined.size(), 1u);
     ASSERT_TRUE((*store)->Close().ok());  // commits the quarantine
@@ -371,32 +384,36 @@ void BuildPockedStore(MemVfs* base) {
 
 // Runs Open + Compact + Close through `vfs`; *report holds the last
 // successful pass.
-Status RunCompaction(Vfs* vfs, CompactionReport* report) {
+Status RunCompaction(Vfs* vfs, const std::string& dir,
+                     CompactionReport* report) {
   SIDQ_ASSIGN_OR_RETURN(std::unique_ptr<Store> store,
-                        Store::Open(vfs, "db", CompactionOptions()));
+                        Store::Open(vfs, dir, CompactionOptions()));
   SIDQ_RETURN_IF_ERROR(store->Compact(report));
   return store->Close();
 }
 
-TEST(StoreCrashTest, CompactionFaultFreeReclaimsAndPreservesRows) {
-  MemVfs base;
-  BuildPockedStore(&base);
-  if (HasFatalFailure()) return;
+// Runs over any Vfs: compaction must reclaim and preserve rows in MemVfs
+// and on the real filesystem alike.
+void ExpectCompactionReclaimsAndPreservesRows(Vfs* vfs,
+                                              const std::string& dir) {
+  BuildPockedStore(vfs, dir);
+  if (::testing::Test::HasFatalFailure()) return;
+  const std::string seg_path = dir + "/000000.seg";
 
   std::map<uint64_t, StRecord> pre;
   uint64_t pre_gen = 0;
   {
     StatusOr<std::unique_ptr<Store>> store =
-        Store::Open(&base, "db", CompactionOptions());
+        Store::Open(vfs, dir, CompactionOptions());
     ASSERT_TRUE(store.ok());
     pre = ScanAll(**store);
     pre_gen = (*store)->manifest_gen();
   }
-  const StatusOr<uint64_t> size_before = base.FileSize("db/000000.seg");
+  const StatusOr<uint64_t> size_before = vfs->FileSize(seg_path);
   ASSERT_TRUE(size_before.ok());
 
   CompactionReport report;
-  ASSERT_TRUE(RunCompaction(&base, &report).ok());
+  ASSERT_TRUE(RunCompaction(vfs, dir, &report).ok());
   EXPECT_EQ(report.segments_compacted, 1u);
   EXPECT_EQ(report.blocks_dropped, 1u);
   EXPECT_EQ(report.blocks_rewritten, 2u);  // 3-block segment minus 1 dead
@@ -404,15 +421,15 @@ TEST(StoreCrashTest, CompactionFaultFreeReclaimsAndPreservesRows) {
   EXPECT_GT(report.manifest_gen, pre_gen);
 
   // The dead block's bytes are physically gone ...
-  const StatusOr<uint64_t> size_after = base.FileSize("db/000000.seg");
+  const StatusOr<uint64_t> size_after = vfs->FileSize(seg_path);
   ASSERT_TRUE(size_after.ok());
   EXPECT_EQ(*size_before - *size_after, report.bytes_reclaimed);
-  EXPECT_FALSE(base.Exists("db/000000.seg.cmp"));
+  EXPECT_FALSE(vfs->Exists(seg_path + ".cmp"));
 
   // ... while every readable row, the row-id gap, and the quarantine
   // verdict (now a tombstone) survive bit-identically.
   StatusOr<std::unique_ptr<Store>> reopened =
-      Store::Open(&base, "db", CompactionOptions());
+      Store::Open(vfs, dir, CompactionOptions());
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   const Store& r = **reopened;
   ASSERT_EQ(r.recovery().quarantined.size(), 1u);
@@ -430,6 +447,17 @@ TEST(StoreCrashTest, CompactionFaultFreeReclaimsAndPreservesRows) {
   EXPECT_EQ(again.segments_compacted, 0u);
 }
 
+TEST(StoreCrashTest, CompactionFaultFreeReclaimsAndPreservesRows) {
+  MemVfs vfs;
+  ExpectCompactionReclaimsAndPreservesRows(&vfs, "db");
+}
+
+TEST(StoreCrashTest, CompactionFaultFreeReclaimsAndPreservesRowsOnRealVfs) {
+  RealStoreDir dir;
+  ASSERT_TRUE(dir.ok());
+  ExpectCompactionReclaimsAndPreservesRows(DefaultVfs(), dir.db());
+}
+
 TEST(StoreCrashTest, CompactionCrashSweepNeverBlendsGenerations) {
   // Fault-free reference: op count, pre/post row images, pre/post gens.
   std::map<uint64_t, StRecord> want;
@@ -437,7 +465,7 @@ TEST(StoreCrashTest, CompactionCrashSweepNeverBlendsGenerations) {
   int64_t total_ops = 0;
   {
     MemVfs base;
-    BuildPockedStore(&base);
+    BuildPockedStore(&base, "db");
     if (HasFatalFailure()) return;
     {
       StatusOr<std::unique_ptr<Store>> store =
@@ -448,7 +476,7 @@ TEST(StoreCrashTest, CompactionCrashSweepNeverBlendsGenerations) {
     }
     FaultVfs fault(&base);
     CompactionReport report;
-    ASSERT_TRUE(RunCompaction(&fault, &report).ok());
+    ASSERT_TRUE(RunCompaction(&fault, "db", &report).ok());
     total_ops = fault.ops();
     post_gen = report.manifest_gen;
   }
@@ -477,7 +505,7 @@ TEST(StoreCrashTest, CompactionCrashSweepNeverBlendsGenerations) {
       const std::string label = std::string("compact-") + s.name + "@op" +
                                 std::to_string(at_op);
       MemVfs base;
-      BuildPockedStore(&base);
+      BuildPockedStore(&base, "db");
       if (HasFatalFailure()) {
         FAIL() << "fixture build failed at " << label;
       }
@@ -488,7 +516,7 @@ TEST(StoreCrashTest, CompactionCrashSweepNeverBlendsGenerations) {
       plan.seed = s.seed;
       fault.set_plan(plan);
       CompactionReport report;
-      const Status st = RunCompaction(&fault, &report);
+      const Status st = RunCompaction(&fault, "db", &report);
       if (!fault.crashed()) {
         EXPECT_TRUE(st.ok()) << label << ": " << st;
         continue;

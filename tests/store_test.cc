@@ -18,6 +18,7 @@
 
 #include "core/stid.h"
 #include "obs/metrics.h"
+#include "real_store_dir.h"
 #include "store/format.h"
 #include "store/segment.h"
 #include "store/store.h"
@@ -471,12 +472,15 @@ TEST(StoreTest, CorruptInteriorBlockIsQuarantinedWithReason) {
   EXPECT_EQ((*again)->rows_readable(), 24u);
 }
 
-TEST(StoreTest, TornTailIsTruncatedAndReopenIsIdempotent) {
-  MemVfs vfs;
+// Runs over any Vfs: the same torn-tail recovery must hold in MemVfs and
+// on the real filesystem, where mmap, ftruncate and fsync are real.
+void ExpectTornTailIsTruncatedAndReopenIsIdempotent(Vfs* vfs,
+                                                    const std::string& dir) {
+  const std::string seg = dir + "/000000.seg";
   {
     StatusOr<std::unique_ptr<Store>> opened =
-        Store::Open(&vfs, "db", SmallBlocks());
-    ASSERT_TRUE(opened.ok());
+        Store::Open(vfs, dir, SmallBlocks());
+    ASSERT_TRUE(opened.ok()) << opened.status();
     Store& store = **opened;
     for (uint64_t i = 0; i < 24; ++i) {
       ASSERT_TRUE(store.Append(MakeRecord(i)).ok());
@@ -488,33 +492,59 @@ TEST(StoreTest, TornTailIsTruncatedAndReopenIsIdempotent) {
   // references the full block, so the cut shows up as a manifested block
   // failing verification (quarantine), not a tail. To exercise *tail*
   // truncation, append garbage past the manifested end instead.
-  const StatusOr<uint64_t> size = vfs.FileSize("db/000000.seg");
+  const StatusOr<uint64_t> size = vfs->FileSize(seg);
   ASSERT_TRUE(size.ok());
   {
     StatusOr<std::unique_ptr<WritableFile>> f =
-        vfs.NewWritableFile("db/000000.seg", WriteMode::kAppend);
+        vfs->NewWritableFile(seg, WriteMode::kAppend);
     ASSERT_TRUE(f.ok());
     ASSERT_TRUE((*f)->Append("SBLK torn garbage").ok());
     ASSERT_TRUE((*f)->Sync().ok());
     ASSERT_TRUE((*f)->Close().ok());
   }
 
+  // The torn bytes were never committed, so every readable row is
+  // unchanged, bit for bit.
+  const auto expect_rows_intact = [](const Store& store) {
+    uint64_t seen = 0;
+    ASSERT_TRUE(store
+                    .Scan([&](uint64_t row, const StRecord& rec) {
+                      EXPECT_EQ(row, seen);
+                      ExpectBitIdentical(rec, MakeRecord(row));
+                      ++seen;
+                    })
+                    .ok());
+    EXPECT_EQ(seen, 24u);
+  };
   StatusOr<std::unique_ptr<Store>> reopened =
-      Store::Open(&vfs, "db", SmallBlocks());
+      Store::Open(vfs, dir, SmallBlocks());
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_TRUE((*reopened)->recovery().tail_truncated);
   EXPECT_EQ((*reopened)->recovery().tail_bytes_discarded, 17u);
   EXPECT_EQ((*reopened)->rows_readable(), 24u);
-  const StatusOr<uint64_t> size_after = vfs.FileSize("db/000000.seg");
+  expect_rows_intact(**reopened);
+  const StatusOr<uint64_t> size_after = vfs->FileSize(seg);
   ASSERT_TRUE(size_after.ok());
   EXPECT_EQ(*size_after, *size);
 
   // Second open: nothing left to repair.
   StatusOr<std::unique_ptr<Store>> again =
-      Store::Open(&vfs, "db", SmallBlocks());
+      Store::Open(vfs, dir, SmallBlocks());
   ASSERT_TRUE(again.ok());
   EXPECT_FALSE((*again)->recovery().tail_truncated);
   EXPECT_EQ((*again)->rows_readable(), 24u);
+  expect_rows_intact(**again);
+}
+
+TEST(StoreTest, TornTailIsTruncatedAndReopenIsIdempotent) {
+  MemVfs vfs;
+  ExpectTornTailIsTruncatedAndReopenIsIdempotent(&vfs, "db");
+}
+
+TEST(StoreTest, TornTailIsTruncatedAndReopenIsIdempotentOnRealVfs) {
+  RealStoreDir dir;
+  ASSERT_TRUE(dir.ok());
+  ExpectTornTailIsTruncatedAndReopenIsIdempotent(DefaultVfs(), dir.db());
 }
 
 TEST(StoreTest, AppendAfterRecoveryContinuesRowIds) {

@@ -197,7 +197,8 @@ TEST_F(StreamDifferentialTest, PermanentChaosIsWorkerCountDeterministic) {
 }
 
 // Serialization round trip composes with the contract: record -> write ->
-// read -> replay equals replaying the in-memory log.
+// read -> replay equals replaying the in-memory log, and the re-read log
+// streams to the same bytes at 1 and 8 workers.
 TEST_F(StreamDifferentialTest, FileRoundTripPreservesTheContract) {
   const StreamConfig config = DifferentialConfig();
   const EventLog log = MakeAdversarialLog(11);
@@ -205,8 +206,17 @@ TEST_F(StreamDifferentialTest, FileRoundTripPreservesTheContract) {
   ASSERT_TRUE(WriteEventLogFile(log, path).ok());
   const StatusOr<EventLog> reread = ReadEventLogFile(path);
   ASSERT_TRUE(reread.ok()) << reread.status();
-  EXPECT_EQ(StreamOutputToJson(BatchReference(*reread, config)),
-            StreamOutputToJson(BatchReference(log, config)));
+  const std::string batch_json =
+      StreamOutputToJson(BatchReference(log, config));
+  EXPECT_EQ(StreamOutputToJson(BatchReference(*reread, config)), batch_json);
+  for (const int workers : {1, 8}) {
+    ReplayOptions options;
+    options.num_threads = workers;
+    const StatusOr<StreamOutput> streamed = Replay(*reread, config, options);
+    ASSERT_TRUE(streamed.ok()) << streamed.status();
+    EXPECT_EQ(StreamOutputToJson(*streamed), batch_json)
+        << workers << " workers";
+  }
 }
 
 }  // namespace
