@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -96,6 +97,49 @@ uint64_t RecordChecksum(uint64_t h, const StRecord& rec) {
   return h;
 }
 
+[[noreturn]] void Die(const char* what, const Status& st) {
+  std::fprintf(stderr, "bench_store: %s: %s\n", what, st.ToString().c_str());
+  std::exit(1);
+}
+
+// One full Scan() of a store: rows served, their RecordChecksum fold and
+// the wall time of the scan.
+struct ScanResult {
+  uint64_t rows = 0;
+  uint64_t checksum = kFnvOffset;
+  double seconds = 0.0;
+};
+
+// Scans every readable row of `db`; a scan error exits 1 via Die(what).
+ScanResult ChecksumScan(const store::Store& db, const char* what) {
+  ScanResult out;
+  const auto t0 = std::chrono::steady_clock::now();
+  const Status st = db.Scan([&](uint64_t, const StRecord& rec) {
+    out.checksum = RecordChecksum(out.checksum, rec);
+    ++out.rows;
+  });
+  out.seconds = SecondsSince(t0);
+  if (!st.ok()) Die(what, st);
+  return out;
+}
+
+// The bit-identity gate: unless `got` served exactly `rows` rows folding
+// to `checksum`, prints "BIT-IDENTITY VIOLATION: " and the printf-formatted
+// `why` to stderr and exits 1.
+[[gnu::format(printf, 4, 5)]] void RequireIdentical(const ScanResult& got,
+                                                    uint64_t rows,
+                                                    uint64_t checksum,
+                                                    const char* why, ...) {
+  if (got.rows == rows && got.checksum == checksum) return;
+  std::fputs("BIT-IDENTITY VIOLATION: ", stderr);
+  va_list args;
+  va_start(args, why);
+  std::vfprintf(stderr, why, args);
+  va_end(args);
+  std::fputc('\n', stderr);
+  std::exit(1);
+}
+
 void RemoveTree(const std::string& dir) {
   store::Vfs* vfs = store::DefaultVfs();
   const StatusOr<std::vector<std::string>> names = vfs->ListDir(dir);
@@ -105,11 +149,6 @@ void RemoveTree(const std::string& dir) {
     }
   }
   ::rmdir(dir.c_str());
-}
-
-[[noreturn]] void Die(const char* what, const Status& st) {
-  std::fprintf(stderr, "bench_store: %s: %s\n", what, st.ToString().c_str());
-  std::exit(1);
 }
 
 struct RecoveryPoint {
@@ -219,24 +258,18 @@ int main(int argc, char** argv) {
 
   // --- scan: store-backed vs. in-memory, with the bit-identity gate -----
   double scan_store_s = 1e300;
-  uint64_t store_checksum = 0;
-  uint64_t readable = 0;
   for (int rep = 0; rep < reps; ++rep) {
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, append_dir, options);
     if (!db.ok()) Die("scan open", db.status());
-    uint64_t checksum = kFnvOffset;
-    uint64_t n = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    const Status st = (*db)->Scan([&](uint64_t, const StRecord& rec) {
-      checksum = RecordChecksum(checksum, rec);
-      ++n;
-    });
-    const double secs = SecondsSince(t0);
-    if (!st.ok()) Die("scan", st);
-    scan_store_s = std::min(scan_store_s, secs);
-    store_checksum = checksum;
-    readable = n;
+    const ScanResult scan = ChecksumScan(**db, "scan");
+    RequireIdentical(scan, rows, mem_checksum,
+                     "store-backed scan (%llu rows, checksum %llu) differs "
+                     "from the in-memory path (%zu rows, checksum %llu)",
+                     static_cast<unsigned long long>(scan.rows),
+                     static_cast<unsigned long long>(scan.checksum), rows,
+                     static_cast<unsigned long long>(mem_checksum));
+    scan_store_s = std::min(scan_store_s, scan.seconds);
   }
 
   double scan_mem_s = 1e300;
@@ -252,17 +285,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     scan_mem_s = std::min(scan_mem_s, secs);
-  }
-
-  if (readable != rows || store_checksum != mem_checksum) {
-    std::fprintf(stderr,
-                 "BIT-IDENTITY VIOLATION: store-backed scan (%llu rows, "
-                 "checksum %llu) differs from the in-memory path (%zu rows, "
-                 "checksum %llu)\n",
-                 static_cast<unsigned long long>(readable),
-                 static_cast<unsigned long long>(store_checksum), rows,
-                 static_cast<unsigned long long>(mem_checksum));
-    return 1;
   }
 
   // --- recovery: Open() wall time vs. segment count ---------------------
@@ -377,23 +399,12 @@ int main(int argc, char** argv) {
     CachePoint point;
     point.budget_bytes = budget;
     for (int pass = 0; pass < 2; ++pass) {
-      uint64_t checksum = kFnvOffset;
-      uint64_t n = 0;
-      const auto t0 = std::chrono::steady_clock::now();
-      const Status st = (*db)->Scan([&](uint64_t, const StRecord& rec) {
-        checksum = RecordChecksum(checksum, rec);
-        ++n;
-      });
-      const double secs = SecondsSince(t0);
-      if (!st.ok()) Die("cached scan", st);
-      if (n != rows || checksum != mem_checksum) {
-        std::fprintf(stderr,
-                     "BIT-IDENTITY VIOLATION: scan under %zu-byte cache "
-                     "budget diverged from the in-memory path\n",
-                     budget);
-        return 1;
-      }
-      (pass == 0 ? point.cold_s : point.warm_s) = secs;
+      const ScanResult scan = ChecksumScan(**db, "cached scan");
+      RequireIdentical(scan, rows, mem_checksum,
+                       "scan under %zu-byte cache budget diverged from the "
+                       "in-memory path",
+                       budget);
+      (pass == 0 ? point.cold_s : point.warm_s) = scan.seconds;
     }
     const store::BlockCache::Stats stats = (*db)->cache_stats();
     point.hit_ratio = stats.hits + stats.misses == 0
@@ -471,34 +482,19 @@ int main(int argc, char** argv) {
   }
   double compact_s = 0.0;
   store::CompactionReport compact_report;
-  uint64_t compact_checksum_pre = kFnvOffset;
-  uint64_t compact_rows_pre = 0;
+  ScanResult compact_pre;
   {
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, compact_dir, popts);
     if (!db.ok()) Die("compact open", db.status());
-    Status st = (*db)->Scan([&](uint64_t, const StRecord& rec) {
-      compact_checksum_pre = RecordChecksum(compact_checksum_pre, rec);
-      ++compact_rows_pre;
-    });
-    if (!st.ok()) Die("compact pre-scan", st);
+    compact_pre = ChecksumScan(**db, "compact pre-scan");
     const auto t0 = std::chrono::steady_clock::now();
-    st = (*db)->Compact(&compact_report);
+    Status st = (*db)->Compact(&compact_report);
     compact_s = SecondsSince(t0);
     if (!st.ok()) Die("compact", st);
-    uint64_t checksum = kFnvOffset;
-    uint64_t n = 0;
-    st = (*db)->Scan([&](uint64_t, const StRecord& rec) {
-      checksum = RecordChecksum(checksum, rec);
-      ++n;
-    });
-    if (!st.ok()) Die("compact post-scan", st);
-    if (n != compact_rows_pre || checksum != compact_checksum_pre) {
-      std::fprintf(stderr,
-                   "BIT-IDENTITY VIOLATION: compaction changed the readable "
-                   "rows\n");
-      return 1;
-    }
+    RequireIdentical(ChecksumScan(**db, "compact post-scan"),
+                     compact_pre.rows, compact_pre.checksum,
+                     "compaction changed the readable rows");
     st = (*db)->Close();
     if (!st.ok()) Die("compact close", st);
   }
@@ -519,19 +515,9 @@ int main(int argc, char** argv) {
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, compact_dir, popts);
     if (!db.ok()) Die("compact reopen", db.status());
-    uint64_t checksum = kFnvOffset;
-    uint64_t n = 0;
-    const Status st = (*db)->Scan([&](uint64_t, const StRecord& rec) {
-      checksum = RecordChecksum(checksum, rec);
-      ++n;
-    });
-    if (!st.ok()) Die("compact reopen scan", st);
-    if (n != compact_rows_pre || checksum != compact_checksum_pre) {
-      std::fprintf(stderr,
-                   "BIT-IDENTITY VIOLATION: reopened compacted store "
-                   "diverged\n");
-      return 1;
-    }
+    RequireIdentical(ChecksumScan(**db, "compact reopen scan"),
+                     compact_pre.rows, compact_pre.checksum,
+                     "reopened compacted store diverged");
   }
   const double compact_mb_per_s =
       static_cast<double>(compact_input_bytes) / compact_s / 1e6;
@@ -580,22 +566,12 @@ int main(int argc, char** argv) {
       StatusOr<std::unique_ptr<store::Store>> db =
           store::Store::Open(nullptr, fleet_dir, fopts);
       if (!db.ok()) Die("fleet reopen", db.status());
-      uint64_t checksum = kFnvOffset;
-      uint64_t n = 0;
-      const auto t0 = std::chrono::steady_clock::now();
-      const Status st = (*db)->Scan([&](uint64_t, const StRecord& rec) {
-        checksum = RecordChecksum(checksum, rec);
-        ++n;
-      });
-      fleet_scan_s = SecondsSince(t0);
-      if (!st.ok()) Die("fleet scan", st);
-      if (n != fleet_rows || checksum != fleet_checksum) {
-        std::fprintf(stderr,
-                     "BIT-IDENTITY VIOLATION: fleet scan (%llu rows) "
-                     "diverged from the streamed reference\n",
-                     static_cast<unsigned long long>(n));
-        return 1;
-      }
+      const ScanResult scan = ChecksumScan(**db, "fleet scan");
+      RequireIdentical(scan, fleet_rows, fleet_checksum,
+                       "fleet scan (%llu rows) diverged from the streamed "
+                       "reference",
+                       static_cast<unsigned long long>(scan.rows));
+      fleet_scan_s = scan.seconds;
       const store::BlockCache::Stats stats = (*db)->cache_stats();
       fleet_hit_ratio = stats.hits + stats.misses == 0
                             ? 0.0
@@ -612,9 +588,10 @@ int main(int argc, char** argv) {
       }
     }
     fleet_rss_delta = PeakRssBytes() - rss_before;
-    // Peak extra footprint: cache budget + the bounded window of live
-    // segment mappings + transients. Half the dataset is a loose ceiling
-    // that still proves the scan never loaded the store into RAM.
+    // Peak extra footprint: cache budget + one in-flight block's read
+    // buffer + transients (segment reads are pread copies, never file
+    // mappings). Half the dataset is a loose ceiling that still proves the
+    // scan never loaded the store into RAM.
     if (fleet_rss_delta > fleet_data_bytes / 2) {
       std::fprintf(stderr,
                    "RSS VIOLATION: fleet append+scan grew peak RSS by "

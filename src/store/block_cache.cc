@@ -1,24 +1,9 @@
 #include "store/block_cache.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace sidq {
 namespace store {
-
-namespace {
-
-// SplitMix64: decorrelates the (segment << 40 | offset) key structure so
-// consecutive blocks of one segment spread across shards instead of
-// serializing on one mutex.
-uint64_t ShardMix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 PinnedBlock& PinnedBlock::operator=(PinnedBlock&& other) noexcept {
   if (this != &other) {
@@ -40,16 +25,8 @@ void PinnedBlock::Release() {
   block_.reset();
 }
 
-BlockCache::BlockCache(size_t capacity_bytes, size_t shards,
-                       obs::MetricsRegistry* obs)
+BlockCache::BlockCache(size_t capacity_bytes, obs::MetricsRegistry* obs)
     : capacity_bytes_(capacity_bytes) {
-  shards = std::max<size_t>(1, shards);
-  shard_capacity_ =
-      capacity_bytes_ == 0 ? 0 : std::max<size_t>(1, capacity_bytes_ / shards);
-  shards_.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   if (obs != nullptr) {
     hit_metric_ = obs->counter("store.cache.hit");
     miss_metric_ = obs->counter("store.cache.miss");
@@ -59,27 +36,22 @@ BlockCache::BlockCache(size_t capacity_bytes, size_t shards,
   }
 }
 
-size_t BlockCache::ShardOf(uint64_t key) const {
-  return static_cast<size_t>(ShardMix(key) % shards_.size());
-}
-
 PinnedBlock BlockCache::Lookup(uint32_t segment, uint64_t offset) {
   const uint64_t key = KeyOf(segment, offset);
-  Shard& sh = *shards_[ShardOf(key)];
-  MutexLock lock(sh.mu);
-  auto it = sh.table.find(key);
-  if (it == sh.table.end()) {
-    ++sh.misses;
+  MutexLock lock(mu_);
+  auto it = table_.find(key);
+  if (it == table_.end()) {
+    ++misses_;
     miss_metric_.Increment();
     return PinnedBlock();
   }
-  ++sh.hits;
+  ++hits_;
   hit_metric_.Increment();
   Entry& e = it->second;
   if (e.in_lru) {
-    sh.lru.erase(e.lru_it);
+    lru_.erase(e.lru_it);
     e.in_lru = false;
-    sh.unpinned_bytes -= e.charge;
+    unpinned_bytes_ -= e.charge;
   }
   ++e.pins;
   return PinnedBlock(this, key, e.block);
@@ -88,17 +60,16 @@ PinnedBlock BlockCache::Lookup(uint32_t segment, uint64_t offset) {
 PinnedBlock BlockCache::Insert(uint32_t segment, uint64_t offset,
                                ColumnarBlock block) {
   const uint64_t key = KeyOf(segment, offset);
-  Shard& sh = *shards_[ShardOf(key)];
-  MutexLock lock(sh.mu);
-  auto it = sh.table.find(key);
-  if (it != sh.table.end()) {
+  MutexLock lock(mu_);
+  auto it = table_.find(key);
+  if (it != table_.end()) {
     // Raced with another reader decoding the same block: keep the
     // incumbent so existing pins stay coherent.
     Entry& e = it->second;
     if (e.in_lru) {
-      sh.lru.erase(e.lru_it);
+      lru_.erase(e.lru_it);
       e.in_lru = false;
-      sh.unpinned_bytes -= e.charge;
+      unpinned_bytes_ -= e.charge;
     }
     ++e.pins;
     return PinnedBlock(this, key, e.block);
@@ -108,98 +79,83 @@ PinnedBlock BlockCache::Insert(uint32_t segment, uint64_t offset,
   e.block = std::make_shared<const ColumnarBlock>(std::move(block));
   e.pins = 1;
   e.in_lru = false;
-  sh.resident_bytes += e.charge;
-  ++sh.inserts;
+  resident_bytes_ += e.charge;
+  ++inserts_;
   insert_metric_.Increment();
   resident_metric_.Add(static_cast<int64_t>(e.charge));
-  auto inserted = sh.table.emplace(key, std::move(e)).first;
-  EvictIfNeeded(sh);
+  auto inserted = table_.emplace(key, std::move(e)).first;
+  EvictIfNeeded();
   return PinnedBlock(this, key, inserted->second.block);
 }
 
 void BlockCache::Unpin(uint64_t key) {
-  Shard& sh = *shards_[ShardOf(key)];
-  MutexLock lock(sh.mu);
-  auto it = sh.table.find(key);
-  if (it == sh.table.end()) return;  // invalidated while pinned
+  MutexLock lock(mu_);
+  auto it = table_.find(key);
+  if (it == table_.end()) return;  // invalidated while pinned
   Entry& e = it->second;
   if (e.pins == 0) return;  // stale handle from a removed+reinserted key
   if (--e.pins == 0) {
-    e.lru_it = sh.lru.insert(sh.lru.end(), key);
+    e.lru_it = lru_.insert(lru_.end(), key);
     e.in_lru = true;
-    sh.unpinned_bytes += e.charge;
-    EvictIfNeeded(sh);
+    unpinned_bytes_ += e.charge;
+    EvictIfNeeded();
   }
 }
 
-void BlockCache::EvictIfNeeded(Shard& shard) {
-  if (shard_capacity_ == 0) return;  // unbounded
-  while (shard.unpinned_bytes > shard_capacity_ && !shard.lru.empty()) {
-    const uint64_t victim = shard.lru.front();
-    auto it = shard.table.find(victim);
-    EraseLocked(shard, it, /*count_as_eviction=*/true);
+void BlockCache::EvictIfNeeded() {
+  if (capacity_bytes_ == 0) return;  // unbounded
+  while (unpinned_bytes_ > capacity_bytes_ && !lru_.empty()) {
+    EraseLocked(table_.find(lru_.front()), /*count_as_eviction=*/true);
   }
 }
 
-void BlockCache::EraseLocked(Shard& shard,
-                             std::map<uint64_t, Entry>::iterator it,
+void BlockCache::EraseLocked(std::map<uint64_t, Entry>::iterator it,
                              bool count_as_eviction) {
   Entry& e = it->second;
   if (e.in_lru) {
-    shard.lru.erase(e.lru_it);
-    shard.unpinned_bytes -= e.charge;
+    lru_.erase(e.lru_it);
+    unpinned_bytes_ -= e.charge;
   }
-  shard.resident_bytes -= e.charge;
+  resident_bytes_ -= e.charge;
   resident_metric_.Add(-static_cast<int64_t>(e.charge));
   if (count_as_eviction) {
-    ++shard.evictions;
+    ++evictions_;
     eviction_metric_.Increment();
   }
-  shard.table.erase(it);
+  table_.erase(it);
 }
 
 void BlockCache::EraseSegment(uint32_t segment) {
-  for (auto& shard : shards_) {
-    Shard& sh = *shard;
-    MutexLock lock(sh.mu);
-    for (auto it = sh.table.begin(); it != sh.table.end();) {
-      auto next = std::next(it);
-      if (SegmentOf(it->first) == segment) {
-        EraseLocked(sh, it, /*count_as_eviction=*/false);
-      }
-      it = next;
+  MutexLock lock(mu_);
+  for (auto it = table_.begin(); it != table_.end();) {
+    auto next = std::next(it);
+    if (SegmentOf(it->first) == segment) {
+      EraseLocked(it, /*count_as_eviction=*/false);
     }
+    it = next;
   }
 }
 
 void BlockCache::Clear() {
-  for (auto& shard : shards_) {
-    Shard& sh = *shard;
-    MutexLock lock(sh.mu);
-    for (auto it = sh.table.begin(); it != sh.table.end();) {
-      auto next = std::next(it);
-      EraseLocked(sh, it, /*count_as_eviction=*/false);
-      it = next;
-    }
+  MutexLock lock(mu_);
+  while (!table_.empty()) {
+    EraseLocked(table_.begin(), /*count_as_eviction=*/false);
   }
 }
 
 BlockCache::Stats BlockCache::GetStats() const {
+  MutexLock lock(mu_);
   Stats out;
-  for (const auto& shard : shards_) {
-    const Shard& sh = *shard;
-    MutexLock lock(sh.mu);
-    out.hits += sh.hits;
-    out.misses += sh.misses;
-    out.inserts += sh.inserts;
-    out.evictions += sh.evictions;
-    out.resident_bytes += sh.resident_bytes;
-    out.unpinned_bytes += sh.unpinned_bytes;
-    out.resident_blocks += sh.table.size();
-    for (const auto& [key, e] : sh.table) {
-      (void)key;
-      if (e.pins > 0) ++out.pinned_blocks;
-    }
+  out.hits = hits_;
+  out.misses = misses_;
+  out.inserts = inserts_;
+  out.evictions = evictions_;
+  out.resident_bytes = resident_bytes_;
+  out.unpinned_bytes = unpinned_bytes_;
+  out.resident_blocks = table_.size();
+  for (const auto& [key, e] : table_) {
+    (void)key;
+    if (e.pins > 0) ++out.pinned_blocks;
   }
   return out;
 }

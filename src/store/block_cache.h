@@ -4,7 +4,6 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "core/mutex.h"
 #include "core/thread_annotations.h"
@@ -17,31 +16,28 @@ namespace store {
 class BlockCache;
 
 // -------------------------------------------------------------------------
-// BlockCache: sharded LRU over CRC-verified decoded blocks, the RAM arm of
+// BlockCache: one LRU over CRC-verified decoded blocks, the RAM arm of
 // the ≫-RAM scan path (DESIGN.md "Store v2"). Shaped after rippled's
 // TaggedCache (beast/container): a fixed byte budget, entry pinning so a
 // block being scanned can never be evicted under the reader, and
-// deterministic per-shard LRU order.
+// deterministic LRU order.
 //
 // Invariants (pinned by the model-based property test in
 // tests/store_cache_test.cc):
-//   - UNPINNED resident bytes in a shard never exceed the shard budget
-//     (capacity_bytes / shards) after any operation returns. Pinned bytes
-//     may transiently exceed it -- a budget of one block must still be
-//     able to pin the block currently under the scan cursor.
+//   - UNPINNED resident bytes never exceed capacity_bytes after any
+//     operation returns. Pinned bytes may transiently exceed it -- a
+//     budget of one block must still be able to pin the block currently
+//     under the scan cursor.
 //   - A pinned entry is never evicted; eviction only consumes the LRU
 //     list, which holds exactly the unpinned entries.
 //   - hits/misses count Lookup outcomes exactly; inserts/evictions count
 //     entry lifecycle exactly.
 //
-// Sharding is deterministic: ShardOf(KeyOf(segment, offset)) is a pure
-// function, exposed so the reference model in the property test can
-// mirror per-shard budgets bit-exactly.
-//
-// Thread safety: each shard is guarded by its own sidq::Mutex; entries
-// are handed out as shared_ptrs, so an entry erased mid-pin (segment
-// invalidation during compaction) stays alive until its last PinnedBlock
-// drops.
+// Thread safety: one sidq::Mutex guards the table, the LRU and the
+// counters (each Store owns one cache and is externally synchronized, so
+// the lock is uncontended there); entries are handed out as shared_ptrs,
+// so an entry erased mid-pin (segment invalidation during compaction)
+// stays alive until its last PinnedBlock drops.
 // -------------------------------------------------------------------------
 
 // RAII pin on a cached block. While alive, the block cannot be evicted
@@ -65,7 +61,6 @@ class PinnedBlock {
 
  private:
   friend class BlockCache;
-  friend class BlockReader;  // cache-less fallback pins (null cache_)
   PinnedBlock(BlockCache* cache, uint64_t key,
               std::shared_ptr<const ColumnarBlock> block)
       : cache_(cache), key_(key), block_(std::move(block)) {}
@@ -88,10 +83,9 @@ class BlockCache {
     uint64_t pinned_blocks = 0;
   };
 
-  // capacity_bytes == 0 means unbounded (nothing is ever evicted); the
-  // budget is split evenly across `shards` (>= 1). `obs` may be null --
-  // metric handles degrade to no-ops.
-  BlockCache(size_t capacity_bytes, size_t shards, obs::MetricsRegistry* obs);
+  // capacity_bytes == 0 means unbounded (nothing is ever evicted). `obs`
+  // may be null -- metric handles degrade to no-ops.
+  BlockCache(size_t capacity_bytes, obs::MetricsRegistry* obs);
 
   // (segment, offset) -> cache key. Segment files roll at tens of MiB, so
   // 40 offset bits (1 TiB) can never collide with the segment number.
@@ -101,9 +95,6 @@ class BlockCache {
   [[nodiscard]] static uint32_t SegmentOf(uint64_t key) {
     return static_cast<uint32_t>(key >> 40);
   }
-  // Deterministic shard placement (exposed for the model test).
-  [[nodiscard]] size_t ShardOf(uint64_t key) const;
-
   // Bytes an entry is charged for: the decoded columns plus fixed
   // bookkeeping overhead. Exposed so tests and budget flags can reason in
   // whole blocks.
@@ -131,8 +122,6 @@ class BlockCache {
 
   [[nodiscard]] Stats GetStats() const;
   [[nodiscard]] size_t capacity_bytes() const { return capacity_bytes_; }
-  [[nodiscard]] size_t num_shards() const { return shards_.size(); }
-  [[nodiscard]] size_t shard_capacity_bytes() const { return shard_capacity_; }
 
  private:
   friend class PinnedBlock;
@@ -145,31 +134,26 @@ class BlockCache {
     std::list<uint64_t>::iterator lru_it;
   };
 
-  struct Shard {
-    mutable Mutex mu;
-    // std::map, not unordered: eviction order must be a pure function of
-    // the operation sequence, and invalidation walks the table.
-    std::map<uint64_t, Entry> table SIDQ_GUARDED_BY(mu);
-    // front = next eviction victim; holds exactly the unpinned entries.
-    std::list<uint64_t> lru SIDQ_GUARDED_BY(mu);
-    size_t resident_bytes SIDQ_GUARDED_BY(mu) = 0;
-    size_t unpinned_bytes SIDQ_GUARDED_BY(mu) = 0;
-    uint64_t hits SIDQ_GUARDED_BY(mu) = 0;
-    uint64_t misses SIDQ_GUARDED_BY(mu) = 0;
-    uint64_t inserts SIDQ_GUARDED_BY(mu) = 0;
-    uint64_t evictions SIDQ_GUARDED_BY(mu) = 0;
-  };
-
   void Unpin(uint64_t key);
-  // Evicts LRU entries until the shard's unpinned bytes fit the budget.
-  void EvictIfNeeded(Shard& shard) SIDQ_REQUIRES(shard.mu);
+  // Evicts LRU entries until the unpinned bytes fit the budget.
+  void EvictIfNeeded() SIDQ_REQUIRES(mu_);
   // Unlinks one entry from table + LRU and updates accounting/metrics.
-  void EraseLocked(Shard& shard, std::map<uint64_t, Entry>::iterator it,
-                   bool count_as_eviction) SIDQ_REQUIRES(shard.mu);
+  void EraseLocked(std::map<uint64_t, Entry>::iterator it,
+                   bool count_as_eviction) SIDQ_REQUIRES(mu_);
 
-  size_t capacity_bytes_;
-  size_t shard_capacity_;  // capacity_bytes_ / shards (0 = unbounded)
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const size_t capacity_bytes_;
+  mutable Mutex mu_;
+  // std::map, not unordered: eviction order must be a pure function of
+  // the operation sequence, and invalidation walks the table.
+  std::map<uint64_t, Entry> table_ SIDQ_GUARDED_BY(mu_);
+  // front = next eviction victim; holds exactly the unpinned entries.
+  std::list<uint64_t> lru_ SIDQ_GUARDED_BY(mu_);
+  size_t resident_bytes_ SIDQ_GUARDED_BY(mu_) = 0;
+  size_t unpinned_bytes_ SIDQ_GUARDED_BY(mu_) = 0;
+  uint64_t hits_ SIDQ_GUARDED_BY(mu_) = 0;
+  uint64_t misses_ SIDQ_GUARDED_BY(mu_) = 0;
+  uint64_t inserts_ SIDQ_GUARDED_BY(mu_) = 0;
+  uint64_t evictions_ SIDQ_GUARDED_BY(mu_) = 0;
 
   obs::Counter hit_metric_;
   obs::Counter miss_metric_;

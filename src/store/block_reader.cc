@@ -1,6 +1,8 @@
 #include "store/block_reader.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 namespace sidq {
@@ -9,27 +11,34 @@ namespace store {
 namespace {
 
 // Sequential scans touch segments in ascending order, so a handful of
-// live handles covers them; the cap keeps fd/mapping usage flat on
+// live handles covers them; the cap keeps fd usage flat on
 // thousand-segment stores.
 constexpr size_t kMaxHandles = 64;
 
 // Bounded defect ladder at `offset` of `file`, verdict-identical to
-// ParseBlockAt over the whole file: a 16-byte header read settles
-// kShortHeader / kBadMagic / kBadVersion / kBadLength, then the header's
-// own payload length sizes the full read, so kShortPayload is only ever
-// "the file ends early", not "our window was small".
+// ParseBlockAt over the whole file. The first read covers `expected`
+// bytes (the block length the caller expects), so a well-formed block
+// costs one read. Its 16-byte header settles kShortHeader / kBadMagic /
+// kBadVersion / kBadLength; if the header's own payload length reaches
+// past what was read, the block is re-read at that length, so
+// kShortPayload is only ever "the file ends early", not "our window was
+// small". `scratch` only grows, so steady-state reads reuse its bytes.
 Status LadderAt(RandomAccessFile* file, std::string* scratch, uint64_t offset,
-                ParsedBlock* parsed) {
+                uint64_t expected, ParsedBlock* parsed) {
   *parsed = ParsedBlock();
-  scratch->resize(kBlockHeaderSize);
-  SIDQ_ASSIGN_OR_RETURN(
-      std::string_view header,
-      file->Read(offset, kBlockHeaderSize, scratch->data()));
-  if (header.size() < kBlockHeaderSize) {
+  const auto read = [&](size_t n) -> StatusOr<size_t> {
+    if (scratch->size() < n) scratch->resize(n);
+    return file->Read(offset, n, scratch->data());
+  };
+  const uint64_t first = std::clamp<uint64_t>(
+      expected, kBlockHeaderSize, kBlockHeaderSize + kMaxBlockPayload);
+  SIDQ_ASSIGN_OR_RETURN(size_t got, read(first));
+  if (got < kBlockHeaderSize) {
     parsed->defect = BlockDefect::kShortHeader;
     return Status::OK();
   }
-  const ParsedBlock header_verdict = ParseBlockAt(header, 0);
+  const ParsedBlock header_verdict =
+      ParseBlockAt(std::string_view(scratch->data(), kBlockHeaderSize), 0);
   if (header_verdict.defect == BlockDefect::kBadMagic ||
       header_verdict.defect == BlockDefect::kBadVersion ||
       header_verdict.defect == BlockDefect::kBadLength) {
@@ -37,16 +46,16 @@ Status LadderAt(RandomAccessFile* file, std::string* scratch, uint64_t offset,
     return Status::OK();
   }
   uint32_t payload_len = 0;
-  std::memcpy(&payload_len, header.data() + 8, sizeof(payload_len));
+  std::memcpy(&payload_len, scratch->data() + 8, sizeof(payload_len));
   const size_t want = kBlockHeaderSize + payload_len;
-  scratch->resize(want);
-  SIDQ_ASSIGN_OR_RETURN(std::string_view full,
-                        file->Read(offset, want, scratch->data()));
-  if (full.size() < want) {
-    parsed->defect = BlockDefect::kShortPayload;
-    return Status::OK();
+  if (got < want) {
+    SIDQ_ASSIGN_OR_RETURN(got, read(want));
+    if (got < want) {
+      parsed->defect = BlockDefect::kShortPayload;
+      return Status::OK();
+    }
   }
-  *parsed = ParseBlockAt(full, 0);
+  *parsed = ParseBlockAt(std::string_view(scratch->data(), want), 0);
   return Status::OK();
 }
 
@@ -75,7 +84,8 @@ Status BlockReader::VerifyAt(RandomAccessFile* file, std::string* scratch,
                              const BlockEntry& entry, BlockDefect* defect,
                              ColumnarBlock* out) {
   ParsedBlock parsed;
-  SIDQ_RETURN_IF_ERROR(LadderAt(file, scratch, entry.offset, &parsed));
+  SIDQ_RETURN_IF_ERROR(
+      LadderAt(file, scratch, entry.offset, entry.length, &parsed));
   *defect = parsed.defect;
   if (*defect == BlockDefect::kNone &&
       (parsed.crc != entry.crc || parsed.bytes_consumed != entry.length ||
@@ -91,14 +101,8 @@ Status BlockReader::VerifyAt(RandomAccessFile* file, std::string* scratch,
 Status BlockReader::Read(const BlockEntry& entry, MissingPolicy policy,
                          BlockDefect* defect, PinnedBlock* out) {
   *defect = BlockDefect::kNone;
-  *out = PinnedBlock();
-  if (cache_ != nullptr) {
-    PinnedBlock hit = cache_->Lookup(entry.segment, entry.offset);
-    if (hit) {
-      *out = std::move(hit);
-      return Status::OK();
-    }
-  }
+  *out = cache_->Lookup(entry.segment, entry.offset);
+  if (*out) return Status::OK();
   StatusOr<RandomAccessFile*> handle = Handle(entry.segment);
   if (!handle.ok()) {
     if (policy == MissingPolicy::kDefect) {
@@ -118,12 +122,7 @@ Status BlockReader::Read(const BlockEntry& entry, MissingPolicy policy,
     return st;
   }
   if (*defect != BlockDefect::kNone) return Status::OK();
-  if (cache_ != nullptr) {
-    *out = cache_->Insert(entry.segment, entry.offset, std::move(block));
-  } else {
-    *out = PinnedBlock(
-        nullptr, 0, std::make_shared<const ColumnarBlock>(std::move(block)));
-  }
+  *out = cache_->Insert(entry.segment, entry.offset, std::move(block));
   return Status::OK();
 }
 
@@ -135,9 +134,10 @@ StatusOr<BlockReader::TailScanResult> BlockReader::TailScan(
   TailScanResult result;
   uint64_t offset = start_offset;
   uint32_t index = start_index;
+  uint64_t expected = 0;  // blocks of one segment are usually alike in size
   while (offset < size) {
     ParsedBlock parsed;
-    SIDQ_RETURN_IF_ERROR(LadderAt(file, &scratch_, offset, &parsed));
+    SIDQ_RETURN_IF_ERROR(LadderAt(file, &scratch_, offset, expected, &parsed));
     if (parsed.defect != BlockDefect::kNone) {
       result.defect = parsed.defect;
       break;
@@ -146,6 +146,7 @@ StatusOr<BlockReader::TailScanResult> BlockReader::TailScan(
     scanned.index = index;
     scanned.offset = offset;
     scanned.length = parsed.bytes_consumed;
+    expected = parsed.bytes_consumed;
     scanned.crc = parsed.crc;
     scanned.block = std::move(parsed.block);
     offset += parsed.bytes_consumed;
@@ -159,15 +160,9 @@ StatusOr<BlockReader::TailScanResult> BlockReader::TailScan(
 StatusOr<std::string> BlockReader::ReadRange(uint32_t segment, uint64_t offset,
                                              uint64_t length) {
   SIDQ_ASSIGN_OR_RETURN(RandomAccessFile * file, Handle(segment));
-  std::string out;
-  out.resize(length);
-  SIDQ_ASSIGN_OR_RETURN(std::string_view view,
-                        file->Read(offset, length, out.data()));
-  if (view.data() == out.data()) {
-    out.resize(view.size());  // pread path filled the buffer in place
-  } else {
-    out.assign(view.data(), view.size());  // mmap path: copy out
-  }
+  std::string out(length, '\0');
+  SIDQ_ASSIGN_OR_RETURN(size_t got, file->Read(offset, length, out.data()));
+  out.resize(got);
   return out;
 }
 
@@ -178,12 +173,7 @@ StatusOr<uint64_t> BlockReader::SegmentSize(uint32_t segment) {
 
 void BlockReader::Invalidate(uint32_t segment) {
   handles_.erase(segment);
-  if (cache_ != nullptr) cache_->EraseSegment(segment);
-}
-
-void BlockReader::InvalidateAll() {
-  handles_.clear();
-  if (cache_ != nullptr) cache_->Clear();
+  cache_->EraseSegment(segment);
 }
 
 }  // namespace store

@@ -18,25 +18,30 @@ namespace store {
 
 // -------------------------------------------------------------------------
 // BlockReader: the bounded-memory segment read path. Every segment byte
-// the store reads flows through positional RandomAccessFile handles (mmap
-// on RealVfs) in block-sized chunks, feeding decoded blocks into the
-// BlockCache -- peak read-path RSS is bounded by the cache budget plus
-// one in-flight block, regardless of segment or dataset size. sidq-lint
-// R16 bans whole-segment Vfs::ReadFile in src/store/ outside this file so
-// the load-everything scan path cannot creep back.
+// the store reads flows through positional RandomAccessFile handles
+// (pread on RealVfs) in block-sized chunks into one reused scratch
+// buffer, feeding decoded blocks into the BlockCache -- peak read-path
+// RSS is bounded by the cache budget plus one in-flight block,
+// regardless of segment or dataset size. sidq-lint R16 bans
+// whole-segment Vfs::ReadFile in src/store/ outside this file so the
+// load-everything scan path cannot creep back.
 //
 // Defect parity: the bounded ladder reproduces ParseBlockAt's verdicts on
-// a whole file byte-for-byte. A first read of the 16-byte header settles
-// kShortHeader/kBadMagic/kBadVersion/kBadLength; the header's payload
-// length then sizes the second read, so kShortPayload means the FILE is
-// short, never that our read window was (the re-read rule the defect
-// differential in tests/store_cache_test.cc pins).
+// a whole file byte-for-byte. One read sized by the expected block length
+// (the manifest's, or the previous block's in a tail scan) normally
+// covers header and payload; the 16-byte header settles
+// kShortHeader/kBadMagic/kBadVersion/kBadLength, and when the header's
+// payload length reaches past that read the block is re-read at the
+// header's length, so kShortPayload means the FILE is short, never that
+// our read window was (the re-read rule
+// StoreCacheTest.BoundedLadderMatchesWholeFileParse pins).
 //
 // Invalidation contract: after any mutation of a segment file (tail
 // truncation, orphan removal, compaction rename) the caller must
-// Invalidate(segment) before the next read -- a stale mmap of a shrunk
-// file is undefined, and cached decodes of rewritten offsets would be
-// wrong. Externally synchronized, like the Store that owns it.
+// Invalidate(segment) before the next read -- cached decodes of
+// rewritten offsets would be wrong, and a handle to a renamed-over file
+// would read the old inode. Externally synchronized, like the Store that
+// owns it.
 // -------------------------------------------------------------------------
 class BlockReader {
  public:
@@ -47,7 +52,7 @@ class BlockReader {
               // (recovery path: quarantine, never abort)
   };
 
-  // `vfs`/`cache` are borrowed; `cache` may be null (every read misses).
+  // `vfs` and `cache` are borrowed and must outlive the reader.
   BlockReader(const Vfs* vfs, std::string dir, BlockCache* cache);
 
   // Verified, cached read of a manifested block. On a cache hit the
@@ -69,11 +74,13 @@ class BlockReader {
                                        BlockDefect* defect,
                                        ColumnarBlock* out);
 
-  // Streamed ScanSegment: walks self-describing blocks from
+  // Tail recovery without a manifest: walks self-describing blocks from
   // `start_offset`, calling `fn` for each valid block, stopping at the
-  // first defect. Matches SegmentScan semantics (valid_bytes = offset of
-  // the first unexplained byte; defect = what stopped the walk) without
-  // materializing the segment.
+  // first defect. valid_bytes is the offset of the first unexplained byte
+  // (recovery truncates the file there); defect is what stopped the walk
+  // (kNone for a clean run to EOF; kShortHeader / kShortPayload at EOF
+  // are torn appends, anything else is corruption). One block is decoded
+  // at a time, never the whole segment.
   struct TailScanResult {
     uint64_t valid_bytes = 0;
     BlockDefect defect = BlockDefect::kNone;
@@ -93,9 +100,6 @@ class BlockReader {
   // Drops the open handle and cached decodes of `segment`. Required after
   // truncate/remove/rewrite of the segment file.
   void Invalidate(uint32_t segment);
-  void InvalidateAll();
-
-  [[nodiscard]] BlockCache* cache() const { return cache_; }
 
  private:
   // Opens (or returns the cached) positional handle for a segment.

@@ -32,30 +32,5 @@ Status SegmentWriter::AppendBlock(const ColumnarBlock& block,
   return Status::OK();
 }
 
-SegmentScan ScanSegment(std::string_view data, uint64_t start_offset,
-                        uint32_t start_index) {
-  SegmentScan scan;
-  scan.valid_bytes = start_offset;
-  uint64_t offset = start_offset;
-  uint32_t index = start_index;
-  while (offset < data.size()) {
-    ParsedBlock parsed = ParseBlockAt(data, offset);
-    if (parsed.defect != BlockDefect::kNone) {
-      scan.defect = parsed.defect;
-      return scan;
-    }
-    ScannedBlock b;
-    b.index = index++;
-    b.offset = offset;
-    b.length = parsed.bytes_consumed;
-    b.crc = parsed.crc;
-    b.block = std::move(parsed.block);
-    offset += parsed.bytes_consumed;
-    scan.valid_bytes = offset;
-    scan.blocks.push_back(std::move(b));
-  }
-  return scan;
-}
-
 }  // namespace store
 }  // namespace sidq

@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "core/status.h"
 #include "core/statusor.h"
@@ -56,7 +54,7 @@ class SegmentWriter {
   uint32_t num_blocks_;  // blocks written so far (next block's index)
 };
 
-// One block located by a raw segment scan.
+// One block located by BlockReader::TailScan (tail recovery).
 struct ScannedBlock {
   uint32_t index = 0;
   uint64_t offset = 0;
@@ -64,24 +62,6 @@ struct ScannedBlock {
   uint32_t crc = 0;
   ColumnarBlock block;
 };
-
-// Result of scanning segment bytes from `start_offset` to the end without
-// a manifest: the self-describing tail-recovery primitive.
-struct SegmentScan {
-  std::vector<ScannedBlock> blocks;  // every valid block, in file order
-  // Offset of the first defective byte; == data.size() when the scan ran
-  // clean to EOF. Recovery truncates the file here.
-  uint64_t valid_bytes = 0;
-  // What stopped the scan (kNone for a clean run). kShortHeader /
-  // kShortPayload at EOF are torn appends; anything else is corruption.
-  BlockDefect defect = BlockDefect::kNone;
-};
-
-// Walks blocks back-to-back from `start_offset`, stopping at the first
-// byte that does not parse as a valid block. Never reads past the end.
-[[nodiscard]] SegmentScan ScanSegment(std::string_view data,
-                                      uint64_t start_offset,
-                                      uint32_t start_index);
 
 }  // namespace store
 }  // namespace sidq

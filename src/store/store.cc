@@ -53,7 +53,6 @@ std::string RecoveryReport::Summary() const {
 Store::Store(Vfs* vfs, std::string dir, StoreOptions options)
     : vfs_(vfs), dir_(std::move(dir)), options_(std::move(options)) {
   cache_ = std::make_unique<BlockCache>(options_.cache_bytes,
-                                        options_.cache_shards,
                                         options_.obs.metrics);
   reader_ = std::make_unique<BlockReader>(vfs_, dir_, cache_.get());
 }
@@ -278,8 +277,8 @@ Status Store::Recover() {
     const uint64_t size = *size_or;
     const auto [start, start_index] = accounted[segment];
     if (start > size) continue;  // already quarantined as short
-    // Streamed ScanSegment: adopted blocks are decoded one at a time, so
-    // even a never-committed store recovers in bounded memory.
+    // Adopted blocks are decoded one at a time, so even a never-committed
+    // store recovers in bounded memory.
     SIDQ_ASSIGN_OR_RETURN(
         BlockReader::TailScanResult scan,
         reader_->TailScan(segment, start, start_index, [&](ScannedBlock&& b) {

@@ -34,8 +34,6 @@ struct StoreOptions {
   // Byte budget of the decoded-block cache backing the scan path; peak
   // read RSS is bounded by this, not by the dataset (0 = unbounded).
   size_t cache_bytes = 64ull << 20;
-  // LRU shards the budget is split across (clamped to >= 1).
-  size_t cache_shards = 8;
   // Optional metrics/trace sinks (store.* counters, store open/commit
   // instants). Null sinks drop the signals.
   obs::ObsSinks obs;

@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -96,85 +95,41 @@ class RealWritableFile : public WritableFile {
   std::string path_;
 };
 
-// Positional reads served from an mmap of the file. The mapping covers
-// the size observed at open (or last Refresh); a read past the mapped
-// range re-stats and remaps, so a reader handle opened before the tail
-// segment grew still sees appended blocks. When mmap is unavailable
-// (length-0 files, exotic filesystems) every read falls back to pread --
-// same semantics, one extra copy.
+// Positional reads through pread into the caller's buffer. The kernel
+// answers each call against the file as it is now, so growth and
+// truncation need no bookkeeping here: a read at or past EOF is short.
 class RealRandomAccessFile : public RandomAccessFile {
  public:
   RealRandomAccessFile(int fd, std::string path)
-      : fd_(fd), path_(std::move(path)) {
-    (void)Refresh();  // sidq: allow-ignored-status(best-effort initial map; reads re-stat on miss)
-  }
+      : fd_(fd), path_(std::move(path)) {}
+  ~RealRandomAccessFile() override { ::close(fd_); }
 
-  ~RealRandomAccessFile() override {
-    Unmap();
-    if (fd_ >= 0) ::close(fd_);
-  }
-
-  StatusOr<std::string_view> Read(uint64_t offset, size_t n,
-                                  char* scratch) override {
-    if (offset + n > size_ || map_ == nullptr) {
-      SIDQ_RETURN_IF_ERROR(Refresh());
-    }
-    if (offset >= size_) return std::string_view();
-    const size_t avail = static_cast<size_t>(size_ - offset);
-    const size_t len = std::min(n, avail);
-    if (map_ != nullptr) {
-      return std::string_view(static_cast<const char*>(map_) + offset, len);
-    }
-    // pread fallback: short reads mean the file shrank under us.
+  StatusOr<size_t> Read(uint64_t offset, size_t n, char* scratch) override {
     size_t got = 0;
-    while (got < len) {
-      const ssize_t r = ::pread(fd_, scratch + got, len - got,
+    while (got < n) {
+      const ssize_t r = ::pread(fd_, scratch + got, n - got,
                                 static_cast<off_t>(offset + got));
       if (r < 0) {
         if (errno == EINTR) continue;
         return Status::Unavailable(ErrnoMessage("pread failed for", path_));
       }
-      if (r == 0) break;
+      if (r == 0) break;  // EOF
       got += static_cast<size_t>(r);
     }
-    return std::string_view(scratch, got);
+    return got;
   }
 
   StatusOr<uint64_t> Size() override {
-    SIDQ_RETURN_IF_ERROR(Refresh());
-    return size_;
-  }
-
- private:
-  Status Refresh() {
     struct stat st;
     if (::fstat(fd_, &st) != 0) {
       return Status::Unavailable(ErrnoMessage("fstat failed for", path_));
     }
-    const uint64_t size = static_cast<uint64_t>(st.st_size);
-    if (size != size_ || (map_ == nullptr && size > 0)) {
-      Unmap();
-      size_ = size;
-      if (size_ > 0) {
-        void* m = ::mmap(nullptr, static_cast<size_t>(size_), PROT_READ,
-                         MAP_SHARED, fd_, 0);
-        if (m != MAP_FAILED) map_ = m;  // else: pread fallback
-      }
-    }
-    return Status::OK();
+    return static_cast<uint64_t>(st.st_size);
   }
 
-  void Unmap() {
-    if (map_ != nullptr) {
-      ::munmap(map_, static_cast<size_t>(size_));
-      map_ = nullptr;
-    }
-  }
-
+ private:
   int fd_;
   std::string path_;
-  void* map_ = nullptr;
-  uint64_t size_ = 0;
 };
 
 class RealVfs : public Vfs {
@@ -392,17 +347,16 @@ class MemRandomAccessFile : public RandomAccessFile {
   MemRandomAccessFile(const MemVfs* vfs, std::string path)
       : vfs_(vfs), path_(std::move(path)) {}
 
-  StatusOr<std::string_view> Read(uint64_t offset, size_t n,
-                                  char* scratch) override {
+  StatusOr<size_t> Read(uint64_t offset, size_t n, char* scratch) override {
     auto it = vfs_->files_.find(path_);
     if (it == vfs_->files_.end()) {
       return Status::NotFound("no such file: " + path_);
     }
     const std::string& data = it->second.data;
-    if (offset >= data.size()) return std::string_view();
+    if (offset >= data.size()) return size_t{0};
     const size_t len = std::min(n, data.size() - offset);
     std::memcpy(scratch, data.data() + offset, len);
-    return std::string_view(scratch, len);
+    return len;
   }
 
   StatusOr<uint64_t> Size() override {
@@ -760,8 +714,7 @@ class FaultRandomAccessFile : public RandomAccessFile {
                         std::unique_ptr<RandomAccessFile> base)
       : vfs_(vfs), base_(std::move(base)) {}
 
-  StatusOr<std::string_view> Read(uint64_t offset, size_t n,
-                                  char* scratch) override {
+  StatusOr<size_t> Read(uint64_t offset, size_t n, char* scratch) override {
     if (vfs_->crashed_) return Status::Unavailable(kCrashed);
     return base_->Read(offset, n, scratch);
   }

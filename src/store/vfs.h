@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/status.h"
@@ -65,28 +64,24 @@ enum class WriteMode {
   kAppend,    // create or continue at the end
 };
 
-// A positional-read handle for the out-of-core scan path (Store v2). The
-// Real backend serves reads from an mmap of the file (remapping when the
-// file has grown since open, falling back to pread when mmap is
-// unavailable); Mem/Fault backends copy into `scratch` so crash and
-// corruption semantics stay exactly those of the in-memory model. Reads
-// past EOF are short, not errors: the returned view holds
-// min(n, size - offset) bytes (empty at/after EOF). The view is valid
-// until the next Read/Refresh on the same handle.
+// A positional-read handle for the out-of-core scan path (Store v2). Every
+// backend copies into the caller's `scratch` (pread on RealVfs), so no
+// read result aliases file-backed memory and resident memory stays the
+// caller's buffers. Read returns how many bytes it wrote to `scratch`:
+// min(n, size - offset), short (0 at/after EOF) rather than an error.
+// Each Read and Size observes the file as it is now, so a handle opened
+// before the file grew sees the appended bytes, and one held across a
+// Truncate reads short.
 //
-// Contract with the mutating API: a RandomAccessFile pins no filesystem
-// state. After a Truncate/Remove/Rename of the underlying path, the
-// handle must be discarded (the BlockReader's Invalidate hook does this);
-// reading through a stale mapping of a shrunk file is undefined.
+// After a Remove/Rename of the underlying path, discard the handle (the
+// BlockReader's Invalidate hook does this): a RealVfs handle would keep
+// reading the old file, a MemVfs handle fails NotFound.
 class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;
 
-  [[nodiscard]] virtual StatusOr<std::string_view> Read(uint64_t offset,
-                                                        size_t n,
-                                                        char* scratch) = 0;
-  // Size of the file as of the last Read/Refresh (mmap backends re-stat
-  // lazily; call Refresh() to observe growth explicitly).
+  [[nodiscard]] virtual StatusOr<size_t> Read(uint64_t offset, size_t n,
+                                              char* scratch) = 0;
   [[nodiscard]] virtual StatusOr<uint64_t> Size() = 0;
 };
 
@@ -102,7 +97,7 @@ class Vfs {
   // the cache budget (sidq-lint R16 enforces the split).
   [[nodiscard]] virtual StatusOr<std::string> ReadFile(
       const std::string& path) const = 0;
-  // Positional-read handle for bounded block reads (mmap on RealVfs).
+  // Positional-read handle for bounded block reads.
   [[nodiscard]] virtual StatusOr<std::unique_ptr<RandomAccessFile>>
   NewRandomAccessFile(const std::string& path) const = 0;
   [[nodiscard]] virtual StatusOr<uint64_t> FileSize(

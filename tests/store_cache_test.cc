@@ -1,13 +1,18 @@
-// BlockCache property tests and the fixed-budget scan differential.
+// BlockCache property tests, the bounded-ladder defect differential and
+// the fixed-budget scan differential.
 //
 // 1. Model-based randomized test: a reference model mirrors the cache's
-//    documented semantics (sharded LRU, pinning, byte budget) operation
-//    for operation; after every op the real cache must match the model
+//    documented semantics (LRU, pinning, byte budget) operation for
+//    operation; after every op the real cache must match the model
 //    bit-exactly -- counters included -- and the core invariants must
-//    hold: unpinned resident bytes per shard never exceed the shard
-//    budget, and a pinned block is never evicted.
+//    hold: unpinned resident bytes never exceed the budget, and a pinned
+//    block is never evicted.
 //
-// 2. Differential: the same pocked store (one quarantined interior
+// 2. Defect differential: the BlockReader's bounded reads reach the same
+//    verdict as ParseBlockAt over the whole file for every torn length
+//    and flipped byte of a small segment.
+//
+// 3. Budget differential: the same pocked store (one quarantined interior
 //    block) scanned under budgets {one block, 1 MB, 64 MB, unbounded}
 //    must produce one identical FNV-1a checksum, equal to the checksum
 //    of the expected in-memory record stream -- the cache budget may
@@ -15,6 +20,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <list>
 #include <map>
@@ -29,6 +35,7 @@
 #include "core/stid.h"
 #include "obs/metrics.h"
 #include "store/block_cache.h"
+#include "store/block_reader.h"
 #include "store/format.h"
 #include "store/store.h"
 #include "store/vfs.h"
@@ -78,10 +85,8 @@ ColumnarBlock MakeBlock(size_t rows, uint64_t salt) {
 
 // --- reference model -----------------------------------------------------
 //
-// Mirrors BlockCache semantics exactly: per-shard table + LRU list of
-// unpinned keys, byte accounting, and the four counters. Shard placement
-// is delegated to the real cache's own (pure) ShardOf so the two stay in
-// lockstep by construction.
+// Mirrors BlockCache semantics exactly: one table + LRU list of unpinned
+// keys, byte accounting against the budget, and the four counters.
 
 struct ModelEntry {
   size_t charge = 0;
@@ -90,147 +95,117 @@ struct ModelEntry {
   std::list<uint64_t>::iterator lru_it;
 };
 
-struct ModelShard {
-  std::map<uint64_t, ModelEntry> table;
-  std::list<uint64_t> lru;  // front = next victim; unpinned keys only
-  size_t resident = 0;
-  size_t unpinned = 0;
-  uint64_t hits = 0, misses = 0, inserts = 0, evictions = 0;
-};
-
 class CacheModel {
  public:
-  CacheModel(const BlockCache& cache, size_t shard_capacity)
-      : cache_(cache), shard_capacity_(shard_capacity),
-        shards_(cache.num_shards()) {}
+  explicit CacheModel(size_t capacity) : capacity_(capacity) {}
 
   void Lookup(uint64_t key, bool hit_expected_to_pin) {
-    ModelShard& sh = shards_[cache_.ShardOf(key)];
-    auto it = sh.table.find(key);
-    if (it == sh.table.end()) {
-      ++sh.misses;
+    auto it = table_.find(key);
+    if (it == table_.end()) {
+      ++misses_;
       return;
     }
-    ++sh.hits;
-    PinLocked(sh, it->second);
+    ++hits_;
+    Pin(it->second);
     if (!hit_expected_to_pin) Unpin(key);
   }
 
-  bool WasHit(uint64_t key) const {
-    const ModelShard& sh = shards_[cache_.ShardOf(key)];
-    return sh.table.count(key) != 0;
-  }
+  // A pinned key is always resident; so is any key a Lookup would hit.
+  bool Resident(uint64_t key) const { return table_.count(key) != 0; }
 
   void Insert(uint64_t key, size_t charge, bool keep_pin) {
-    ModelShard& sh = shards_[cache_.ShardOf(key)];
-    auto it = sh.table.find(key);
-    if (it != sh.table.end()) {
-      PinLocked(sh, it->second);
+    auto it = table_.find(key);
+    if (it != table_.end()) {
+      Pin(it->second);
     } else {
       ModelEntry e;
       e.charge = charge;
       e.pins = 1;
-      sh.resident += charge;
-      ++sh.inserts;
-      sh.table.emplace(key, e);
-      Evict(sh);
+      resident_ += charge;
+      ++inserts_;
+      table_.emplace(key, e);
+      Evict();
     }
     if (!keep_pin) Unpin(key);
   }
 
   void Unpin(uint64_t key) {
-    ModelShard& sh = shards_[cache_.ShardOf(key)];
-    auto it = sh.table.find(key);
-    if (it == sh.table.end()) return;  // invalidated while pinned
+    auto it = table_.find(key);
+    if (it == table_.end()) return;  // invalidated while pinned
     ModelEntry& e = it->second;
     if (e.pins == 0) return;
     if (--e.pins == 0) {
-      e.lru_it = sh.lru.insert(sh.lru.end(), key);
+      e.lru_it = lru_.insert(lru_.end(), key);
       e.in_lru = true;
-      sh.unpinned += e.charge;
-      Evict(sh);
+      unpinned_ += e.charge;
+      Evict();
     }
   }
 
   void EraseSegment(uint32_t segment) {
-    for (ModelShard& sh : shards_) {
-      for (auto it = sh.table.begin(); it != sh.table.end();) {
-        auto next = std::next(it);
-        if (BlockCache::SegmentOf(it->first) == segment) {
-          EraseEntry(sh, it, /*eviction=*/false);
-        }
-        it = next;
+    for (auto it = table_.begin(); it != table_.end();) {
+      auto next = std::next(it);
+      if (BlockCache::SegmentOf(it->first) == segment) {
+        EraseEntry(it, /*eviction=*/false);
       }
+      it = next;
     }
   }
 
   void Clear() {
-    for (ModelShard& sh : shards_) {
-      for (auto it = sh.table.begin(); it != sh.table.end();) {
-        auto next = std::next(it);
-        EraseEntry(sh, it, /*eviction=*/false);
-        it = next;
-      }
-    }
+    while (!table_.empty()) EraseEntry(table_.begin(), /*eviction=*/false);
   }
 
-  BlockCache::Stats Aggregate() const {
+  BlockCache::Stats Stats() const {
     BlockCache::Stats out;
-    for (const ModelShard& sh : shards_) {
-      out.hits += sh.hits;
-      out.misses += sh.misses;
-      out.inserts += sh.inserts;
-      out.evictions += sh.evictions;
-      out.resident_bytes += sh.resident;
-      out.unpinned_bytes += sh.unpinned;
-      out.resident_blocks += sh.table.size();
-      for (const auto& [key, e] : sh.table) {
-        (void)key;
-        if (e.pins > 0) ++out.pinned_blocks;
-      }
+    out.hits = hits_;
+    out.misses = misses_;
+    out.inserts = inserts_;
+    out.evictions = evictions_;
+    out.resident_bytes = resident_;
+    out.unpinned_bytes = unpinned_;
+    out.resident_blocks = table_.size();
+    for (const auto& [key, e] : table_) {
+      (void)key;
+      if (e.pins > 0) ++out.pinned_blocks;
     }
     return out;
   }
 
-  // Invariant: a pinned key is always resident.
-  bool Resident(uint64_t key) const {
-    const ModelShard& sh = shards_[cache_.ShardOf(key)];
-    return sh.table.count(key) != 0;
-  }
-
  private:
-  void PinLocked(ModelShard& sh, ModelEntry& e) {
+  void Pin(ModelEntry& e) {
     if (e.in_lru) {
-      sh.lru.erase(e.lru_it);
+      lru_.erase(e.lru_it);
       e.in_lru = false;
-      sh.unpinned -= e.charge;
+      unpinned_ -= e.charge;
     }
     ++e.pins;
   }
 
-  void Evict(ModelShard& sh) {
-    if (shard_capacity_ == 0) return;
-    while (sh.unpinned > shard_capacity_ && !sh.lru.empty()) {
-      auto it = sh.table.find(sh.lru.front());
-      EraseEntry(sh, it, /*eviction=*/true);
+  void Evict() {
+    if (capacity_ == 0) return;
+    while (unpinned_ > capacity_ && !lru_.empty()) {
+      EraseEntry(table_.find(lru_.front()), /*eviction=*/true);
     }
   }
 
-  void EraseEntry(ModelShard& sh, std::map<uint64_t, ModelEntry>::iterator it,
-                  bool eviction) {
+  void EraseEntry(std::map<uint64_t, ModelEntry>::iterator it, bool eviction) {
     ModelEntry& e = it->second;
     if (e.in_lru) {
-      sh.lru.erase(e.lru_it);
-      sh.unpinned -= e.charge;
+      lru_.erase(e.lru_it);
+      unpinned_ -= e.charge;
     }
-    sh.resident -= e.charge;
-    if (eviction) ++sh.evictions;
-    sh.table.erase(it);
+    resident_ -= e.charge;
+    if (eviction) ++evictions_;
+    table_.erase(it);
   }
 
-  const BlockCache& cache_;
-  size_t shard_capacity_;
-  std::vector<ModelShard> shards_;
+  size_t capacity_;
+  std::map<uint64_t, ModelEntry> table_;
+  std::list<uint64_t> lru_;  // front = next victim; unpinned keys only
+  size_t resident_ = 0;
+  size_t unpinned_ = 0;
+  uint64_t hits_ = 0, misses_ = 0, inserts_ = 0, evictions_ = 0;
 };
 
 void ExpectStatsEqual(const BlockCache::Stats& got,
@@ -245,11 +220,10 @@ void ExpectStatsEqual(const BlockCache::Stats& got,
   EXPECT_EQ(got.pinned_blocks, want.pinned_blocks) << where;
 }
 
-void RunModelWorkout(size_t capacity_bytes, size_t shards, uint64_t seed,
-                     int ops) {
+void RunModelWorkout(size_t capacity_bytes, uint64_t seed, int ops) {
   obs::MetricsRegistry metrics;
-  BlockCache cache(capacity_bytes, shards, &metrics);
-  CacheModel model(cache, cache.shard_capacity_bytes());
+  BlockCache cache(capacity_bytes, &metrics);
+  CacheModel model(capacity_bytes);
 
   // Held pins: (key, rows, handle). Blocks of 1..8 rows over a small key
   // space force constant collision/eviction traffic.
@@ -266,7 +240,7 @@ void RunModelWorkout(size_t capacity_bytes, size_t shards, uint64_t seed,
       case 0:
       case 1:
       case 2: {  // Lookup
-        const bool expect_hit = model.WasHit(key);
+        const bool expect_hit = model.Resident(key);
         PinnedBlock pin = cache.Lookup(segment, offset);
         EXPECT_EQ(static_cast<bool>(pin), expect_hit) << "op " << op;
         model.Lookup(key, /*hit_expected_to_pin=*/expect_hit && keep);
@@ -311,14 +285,10 @@ void RunModelWorkout(size_t capacity_bytes, size_t shards, uint64_t seed,
     }
 
     const BlockCache::Stats got = cache.GetStats();
-    ExpectStatsEqual(got, model.Aggregate(),
-                     ("op " + std::to_string(op)).c_str());
-    // Budget invariant: unpinned bytes never exceed the total budget
-    // (each shard is bounded individually; the sum is bounded too).
+    ExpectStatsEqual(got, model.Stats(), ("op " + std::to_string(op)).c_str());
+    // Budget invariant: unpinned bytes never exceed the budget.
     if (capacity_bytes != 0) {
-      EXPECT_LE(got.unpinned_bytes,
-                cache.shard_capacity_bytes() * cache.num_shards())
-          << "op " << op;
+      EXPECT_LE(got.unpinned_bytes, capacity_bytes) << "op " << op;
     } else {
       EXPECT_EQ(got.evictions, 0u) << "op " << op;
     }
@@ -357,20 +327,20 @@ void RunModelWorkout(size_t capacity_bytes, size_t shards, uint64_t seed,
 }
 
 TEST(StoreCacheTest, ModelConformanceTinyBudget) {
-  // Budget of ~2 blocks per shard: eviction on nearly every unpin.
-  RunModelWorkout(2 * BlockCache::ChargeOf(8) * 2, 2, 0x5eed, 600);
+  // Budget of ~2 blocks: eviction on nearly every unpin.
+  RunModelWorkout(2 * BlockCache::ChargeOf(8), 0x5eed, 600);
 }
 
-TEST(StoreCacheTest, ModelConformanceSingleShard) {
-  RunModelWorkout(3 * BlockCache::ChargeOf(8), 1, 0xc0ffee, 600);
+TEST(StoreCacheTest, ModelConformanceThreeBlockBudget) {
+  RunModelWorkout(3 * BlockCache::ChargeOf(8), 0xc0ffee, 600);
 }
 
 TEST(StoreCacheTest, ModelConformanceUnbounded) {
-  RunModelWorkout(0, 4, 0xdead, 400);
+  RunModelWorkout(0, 0xdead, 400);
 }
 
 TEST(StoreCacheTest, PinnedBlockSurvivesInvalidation) {
-  BlockCache cache(BlockCache::ChargeOf(8), 1, nullptr);
+  BlockCache cache(BlockCache::ChargeOf(8), nullptr);
   PinnedBlock pin = cache.Insert(3, 0, MakeBlock(4, 9));
   ASSERT_TRUE(pin);
   cache.EraseSegment(3);
@@ -384,6 +354,104 @@ TEST(StoreCacheTest, PinnedBlockSurvivesInvalidation) {
   EXPECT_EQ(s.resident_bytes, 0u);
 }
 
+// --- bounded ladder vs. whole-file parse ---------------------------------
+//
+// The BlockReader reads a block in bounded chunks sized by what the caller
+// expects; its verdicts must equal ParseBlockAt over the whole file plus
+// the manifest cross-check, for every torn length and every flipped byte
+// of a small segment, and whether the expected length is right, too
+// short or too long.
+
+BlockDefect WholeFileVerdict(const std::string& data, const BlockEntry& e) {
+  const ParsedBlock parsed = ParseBlockAt(data, e.offset);
+  if (parsed.defect != BlockDefect::kNone) return parsed.defect;
+  if (parsed.crc != e.crc || parsed.bytes_consumed != e.length ||
+      parsed.block.size() != e.row_count) {
+    return BlockDefect::kManifestMismatch;
+  }
+  return BlockDefect::kNone;
+}
+
+TEST(StoreCacheTest, BoundedLadderMatchesWholeFileParse) {
+  // Three blocks of different lengths, so a neighbour's length is a
+  // wrong guess in both directions.
+  std::string segment;
+  std::vector<BlockEntry> entries;
+  for (size_t rows : {3, 1, 5}) {
+    const std::string encoded = EncodeBlock(MakeBlock(rows, rows));
+    BlockEntry e;
+    e.index = static_cast<uint32_t>(entries.size());
+    e.offset = segment.size();
+    e.length = encoded.size();
+    std::memcpy(&e.crc, encoded.data() + 12, sizeof(e.crc));
+    e.row_count = static_cast<uint32_t>(rows);
+    entries.push_back(e);
+    segment += encoded;
+  }
+  // Each block checked against its own entry and against entries that
+  // carry a neighbour's length.
+  std::vector<BlockEntry> checks = entries;
+  for (size_t i = 0; i < entries.size(); ++i) {
+    BlockEntry wrong = entries[i];
+    wrong.length = entries[(i + 1) % entries.size()].length;
+    checks.push_back(wrong);
+  }
+
+  std::vector<std::string> files;
+  for (size_t len = 0; len <= segment.size(); ++len) {
+    files.push_back(segment.substr(0, len));  // torn appends
+  }
+  for (size_t at = 0; at < segment.size(); ++at) {
+    std::string flipped = segment;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0x40);  // media corruption
+    files.push_back(flipped);
+  }
+
+  MemVfs vfs;
+  ASSERT_TRUE(vfs.CreateDir("db").ok());
+  const std::string path = "db/" + SegmentFileName(0);
+  for (size_t f = 0; f < files.size(); ++f) {
+    const std::string& data = files[f];
+    StatusOr<std::unique_ptr<WritableFile>> w =
+        vfs.NewWritableFile(path, WriteMode::kTruncate);
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE((*w)->Append(data).ok());
+    ASSERT_TRUE((*w)->Close().ok());
+
+    StatusOr<std::unique_ptr<RandomAccessFile>> file =
+        vfs.NewRandomAccessFile(path);
+    ASSERT_TRUE(file.ok());
+    std::string scratch;
+    for (const BlockEntry& e : checks) {
+      BlockDefect got = BlockDefect::kNone;
+      ASSERT_TRUE(
+          BlockReader::VerifyAt(file->get(), &scratch, e, &got, nullptr).ok());
+      EXPECT_EQ(got, WholeFileVerdict(data, e))
+          << "file " << f << " (" << data.size() << " bytes), block "
+          << e.index << ", expected length " << e.length;
+    }
+
+    // Tail recovery walks the same file with no manifest at all.
+    BlockCache cache(0, nullptr);
+    BlockReader reader(&vfs, "db", &cache);
+    StatusOr<BlockReader::TailScanResult> tail =
+        reader.TailScan(0, 0, 0, [](ScannedBlock&&) {});
+    ASSERT_TRUE(tail.ok());
+    uint64_t offset = 0;
+    BlockDefect stop = BlockDefect::kNone;
+    while (offset < data.size()) {
+      const ParsedBlock parsed = ParseBlockAt(data, offset);
+      if (parsed.defect != BlockDefect::kNone) {
+        stop = parsed.defect;
+        break;
+      }
+      offset += parsed.bytes_consumed;
+    }
+    EXPECT_EQ(tail->valid_bytes, offset) << "file " << f;
+    EXPECT_EQ(tail->defect, stop) << "file " << f;
+  }
+}
+
 // --- fixed-budget scan differential --------------------------------------
 
 StoreOptions DiffOptions(size_t cache_bytes) {
@@ -392,7 +460,6 @@ StoreOptions DiffOptions(size_t cache_bytes) {
   o.segment_target_blocks = 4;
   o.field_name = "diff";
   o.cache_bytes = cache_bytes;
-  o.cache_shards = 1;  // makes "budget = one block" literal
   return o;
 }
 

@@ -1,6 +1,7 @@
 // Unit tests for the durable trajectory store: CRC32C, block/manifest
 // codecs and their defect ladders, MemVfs crash semantics, AtomicWriteFile
-// atomicity, and Store append/commit/scan/recovery behaviour under media
+// atomicity, the RandomAccessFile read contract on MemVfs and the real
+// filesystem, and Store append/commit/scan/recovery behaviour under media
 // corruption and torn tails. The exhaustive crash-point sweep lives in
 // store_crash_test.cc.
 
@@ -259,6 +260,75 @@ TEST(MemVfsTest, AtomicWriteFileSurvivesCrashAfterPublish) {
   EXPECT_EQ(*data, "v1");
 }
 
+// --- RandomAccessFile contract ---
+
+// Runs over any Vfs: the guarantees the BlockReader builds on. A read past
+// EOF is short; a handle opened before Append + Sync sees the growth; a
+// handle held across Truncate reads short instead of crashing.
+void ExpectReadHandleContract(Vfs* vfs, const std::string& dir) {
+  ASSERT_TRUE(vfs->CreateDir(dir).ok());
+  const std::string path = dir + "/000000.seg";
+  const auto write = [&](WriteMode mode, const std::string& bytes) {
+    StatusOr<std::unique_ptr<WritableFile>> f =
+        vfs->NewWritableFile(path, mode);
+    ASSERT_TRUE(f.ok()) << f.status();
+    ASSERT_TRUE((*f)->Append(bytes).ok());
+    ASSERT_TRUE((*f)->Sync().ok());
+    ASSERT_TRUE((*f)->Close().ok());
+  };
+  write(WriteMode::kTruncate, "0123456789");
+  if (testing::Test::HasFatalFailure()) return;
+
+  StatusOr<std::unique_ptr<RandomAccessFile>> opened =
+      vfs->NewRandomAccessFile(path);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  RandomAccessFile& file = **opened;
+  // Reads through a '#'-filled buffer, so bytes a backend claims but did
+  // not write show up in the comparison.
+  const auto read = [&](uint64_t offset, size_t n) -> std::string {
+    std::string buf(n, '#');
+    const StatusOr<size_t> got = file.Read(offset, n, buf.data());
+    if (!got.ok()) return "error: " + got.status().ToString();
+    if (*got > n) return "overlong read";
+    buf.resize(*got);
+    return buf;
+  };
+  const auto size = [&]() -> uint64_t {
+    const StatusOr<uint64_t> s = file.Size();
+    EXPECT_TRUE(s.ok()) << s.status();
+    return s.ok() ? *s : ~uint64_t{0};
+  };
+
+  EXPECT_EQ(size(), 10u);
+  EXPECT_EQ(read(0, 10), "0123456789");
+  EXPECT_EQ(read(6, 10), "6789");
+  EXPECT_EQ(read(10, 4), "");
+  EXPECT_EQ(read(1000, 4), "");
+
+  write(WriteMode::kAppend, "abcdef");
+  if (testing::Test::HasFatalFailure()) return;
+  EXPECT_EQ(read(8, 8), "89abcdef");
+  EXPECT_EQ(read(12, 8), "cdef");
+  EXPECT_EQ(size(), 16u);
+
+  ASSERT_TRUE(vfs->Truncate(path, 4).ok());
+  EXPECT_EQ(read(0, 16), "0123");
+  EXPECT_EQ(read(2, 2), "23");
+  EXPECT_EQ(read(8, 8), "");
+  EXPECT_EQ(size(), 4u);
+}
+
+TEST(RandomAccessFileTest, ShortReadsGrowthAndTruncation) {
+  MemVfs vfs;
+  ExpectReadHandleContract(&vfs, "db");
+}
+
+TEST(RandomAccessFileTest, ShortReadsGrowthAndTruncationOnRealVfs) {
+  RealStoreDir dir;
+  ASSERT_TRUE(dir.ok());
+  ExpectReadHandleContract(DefaultVfs(), dir.db());
+}
+
 // --- store round trips ---
 
 StoreOptions SmallBlocks() {
@@ -473,7 +543,7 @@ TEST(StoreTest, CorruptInteriorBlockIsQuarantinedWithReason) {
 }
 
 // Runs over any Vfs: the same torn-tail recovery must hold in MemVfs and
-// on the real filesystem, where mmap, ftruncate and fsync are real.
+// on the real filesystem, where pread, ftruncate and fsync are real.
 void ExpectTornTailIsTruncatedAndReopenIsIdempotent(Vfs* vfs,
                                                     const std::string& dir) {
   const std::string seg = dir + "/000000.seg";
