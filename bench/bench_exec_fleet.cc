@@ -193,15 +193,16 @@ std::vector<RunPoint> BenchPipeline(const char* label,
   }
 
   // Resilience-disarmed gate: with the full resilience machinery switched
-  // on (best-effort policy, retries, per-object virtual-clock deadlines)
-  // but no FailPoint armed, the output must STILL be bit-identical to the
-  // plain serial reference -- the machinery may cost nothing when idle.
+  // on (best-effort quarantine, retries, per-object virtual-clock
+  // deadlines) but no FailPoint armed, the output must STILL be
+  // bit-identical to the plain serial reference -- the machinery may cost
+  // nothing when idle.
   {
     exec::FleetRunner::Options options;
     options.num_threads = 8;
     options.shard_size = shard_size;
     options.base_seed = kSeed;
-    options.failure_policy = exec::FailurePolicy::kBestEffort;
+    options.max_quarantine_fraction = 1.0;  // quarantine, never stop
     options.retry.max_retries = 2;
     options.virtual_time = true;
     options.deadline_ms = 60'000;
@@ -241,7 +242,7 @@ ObsOverhead BenchObsOverhead(const TrajectoryPipeline& pipeline,
     options.num_threads = 4;
     options.shard_size = 64;
     options.base_seed = kSeed;
-    options.failure_policy = exec::FailurePolicy::kBestEffort;
+    options.max_quarantine_fraction = 1.0;  // quarantine, never stop
     options.retry.max_retries = 2;
     options.virtual_time = true;
     options.deadline_ms = 60'000;

@@ -10,7 +10,8 @@
 //                  [--deadline-ms D]   per-vehicle cleaning budget
 //                  [--max-retries R]   retries for transient stage failures
 //                  [--best-effort]     quarantine failing vehicles instead of
-//                                      cancelling the fleet
+//                                      stopping the fleet at the first one
+//                                      (max_quarantine_fraction 1.0)
 //                  [--metrics-out F]   write the run's metrics snapshot to F
 //                                      (canonical JSON)
 //                  [--trace-out F]     write the run's span trace to F
@@ -140,12 +141,11 @@ int main(int argc, char** argv) {
 
   exec::FleetRunner::Options options;
   options.num_threads = threads;
-  options.sharding = exec::ShardingMode::kSkewAware;
-  options.skew_max_load = 4;
+  options.shard_size = 4;
   options.base_seed = kDegradeSeed;
   options.deadline_ms = deadline_ms;
   options.retry.max_retries = max_retries;
-  if (best_effort) options.failure_policy = exec::FailurePolicy::kBestEffort;
+  if (best_effort) options.max_quarantine_fraction = 1.0;
 
   // Observability sinks. An observed run switches to virtual time so the
   // exported metrics/trace JSON is a pure function of the inputs --
@@ -177,8 +177,9 @@ int main(int argc, char** argv) {
                  result.first_error.ToString().c_str());
     return 1;
   }
-  std::printf("cleaned %zu vehicles in %.3f s (%zu shards, skew-aware)\n",
-              observed.size(), wall_s, result.shards_total);
+  std::printf("cleaned %zu vehicles in %.3f s (%zu shards of %zu)\n",
+              observed.size(), wall_s, result.shards_total,
+              options.shard_size);
   std::printf("%s\n", result.ResilienceSummary().c_str());
   for (const exec::ObjectAnnotation& a : result.annotations) {
     std::printf("  vehicle %llu: %s", static_cast<unsigned long long>(a.id),

@@ -5,8 +5,10 @@ Compares two BENCH_*.json files (as written by scripts/bench_json.py) by
 walking both documents in parallel and checking every numeric metric leaf:
 
   time keys     (higher is worse): seconds, scalar_s, kernel_s
-  ratio keys    (lower is worse):  speedup, traj_per_s
-  slowdown keys (higher is worse): obs_slowdown
+  rate keys     (lower is worse):  traj_per_s
+  ratio keys    (lower is worse):  speedup
+  slowdown keys (higher is worse): obs_slowdown, scan_slowdown_vs_ram,
+                                   cached_scan_slowdown_vs_ram
 
 A metric that moved in the bad direction by more than --tolerance
 (default 0.15, i.e. >15%) is a regression. Structural drift (a metric
@@ -16,10 +18,10 @@ benches grow new rows; they must not silently lose performance.
 --ratios-only restricts the check to ratio and slowdown keys (both are
 machine-independent quotients of two same-machine timings, so they stay
 comparable across hosts -- the observability overhead budget is enforced
-this way). Absolute times are
-machine-dependent, so CI compares a fresh run against the committed
-artifact with --ratios-only and a loose tolerance; nightly same-machine
-runs can compare everything.
+this way). Absolute times and rates (a throughput such as traj_per_s is
+work per absolute second) are machine-dependent, so CI compares a fresh
+run against the committed artifact with --ratios-only and a loose
+tolerance; nightly same-machine runs compare everything.
 
 Independent of the baseline comparison, ABSOLUTE per-primitive speedup
 floors are enforced on kernel-bench rows shaped
@@ -45,7 +47,9 @@ import sys
 from pathlib import Path
 
 TIME_KEYS = {"seconds", "scalar_s", "kernel_s"}
-RATIO_KEYS = {"speedup", "traj_per_s"}
+# Absolute throughputs: higher is better, machine-dependent (full mode only).
+RATE_KEYS = {"traj_per_s"}
+RATIO_KEYS = {"speedup"}
 # Quotients where growth is the bad direction (e.g. instrumented/plain).
 SLOWDOWN_KEYS = {"obs_slowdown", "scan_slowdown_vs_ram",
                  "cached_scan_slowdown_vs_ram"}
@@ -85,7 +89,7 @@ def walk(base, new, path, metrics, drift):
             walk(b, n, f"{path}[{i}]", metrics, drift)
     else:
         key = path.rsplit(".", 1)[-1].split("[")[0]
-        if (key in TIME_KEYS or key in RATIO_KEYS or
+        if (key in TIME_KEYS or key in RATE_KEYS or key in RATIO_KEYS or
                 key in SLOWDOWN_KEYS) and \
                 isinstance(base, (int, float)) and \
                 isinstance(new, (int, float)):
@@ -121,8 +125,10 @@ def main():
     parser.add_argument("--tolerance", type=float, default=0.15,
                         help="allowed fractional slip (default 0.15)")
     parser.add_argument("--ratios-only", action="store_true",
-                        help="compare only ratio/slowdown metrics "
-                        "(speedup, traj_per_s, obs_slowdown); use when "
+                        help="compare only machine-independent ratio/"
+                        "slowdown metrics (speedup, obs_slowdown, "
+                        "scan_slowdown_vs_ram, ...), skipping absolute "
+                        "times and rates such as traj_per_s; use when "
                         "machines differ")
     parser.add_argument("--floor-grace", type=float, default=0.05,
                         help="fractional grace below the absolute "

@@ -39,7 +39,7 @@ class RunObserver {
   virtual void OnStageBegin(const std::string& stage) = 0;
   virtual void OnStageEnd(const std::string& stage, const Status& status) = 0;
 
-  // Brackets one ApplyCtx call; `attempt` is 0-based per stage/rung.
+  // Brackets one TrajectoryStage::Apply call; `attempt` is 0-based per stage/rung.
   virtual void OnAttemptBegin(const std::string& stage, int attempt) = 0;
   virtual void OnAttemptEnd(const std::string& stage, int attempt,
                             const Status& status) = 0;

@@ -7,7 +7,7 @@ StatusOr<Trajectory> RunStageWithRetry(const TrajectoryStage& stage,
                                        const StageContext& ctx) {
   for (int attempt = 0;; ++attempt) {
     if (ctx.obs != nullptr) ctx.obs->OnAttemptBegin(stage.name(), attempt);
-    auto result = stage.ApplyCtx(input, ctx);
+    auto result = stage.Apply(input, ctx);
     if (ctx.obs != nullptr) {
       ctx.obs->OnAttemptEnd(stage.name(), attempt,
                             result.ok() ? Status::OK() : result.status());
@@ -31,8 +31,57 @@ StatusOr<Trajectory> RunStageWithRetry(const TrajectoryStage& stage,
   }
 }
 
-StatusOr<Trajectory> LadderStage::ApplyCtx(const Trajectory& input,
-                                           const StageContext& ctx) const {
+namespace {
+
+// Stream a seeded stage draws from when the run carries no ctx.rng.
+constexpr uint64_t kFallbackSeed = 0x51D95EEDull;
+
+LambdaStage::Fn FromPlain(PlainStageFn fn) {
+  return [fn = std::move(fn)](const Trajectory& input, const StageContext&) {
+    return fn(input);
+  };
+}
+
+LambdaStage::Fn FromSeeded(SeededStageFn fn) {
+  return [fn = std::move(fn)](const Trajectory& input,
+                              const StageContext& ctx) {
+    if (ctx.rng != nullptr) return fn(input, *ctx.rng);
+    Rng fallback(kFallbackSeed);
+    return fn(input, fallback);
+  };
+}
+
+// Runs one pipeline stage, prefixing a failure with the stage's name.
+StatusOr<Trajectory> ApplyStage(const TrajectoryStage& stage,
+                                const Trajectory& input,
+                                const StageContext& ctx) {
+  auto result = RunStageWithRetry(stage, input, ctx);
+  if (!result.ok()) {
+    return Status(result.status().code(),
+                  "stage '" + stage.name() +
+                      "' failed: " + result.status().message());
+  }
+  return result;
+}
+
+}  // namespace
+
+LadderStage& LadderStage::AddRung(std::string rung_name, PlainStageFn fn) {
+  return AddRungCtx(std::move(rung_name), FromPlain(std::move(fn)));
+}
+
+TrajectoryPipeline& TrajectoryPipeline::Add(std::string name,
+                                            PlainStageFn fn) {
+  return AddCtx(std::move(name), FromPlain(std::move(fn)));
+}
+
+TrajectoryPipeline& TrajectoryPipeline::AddSeeded(std::string name,
+                                                  SeededStageFn fn) {
+  return AddCtx(std::move(name), FromSeeded(std::move(fn)));
+}
+
+StatusOr<Trajectory> LadderStage::Apply(const Trajectory& input,
+                                        const StageContext& ctx) const {
   if (rungs_.empty()) {
     return Status::FailedPrecondition("ladder stage '" + name_ +
                                       "' has no rungs");
@@ -61,45 +110,9 @@ StatusOr<Trajectory> LadderStage::ApplyCtx(const Trajectory& input,
                                  " rungs, last: " + last.message());
 }
 
-namespace {
-
-StatusOr<Trajectory> ApplyStage(const TrajectoryStage& stage,
-                                const Trajectory& input,
-                                const StageContext& ctx) {
-  auto result = RunStageWithRetry(stage, input, ctx);
-  if (!result.ok()) {
-    return Status(result.status().code(),
-                  "stage '" + stage.name() +
-                      "' failed: " + result.status().message());
-  }
-  return result;
-}
-
-}  // namespace
-
-StatusOr<Trajectory> TrajectoryPipeline::Run(const Trajectory& input) const {
-  return Run(input, StageContext{});
-}
-
-StatusOr<Trajectory> TrajectoryPipeline::Run(const Trajectory& input,
-                                             Rng* rng) const {
-  StageContext ctx;
-  ctx.rng = rng;
-  return Run(input, ctx);
-}
-
 StatusOr<Trajectory> TrajectoryPipeline::Run(const Trajectory& input,
                                              const StageContext& ctx) const {
   return RunStages(input, ctx, nullptr, nullptr, nullptr);
-}
-
-StatusOr<Trajectory> TrajectoryPipeline::RunProfiled(
-    const Trajectory& input, const Trajectory* truth,
-    const TrajectoryProfiler& profiler,
-    std::vector<StageReport>* reports, Rng* rng) const {
-  StageContext ctx;
-  ctx.rng = rng;
-  return RunStages(input, ctx, truth, &profiler, reports);
 }
 
 StatusOr<Trajectory> TrajectoryPipeline::RunProfiled(
@@ -153,7 +166,7 @@ StatusOr<std::vector<Trajectory>> TrajectoryPipeline::RunBatch(
   out.reserve(inputs.size());
   for (const Trajectory& input : inputs) {
     Rng rng = Rng::ForKey(base_seed, input.object_id());
-    auto result = Run(input, &rng);
+    auto result = Run(input, {.rng = &rng});
     if (!result.ok()) return result.status();
     out.push_back(std::move(result).value());
   }

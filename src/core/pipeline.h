@@ -39,7 +39,7 @@ struct RunTrace {
 
 // Execution environment for one pipeline run over one trajectory. All
 // pointers are optional and borrowed:
-//   rng        stage randomness substream (nullptr = unseeded Apply path)
+//   rng        stage randomness substream (nullptr = unseeded run)
 //   retry_rng  backoff-jitter substream, separate from `rng` so a retry
 //              never perturbs what the stages compute
 //   exec       deadline + cooperative cancellation, shared across workers
@@ -62,26 +62,14 @@ class TrajectoryStage {
  public:
   virtual ~TrajectoryStage() = default;
   virtual std::string name() const = 0;
-  virtual StatusOr<Trajectory> Apply(const Trajectory& input) const = 0;
 
-  // Seeded entry point used by batch/fleet execution: `rng` is a substream
-  // derived from (base_seed, trajectory id), so randomized stages stay
-  // bit-identical no matter how the batch is sharded across threads (the
-  // determinism contract in DESIGN.md). Deterministic stages keep the
-  // default, which ignores the stream.
-  virtual StatusOr<Trajectory> ApplySeeded(const Trajectory& input,
-                                           Rng& /*rng*/) const {
-    return Apply(input);
-  }
-
-  // Context-aware entry point used by resilient execution. Stages that can
-  // honour deadlines/cancellation (or report degradation) override this;
-  // the default routes to the seeded/unseeded paths, so existing stages
-  // behave identically under a context they ignore.
-  virtual StatusOr<Trajectory> ApplyCtx(const Trajectory& input,
-                                        const StageContext& ctx) const {
-    return ctx.rng != nullptr ? ApplySeeded(input, *ctx.rng) : Apply(input);
-  }
+  // Cleans one trajectory. Batch/fleet execution sets ctx.rng to a
+  // substream derived from (base_seed, trajectory id), so randomized stages
+  // stay bit-identical no matter how the batch is sharded across threads
+  // (the determinism contract in DESIGN.md). Stages that can honour
+  // deadlines/cancellation read ctx.exec; deterministic stages ignore ctx.
+  virtual StatusOr<Trajectory> Apply(const Trajectory& input,
+                                     const StageContext& ctx) const = 0;
 };
 
 // Runs one stage attempt-by-attempt under the context's retry policy:
@@ -89,68 +77,30 @@ class TrajectoryStage {
 // drawn from ctx.retry_rng -- and re-run, up to retry->max_retries extra
 // attempts; retrying stops early once the context is cancelled or past its
 // deadline. Retries are counted into ctx.trace. Without a policy this is a
-// single plain ApplyCtx call.
+// single plain Apply call.
 StatusOr<Trajectory> RunStageWithRetry(const TrajectoryStage& stage,
                                        const Trajectory& input,
                                        const StageContext& ctx);
 
-// Adapts a plain callable into a TrajectoryStage.
+// Callable forms a stage can be built from. The builders below wrap the
+// plain and seeded forms into the context form of LambdaStage; a seeded
+// callable run without ctx.rng draws from a fixed private stream, so
+// single-trajectory runs stay reproducible too.
+using PlainStageFn = std::function<StatusOr<Trajectory>(const Trajectory&)>;
+using SeededStageFn =
+    std::function<StatusOr<Trajectory>(const Trajectory&, Rng&)>;
+
+// Adapts a context-aware callable into a TrajectoryStage.
 class LambdaStage : public TrajectoryStage {
  public:
-  using Fn = std::function<StatusOr<Trajectory>(const Trajectory&)>;
+  using Fn = std::function<StatusOr<Trajectory>(const Trajectory&,
+                                                const StageContext&)>;
   LambdaStage(std::string name, Fn fn)
       : name_(std::move(name)), fn_(std::move(fn)) {}
 
   std::string name() const override { return name_; }
-  [[nodiscard]] StatusOr<Trajectory> Apply(const Trajectory& input) const override {
-    return fn_(input);
-  }
-
- private:
-  std::string name_;
-  Fn fn_;
-};
-
-// Adapts a callable that consumes randomness into a TrajectoryStage. When
-// invoked through the unseeded Apply() path the stage falls back to a fixed
-// private stream, so single-trajectory runs stay reproducible too.
-class SeededLambdaStage : public TrajectoryStage {
- public:
-  using Fn = std::function<StatusOr<Trajectory>(const Trajectory&, Rng&)>;
-  SeededLambdaStage(std::string name, Fn fn)
-      : name_(std::move(name)), fn_(std::move(fn)) {}
-
-  std::string name() const override { return name_; }
-  [[nodiscard]] StatusOr<Trajectory> Apply(const Trajectory& input) const override {
-    Rng fallback(kFallbackSeed);
-    return fn_(input, fallback);
-  }
-  [[nodiscard]] StatusOr<Trajectory> ApplySeeded(const Trajectory& input,
-                                                 Rng& rng) const override {
-    return fn_(input, rng);
-  }
-
- private:
-  static constexpr uint64_t kFallbackSeed = 0x51D95EEDull;
-  std::string name_;
-  Fn fn_;
-};
-
-// Adapts a context-aware callable (deadline checks, failpoint sites) into a
-// TrajectoryStage.
-class ContextLambdaStage : public TrajectoryStage {
- public:
-  using Fn = std::function<StatusOr<Trajectory>(const Trajectory&,
-                                                const StageContext&)>;
-  ContextLambdaStage(std::string name, Fn fn)
-      : name_(std::move(name)), fn_(std::move(fn)) {}
-
-  std::string name() const override { return name_; }
-  [[nodiscard]] StatusOr<Trajectory> Apply(const Trajectory& input) const override {
-    return fn_(input, StageContext{});
-  }
-  [[nodiscard]] StatusOr<Trajectory> ApplyCtx(const Trajectory& input,
-                                              const StageContext& ctx)
+  [[nodiscard]] StatusOr<Trajectory> Apply(const Trajectory& input,
+                                           const StageContext& ctx)
       const override {
     return fn_(input, ctx);
   }
@@ -178,23 +128,17 @@ class LadderStage : public TrajectoryStage {
     rungs_.push_back(std::move(rung));
     return *this;
   }
-  LadderStage& AddRung(std::string rung_name, LambdaStage::Fn fn) {
+  LadderStage& AddRung(std::string rung_name, PlainStageFn fn);
+  LadderStage& AddRungCtx(std::string rung_name, LambdaStage::Fn fn) {
     return AddRung(
         std::make_unique<LambdaStage>(std::move(rung_name), std::move(fn)));
-  }
-  LadderStage& AddRungCtx(std::string rung_name, ContextLambdaStage::Fn fn) {
-    return AddRung(std::make_unique<ContextLambdaStage>(std::move(rung_name),
-                                                        std::move(fn)));
   }
 
   size_t num_rungs() const { return rungs_.size(); }
   std::string name() const override { return name_; }
 
-  [[nodiscard]] StatusOr<Trajectory> Apply(const Trajectory& input) const override {
-    return ApplyCtx(input, StageContext{});
-  }
-  [[nodiscard]] StatusOr<Trajectory> ApplyCtx(const Trajectory& input,
-                                              const StageContext& ctx)
+  [[nodiscard]] StatusOr<Trajectory> Apply(const Trajectory& input,
+                                           const StageContext& ctx)
       const override;
 
  private:
@@ -220,55 +164,36 @@ class TrajectoryPipeline {
     stages_.push_back(std::move(stage));
     return *this;
   }
-  TrajectoryPipeline& Add(std::string name, LambdaStage::Fn fn) {
+  TrajectoryPipeline& Add(std::string name, PlainStageFn fn);
+  TrajectoryPipeline& AddSeeded(std::string name, SeededStageFn fn);
+  TrajectoryPipeline& AddCtx(std::string name, LambdaStage::Fn fn) {
     return Add(std::make_unique<LambdaStage>(std::move(name), std::move(fn)));
-  }
-  TrajectoryPipeline& AddSeeded(std::string name, SeededLambdaStage::Fn fn) {
-    return Add(
-        std::make_unique<SeededLambdaStage>(std::move(name), std::move(fn)));
-  }
-  TrajectoryPipeline& AddCtx(std::string name, ContextLambdaStage::Fn fn) {
-    return Add(
-        std::make_unique<ContextLambdaStage>(std::move(name), std::move(fn)));
   }
 
   size_t num_stages() const { return stages_.size(); }
   const TrajectoryStage& stage(size_t i) const { return *stages_[i]; }
 
-  // Runs all stages in order. Fails fast on the first stage error.
-  [[nodiscard]] StatusOr<Trajectory> Run(const Trajectory& input) const;
-  // Seeded variant: stages draw from `rng` (pass nullptr for the unseeded
-  // behaviour). Fleet execution derives one substream per trajectory.
+  // Runs all stages in order. Fails fast on the first stage error. Stages
+  // draw from ctx.rng (fleet execution derives one substream per
+  // trajectory), observe ctx.exec (deadline / cancellation), retry
+  // transient failures under ctx.retry, and record retries/degradations
+  // into ctx.trace; every field is optional.
   [[nodiscard]] StatusOr<Trajectory> Run(const Trajectory& input,
-                                         Rng* rng) const;
-  // Resilient variant: stages additionally observe ctx.exec (deadline /
-  // cancellation), retry transient failures under ctx.retry, and record
-  // retries/degradations into ctx.trace. With a default-constructed ctx
-  // this is exactly Run(input); with only ctx.rng set it is exactly
-  // Run(input, rng) -- same draws, same output bits.
-  [[nodiscard]] StatusOr<Trajectory> Run(const Trajectory& input,
-                                         const StageContext& ctx) const;
+                                         const StageContext& ctx = {}) const;
 
   // Runs all stages, profiling the data before the first stage and after
   // every stage against `truth` (may be nullptr). `reports` receives
-  // num_stages()+1 entries, the first named "input". The optional `rng`
-  // selects the seeded stage path exactly as in Run().
-  [[nodiscard]] StatusOr<Trajectory> RunProfiled(const Trajectory& input,
-                                   const Trajectory* truth,
-                                   const TrajectoryProfiler& profiler,
-                                   std::vector<StageReport>* reports,
-                                   Rng* rng = nullptr) const;
-  // Resilient + profiled.
-  [[nodiscard]] StatusOr<Trajectory> RunProfiled(const Trajectory& input,
-                                   const Trajectory* truth,
-                                   const TrajectoryProfiler& profiler,
-                                   std::vector<StageReport>* reports,
-                                   const StageContext& ctx) const;
+  // num_stages()+1 entries, the first named "input". `ctx` is used exactly
+  // as in Run().
+  [[nodiscard]] StatusOr<Trajectory> RunProfiled(
+      const Trajectory& input, const Trajectory* truth,
+      const TrajectoryProfiler& profiler, std::vector<StageReport>* reports,
+      const StageContext& ctx = {}) const;
 
   // Serial reference implementation of batch cleaning: trajectory i is
   // cleaned with the substream DeriveSeed(base_seed, inputs[i].object_id()).
   // exec::FleetRunner is required to produce bit-identical results to this
-  // loop for every worker count and sharding mode. Fails fast on the first
+  // loop for every worker count and shard size. Fails fast on the first
   // trajectory whose pipeline run fails.
   [[nodiscard]] StatusOr<std::vector<Trajectory>> RunBatch(
       const std::vector<Trajectory>& inputs, uint64_t base_seed) const;

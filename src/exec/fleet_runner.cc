@@ -12,9 +12,7 @@
 #include "core/random.h"
 #include "exec/steady_clock.h"
 #include "exec/thread_pool.h"
-#include "geometry/point.h"
 #include "obs/observer.h"
-#include "query/partition.h"
 
 namespace sidq {
 namespace exec {
@@ -27,18 +25,6 @@ double Percentile(const std::vector<double>& sorted, double q) {
   const double rank = std::ceil(q * static_cast<double>(sorted.size()));
   const size_t idx = static_cast<size_t>(std::max(1.0, rank)) - 1;
   return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-geometry::Point Centroid(const Trajectory& t) {
-  geometry::Point c;
-  if (t.empty()) return c;
-  for (const TrajectoryPoint& pt : t.points()) {
-    c.x += pt.p.x;
-    c.y += pt.p.y;
-  }
-  c.x /= static_cast<double>(t.size());
-  c.y /= static_cast<double>(t.size());
-  return c;
 }
 
 }  // namespace
@@ -88,57 +74,13 @@ FleetRunner::FleetRunner(const TrajectoryPipeline* pipeline, Options options)
 std::vector<std::vector<size_t>> FleetRunner::MakeShards(
     const std::vector<Trajectory>& fleet) const {
   std::vector<std::vector<size_t>> shards;
-  if (fleet.empty()) return shards;
-
-  if (options_.sharding == ShardingMode::kRoundRobin) {
-    const size_t shard_size = std::max<size_t>(1, options_.shard_size);
-    for (size_t begin = 0; begin < fleet.size(); begin += shard_size) {
-      std::vector<size_t> shard;
-      const size_t end = std::min(fleet.size(), begin + shard_size);
-      shard.reserve(end - begin);
-      for (size_t i = begin; i < end; ++i) shard.push_back(i);
-      shards.push_back(std::move(shard));
-    }
-    return shards;
-  }
-
-  // Skew-aware: partition trajectory centroids with the adaptive quadtree,
-  // then group trajectories by the partition box containing their centroid.
-  // Point-free trajectories have no centroid and collect in a shard of
-  // their own.
-  std::vector<geometry::Point> centroids;
-  std::vector<size_t> with_points;
-  std::vector<size_t> empties;
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    if (fleet[i].empty()) {
-      empties.push_back(i);
-    } else {
-      with_points.push_back(i);
-      centroids.push_back(Centroid(fleet[i]));
-    }
-  }
-  const auto partitions = query::AdaptiveQuadPartition(
-      centroids, std::max<size_t>(1, options_.skew_max_load));
-  std::vector<std::vector<size_t>> buckets(partitions.size());
-  for (size_t k = 0; k < centroids.size(); ++k) {
-    // First containing box wins; boxes tile the (expanded) bounds, so a
-    // centroid on a shared seam is claimed deterministically once.
-    bool placed = false;
-    for (size_t b = 0; b < partitions.size(); ++b) {
-      if (partitions[b].box.Contains(centroids[k])) {
-        buckets[b].push_back(with_points[k]);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) empties.push_back(with_points[k]);
-  }
-  for (std::vector<size_t>& bucket : buckets) {
-    if (!bucket.empty()) shards.push_back(std::move(bucket));
-  }
-  if (!empties.empty()) {
-    std::sort(empties.begin(), empties.end());
-    shards.push_back(std::move(empties));
+  const size_t shard_size = std::max<size_t>(1, options_.shard_size);
+  for (size_t begin = 0; begin < fleet.size(); begin += shard_size) {
+    std::vector<size_t> shard;
+    const size_t end = std::min(fleet.size(), begin + shard_size);
+    shard.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) shard.push_back(i);
+    shards.push_back(std::move(shard));
   }
   return shards;
 }
@@ -177,25 +119,20 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
   // Per-trajectory resilience traces, likewise merged after the join.
   std::vector<RunTrace> traces(n);
 
-  const bool best_effort =
-      options_.failure_policy == FailurePolicy::kBestEffort;
   const bool retry_enabled = options_.retry.max_retries > 0;
-  const Clock* wall_clock =
-      options_.clock != nullptr ? options_.clock : SteadyClock::Global();
+  const Clock* wall_clock = SteadyClock::Global();
 
   const obs::ObsSinks sinks =
       options_.obs != nullptr ? *options_.obs : obs::ObsSinks{};
   const bool has_obs = sinks.metrics != nullptr || sinks.tracer != nullptr;
-  // Quarantine/degrade tallies are pure functions of the inputs only when
-  // no early exit can skip shards: best-effort with the breaker disabled,
-  // or fail-fast without cancellation. Otherwise *which* objects ran
-  // depends on scheduling and the tallies go volatile.
-  const bool deterministic_counts =
-      best_effort ? options_.max_quarantine_fraction >= 1.0
-                  : !options_.cancel_on_error;
+  // The stop rule never fires at a fraction >= 1.0. Only then are the
+  // quarantine/degrade tallies pure functions of the inputs; otherwise
+  // *which* objects ran depends on scheduling and the tallies go volatile.
+  const double fraction = options_.max_quarantine_fraction;
+  const bool clean_everything = fraction >= 1.0;
   const obs::MetricStability count_stability =
-      deterministic_counts ? obs::MetricStability::kDeterministic
-                           : obs::MetricStability::kVolatile;
+      clean_everything ? obs::MetricStability::kDeterministic
+                       : obs::MetricStability::kVolatile;
   const obs::MetricStability timing_stability =
       options_.virtual_time ? obs::MetricStability::kDeterministic
                             : obs::MetricStability::kVolatile;
@@ -208,12 +145,15 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
                                  : wall_clock;
   obs::TraceSpan fleet_span(sinks.tracer, fleet_clock, obs::kProcessKey,
                             "fleet.run", "fleet");
-  // Breaker arithmetic: quarantine count that, once *exceeded*, trips.
-  const size_t breaker_limit =
-      options_.max_quarantine_fraction >= 1.0
-          ? n
-          : static_cast<size_t>(options_.max_quarantine_fraction *
-                                static_cast<double>(n));
+  // Stop-rule arithmetic: quarantine count that, once *exceeded*, trips.
+  // A fraction that is not > 0 (negative, zero, NaN) trips at the first
+  // failure; the cast below only ever sees a value in (0, n).
+  size_t breaker_limit = 0;
+  if (clean_everything) {
+    breaker_limit = n;
+  } else if (fraction > 0.0) {
+    breaker_limit = static_cast<size_t>(fraction * static_cast<double>(n));
+  }
 
   std::atomic<bool> cancelled{false};
   std::atomic<bool> breaker_tripped{false};
@@ -287,18 +227,13 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
       } else {
         result.statuses[i] = out.status();
         if (first.ok()) first = out.status();
-        if (best_effort) {
-          if (out.status().code() != StatusCode::kCancelled) {
-            const size_t q =
-                quarantined_count.fetch_add(1, std::memory_order_relaxed) +
-                1;
-            if (q > breaker_limit) {
-              breaker_tripped.store(true, std::memory_order_relaxed);
-              cancelled.store(true, std::memory_order_release);
-            }
+        if (out.status().code() != StatusCode::kCancelled) {
+          const size_t q =
+              quarantined_count.fetch_add(1, std::memory_order_relaxed) + 1;
+          if (q > breaker_limit) {
+            breaker_tripped.store(true, std::memory_order_relaxed);
+            cancelled.store(true, std::memory_order_release);
           }
-        } else if (options_.cancel_on_error) {
-          cancelled.store(true, std::memory_order_release);
         }
       }
     }

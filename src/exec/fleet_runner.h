@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/clock.h"
 #include "core/pipeline.h"
 #include "core/quality.h"
 #include "core/retry.h"
@@ -20,33 +19,6 @@ struct ObsSinks;
 }  // namespace obs
 
 namespace exec {
-
-// What a per-object pipeline failure does to the rest of the fleet.
-enum class FailurePolicy {
-  // First-error-wins: flip the fleet cancellation flag (when
-  // Options::cancel_on_error), skip unstarted shards, abort in-flight
-  // objects at their next cooperative check. The pre-resilience behaviour.
-  kFailFast,
-  // Quarantine the failing object (after its retries and ladder rungs are
-  // exhausted), keep cleaning everything else, and return partial results
-  // with per-object annotations. A fleet-level circuit breaker
-  // (Options::max_quarantine_fraction) still aborts runs where failure is
-  // the rule rather than the exception.
-  kBestEffort,
-};
-
-// How a fleet batch is cut into per-task shards.
-enum class ShardingMode {
-  // Contiguous index chunks of Options::shard_size. Cheapest; the work
-  // stealing pool absorbs moderate imbalance.
-  kRoundRobin,
-  // AdaptiveQuadPartition over trajectory centroids with a per-partition
-  // load cap (Options::skew_max_load). Choose this when the fleet is
-  // spatially clustered *and* per-trajectory cost correlates with location
-  // (e.g. downtown trajectories hit denser road networks), so that one
-  // hot region does not become one giant task.
-  kSkewAware,
-};
 
 // count / mean / p50 / p99 of one DQ metric across the fleet.
 struct MetricAggregate {
@@ -90,13 +62,13 @@ struct FleetResult {
   // Cleaned trajectory per input index; meaningful iff statuses[i].ok().
   std::vector<Trajectory> cleaned;
   // Per-trajectory terminal status: OK, the failing stage's error, or
-  // Cancelled when first-error-wins cancellation skipped its shard.
+  // Cancelled when a stop (see breaker_tripped) skipped its shard.
   std::vector<Status> statuses;
   // The stage failure with the lowest input index among shards that
-  // executed; OK when the whole fleet cleaned. With cancellation enabled
-  // and a single failing trajectory this is deterministic; with several
-  // failures the winner among *executed* shards can depend on scheduling
-  // (disable cancel_on_error for exhaustive error reporting).
+  // executed; OK when the whole fleet cleaned. With a single failing
+  // trajectory this is deterministic; with several failures and a stop
+  // rule below 1.0 the winner among *executed* shards can depend on
+  // scheduling (max_quarantine_fraction = 1.0 reports every failure).
   Status first_error;
   // Fleet-level aggregates, num_stages()+1 entries starting with "input";
   // filled by RunProfiled only.
@@ -111,14 +83,15 @@ struct FleetResult {
   size_t objects_quarantined = 0;
   size_t objects_degraded = 0;
   size_t retries_total = 0;
-  // True when the best-effort circuit breaker aborted the run because too
-  // large a fraction of the fleet was quarantined.
+  // True when the stop rule aborted the run: more than
+  // Options::max_quarantine_fraction of the fleet was quarantined. Under
+  // the default fraction 0.0 this is a fail-fast stop at the first failure.
   bool breaker_tripped = false;
 
   [[nodiscard]] bool ok() const {
     return first_error.ok() && shards_cancelled == 0;
   }
-  // Best-effort success: every shard executed and the breaker held; some
+  // Partial success: every shard executed and the stop rule held; some
   // objects may still be quarantined (see annotations).
   [[nodiscard]] bool partial_ok() const {
     return shards_cancelled == 0 && !breaker_tripped;
@@ -136,32 +109,31 @@ struct FleetResult {
 // Determinism contract: trajectory i is cleaned with the RNG substream
 // DeriveSeed(base_seed, fleet[i].object_id()) and results are written back
 // by input index, so the output is bit-identical to
-// TrajectoryPipeline::RunBatch() -- regardless of worker count, sharding
-// mode, or OS scheduling. (Trajectories sharing an object_id share a
+// TrajectoryPipeline::RunBatch() -- regardless of worker count, shard
+// size, or OS scheduling. (Trajectories sharing an object_id share a
 // substream; give fleet members distinct ids.)
 //
-// Failure contract: first-error-wins. The first stage failure flips a
-// cancellation flag; shards that have not started yet finish immediately,
-// marking their trajectories Cancelled. Shards already in flight complete
-// normally. Set cancel_on_error=false to always clean everything.
+// Failure contract: one stop rule, Options::max_quarantine_fraction. A
+// failing object is quarantined (after its retries and ladder rungs are
+// exhausted). Once more than that fraction of the fleet is quarantined,
+// a cancellation flag flips: shards that have not started yet finish
+// immediately, marking their trajectories Cancelled, and objects in
+// flight abort at their next cooperative check. The default 0.0 stops at
+// the first failure; 1.0 always cleans everything.
 class FleetRunner {
  public:
   struct Options {
     // Worker threads; <= 0 means std::thread::hardware_concurrency().
     int num_threads = 0;
-    ShardingMode sharding = ShardingMode::kRoundRobin;
-    // Trajectories per task under kRoundRobin. Small shards expose more
-    // parallelism; large shards amortize scheduling.
+    // Trajectories per task: the fleet is cut into contiguous index chunks
+    // of this size. Small shards expose more parallelism; large shards
+    // amortize scheduling; the work-stealing pool absorbs moderate
+    // imbalance.
     size_t shard_size = 16;
-    // Per-partition trajectory cap under kSkewAware.
-    size_t skew_max_load = 64;
     // Base seed of the per-trajectory substreams.
     uint64_t base_seed = 42;
-    // First-error-wins cancellation (kFailFast only).
-    bool cancel_on_error = true;
 
     // --- resilience ---
-    FailurePolicy failure_policy = FailurePolicy::kFailFast;
     // Per-stage retry policy for transient failures; max_retries = 0
     // disables retrying. Backoff jitter draws from the per-object
     // substream DeriveSeed(base_seed ^ kRetryStreamSalt, object_id), so
@@ -173,16 +145,17 @@ class FleetRunner {
     // true: every trajectory runs against its own VirtualClock starting at
     // 0, so injected stalls and backoffs are instant and one object's
     // stalls can never consume another's budget -- fully deterministic
-    // (tests, chaos runs). false: deadlines/backoffs use `clock` below.
+    // (tests, chaos runs). false: deadlines/backoffs use the process-wide
+    // SteadyClock.
     bool virtual_time = false;
-    // Wall clock for deadlines/backoffs when virtual_time is false;
-    // nullptr = process-wide SteadyClock.
-    const Clock* clock = nullptr;
-    // Circuit breaker (kBestEffort only): abort the run once more than
-    // this fraction of the fleet has been quarantined. >= 1.0 disables.
-    // Tripping is an early-exit race like cancel_on_error: *which* shards
-    // get skipped depends on scheduling, the trip decision itself does not.
-    double max_quarantine_fraction = 1.0;
+    // The stop rule: abort the run once more than this fraction of the
+    // fleet has been quarantined. Any value that is not > 0 (NaN included)
+    // stops at the first failure; >= 1.0 never stops and cleans
+    // everything; values in between are a circuit breaker for runs where
+    // failure is the rule rather than the exception. Stopping is an
+    // early-exit race: *which* shards get skipped depends on scheduling,
+    // the stop decision itself does not.
+    double max_quarantine_fraction = 0.0;
 
     // --- observability ---
     // Metrics + trace sinks (borrowed, nullable). The runner records
@@ -208,8 +181,9 @@ class FleetRunner {
       const std::vector<Trajectory>* truths,
       const TrajectoryProfiler& profiler) const;
 
-  // The shard index sets the next Run would use (exposed for tests and
-  // load-balance introspection). Every input index appears exactly once.
+  // The shard index sets the next Run would use (exposed for tests):
+  // contiguous chunks of shard_size. Every input index appears exactly
+  // once.
   [[nodiscard]] std::vector<std::vector<size_t>> MakeShards(
       const std::vector<Trajectory>& fleet) const;
 

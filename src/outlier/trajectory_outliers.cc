@@ -241,7 +241,7 @@ DetectionQuality EvaluateDetection(const std::vector<bool>& predicted,
 }
 
 StatusOr<Trajectory> SpeedOutlierRepairStage::Apply(
-    const Trajectory& input) const {
+    const Trajectory& input, const StageContext&) const {
   SIDQ_ASSIGN_OR_RETURN(std::vector<bool> flags, detector_.Detect(input));
   return RepairFlagged(input, flags);
 }

@@ -106,7 +106,8 @@ class SpeedOutlierRepairStage : public TrajectoryStage {
       : detector_(options) {}
   SpeedOutlierRepairStage() : detector_() {}
   std::string name() const override { return "speed_outlier_repair"; }
-  [[nodiscard]] StatusOr<Trajectory> Apply(const Trajectory& input) const override;
+  [[nodiscard]] StatusOr<Trajectory> Apply(const Trajectory& input,
+                                           const StageContext&) const override;
 
  private:
   SpeedConstraintDetector detector_;

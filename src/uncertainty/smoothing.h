@@ -27,7 +27,8 @@ class MovingAverageStage : public TrajectoryStage {
   explicit MovingAverageStage(size_t half_window)
       : half_window_(half_window) {}
   std::string name() const override { return "moving_average_smooth"; }
-  [[nodiscard]] StatusOr<Trajectory> Apply(const Trajectory& input) const override {
+  [[nodiscard]] StatusOr<Trajectory> Apply(const Trajectory& input,
+                                           const StageContext&) const override {
     return MovingAverageSmooth(input, half_window_);
   }
 
@@ -39,7 +40,8 @@ class ExponentialSmoothStage : public TrajectoryStage {
  public:
   explicit ExponentialSmoothStage(double alpha) : alpha_(alpha) {}
   std::string name() const override { return "exponential_smooth"; }
-  [[nodiscard]] StatusOr<Trajectory> Apply(const Trajectory& input) const override {
+  [[nodiscard]] StatusOr<Trajectory> Apply(const Trajectory& input,
+                                           const StageContext&) const override {
     return ExponentialSmooth(input, alpha_);
   }
 

@@ -396,5 +396,43 @@ TEST(PipelineTest, RunProfiledEmitsReports) {
   EXPECT_EQ(reports[1].stage_name, "identity");
 }
 
+TEST(PipelineTest, SeededStageWithoutRngDrawsFromFixedFallbackStream) {
+  const SeededStageFn jitter =
+      [](const Trajectory& in, Rng& rng) -> StatusOr<Trajectory> {
+    Trajectory out(in.object_id());
+    for (const auto& pt : in.points()) {
+      out.AppendUnordered(TrajectoryPoint(
+          pt.t, {pt.p.x + rng.Gaussian(0.0, 1.0), pt.p.y + rng.Uniform(0.0, 1.0)},
+          pt.accuracy));
+    }
+    return out;
+  };
+  TrajectoryPipeline pipeline;
+  pipeline.AddSeeded("jitter", jitter);
+  Trajectory in(7);
+  for (int i = 0; i < 16; ++i) {
+    in.AppendUnordered(TrajectoryPoint(i * 1000, {i * 3.0, -i * 1.5}));
+  }
+
+  // No ctx.rng: two runs give the same bits, drawn from the stream the
+  // adapter pins (0x51D95EED), not from some per-run or per-object state.
+  const auto first = pipeline.Run(in);
+  const auto second = pipeline.Run(in);
+  Rng fallback(0x51D95EED);
+  const auto direct = jitter(in, fallback);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(direct.ok());
+  ASSERT_EQ(first->size(), in.size());
+  ASSERT_EQ(second->size(), in.size());
+  ASSERT_EQ(direct->size(), in.size());
+  for (size_t i = 0; i < in.size(); ++i) {
+    EXPECT_EQ((*first)[i].p.x, (*second)[i].p.x) << "point " << i;
+    EXPECT_EQ((*first)[i].p.y, (*second)[i].p.y) << "point " << i;
+    EXPECT_EQ((*first)[i].p.x, (*direct)[i].p.x) << "point " << i;
+    EXPECT_EQ((*first)[i].p.y, (*direct)[i].p.y) << "point " << i;
+  }
+}
+
 }  // namespace
 }  // namespace sidq

@@ -23,7 +23,6 @@
 namespace sidq {
 namespace {
 
-using exec::FailurePolicy;
 using exec::FleetResult;
 using exec::FleetRunner;
 using exec::ObjectAnnotation;
@@ -125,7 +124,7 @@ FleetRunner::Options ChaosOptions(int workers) {
   options.num_threads = workers;
   options.shard_size = 3;
   options.base_seed = kSeed;
-  options.failure_policy = FailurePolicy::kBestEffort;
+  options.max_quarantine_fraction = 1.0;  // quarantine, never stop
   options.retry.max_retries = 2;
   options.retry.jitter = 0.2;
   options.virtual_time = true;  // per-object clocks: stalls stay private

@@ -1,11 +1,13 @@
 // Tests for the resilience layer: ExecContext deadlines on a virtual
 // clock, deterministic retry/backoff, the FailPoint chaos registry,
 // graceful-degradation ladders (HMM -> geometric snap, particle filter ->
-// Kalman -> passthrough), and the FleetRunner best-effort policy with
-// quarantine annotations and the circuit breaker.
+// Kalman -> passthrough), and the FleetRunner stop rule
+// (max_quarantine_fraction) with quarantine annotations.
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -29,7 +31,6 @@
 namespace sidq {
 namespace {
 
-using exec::FailurePolicy;
 using exec::FleetResult;
 using exec::FleetRunner;
 
@@ -199,7 +200,7 @@ TEST_F(ResilienceTest, TransientStageSucceedsViaRetryAndBacksOff) {
   cfg.fail_first_n = 2;
   ArmFailPoint("test.gateway", cfg);
 
-  const ContextLambdaStage stage(
+  const LambdaStage stage(
       "gateway", [](const Trajectory& in, const StageContext& ctx)
                      -> StatusOr<Trajectory> {
         SIDQ_RETURN_IF_ERROR(
@@ -231,12 +232,12 @@ TEST_F(ResilienceTest, TransientStageSucceedsViaRetryAndBacksOff) {
 
 TEST_F(ResilienceTest, PermanentErrorIsNotRetried) {
   int attempts = 0;
-  ContextLambdaStage stage("broken",
-                           [&attempts](const Trajectory&, const StageContext&)
-                               -> StatusOr<Trajectory> {
-                             ++attempts;
-                             return Status::DataLoss("bad sensor");
-                           });
+  LambdaStage stage("broken",
+                    [&attempts](const Trajectory&, const StageContext&)
+                        -> StatusOr<Trajectory> {
+                      ++attempts;
+                      return Status::DataLoss("bad sensor");
+                    });
   RetryPolicy retry;
   retry.max_retries = 5;
   RunTrace trace;
@@ -260,7 +261,7 @@ TEST_F(ResilienceTest, LadderFallsToNextRungAndRecordsDegradeEvent) {
   RunTrace trace;
   StageContext ctx;
   ctx.trace = &trace;
-  const auto out = ladder.ApplyCtx(MakeLine(3, 4), ctx);
+  const auto out = ladder.Apply(MakeLine(3, 4), ctx);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(trace.degraded.size(), 1u);
   EXPECT_TRUE(trace.degraded_mode());
@@ -278,7 +279,7 @@ TEST_F(ResilienceTest, LadderExhaustionReportsLastRungError) {
   ladder.AddRung("b", [](const Trajectory&) -> StatusOr<Trajectory> {
     return Status::DataLoss("also broken");
   });
-  const auto out = ladder.ApplyCtx(MakeLine(3, 4), StageContext{});
+  const auto out = ladder.Apply(MakeLine(3, 4), StageContext{});
   EXPECT_EQ(out.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(out.status().message().find("exhausted all 2 rungs"),
             std::string::npos);
@@ -295,7 +296,7 @@ TEST_F(ResilienceTest, LadderPropagatesCancellationWithoutDegrading) {
   RunTrace trace;
   StageContext ctx;
   ctx.trace = &trace;
-  const auto out = ladder.ApplyCtx(MakeLine(3, 4), ctx);
+  const auto out = ladder.Apply(MakeLine(3, 4), ctx);
   EXPECT_EQ(out.status().code(), StatusCode::kCancelled);
   EXPECT_TRUE(trace.degraded.empty());
 }
@@ -368,7 +369,7 @@ TEST_F(ResilienceTest, DeadlineViterbiDegradesToGeometricSnap) {
   ctx.exec = &exec;
   ctx.trace = &trace;
 
-  const auto out = ladder.ApplyCtx(fix.noisy, ctx);
+  const auto out = ladder.Apply(fix.noisy, ctx);
   ASSERT_TRUE(out.ok()) << out.status();
   ASSERT_TRUE(trace.degraded_mode());
   EXPECT_EQ(trace.degraded[0].rung_name, "nearest_road_snap");
@@ -390,7 +391,7 @@ TEST_F(ResilienceTest, DeadlineViterbiDegradesToGeometricSnap) {
   const ExecContext exec2 = ExecContext::After(&clock2, 500);
   clean_ctx.exec = &exec2;
   clean_ctx.trace = &clean_trace;
-  const auto full = ladder.ApplyCtx(fix.noisy, clean_ctx);
+  const auto full = ladder.Apply(fix.noisy, clean_ctx);
   ASSERT_TRUE(full.ok()) << full.status();
   EXPECT_FALSE(clean_trace.degraded_mode());
 }
@@ -428,7 +429,7 @@ TEST_F(ResilienceTest, ParticleFilterDegradesToKalmanOnDeadline) {
   ctx.exec = &exec;
   ctx.trace = &trace;
 
-  const auto out = ladder.ApplyCtx(MakeLine(8, 6), ctx);
+  const auto out = ladder.Apply(MakeLine(8, 6), ctx);
   ASSERT_TRUE(out.ok()) << out.status();
   ASSERT_TRUE(trace.degraded_mode());
   EXPECT_EQ(trace.degraded[0].rung, 1);
@@ -437,7 +438,7 @@ TEST_F(ResilienceTest, ParticleFilterDegradesToKalmanOnDeadline) {
   EXPECT_EQ(out->size(), 6u);
 }
 
-// ------------------------------------------------- fleet best-effort mode
+// ------------------------------------------------------ fleet stop rule
 
 std::vector<Trajectory> MakeFleet(size_t n, size_t points) {
   std::vector<Trajectory> fleet;
@@ -480,7 +481,7 @@ TEST_F(ResilienceTest, BestEffortQuarantinesOneFailureAndKeepsTheRest) {
   options.num_threads = 4;
   options.shard_size = 3;
   options.base_seed = 7;
-  options.failure_policy = FailurePolicy::kBestEffort;
+  options.max_quarantine_fraction = 1.0;  // quarantine, never stop
   options.virtual_time = true;
   const FleetRunner runner(&pipeline, options);
   const FleetResult result = runner.Run(fleet);
@@ -514,7 +515,7 @@ TEST_F(ResilienceTest, BestEffortQuarantinesOneFailureAndKeepsTheRest) {
   for (size_t i = 0; i < kFleet; ++i) {
     if (!result.statuses[i].ok()) continue;
     Rng rng = Rng::ForKey(options.base_seed, fleet[i].object_id());
-    const auto serial = pipeline.Run(fleet[i], &rng);
+    const auto serial = pipeline.Run(fleet[i], {.rng = &rng});
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ(result.cleaned[i].size(), serial->size());
     for (size_t k = 0; k < serial->size(); ++k) {
@@ -523,7 +524,26 @@ TEST_F(ResilienceTest, BestEffortQuarantinesOneFailureAndKeepsTheRest) {
   }
 }
 
-TEST_F(ResilienceTest, CircuitBreakerTripsWhenFailureIsTheRule) {
+// One max_quarantine_fraction value and what the stop rule must do with it
+// on a 32-object fleet where every even id fails.
+struct StopRuleCase {
+  const char* name;
+  double fraction;
+  // Objects that ran and failed (the rest of the quarantined ones were
+  // skipped or aborted with kCancelled once the rule fired).
+  size_t stage_failures;
+  bool trips;
+};
+
+// The reported test name is the case's, not the struct's raw bytes.
+void PrintTo(const StopRuleCase& c, std::ostream* os) { *os << c.name; }
+
+class CircuitBreakerTest
+    : public ResilienceTest,
+      public ::testing::WithParamInterface<StopRuleCase> {};
+
+TEST_P(CircuitBreakerTest, TripsWhenFailureIsTheRule) {
+  const StopRuleCase& c = GetParam();
   const auto fleet = MakeFleet(32, 8);
   TrajectoryPipeline pipeline;
   pipeline.Add("validate", [](const Trajectory& in) -> StatusOr<Trajectory> {
@@ -534,19 +554,50 @@ TEST_F(ResilienceTest, CircuitBreakerTripsWhenFailureIsTheRule) {
   FleetRunner::Options options;
   options.num_threads = 1;  // deterministic shard order for the assertion
   options.shard_size = 4;
-  options.failure_policy = FailurePolicy::kBestEffort;
-  options.max_quarantine_fraction = 0.25;
+  options.max_quarantine_fraction = c.fraction;
   options.virtual_time = true;
   const FleetRunner runner(&pipeline, options);
   const FleetResult result = runner.Run(fleet);
 
-  EXPECT_TRUE(result.breaker_tripped);
-  EXPECT_FALSE(result.partial_ok());
-  EXPECT_GT(result.shards_cancelled, 0u);
-  EXPECT_GT(result.objects_quarantined, 8u);  // past the 25% limit
-  EXPECT_NE(result.ResilienceSummary().find("BREAKER TRIPPED"),
-            std::string::npos);
+  size_t stage_failures = 0;
+  for (const Status& st : result.statuses) {
+    if (st.code() == StatusCode::kDataLoss) ++stage_failures;
+  }
+  EXPECT_EQ(stage_failures, c.stage_failures);
+  EXPECT_EQ(result.first_error.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(result.statuses[0].code(), StatusCode::kDataLoss);
+  EXPECT_EQ(result.breaker_tripped, c.trips);
+  EXPECT_EQ(result.partial_ok(), !c.trips);
+  EXPECT_EQ(result.ResilienceSummary().find("BREAKER TRIPPED") !=
+                std::string::npos,
+            c.trips);
+  if (c.trips) {
+    EXPECT_GT(result.shards_cancelled, 0u);
+    // Skipped and aborted objects are annotated too: with the stop the
+    // whole tail of the fleet counts as quarantined.
+    EXPECT_GT(result.objects_quarantined, c.stage_failures);
+  } else {
+    // Nothing stopped: every failure is annotated, every survivor cleaned.
+    EXPECT_EQ(result.shards_cancelled, 0u);
+    EXPECT_EQ(result.objects_quarantined, fleet.size() / 2);
+    ASSERT_EQ(result.annotations.size(), fleet.size() / 2);
+    for (const auto& a : result.annotations) {
+      EXPECT_EQ(a.id % 2, 0u);
+      EXPECT_EQ(a.quality, ExecQuality::kQuarantined);
+      EXPECT_EQ(a.status.code(), StatusCode::kDataLoss);
+    }
+  }
 }
+
+// One worker drains shards of 4 in order, so the k-th failure is object
+// 2(k-1): a limit of L quarantines trips on failure L+1. 0.25 * 32 = 8.
+INSTANTIATE_TEST_SUITE_P(
+    QuarantineFractions, CircuitBreakerTest,
+    ::testing::Values(StopRuleCase{"Zero", 0.0, 1, true},
+                      StopRuleCase{"Negative", -0.5, 1, true},
+                      StopRuleCase{"NaN", std::nan(""), 1, true},
+                      StopRuleCase{"Quarter", 0.25, 9, true},
+                      StopRuleCase{"One", 1.0, 16, false}));
 
 TEST_F(ResilienceTest, FleetRetriesTransientFaultsDeterministically) {
   const size_t kFleet = 12;
@@ -565,7 +616,7 @@ TEST_F(ResilienceTest, FleetRetriesTransientFaultsDeterministically) {
   options.num_threads = 4;
   options.shard_size = 2;
   options.base_seed = 13;
-  options.failure_policy = FailurePolicy::kBestEffort;
+  options.max_quarantine_fraction = 1.0;  // quarantine, never stop
   options.retry.max_retries = 3;
   options.virtual_time = true;
 
@@ -607,10 +658,11 @@ TEST_F(ResilienceTest, FailFastStillCancelsLikeBefore) {
   FleetRunner::Options options;
   options.num_threads = 1;
   options.shard_size = 1;
-  options.cancel_on_error = true;  // kFailFast default
+  // Default max_quarantine_fraction 0.0: stop at the first failure.
   const FleetRunner runner(&pipeline, options);
   const FleetResult result = runner.Run(fleet);
   EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.breaker_tripped);
   EXPECT_EQ(result.first_error.code(), StatusCode::kDataLoss);
   EXPECT_EQ(result.shards_cancelled, fleet.size() - 1);
   // Cancelled objects are annotated as quarantined (status records why).

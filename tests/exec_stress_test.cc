@@ -27,7 +27,6 @@ namespace {
 
 using exec::FleetResult;
 using exec::FleetRunner;
-using exec::ShardingMode;
 using exec::ThreadPool;
 
 std::vector<Trajectory> MakeTinyFleet(size_t n, uint64_t seed) {
@@ -100,8 +99,6 @@ TEST(ExecStressTest, ProfiledMergeUnderManyWorkers) {
   FleetRunner::Options options;
   options.num_threads = 8;
   options.shard_size = 1;
-  options.sharding = ShardingMode::kSkewAware;
-  options.skew_max_load = 4;
   options.base_seed = kSeed;
   const FleetRunner runner(&pipeline, options);
 
@@ -145,7 +142,7 @@ TEST(ExecStressTest, CancellationRaceIsClean) {
   options.num_threads = 8;
   options.shard_size = 2;
   options.base_seed = kSeed;
-  options.cancel_on_error = true;
+  // Default max_quarantine_fraction 0.0: the first failure stops the fleet.
   const FleetRunner runner(&pipeline, options);
 
   for (int round = 0; round < 4; ++round) {

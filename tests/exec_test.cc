@@ -1,6 +1,6 @@
 // Tests for the parallel fleet execution engine (src/exec/): the golden
 // determinism contract (parallel output bit-identical to serial for every
-// worker count and sharding mode), first-error-wins failure semantics, and
+// worker count and shard size), the fail-fast stop rule, and
 // the ThreadPool's shutdown/edge-case behaviour.
 
 #include <algorithm>
@@ -25,12 +25,10 @@ namespace {
 
 using exec::FleetResult;
 using exec::FleetRunner;
-using exec::ShardingMode;
 using exec::ThreadPool;
 
 // A clustered synthetic fleet: 70% of the vehicles random-walk near a
-// depot, the rest spread over the full region -- skewed on purpose so the
-// two sharding modes produce genuinely different shard shapes.
+// depot, the rest spread over the full region.
 std::vector<Trajectory> MakeSyntheticFleet(size_t num_trajectories,
                                            size_t points_each,
                                            uint64_t seed) {
@@ -53,8 +51,9 @@ std::vector<Trajectory> MakeSyntheticFleet(size_t num_trajectories,
   return fleet;
 }
 
-// Seeded jitter + deterministic smoothing: a pipeline that exercises both
-// the ApplySeeded substream path and the plain Apply path.
+// Seeded jitter + deterministic smoothing: a pipeline that mixes an
+// AddSeeded stage (draws from the per-object ctx.rng substream) with a
+// plain Add stage (ignores the context).
 TrajectoryPipeline MakeCleaningPipeline() {
   TrajectoryPipeline pipeline;
   pipeline.AddSeeded("jitter",
@@ -111,25 +110,20 @@ TEST(FleetRunnerTest, GoldenDeterminismAcrossWorkersAndSharding) {
   ASSERT_EQ(serial->size(), fleet.size());
 
   for (const int workers : {1, 2, 8}) {
-    for (const ShardingMode mode :
-         {ShardingMode::kRoundRobin, ShardingMode::kSkewAware}) {
-      FleetRunner::Options options;
-      options.num_threads = workers;
-      options.sharding = mode;
-      options.shard_size = 7;      // deliberately does not divide 200
-      options.skew_max_load = 16;  // forces several quad splits
-      options.base_seed = kSeed;
-      const FleetRunner runner(&pipeline, options);
+    FleetRunner::Options options;
+    options.num_threads = workers;
+    options.shard_size = 7;  // deliberately does not divide 200
+    options.base_seed = kSeed;
+    const FleetRunner runner(&pipeline, options);
 
-      const FleetResult result = runner.Run(fleet);
-      ASSERT_TRUE(result.ok()) << result.first_error;
-      ASSERT_EQ(result.cleaned.size(), fleet.size());
-      EXPECT_GT(result.shards_total, 1u);
-      for (size_t i = 0; i < fleet.size(); ++i) {
-        ASSERT_TRUE(result.statuses[i].ok());
-        ASSERT_TRUE(BitIdentical(result.cleaned[i], (*serial)[i]))
-            << "trajectory " << i << " with " << workers << " workers";
-      }
+    const FleetResult result = runner.Run(fleet);
+    ASSERT_TRUE(result.ok()) << result.first_error;
+    ASSERT_EQ(result.cleaned.size(), fleet.size());
+    EXPECT_GT(result.shards_total, 1u);
+    for (size_t i = 0; i < fleet.size(); ++i) {
+      ASSERT_TRUE(result.statuses[i].ok());
+      ASSERT_TRUE(BitIdentical(result.cleaned[i], (*serial)[i]))
+          << "trajectory " << i << " with " << workers << " workers";
     }
   }
 }
@@ -145,9 +139,9 @@ TEST(FleetRunnerTest, SubstreamsAreIndependentPerTrajectory) {
   Rng rng_a = Rng::ForKey(kSeed, 0);
   Rng rng_a2 = Rng::ForKey(kSeed, 0);
   Rng rng_b = Rng::ForKey(kSeed, 1);
-  const auto out_a = pipeline.Run(fleet[0], &rng_a);
-  const auto out_a2 = pipeline.Run(fleet[0], &rng_a2);
-  const auto out_b = pipeline.Run(twin, &rng_b);
+  const auto out_a = pipeline.Run(fleet[0], {.rng = &rng_a});
+  const auto out_a2 = pipeline.Run(fleet[0], {.rng = &rng_a2});
+  const auto out_b = pipeline.Run(twin, {.rng = &rng_b});
   ASSERT_TRUE(out_a.ok());
   ASSERT_TRUE(out_a2.ok());
   ASSERT_TRUE(out_b.ok());
@@ -177,7 +171,7 @@ TEST(FleetRunnerTest, OnePoisonedTrajectoryLeavesOthersUnaffected) {
   options.num_threads = 4;
   options.shard_size = 5;
   options.base_seed = kSeed;
-  options.cancel_on_error = false;  // clean everything, report everything
+  options.max_quarantine_fraction = 1.0;  // clean everything, report everything
   const FleetRunner runner(&pipeline, options);
   const FleetResult result = runner.Run(fleet);
 
@@ -193,7 +187,7 @@ TEST(FleetRunnerTest, OnePoisonedTrajectoryLeavesOthersUnaffected) {
     }
     ASSERT_TRUE(result.statuses[i].ok()) << "trajectory " << i;
     Rng rng = Rng::ForKey(kSeed, fleet[i].object_id());
-    const auto serial = pipeline.Run(fleet[i], &rng);
+    const auto serial = pipeline.Run(fleet[i], {.rng = &rng});
     ASSERT_TRUE(serial.ok());
     EXPECT_TRUE(BitIdentical(result.cleaned[i], *serial));
   }
@@ -207,11 +201,12 @@ TEST(FleetRunnerTest, FirstErrorWinsCancellationSkipsUnstartedShards) {
   options.num_threads = 1;  // one worker drains shards in submission order
   options.shard_size = 1;
   options.base_seed = kSeed;
-  options.cancel_on_error = true;
+  // Default max_quarantine_fraction 0.0: stop at the first failure.
   const FleetRunner runner(&pipeline, options);
   const FleetResult result = runner.Run(fleet);
 
   EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.breaker_tripped);
   EXPECT_EQ(result.first_error.code(), StatusCode::kDataLoss);
   EXPECT_EQ(result.statuses[0].code(), StatusCode::kDataLoss);
   EXPECT_EQ(result.shards_cancelled, fleet.size() - 1);
@@ -234,22 +229,17 @@ TEST(FleetRunnerTest, MakeShardsCoversEveryIndexExactlyOnce) {
   fleet.push_back(Trajectory(997));  // point-free straggler
   const TrajectoryPipeline pipeline = MakeCleaningPipeline();
 
-  for (const ShardingMode mode :
-       {ShardingMode::kRoundRobin, ShardingMode::kSkewAware}) {
-    FleetRunner::Options options;
-    options.sharding = mode;
-    options.shard_size = 9;
-    options.skew_max_load = 10;
-    const FleetRunner runner(&pipeline, options);
-    std::vector<size_t> seen;
-    for (const auto& shard : runner.MakeShards(fleet)) {
-      ASSERT_FALSE(shard.empty());
-      seen.insert(seen.end(), shard.begin(), shard.end());
-    }
-    std::sort(seen.begin(), seen.end());
-    ASSERT_EQ(seen.size(), fleet.size());
-    for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
+  FleetRunner::Options options;
+  options.shard_size = 9;
+  const FleetRunner runner(&pipeline, options);
+  std::vector<size_t> seen;
+  for (const auto& shard : runner.MakeShards(fleet)) {
+    ASSERT_FALSE(shard.empty());
+    seen.insert(seen.end(), shard.begin(), shard.end());
   }
+  std::sort(seen.begin(), seen.end());
+  ASSERT_EQ(seen.size(), fleet.size());
+  for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
 }
 
 TEST(FleetRunnerTest, ProfiledRunAggregatesFleetMetrics) {

@@ -732,7 +732,7 @@ TEST_F(ObsChaosTest, RetryAndQuarantineAccountingIsExact) {
     options.num_threads = 4;
     options.shard_size = 4;
     options.base_seed = 99;
-    options.failure_policy = exec::FailurePolicy::kBestEffort;
+    options.max_quarantine_fraction = 1.0;  // quarantine, never stop
     options.retry.max_retries = 2;
     options.virtual_time = true;
     options.obs = &sinks;
@@ -792,7 +792,7 @@ TEST_F(ObsChaosTest, FailPointRecorderCountsEveryFire) {
   options.num_threads = 2;
   options.shard_size = 4;
   options.base_seed = 5;
-  options.failure_policy = exec::FailurePolicy::kBestEffort;
+  options.max_quarantine_fraction = 1.0;  // quarantine, never stop
   options.retry.max_retries = 2;
   options.virtual_time = true;
   options.obs = &sinks;

@@ -131,7 +131,7 @@ FleetRunner::Options GoldenOptions(int workers) {
   options.num_threads = workers;
   options.shard_size = 2;
   options.base_seed = kBaseSeed;
-  options.failure_policy = exec::FailurePolicy::kBestEffort;
+  options.max_quarantine_fraction = 1.0;  // quarantine, never stop
   options.retry.max_retries = 2;
   options.retry.initial_backoff_ms = 50;
   options.retry.jitter = 0.2;

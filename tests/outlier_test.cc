@@ -144,7 +144,7 @@ TEST(RemoveRepairTest, StageRepairsSpeedOutliers) {
   const DirtyTraj d = MakeDirty(0.05, 4);
   SpeedOutlierRepairStage stage;
   EXPECT_EQ(stage.name(), "speed_outlier_repair");
-  const auto repaired = stage.Apply(d.dirty);
+  const auto repaired = stage.Apply(d.dirty, StageContext{});
   ASSERT_TRUE(repaired.ok());
   EXPECT_LT(RmseBetween(d.truth, repaired.value()).value(),
             RmseBetween(d.truth, d.dirty).value());

@@ -73,8 +73,8 @@ TEST(SmoothingTest, StagesWork) {
   ExponentialSmoothStage ex(0.4);
   EXPECT_EQ(ma.name(), "moving_average_smooth");
   EXPECT_EQ(ex.name(), "exponential_smooth");
-  EXPECT_TRUE(ma.Apply(noisy).ok());
-  EXPECT_TRUE(ex.Apply(noisy).ok());
+  EXPECT_TRUE(ma.Apply(noisy, StageContext{}).ok());
+  EXPECT_TRUE(ex.Apply(noisy, StageContext{}).ok());
 }
 
 // ------------------------------------------------------------- Calibration
