@@ -8,7 +8,8 @@ walking both documents in parallel and checking every numeric metric leaf:
   rate keys     (lower is worse):  traj_per_s
   ratio keys    (lower is worse):  speedup
   slowdown keys (higher is worse): obs_slowdown, scan_slowdown_vs_ram,
-                                   cached_scan_slowdown_vs_ram
+                                   cached_scan_slowdown_vs_ram,
+                                   cold_scan_slowdown_vs_ram
 
 A metric that moved in the bad direction by more than --tolerance
 (default 0.15, i.e. >15%) is a regression. Structural drift (a metric
@@ -51,8 +52,11 @@ TIME_KEYS = {"seconds", "scalar_s", "kernel_s"}
 RATE_KEYS = {"traj_per_s"}
 RATIO_KEYS = {"speedup"}
 # Quotients where growth is the bad direction (e.g. instrumented/plain).
+# cold_scan_slowdown_vs_ram is bench_store's every-block-misses scan over
+# the in-memory walk; it rises several-fold if the store's CRC32C falls
+# back from the SSE4.2 instruction to the table loop.
 SLOWDOWN_KEYS = {"obs_slowdown", "scan_slowdown_vs_ram",
-                 "cached_scan_slowdown_vs_ram"}
+                 "cached_scan_slowdown_vs_ram", "cold_scan_slowdown_vs_ram"}
 # Run metadata that legitimately differs between two recordings.
 SKIP_KEYS = {"recorded_utc"}
 

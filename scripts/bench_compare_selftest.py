@@ -7,7 +7,9 @@ mode, and checks the exit code and the metric it names:
 
   1. --ratios-only ignores a 50% traj_per_s drop (an absolute,
      machine-dependent rate); full mode flags the same drop.
-  2. A speedup drop and an obs_slowdown rise are flagged in both modes.
+  2. A speedup drop, an obs_slowdown rise and a 4x rise of bench_store's
+     cold_scan_slowdown_vs_ram (the table-CRC fallback) are flagged in
+     both modes.
   3. A baseline whose pairwise kernel speedup sits below its floor fails
      in both modes.
 
@@ -24,8 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 COMPARE = ROOT / "scripts" / "bench_compare.py"
 
-# A minimal exec-plus-kernels artifact: every metric class bench_compare
-# knows appears once.
+# A minimal exec-plus-kernels-plus-store artifact: every metric class
+# bench_compare knows appears at least once.
 BASELINE = {
     "recorded_utc": "2026-01-01T00:00:00Z",
     "fleet": [
@@ -33,6 +35,7 @@ BASELINE = {
         {"threads": 4, "seconds": 0.6, "traj_per_s": 1700.0, "speedup": 3.4},
     ],
     "obs": {"obs_slowdown": 1.02},
+    "scan": {"cold_scan_slowdown_vs_ram": 3.8},
     "kernels": [{"primitive": "pairwise", "speedup": 4.8}],
 }
 
@@ -65,6 +68,9 @@ def main():
     def raise_slowdown(doc):
         doc["obs"]["obs_slowdown"] = 1.5
 
+    def quadruple_cold_scan(doc):
+        doc["scan"]["cold_scan_slowdown_vs_ram"] = 15.2
+
     def sink_pairwise(doc):
         doc["kernels"][0]["speedup"] = 2.0
 
@@ -78,6 +84,9 @@ def main():
              ratios_only, 1, "REGRESSION fleet[1].speedup"),
             (f"{mode}: obs_slowdown rise", BASELINE, variant(raise_slowdown),
              ratios_only, 1, "REGRESSION obs.obs_slowdown"),
+            (f"{mode}: 4x cold_scan_slowdown_vs_ram rise", BASELINE,
+             variant(quadruple_cold_scan), ratios_only, 1,
+             "REGRESSION scan.cold_scan_slowdown_vs_ram"),
             (f"{mode}: below-floor pairwise baseline",
              variant(sink_pairwise), variant(sink_pairwise), ratios_only, 1,
              "FLOOR baseline.kernels[0]: primitive 'pairwise'"),

@@ -8,7 +8,7 @@ namespace kernels {
 
 // Runtime ISA dispatch for the kernel layer.
 //
-// Every distance/DP/leaf-scan primitive is compiled four times from one
+// Every distance/DP/leaf-scan/CRC primitive is compiled four times from one
 // shared implementation (kernel_impl.inc), each translation unit targeting
 // one ISA tier:
 //
@@ -80,6 +80,11 @@ struct KernelOps {
                       const uint64_t* ids, size_t count, double qmin_x,
                       double qmin_y, double qmax_x, double qmax_y,
                       uint64_t* out);
+  // CRC32C (Castagnoli, reflected, as in RFC 3720) of `data[0, n)`,
+  // continuing a finished checksum `crc` (0 to start): chaining over a
+  // split equals one call over the whole. Tiers compiled with SSE4.2
+  // (avx2, avx512) use the crc32 instruction; the others a table loop.
+  uint32_t (*crc32c)(uint32_t crc, const char* data, size_t n);
   Isa isa;
 };
 

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "kernels/dispatch.h"
+
 namespace sidq {
 namespace store {
 
@@ -14,31 +16,8 @@ static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
 
 namespace {
 
-// Reflected Castagnoli polynomial (same bitstream as SSE4.2 crc32).
-constexpr uint32_t kCrc32cPoly = 0x82f63b78u;
-
-const uint32_t* Crc32cTable() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int j = 0; j < 8; ++j) {
-        crc = (crc & 1u) ? (crc >> 1) ^ kCrc32cPoly : crc >> 1;
-      }
-      t[i] = crc;
-    }
-    return t;
-  }();
-  return table;
-}
-
 uint32_t Crc32cExtend(uint32_t crc, const char* data, size_t n) {
-  const uint32_t* table = Crc32cTable();
-  crc = ~crc;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ static_cast<uint8_t>(data[i])) & 0xffu] ^ (crc >> 8);
-  }
-  return ~crc;
+  return kernels::KernelDispatch::Get().crc32c(crc, data, n);
 }
 
 template <typename T>
@@ -153,32 +132,36 @@ const char* BlockDefectName(BlockDefect defect) {
 }
 
 std::string EncodeBlock(const ColumnarBlock& block) {
-  std::string payload;
-  const uint32_t n = static_cast<uint32_t>(block.size());
-  payload.reserve(sizeof(uint32_t) + n * kRowBytes);
-  AppendRaw(&payload, n);
-  AppendColumn(&payload, block.sensor);
-  AppendColumn(&payload, block.t);
-  AppendColumn(&payload, block.x);
-  AppendColumn(&payload, block.y);
-  AppendColumn(&payload, block.value);
-  AppendColumn(&payload, block.stddev);
-
   // Header: magic | version | type | reserved | payload_len | crc. The CRC
   // covers the header fields after the magic (minus itself) plus the
   // payload, so a flipped length bit fails verification just like flipped
-  // data.
-  std::string header;
-  header.reserve(kBlockHeaderSize);
-  header.append(kBlockMagic, sizeof(kBlockMagic));
-  AppendRaw(&header, kFormatVersion);
-  AppendRaw(&header, kBlockTypeColumnar);
-  AppendRaw(&header, static_cast<uint16_t>(0));
-  AppendRaw(&header, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = Crc32cExtend(0, header.data() + 4, 8);
-  crc = Crc32cExtend(crc, payload.data(), payload.size());
-  AppendRaw(&header, crc);
-  return header + payload;
+  // data. The header is written in place at the front of the one output
+  // buffer; payload_len and crc are patched in once the payload is known.
+  const uint32_t n = static_cast<uint32_t>(block.size());
+  std::string out;
+  out.reserve(kBlockHeaderSize + sizeof(uint32_t) + n * kRowBytes);
+  out.append(kBlockMagic, sizeof(kBlockMagic));
+  AppendRaw(&out, kFormatVersion);
+  AppendRaw(&out, kBlockTypeColumnar);
+  AppendRaw(&out, static_cast<uint16_t>(0));
+  AppendRaw(&out, static_cast<uint32_t>(0));  // payload_len, patched below
+  AppendRaw(&out, static_cast<uint32_t>(0));  // crc, patched below
+
+  AppendRaw(&out, n);
+  AppendColumn(&out, block.sensor);
+  AppendColumn(&out, block.t);
+  AppendColumn(&out, block.x);
+  AppendColumn(&out, block.y);
+  AppendColumn(&out, block.value);
+  AppendColumn(&out, block.stddev);
+
+  const uint32_t payload_len =
+      static_cast<uint32_t>(out.size() - kBlockHeaderSize);
+  std::memcpy(out.data() + 8, &payload_len, sizeof(payload_len));
+  uint32_t crc = Crc32cExtend(0, out.data() + 4, 8);
+  crc = Crc32cExtend(crc, out.data() + kBlockHeaderSize, payload_len);
+  std::memcpy(out.data() + 12, &crc, sizeof(crc));
+  return out;
 }
 
 ParsedBlock ParseBlockAt(std::string_view segment, uint64_t offset) {

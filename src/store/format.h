@@ -43,9 +43,12 @@ namespace store {
 // builds on; a static_assert in format.cc pins the assumption).
 // -------------------------------------------------------------------------
 
-// CRC32C (Castagnoli), software table-driven; matches the polynomial
-// hardware SSE4.2 crc32 would give, so an accelerated swap stays
-// format-compatible.
+// CRC32C (Castagnoli, reflected, as in RFC 3720) over every block and
+// manifest. Computed by the kernel layer's dispatched `crc32c` primitive:
+// the SSE4.2 crc32 instruction on the avx2/avx512 tiers, a 256-entry
+// table loop on scalar/sse2 and non-x86 builds (SIDQ_FORCE_ISA picks the
+// tier). Every tier yields the same value, so the on-disk bytes do not
+// depend on the host that wrote or reads them.
 uint32_t Crc32c(const char* data, size_t n);
 inline uint32_t Crc32c(std::string_view data) {
   return Crc32c(data.data(), data.size());

@@ -1,11 +1,13 @@
 // Dispatch equivalence tests: every ISA tier that is compiled in and
 // runnable on this host must produce BIT-IDENTICAL output to the scalar
 // oracle tier for every dispatched primitive -- including NaN, +/-Inf,
-// signed-zero, and empty inputs -- and SIDQ_FORCE_ISA must pin (or clamp)
+// signed-zero, and empty inputs, and for the CRC32C every length, start
+// alignment and chaining split -- and SIDQ_FORCE_ISA must pin (or clamp)
 // the active tier. "Identical" here means memcmp over the raw double bits,
 // not approximate equality: the dispatch choice may change speed, never a
 // single bit of output.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -17,6 +19,7 @@
 
 #include "core/hash.h"
 #include "core/random.h"
+#include "force_isa_guard.h"
 #include "kernels/dispatch.h"
 
 namespace sidq {
@@ -64,29 +67,6 @@ void ExpectBytesEqual(const std::vector<double>& ref,
                            ref.size() * sizeof(double)))
       << what << " diverges from scalar on tier " << IsaName(isa);
 }
-
-// Restores the dispatch state (env + resolved table) no matter how a test
-// exits, so tier-forcing tests cannot leak into later tests.
-class ForceIsaGuard {
- public:
-  ForceIsaGuard() {
-    const char* v = std::getenv("SIDQ_FORCE_ISA");
-    if (v != nullptr) saved_ = v;
-    had_ = v != nullptr;
-  }
-  ~ForceIsaGuard() {
-    if (had_) {
-      setenv("SIDQ_FORCE_ISA", saved_.c_str(), 1);
-    } else {
-      unsetenv("SIDQ_FORCE_ISA");
-    }
-    KernelDispatch::ReinitForTest();
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
 
 // ------------------------------------------------ per-primitive identity
 
@@ -303,6 +283,83 @@ TEST(KernelDispatchTest, LeafScanMatchesScalarOnEveryTier) {
       EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
                                want_n * sizeof(uint64_t)))
           << "leaf_scan ids diverge on tier " << IsaName(isa);
+    }
+  }
+}
+
+// ------------------------------------------------------------- crc32c
+
+// Seeded random bytes, with 8 bytes of slack past `n` so a run of up to
+// `n` bytes can start at any offset 0..7.
+std::vector<char> RandomBytes(Rng* rng, size_t n) {
+  std::vector<char> bytes(n + 8);
+  for (char& b : bytes) b = static_cast<char>(rng->UniformInt(0, 255));
+  return bytes;
+}
+
+TEST(KernelDispatchTest, Crc32cScalarTierIsCastagnoli) {
+  // RFC 3720 check value: the scalar table loop is the oracle the other
+  // tiers are held to, so pin it to the standard first.
+  const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
+  EXPECT_EQ(ref.crc32c(0, "123456789", 9), 0xe3069283u);
+  EXPECT_EQ(ref.crc32c(0, "", 0), 0u);
+}
+
+TEST(KernelDispatchTest, Crc32cMatchesScalarOnEveryTier) {
+  constexpr size_t kMaxLen = 70 * 1024;
+  const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
+  Rng rng(31);
+  const std::vector<char> bytes = RandomBytes(&rng, kMaxLen);
+  // Every length through 64 covers each tail size around the 8-byte
+  // steps; random lengths up to 70 KB cover whole-block sizes.
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (int i = 0; i < 24; ++i) {
+    lengths.push_back(static_cast<size_t>(
+        rng.UniformInt(65, static_cast<int64_t>(kMaxLen))));
+  }
+  for (const size_t n : lengths) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const char* data = bytes.data() + offset;
+      const uint32_t want = ref.crc32c(0, data, n);
+      for (Isa isa : CompiledTiers()) {
+        EXPECT_EQ(want, KernelDispatch::Table(isa)->crc32c(0, data, n))
+            << "crc32c diverges on tier " << IsaName(isa) << " at length "
+            << n << ", offset " << offset;
+      }
+    }
+  }
+}
+
+TEST(KernelDispatchTest, Crc32cChainsAcrossSplitsOnEveryTier) {
+  // The store checksums a block as header fields, then payload: chaining
+  // a finished CRC through the next call must equal one pass over the
+  // concatenation, on every tier and at any split points.
+  constexpr size_t kMaxLen = 70 * 1024;
+  const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
+  Rng rng(37);
+  const std::vector<char> bytes = RandomBytes(&rng, kMaxLen);
+  for (int trial = 0; trial < 40; ++trial) {
+    const size_t n = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(kMaxLen)));
+    const char* data =
+        bytes.data() + static_cast<size_t>(rng.UniformInt(0, 7));
+    std::vector<size_t> cuts = {0, n};
+    const int pieces = static_cast<int>(rng.UniformInt(1, 6));
+    for (int k = 1; k < pieces; ++k) {
+      cuts.push_back(static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(n))));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    const uint32_t want = ref.crc32c(0, data, n);
+    for (Isa isa : CompiledTiers()) {
+      const KernelOps& ops = *KernelDispatch::Table(isa);
+      uint32_t crc = 0;
+      for (size_t k = 0; k + 1 < cuts.size(); ++k) {
+        crc = ops.crc32c(crc, data + cuts[k], cuts[k + 1] - cuts[k]);
+      }
+      EXPECT_EQ(want, crc) << "chained crc32c diverges on tier "
+                           << IsaName(isa) << " (trial " << trial << ")";
     }
   }
 }

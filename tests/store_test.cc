@@ -1,5 +1,7 @@
 // Unit tests for the durable trajectory store: CRC32C, block/manifest
-// codecs and their defect ladders, MemVfs crash semantics, AtomicWriteFile
+// codecs and their defect ladders, the pinned on-disk block bytes and a
+// store written on one kernel ISA tier reopening on another (the tier picks
+// the CRC32C path), MemVfs crash semantics, AtomicWriteFile
 // atomicity, the RandomAccessFile read contract on MemVfs and the real
 // filesystem, and Store append/commit/scan/recovery behaviour under media
 // corruption and torn tails. The exhaustive crash-point sweep lives in
@@ -7,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -17,7 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hash.h"
 #include "core/stid.h"
+#include "force_isa_guard.h"
+#include "kernels/dispatch.h"
 #include "obs/metrics.h"
 #include "real_store_dir.h"
 #include "store/format.h"
@@ -66,6 +72,17 @@ TEST(Crc32cTest, KnownAnswer) {
   // RFC 3720 test vector for CRC32C ("123456789").
   EXPECT_EQ(Crc32c("123456789", 9), 0xe3069283u);
   EXPECT_EQ(Crc32c("", 0), 0u);
+  // RFC 3720 B.4 32-byte vectors: all zeros, all ones, incrementing and
+  // decrementing bytes.
+  std::string up, down;
+  for (int i = 0; i < 32; ++i) {
+    up.push_back(static_cast<char>(i));
+    down.push_back(static_cast<char>(31 - i));
+  }
+  EXPECT_EQ(Crc32c(std::string(32, '\x00')), 0x8a9136aau);
+  EXPECT_EQ(Crc32c(std::string(32, '\xff')), 0x62a8ab43u);
+  EXPECT_EQ(Crc32c(up), 0x46dd794eu);
+  EXPECT_EQ(Crc32c(down), 0x113fdb5cu);
 }
 
 TEST(Crc32cTest, SensitiveToEveryBit) {
@@ -93,6 +110,22 @@ TEST(BlockFormatTest, EncodeParseRoundTripIsBitExact) {
   for (size_t i = 0; i < block.size(); ++i) {
     ExpectBitIdentical(parsed.block.Record(i), block.Record(i));
   }
+}
+
+// The on-disk block format is pinned: a 16-row block (row 7 a NaN payload,
+// row 11 a negative zero) keeps its header CRC word and the FNV-1a of every
+// encoded byte on every kernel tier, so a store reads back whichever tier
+// wrote it.
+TEST(BlockFormatTest, GoldenBytesArePinned) {
+  ColumnarBlock block;
+  for (uint64_t i = 0; i < 16; ++i) block.Add(MakeRecord(i));
+  const std::string encoded = EncodeBlock(block);
+  ASSERT_EQ(encoded.size(), kBlockHeaderSize + 4 + 16 * 48);
+  uint32_t crc_word = 0;
+  std::memcpy(&crc_word, encoded.data() + 12, sizeof(crc_word));
+  EXPECT_EQ(crc_word, 0xb373d25au);
+  EXPECT_EQ(FnvBytes(kFnvOffset, encoded.data(), encoded.size()),
+            0xbc588f0b3a409db2ull);
 }
 
 TEST(BlockFormatTest, DefectLadder) {
@@ -649,6 +682,77 @@ TEST(StoreTest, AppendAfterRecoveryContinuesRowIds) {
                   })
                   .ok());
   EXPECT_EQ(seen, 40u);
+}
+
+// Writes a store on `writer` (three commits plus a sealed, unmanifested
+// tail), reopens it on `reader`, and requires a clean recovery: every
+// block, the tail and the manifest chain verify, and the scan is
+// bit-identical to what the writer saw.
+void ExpectStoreCrossesTiers(kernels::Isa writer, kernels::Isa reader) {
+  MemVfs vfs;
+  std::vector<StRecord> written;
+  {
+    kernels::ForceIsaGuard guard;
+    setenv("SIDQ_FORCE_ISA", kernels::IsaName(writer), 1);
+    kernels::KernelDispatch::ReinitForTest();
+    ASSERT_EQ(kernels::KernelDispatch::Active(), writer);
+    StatusOr<std::unique_ptr<Store>> opened =
+        Store::Open(&vfs, "db", SmallBlocks());
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    Store& store = **opened;
+    uint64_t i = 0;
+    for (int commit = 0; commit < 3; ++commit) {
+      for (int k = 0; k < 10; ++k) {
+        ASSERT_TRUE(store.Append(MakeRecord(i++)).ok());
+      }
+      ASSERT_TRUE(store.Commit().ok());
+    }
+    // 20 more rows: 2 sealed blocks recovery adopts from the tail, plus 4
+    // open-block rows lost with the dropped store.
+    for (int k = 0; k < 20; ++k) {
+      ASSERT_TRUE(store.Append(MakeRecord(i++)).ok());
+    }
+    ASSERT_TRUE(store.Scan([&](uint64_t, const StRecord& rec) {
+                       written.push_back(rec);
+                     })
+                    .ok());
+  }
+  ASSERT_EQ(written.size(), 50u);
+
+  kernels::ForceIsaGuard guard;
+  setenv("SIDQ_FORCE_ISA", kernels::IsaName(reader), 1);
+  kernels::KernelDispatch::ReinitForTest();
+  ASSERT_EQ(kernels::KernelDispatch::Active(), reader);
+  StatusOr<std::unique_ptr<Store>> reopened =
+      Store::Open(&vfs, "db", SmallBlocks());
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  const Store& r = **reopened;
+  EXPECT_TRUE(r.recovery().current_valid);
+  EXPECT_TRUE(r.recovery().quarantined.empty()) << r.recovery().Summary();
+  EXPECT_EQ(r.recovery().rows_lost, 0u);
+  EXPECT_EQ(r.recovery().chain_links_verified, 2u);
+  EXPECT_TRUE(r.recovery().chain_intact);
+  EXPECT_EQ(r.recovery().tail_blocks_recovered, 2u);
+  EXPECT_EQ(r.rows(), 46u);
+  uint64_t seen = 0;
+  ASSERT_TRUE(r.Scan([&](uint64_t row, const StRecord& rec) {
+                 ASSERT_LT(row, written.size());
+                 EXPECT_EQ(row, seen);
+                 ExpectBitIdentical(rec, written[row]);
+                 ++seen;
+               })
+                  .ok());
+  EXPECT_EQ(seen, 46u);
+}
+
+TEST(StoreTest, StoreWrittenOnScalarTierReopensOnBestTier) {
+  ExpectStoreCrossesTiers(kernels::Isa::kScalar,
+                          kernels::KernelDispatch::Best());
+}
+
+TEST(StoreTest, StoreWrittenOnBestTierReopensOnScalarTier) {
+  ExpectStoreCrossesTiers(kernels::KernelDispatch::Best(),
+                          kernels::Isa::kScalar);
 }
 
 TEST(StoreTest, RejectsBadOptions) {
