@@ -6,7 +6,7 @@
 // output via FNV-1a checksums over the raw double bit patterns: the kernel
 // layer is only allowed to be faster, never different. A checksum mismatch
 // is a hard failure (exit 1), so this bench doubles as the cross-layer
-// equivalence gate. scripts/bench_json.py scrapes the BENCH_JSON line into
+// equivalence gate. scripts/bench_json.py records the BENCH_JSON line as
 // BENCH_kernels.json.
 //
 // Primitives:
@@ -20,18 +20,19 @@
 //                kernels::PackedRTree vs. per-query
 //                index::RTree::RangeQuery
 //
-// Pass --quick to cut repetitions (CI smoke). Pass --checksums-out FILE to
-// additionally write one "<primitive> <checksum>" line per primitive:
-// run_all.sh and CI byte-compare (cmp) that file between a dispatched run
-// and a SIDQ_FORCE_ISA=scalar run -- the runtime-dispatch analogue of the
-// in-process scalar-vs-kernel gate. The BENCH_JSON line records which ISA
-// tier the dispatcher resolved ("isa").
+// Pass --quick to cut repetitions (CI smoke). The reference side of every
+// gate (kernels/scalar_ref.cc, index::RTree) does not go through the ISA
+// dispatcher, so a dispatched run and a SIDQ_FORCE_ISA=scalar run that both
+// exit 0 carry equal per-primitive checksums; CI runs the forced-scalar
+// one. The BENCH_JSON line records which ISA tier the dispatcher resolved
+// ("isa").
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -45,7 +46,6 @@
 #include "kernels/scalar_ref.h"
 #include "kernels/soa.h"
 #include "query/similarity.h"
-#include "store/vfs.h"
 
 namespace sidq {
 namespace {
@@ -53,11 +53,6 @@ namespace {
 constexpr size_t kFleetSize = 1000;
 constexpr size_t kPointsEach = 64;
 constexpr uint64_t kSeed = 20220611;
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 std::vector<Trajectory> MakeFleet() {
   Rng rng(kSeed);
@@ -96,8 +91,18 @@ struct PrimitiveResult {
   double kernel_s = 0.0;
   double speedup = 0.0;
   uint64_t checksum = 0;
-  bool identical = false;
 };
+
+// The equivalence gate: exits 1 unless the kernel path folded to the same
+// checksum as the scalar reference.
+PrimitiveResult Finish(PrimitiveResult r, const Checksum& scalar_sum,
+                       const Checksum& kernel_sum) {
+  bench::RequireEqual(std::string(r.name) + " kernel vs scalar checksum",
+                      scalar_sum.h, kernel_sum.h);
+  r.speedup = r.scalar_s / r.kernel_s;
+  r.checksum = kernel_sum.h;
+  return r;
+}
 
 // ------------------------------------------------------------- primitives
 
@@ -114,7 +119,7 @@ PrimitiveResult BenchPairwise(const std::vector<Trajectory>& fleet,
     kernels::scalar::PairwiseSqDist(a, b, out.data());
     scalar_sum.MixDouble(out[p % out.size()]);
   }
-  r.scalar_s = SecondsSince(t0);
+  r.scalar_s = bench::SecondsSince(t0);
 
   t0 = std::chrono::steady_clock::now();
   for (size_t p = 0; p < pairs; ++p) {
@@ -126,12 +131,9 @@ PrimitiveResult BenchPairwise(const std::vector<Trajectory>& fleet,
                             vb.size(), out.data());
     kernel_sum.MixDouble(out[p % out.size()]);
   }
-  r.kernel_s = SecondsSince(t0);
+  r.kernel_s = bench::SecondsSince(t0);
 
-  r.speedup = r.scalar_s / r.kernel_s;
-  r.checksum = kernel_sum.h;
-  r.identical = scalar_sum.h == kernel_sum.h;
-  return r;
+  return Finish(r, scalar_sum, kernel_sum);
 }
 
 PrimitiveResult BenchDtw(const std::vector<Trajectory>& fleet, size_t pairs,
@@ -145,7 +147,7 @@ PrimitiveResult BenchDtw(const std::vector<Trajectory>& fleet, size_t pairs,
     const Trajectory& b = fleet[(p * 13 + 3) % fleet.size()];
     scalar_sum.MixDouble(kernels::scalar::DtwDistance(a, b, band));
   }
-  r.scalar_s = SecondsSince(t0);
+  r.scalar_s = bench::SecondsSince(t0);
 
   t0 = std::chrono::steady_clock::now();
   for (size_t p = 0; p < pairs; ++p) {
@@ -153,12 +155,9 @@ PrimitiveResult BenchDtw(const std::vector<Trajectory>& fleet, size_t pairs,
     const Trajectory& b = fleet[(p * 13 + 3) % fleet.size()];
     kernel_sum.MixDouble(query::DtwDistance(a, b, band));
   }
-  r.kernel_s = SecondsSince(t0);
+  r.kernel_s = bench::SecondsSince(t0);
 
-  r.speedup = r.scalar_s / r.kernel_s;
-  r.checksum = kernel_sum.h;
-  r.identical = scalar_sum.h == kernel_sum.h;
-  return r;
+  return Finish(r, scalar_sum, kernel_sum);
 }
 
 PrimitiveResult BenchFrechet(const std::vector<Trajectory>& fleet,
@@ -172,7 +171,7 @@ PrimitiveResult BenchFrechet(const std::vector<Trajectory>& fleet,
     const Trajectory& b = fleet[(p * 11 + 5) % fleet.size()];
     scalar_sum.MixDouble(kernels::scalar::FrechetDistance(a, b));
   }
-  r.scalar_s = SecondsSince(t0);
+  r.scalar_s = bench::SecondsSince(t0);
 
   t0 = std::chrono::steady_clock::now();
   for (size_t p = 0; p < pairs; ++p) {
@@ -180,12 +179,9 @@ PrimitiveResult BenchFrechet(const std::vector<Trajectory>& fleet,
     const Trajectory& b = fleet[(p * 11 + 5) % fleet.size()];
     kernel_sum.MixDouble(query::DiscreteFrechetDistance(a, b));
   }
-  r.kernel_s = SecondsSince(t0);
+  r.kernel_s = bench::SecondsSince(t0);
 
-  r.speedup = r.scalar_s / r.kernel_s;
-  r.checksum = kernel_sum.h;
-  r.identical = scalar_sum.h == kernel_sum.h;
-  return r;
+  return Finish(r, scalar_sum, kernel_sum);
 }
 
 PrimitiveResult BenchPackedRange(const std::vector<Trajectory>& fleet,
@@ -230,13 +226,13 @@ PrimitiveResult BenchPackedRange(const std::vector<Trajectory>& fleet,
       base_results[q] = baseline.RangeQuery(queries[q]);
     }
   }
-  r.scalar_s = SecondsSince(t0);
+  r.scalar_s = bench::SecondsSince(t0);
 
   t0 = std::chrono::steady_clock::now();
   for (size_t round = 0; round < rounds; ++round) {
     packed.RangeQueryMany(queries, &batch);
   }
-  r.kernel_s = SecondsSince(t0);
+  r.kernel_s = bench::SecondsSince(t0);
 
   Checksum scalar_sum, kernel_sum;
   std::vector<uint64_t> ids;
@@ -249,27 +245,7 @@ PrimitiveResult BenchPackedRange(const std::vector<Trajectory>& fleet,
     for (uint64_t id : ids) kernel_sum.Mix(id);
   }
 
-  r.speedup = r.scalar_s / r.kernel_s;
-  r.checksum = kernel_sum.h;
-  r.identical = scalar_sum.h == kernel_sum.h;
-  return r;
-}
-
-std::string JsonResults(const std::vector<PrimitiveResult>& results) {
-  std::string out = "[";
-  for (size_t i = 0; i < results.size(); ++i) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"primitive\":\"%s\",\"scalar_s\":%.4f,"
-                  "\"kernel_s\":%.4f,\"speedup\":%.2f,"
-                  "\"checksum\":\"%016llx\",\"identical\":%s}",
-                  i == 0 ? "" : ",", results[i].name, results[i].scalar_s,
-                  results[i].kernel_s, results[i].speedup,
-                  static_cast<unsigned long long>(results[i].checksum),
-                  results[i].identical ? "true" : "false");
-    out += buf;
-  }
-  return out + "]";
+  return Finish(r, scalar_sum, kernel_sum);
 }
 
 }  // namespace
@@ -279,11 +255,8 @@ int main(int argc, char** argv) {
   using namespace sidq;
 
   bool quick = false;
-  std::string checksums_out;
   for (int i = 1; i < argc; ++i) {
-    const std::string arg(argv[i]);
-    if (arg == "--quick") quick = true;
-    if (arg == "--checksums-out" && i + 1 < argc) checksums_out = argv[++i];
+    if (std::string_view(argv[i]) == "--quick") quick = true;
   }
 
   bench::Banner("BENCH kernels", "columnar kernels vs scalar reference",
@@ -311,50 +284,34 @@ int main(int argc, char** argv) {
   results.push_back(BenchFrechet(fleet, 100 * mul));
   results.push_back(BenchPackedRange(fleet, 2 * mul));
 
-  bench::Table table(
-      {"primitive", "scalar_s", "kernel_s", "speedup", "bit-identical"});
-  bool all_identical = true;
+  bench::Table table({"primitive", "scalar_s", "kernel_s", "speedup"});
   for (const PrimitiveResult& r : results) {
     table.AddRow({r.name, bench::F3(r.scalar_s), bench::F3(r.kernel_s),
-                  bench::F2(r.speedup), r.identical ? "yes" : "NO"});
-    all_identical = all_identical && r.identical;
+                  bench::F2(r.speedup)});
   }
   table.Print();
-
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "EQUIVALENCE VIOLATION: kernel output differs from the "
-                 "scalar reference\n");
-    return 1;
-  }
   std::printf("equivalence: all kernel outputs bit-identical to scalar\n\n");
 
-  if (!checksums_out.empty()) {
-    // One "<primitive> <checksum>" line per primitive: the byte-compare
-    // surface for the forced-scalar vs dispatched gate. Published
-    // atomically so a crashed bench can never leave a truncated file that
-    // cmp would read as a checksum mismatch.
-    std::string lines;
-    for (const PrimitiveResult& r : results) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), "%s %016llx\n", r.name,
-                    static_cast<unsigned long long>(r.checksum));
-      lines += buf;
-    }
-    const sidq::Status st = sidq::store::AtomicWriteFile(
-        sidq::store::DefaultVfs(), checksums_out, lines);
-    if (!st.ok()) {
-      std::fprintf(stderr, "cannot write %s: %s\n", checksums_out.c_str(),
-                   st.message().c_str());
-      return 1;
-    }
+  bench::JsonWriter json;
+  json.Str("bench", "kernels")
+      .Int("fleet_size", fleet.size())
+      .Int("points_per_trajectory", kPointsEach)
+      .Str("isa", isa)
+      .Str("equivalence", "bit-identical")
+      .Array("primitives");
+  for (const PrimitiveResult& r : results) {
+    char checksum[17];
+    std::snprintf(checksum, sizeof(checksum), "%016llx",
+                  static_cast<unsigned long long>(r.checksum));
+    json.Object()
+        .Str("primitive", r.name)
+        .Num("scalar_s", r.scalar_s, 4)
+        .Num("kernel_s", r.kernel_s, 4)
+        .Num("speedup", r.speedup, 2)
+        .Str("checksum", checksum)
+        .Bool("identical", true)
+        .End();
   }
-
-  std::printf(
-      "BENCH_JSON: {\"bench\":\"kernels\",\"fleet_size\":%zu,"
-      "\"points_per_trajectory\":%zu,\"isa\":\"%s\","
-      "\"equivalence\":\"bit-identical\",\"primitives\":%s}\n",
-      fleet.size(), static_cast<size_t>(kPointsEach), isa,
-      JsonResults(results).c_str());
+  bench::EmitJson(json);
   return 0;
 }

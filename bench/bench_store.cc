@@ -17,19 +17,18 @@
 // The store-backed scan must reproduce the in-memory FNV-1a checksum over
 // every record's raw bits; any mismatch or failed recovery exits 1, so
 // this bench doubles as the store bit-identity gate.
-// scripts/bench_json.py scrapes the BENCH_JSON line into BENCH_store.json.
+// scripts/bench_json.py records the BENCH_JSON line as BENCH_store.json.
 
 #include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -44,11 +43,6 @@ namespace {
 
 constexpr uint64_t kSeed = 20220613;  // SIGMOD'22, for the record
 constexpr size_t kRowBytes = 48;      // columnar footprint per record
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 // Deterministic synthetic stream: plausible ranges, exact bytes fixed by
 // the seed. NaNs and negative zero ride along on purpose -- the store
@@ -97,11 +91,6 @@ uint64_t RecordChecksum(uint64_t h, const StRecord& rec) {
   return h;
 }
 
-[[noreturn]] void Die(const char* what, const Status& st) {
-  std::fprintf(stderr, "bench_store: %s: %s\n", what, st.ToString().c_str());
-  std::exit(1);
-}
-
 // One full Scan() of a store: rows served, their RecordChecksum fold and
 // the wall time of the scan.
 struct ScanResult {
@@ -110,34 +99,32 @@ struct ScanResult {
   double seconds = 0.0;
 };
 
-// Scans every readable row of `db`; a scan error exits 1 via Die(what).
-ScanResult ChecksumScan(const store::Store& db, const char* what) {
+// Scans every readable row of `db`; a scan error exits 1 naming `what`.
+ScanResult ChecksumScan(const store::Store& db, const std::string& what) {
   ScanResult out;
   const auto t0 = std::chrono::steady_clock::now();
   const Status st = db.Scan([&](uint64_t, const StRecord& rec) {
     out.checksum = RecordChecksum(out.checksum, rec);
     ++out.rows;
   });
-  out.seconds = SecondsSince(t0);
-  if (!st.ok()) Die(what, st);
+  out.seconds = bench::SecondsSince(t0);
+  if (!st.ok()) bench::Die(what, st);
   return out;
 }
 
-// The bit-identity gate: unless `got` served exactly `rows` rows folding
-// to `checksum`, prints "BIT-IDENTITY VIOLATION: " and the printf-formatted
-// `why` to stderr and exits 1.
-[[gnu::format(printf, 4, 5)]] void RequireIdentical(const ScanResult& got,
-                                                    uint64_t rows,
-                                                    uint64_t checksum,
-                                                    const char* why, ...) {
-  if (got.rows == rows && got.checksum == checksum) return;
-  std::fputs("BIT-IDENTITY VIOLATION: ", stderr);
-  va_list args;
-  va_start(args, why);
-  std::vfprintf(stderr, why, args);
-  va_end(args);
-  std::fputc('\n', stderr);
-  std::exit(1);
+// The bit-identity gate: exits 1 unless `got` served exactly `rows` rows
+// folding to `checksum`.
+void RequireIdentical(const std::string& what, const ScanResult& got,
+                      uint64_t rows, uint64_t checksum) {
+  bench::RequireEqual(what + " rows", rows, got.rows);
+  bench::RequireEqual(what + " checksum", checksum, got.checksum);
+}
+
+double HitRatio(const store::BlockCache::Stats& stats) {
+  const uint64_t lookups = stats.hits + stats.misses;
+  return lookups == 0 ? 0.0
+                      : static_cast<double>(stats.hits) /
+                            static_cast<double>(lookups);
 }
 
 void RemoveTree(const std::string& dir) {
@@ -178,21 +165,19 @@ uint64_t PeakRssBytes() {
 // filesystem, which has no CorruptByte hook).
 void CorruptSecondBlock(store::Vfs* vfs, const std::string& path) {
   StatusOr<std::string> data = vfs->ReadFile(path);
-  if (!data.ok()) Die("corrupt read", data.status());
+  if (!data.ok()) bench::Die("corrupt read", data.status());
   const store::ParsedBlock first = store::ParseBlockAt(*data, 0);
   if (first.defect != store::BlockDefect::kNone ||
       first.bytes_consumed + 20 >= data->size()) {
-    std::fprintf(stderr, "bench_store: cannot locate block 1 in %s\n",
-                 path.c_str());
-    std::exit(1);
+    bench::Die("corrupt", Status::NotFound(path + " has no block 1"));
   }
   (*data)[first.bytes_consumed + 20] ^= 0x10;
   StatusOr<std::unique_ptr<store::WritableFile>> f =
       vfs->NewWritableFile(path, store::WriteMode::kTruncate);
-  if (!f.ok()) Die("corrupt reopen", f.status());
+  if (!f.ok()) bench::Die("corrupt reopen", f.status());
   Status st = (*f)->Append(*data);
   if (st.ok()) st = (*f)->Close();
-  if (!st.ok()) Die("corrupt rewrite", st);
+  if (!st.ok()) bench::Die("corrupt rewrite", st);
 }
 
 }  // namespace
@@ -203,7 +188,7 @@ int main(int argc, char** argv) {
 
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
+    if (std::string_view(argv[i]) == "--quick") {
       quick = true;
     } else {
       std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
@@ -226,10 +211,7 @@ int main(int argc, char** argv) {
   }
 
   char tmpl[] = "/tmp/sidq_bench_store.XXXXXX";
-  if (::mkdtemp(tmpl) == nullptr) {
-    std::fprintf(stderr, "bench_store: mkdtemp failed\n");
-    return 1;
-  }
+  if (::mkdtemp(tmpl) == nullptr) bench::Die("mkdtemp", Status::Internal(tmpl));
   const std::string scratch = tmpl;
 
   store::StoreOptions options;
@@ -243,14 +225,14 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, append_dir, options);
-    if (!db.ok()) Die("append open", db.status());
+    if (!db.ok()) bench::Die("append open", db.status());
     for (const StRecord& rec : records) {
       const Status st = (*db)->Append(rec);
-      if (!st.ok()) Die("append", st);
+      if (!st.ok()) bench::Die("append", st);
     }
     const Status st = (*db)->Close();
-    if (!st.ok()) Die("append commit", st);
-    append_s = std::min(append_s, SecondsSince(t0));
+    if (!st.ok()) bench::Die("append commit", st);
+    append_s = std::min(append_s, bench::SecondsSince(t0));
   }
   const double append_rows_per_s = static_cast<double>(rows) / append_s;
   const double append_mb_per_s =
@@ -261,14 +243,10 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < reps; ++rep) {
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, append_dir, options);
-    if (!db.ok()) Die("scan open", db.status());
+    if (!db.ok()) bench::Die("scan open", db.status());
     const ScanResult scan = ChecksumScan(**db, "scan");
-    RequireIdentical(scan, rows, mem_checksum,
-                     "store-backed scan (%llu rows, checksum %llu) differs "
-                     "from the in-memory path (%zu rows, checksum %llu)",
-                     static_cast<unsigned long long>(scan.rows),
-                     static_cast<unsigned long long>(scan.checksum), rows,
-                     static_cast<unsigned long long>(mem_checksum));
+    RequireIdentical("store-backed scan vs in-memory path", scan, rows,
+                     mem_checksum);
     scan_store_s = std::min(scan_store_s, scan.seconds);
   }
 
@@ -279,11 +257,8 @@ int main(int argc, char** argv) {
     for (const StRecord& rec : records) {
       checksum = RecordChecksum(checksum, rec);
     }
-    const double secs = SecondsSince(t0);
-    if (checksum != mem_checksum) {
-      std::fprintf(stderr, "bench_store: in-memory checksum unstable\n");
-      return 1;
-    }
+    const double secs = bench::SecondsSince(t0);
+    bench::RequireEqual("in-memory rescan", mem_checksum, checksum);
     scan_mem_s = std::min(scan_mem_s, secs);
   }
 
@@ -305,13 +280,13 @@ int main(int argc, char** argv) {
     {
       StatusOr<std::unique_ptr<store::Store>> db =
           store::Store::Open(nullptr, dir, ropts);
-      if (!db.ok()) Die("recovery build open", db.status());
+      if (!db.ok()) bench::Die("recovery build open", db.status());
       for (size_t i = 0; i < nrows; ++i) {
         const Status st = (*db)->Append(records[i]);
-        if (!st.ok()) Die("recovery build append", st);
+        if (!st.ok()) bench::Die("recovery build append", st);
       }
       const Status st = (*db)->Close();
-      if (!st.ok()) Die("recovery build commit", st);
+      if (!st.ok()) bench::Die("recovery build commit", st);
     }
     double open_s = 1e300;
     uint64_t got = 0;
@@ -319,18 +294,12 @@ int main(int argc, char** argv) {
       const auto t0 = std::chrono::steady_clock::now();
       StatusOr<std::unique_ptr<store::Store>> db =
           store::Store::Open(nullptr, dir, ropts);
-      const double secs = SecondsSince(t0);
-      if (!db.ok()) Die("recovery open", db.status());
+      const double secs = bench::SecondsSince(t0);
+      if (!db.ok()) bench::Die("recovery open", db.status());
       got = (*db)->rows_readable();
       open_s = std::min(open_s, secs);
     }
-    if (got != nrows) {
-      std::fprintf(stderr,
-                   "RECOVERY VIOLATION: reopened store serves %llu of %zu "
-                   "rows\n",
-                   static_cast<unsigned long long>(got), nrows);
-      return 1;
-    }
+    bench::RequireEqual(dir + " rows recovered", nrows, got);
     recovery.push_back({target_segments, nrows, open_s * 1e3});
   }
 
@@ -342,23 +311,21 @@ int main(int argc, char** argv) {
     // The torn append lands where a crash would put it: at the end of the
     // highest-numbered (actively written) segment.
     StatusOr<std::vector<std::string>> names = vfs->ListDir(torn_dir);
-    if (!names.ok()) Die("torn listdir", names.status());
+    if (!names.ok()) bench::Die("torn listdir", names.status());
     std::string last_seg;
     for (const std::string& name : *names) {
       uint32_t seg = 0;
       if (store::ParseSegmentFileName(name, &seg)) last_seg = name;
     }
     if (last_seg.empty()) {
-      std::fprintf(stderr, "bench_store: no segment files in %s\n",
-                   torn_dir.c_str());
-      return 1;
+      bench::Die("torn", Status::NotFound(torn_dir + " has no segments"));
     }
     StatusOr<std::unique_ptr<store::WritableFile>> f = vfs->NewWritableFile(
         torn_dir + "/" + last_seg, store::WriteMode::kAppend);
-    if (!f.ok()) Die("torn append open", f.status());
+    if (!f.ok()) bench::Die("torn append open", f.status());
     Status st = (*f)->Append("SBLK torn by a power cut");
     if (st.ok()) st = (*f)->Close();
-    if (!st.ok()) Die("torn append", st);
+    if (!st.ok()) bench::Die("torn append", st);
   }
   double torn_open_ms = 0.0;
   {
@@ -369,16 +336,11 @@ int main(int argc, char** argv) {
     const auto t0 = std::chrono::steady_clock::now();
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, torn_dir, ropts);
-    torn_open_ms = SecondsSince(t0) * 1e3;
-    if (!db.ok()) Die("torn reopen", db.status());
-    if (!(*db)->recovery().tail_truncated ||
-        (*db)->recovery().rows_lost != 0) {
-      std::fprintf(stderr,
-                   "RECOVERY VIOLATION: torn tail not truncated cleanly "
-                   "(%s)\n",
-                   (*db)->recovery().Summary().c_str());
-      return 1;
-    }
+    torn_open_ms = bench::SecondsSince(t0) * 1e3;
+    if (!db.ok()) bench::Die("torn reopen", db.status());
+    const store::RecoveryReport& report = (*db)->recovery();
+    bench::RequireEqual("torn tail truncated", 1, report.tail_truncated);
+    bench::RequireEqual("rows lost to the torn tail", 0, report.rows_lost);
   }
 
   // --- cached scan: hit ratio and latency vs. block-cache budget --------
@@ -396,39 +358,28 @@ int main(int argc, char** argv) {
     copts.cache_bytes = budget;
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, append_dir, copts);
-    if (!db.ok()) Die("cached scan open", db.status());
+    if (!db.ok()) bench::Die("cached scan open", db.status());
     CachePoint point;
     point.budget_bytes = budget;
     for (int pass = 0; pass < 2; ++pass) {
       const ScanResult scan = ChecksumScan(**db, "cached scan");
-      RequireIdentical(scan, rows, mem_checksum,
-                       "scan under %zu-byte cache budget diverged from the "
-                       "in-memory path",
-                       budget);
+      RequireIdentical(std::to_string(budget) + "-byte cache budget scan",
+                       scan, rows, mem_checksum);
       (pass == 0 ? point.cold_s : point.warm_s) = scan.seconds;
     }
     const store::BlockCache::Stats stats = (*db)->cache_stats();
-    point.hit_ratio = stats.hits + stats.misses == 0
-                          ? 0.0
-                          : static_cast<double>(stats.hits) /
-                                static_cast<double>(stats.hits + stats.misses);
+    point.hit_ratio = HitRatio(stats);
     point.resident_bytes = stats.resident_bytes;
     // The budget is a hard bound on decoded bytes held, not a hint. No
     // pins are live between scans, so resident == unpinned here.
     if (budget > 0 && stats.resident_bytes > budget) {
-      std::fprintf(stderr,
-                   "CACHE BUDGET VIOLATION: %llu resident bytes exceed the "
-                   "%zu-byte budget\n",
-                   static_cast<unsigned long long>(stats.resident_bytes),
-                   budget);
-      return 1;
+      bench::Die("cache budget",
+                 Status::ResourceExhausted(
+                     std::to_string(stats.resident_bytes) +
+                     " resident bytes exceed " + std::to_string(budget)));
     }
-    if (budget == 0 && stats.evictions != 0) {
-      std::fprintf(stderr,
-                   "CACHE BUDGET VIOLATION: unbounded cache evicted %llu "
-                   "blocks\n",
-                   static_cast<unsigned long long>(stats.evictions));
-      return 1;
+    if (budget == 0) {
+      bench::RequireEqual("unbounded cache evictions", 0, stats.evictions);
     }
     if (budget == (size_t{64} << 20)) cached_warm_64mb_s = point.warm_s;
     if (budget == (size_t{1} << 20)) cold_1mb_s = point.cold_s;
@@ -455,13 +406,13 @@ int main(int argc, char** argv) {
   {
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, compact_dir, popts);
-    if (!db.ok()) Die("compact build open", db.status());
+    if (!db.ok()) bench::Die("compact build open", db.status());
     for (const StRecord& rec : records) {
       const Status st = (*db)->Append(rec);
-      if (!st.ok()) Die("compact build append", st);
+      if (!st.ok()) bench::Die("compact build append", st);
     }
     const Status st = (*db)->Close();
-    if (!st.ok()) Die("compact build commit", st);
+    if (!st.ok()) bench::Die("compact build commit", st);
   }
   store::Vfs* vfs = store::DefaultVfs();
   uint64_t compact_input_bytes = 0;
@@ -469,22 +420,18 @@ int main(int argc, char** argv) {
     const std::string path = compact_dir + "/" + store::SegmentFileName(seg);
     CorruptSecondBlock(vfs, path);
     const StatusOr<uint64_t> size = vfs->FileSize(path);
-    if (!size.ok()) Die("compact stat", size.status());
+    if (!size.ok()) bench::Die("compact stat", size.status());
     compact_input_bytes += *size;
   }
   {
     // Recovery quarantines the corrupt blocks; Close commits the verdicts.
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, compact_dir, popts);
-    if (!db.ok()) Die("compact recover open", db.status());
-    if ((*db)->recovery().quarantined.size() != pocked_segs.size()) {
-      std::fprintf(stderr,
-                   "bench_store: expected %zu quarantined blocks, got %zu\n",
-                   pocked_segs.size(), (*db)->recovery().quarantined.size());
-      return 1;
-    }
+    if (!db.ok()) bench::Die("compact recover open", db.status());
+    bench::RequireEqual("quarantined blocks", pocked_segs.size(),
+                        (*db)->recovery().quarantined.size());
     const Status st = (*db)->Close();
-    if (!st.ok()) Die("compact recover commit", st);
+    if (!st.ok()) bench::Die("compact recover commit", st);
   }
   double compact_s = 0.0;
   store::CompactionReport compact_report;
@@ -492,38 +439,33 @@ int main(int argc, char** argv) {
   {
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, compact_dir, popts);
-    if (!db.ok()) Die("compact open", db.status());
+    if (!db.ok()) bench::Die("compact open", db.status());
     compact_pre = ChecksumScan(**db, "compact pre-scan");
     const auto t0 = std::chrono::steady_clock::now();
     Status st = (*db)->Compact(&compact_report);
-    compact_s = SecondsSince(t0);
-    if (!st.ok()) Die("compact", st);
-    RequireIdentical(ChecksumScan(**db, "compact post-scan"),
-                     compact_pre.rows, compact_pre.checksum,
-                     "compaction changed the readable rows");
+    compact_s = bench::SecondsSince(t0);
+    if (!st.ok()) bench::Die("compact", st);
+    RequireIdentical("compacted store scan",
+                     ChecksumScan(**db, "compact post-scan"), compact_pre.rows,
+                     compact_pre.checksum);
     st = (*db)->Close();
-    if (!st.ok()) Die("compact close", st);
+    if (!st.ok()) bench::Die("compact close", st);
   }
-  if (compact_report.segments_compacted != pocked_segs.size() ||
-      compact_report.blocks_dropped != pocked_segs.size() ||
-      compact_report.bytes_reclaimed == 0) {
-    std::fprintf(stderr,
-                 "bench_store: compaction report off (%u segments, %llu "
-                 "dropped, %llu reclaimed)\n",
-                 compact_report.segments_compacted,
-                 static_cast<unsigned long long>(compact_report.blocks_dropped),
-                 static_cast<unsigned long long>(
-                     compact_report.bytes_reclaimed));
-    return 1;
+  bench::RequireEqual("segments compacted", pocked_segs.size(),
+                      compact_report.segments_compacted);
+  bench::RequireEqual("blocks dropped by compaction", pocked_segs.size(),
+                      compact_report.blocks_dropped);
+  if (compact_report.bytes_reclaimed == 0) {
+    bench::Die("compaction", Status::Internal("reclaimed no bytes"));
   }
   {
     // Reopen: the compacted generation must serve the same rows durably.
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, compact_dir, popts);
-    if (!db.ok()) Die("compact reopen", db.status());
-    RequireIdentical(ChecksumScan(**db, "compact reopen scan"),
-                     compact_pre.rows, compact_pre.checksum,
-                     "reopened compacted store diverged");
+    if (!db.ok()) bench::Die("compact reopen", db.status());
+    RequireIdentical("reopened compacted store scan",
+                     ChecksumScan(**db, "compact reopen scan"),
+                     compact_pre.rows, compact_pre.checksum);
   }
   const double compact_mb_per_s =
       static_cast<double>(compact_input_bytes) / compact_s / 1e6;
@@ -556,41 +498,34 @@ int main(int argc, char** argv) {
       const auto t0 = std::chrono::steady_clock::now();
       StatusOr<std::unique_ptr<store::Store>> db =
           store::Store::Open(nullptr, fleet_dir, fopts);
-      if (!db.ok()) Die("fleet open", db.status());
+      if (!db.ok()) bench::Die("fleet open", db.status());
       RecordStream stream;
       for (size_t i = 0; i < fleet_rows; ++i) {
         const Status st = (*db)->Append(stream.Next());
-        if (!st.ok()) Die("fleet append", st);
+        if (!st.ok()) bench::Die("fleet append", st);
       }
       const Status st = (*db)->Close();
-      if (!st.ok()) Die("fleet commit", st);
-      fleet_append_s = SecondsSince(t0);
+      if (!st.ok()) bench::Die("fleet commit", st);
+      fleet_append_s = bench::SecondsSince(t0);
     }
     {
       store::StoreOptions fopts;
       fopts.field_name = "bench";
       StatusOr<std::unique_ptr<store::Store>> db =
           store::Store::Open(nullptr, fleet_dir, fopts);
-      if (!db.ok()) Die("fleet reopen", db.status());
+      if (!db.ok()) bench::Die("fleet reopen", db.status());
       const ScanResult scan = ChecksumScan(**db, "fleet scan");
-      RequireIdentical(scan, fleet_rows, fleet_checksum,
-                       "fleet scan (%llu rows) diverged from the streamed "
-                       "reference",
-                       static_cast<unsigned long long>(scan.rows));
+      RequireIdentical("fleet scan vs streamed reference", scan, fleet_rows,
+                       fleet_checksum);
       fleet_scan_s = scan.seconds;
       const store::BlockCache::Stats stats = (*db)->cache_stats();
-      fleet_hit_ratio = stats.hits + stats.misses == 0
-                            ? 0.0
-                            : static_cast<double>(stats.hits) /
-                                  static_cast<double>(stats.hits +
-                                                      stats.misses);
+      fleet_hit_ratio = HitRatio(stats);
       if (stats.resident_bytes > fopts.cache_bytes) {
-        std::fprintf(stderr,
-                     "CACHE BUDGET VIOLATION: fleet scan holds %llu "
-                     "resident bytes over the %zu-byte budget\n",
-                     static_cast<unsigned long long>(stats.resident_bytes),
-                     fopts.cache_bytes);
-        return 1;
+        bench::Die("fleet cache budget",
+                   Status::ResourceExhausted(
+                       std::to_string(stats.resident_bytes) +
+                       " resident bytes exceed " +
+                       std::to_string(fopts.cache_bytes)));
       }
     }
     fleet_rss_delta = PeakRssBytes() - rss_before;
@@ -599,13 +534,10 @@ int main(int argc, char** argv) {
     // mappings). Half the dataset is a loose ceiling that still proves the
     // scan never loaded the store into RAM.
     if (fleet_rss_delta > fleet_data_bytes / 2) {
-      std::fprintf(stderr,
-                   "RSS VIOLATION: fleet append+scan grew peak RSS by "
-                   "%.1f MB against a %.1f MB dataset under a 64 MB cache "
-                   "budget\n",
-                   static_cast<double>(fleet_rss_delta) / 1e6,
-                   static_cast<double>(fleet_data_bytes) / 1e6);
-      return 1;
+      bench::Die("fleet peak RSS",
+                 Status::ResourceExhausted(
+                     std::to_string(fleet_rss_delta) + " bytes grown for " +
+                     std::to_string(fleet_data_bytes) + " bytes of data"));
     }
     RemoveTree(fleet_dir);
   }
@@ -674,72 +606,67 @@ int main(int argc, char** argv) {
       "(checksum %llu over %zu rows)\n\n",
       static_cast<unsigned long long>(mem_checksum), rows);
 
-  std::string recovery_json = "[";
-  for (size_t i = 0; i < recovery.size(); ++i) {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"segments\":%zu,\"rows\":%llu,\"open_ms\":%.2f}",
-                  i == 0 ? "" : ",", recovery[i].segments,
-                  static_cast<unsigned long long>(recovery[i].rows),
-                  recovery[i].open_ms);
-    recovery_json += buf;
-  }
-  recovery_json += "]";
-
-  std::string cache_json = "[";
-  for (size_t i = 0; i < cache_curve.size(); ++i) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"budget_mb\":%zu,\"pass1_ms\":%.2f,\"pass2_ms\":%.2f,"
-                  "\"hit_ratio\":%.3f}",
-                  i == 0 ? "" : ",", cache_curve[i].budget_bytes >> 20,
-                  cache_curve[i].cold_s * 1e3, cache_curve[i].warm_s * 1e3,
-                  cache_curve[i].hit_ratio);
-    cache_json += buf;
-  }
-  cache_json += "]";
-
-  std::string fleet_json;
-  if (fleet_rows > 0) {
-    char buf[320];
-    std::snprintf(
-        buf, sizeof(buf),
-        ",\"fleet\":{\"rows\":%zu,\"data_mb\":%.0f,\"cache_mb\":64,"
-        "\"append_rows_per_s\":%.0f,\"scan_rows_per_s\":%.0f,"
-        "\"hit_ratio\":%.3f,\"peak_rss_delta_mb\":%.1f,"
-        "\"determinism\":\"bit-identical\"}",
-        fleet_rows, static_cast<double>(fleet_data_bytes) / 1e6,
-        static_cast<double>(fleet_rows) / fleet_append_s,
-        static_cast<double>(fleet_rows) / fleet_scan_s, fleet_hit_ratio,
-        static_cast<double>(fleet_rss_delta) / 1e6);
-    fleet_json = buf;
-  }
-
   // rows_per_s / mb_per_s are absolute machine-dependent rates;
   // scan_slowdown_vs_ram, cached_scan_slowdown_vs_ram and
   // cold_scan_slowdown_vs_ram are same-machine quotients, so
   // bench_compare's --ratios-only mode may hold them across hosts.
-  std::printf(
-      "BENCH_JSON: {\"bench\":\"store\",\"rows\":%zu,"
-      "\"determinism\":\"bit-identical\",\"checksum\":\"%llu\","
-      "\"append\":{\"seconds\":%.4f,\"rows_per_s\":%.0f,\"mb_per_s\":%.1f},"
-      "\"scan\":{\"store_rows_per_s\":%.0f,\"mem_rows_per_s\":%.0f,"
-      "\"scan_slowdown_vs_ram\":%.2f,"
-      "\"cached_scan_slowdown_vs_ram\":%.2f,"
-      "\"cold_scan_slowdown_vs_ram\":%.2f},"
-      "\"cache_curve\":%s,"
-      "\"compaction\":{\"segments\":%u,\"blocks_dropped\":%llu,"
-      "\"bytes_reclaimed\":%llu,\"seconds\":%.4f,\"mb_per_s\":%.1f},"
-      "\"recovery\":%s,\"torn_tail_open_ms\":%.2f%s}\n",
-      rows, static_cast<unsigned long long>(mem_checksum), append_s,
-      append_rows_per_s, append_mb_per_s,
-      static_cast<double>(rows) / scan_store_s,
-      static_cast<double>(rows) / scan_mem_s, scan_store_s / scan_mem_s,
-      cached_scan_slowdown, cold_scan_slowdown, cache_json.c_str(),
-      compact_report.segments_compacted,
-      static_cast<unsigned long long>(compact_report.blocks_dropped),
-      static_cast<unsigned long long>(compact_report.bytes_reclaimed),
-      compact_s, compact_mb_per_s, recovery_json.c_str(), torn_open_ms,
-      fleet_json.c_str());
+  bench::JsonWriter json;
+  json.Str("bench", "store")
+      .Int("rows", rows)
+      .Str("determinism", "bit-identical")
+      .Str("checksum", std::to_string(mem_checksum))
+      .Object("append")
+      .Num("seconds", append_s, 4)
+      .Num("rows_per_s", append_rows_per_s, 0)
+      .Num("mb_per_s", append_mb_per_s, 1)
+      .End()
+      .Object("scan")
+      .Num("store_rows_per_s", static_cast<double>(rows) / scan_store_s, 0)
+      .Num("mem_rows_per_s", static_cast<double>(rows) / scan_mem_s, 0)
+      .Num("scan_slowdown_vs_ram", scan_store_s / scan_mem_s, 2)
+      .Num("cached_scan_slowdown_vs_ram", cached_scan_slowdown, 2)
+      .Num("cold_scan_slowdown_vs_ram", cold_scan_slowdown, 2)
+      .End()
+      .Array("cache_curve");
+  for (const CachePoint& p : cache_curve) {
+    json.Object()
+        .Int("budget_mb", p.budget_bytes >> 20)
+        .Num("pass1_ms", p.cold_s * 1e3, 2)
+        .Num("pass2_ms", p.warm_s * 1e3, 2)
+        .Num("hit_ratio", p.hit_ratio, 3)
+        .End();
+  }
+  json.End()
+      .Object("compaction")
+      .Int("segments", compact_report.segments_compacted)
+      .Int("blocks_dropped", compact_report.blocks_dropped)
+      .Int("bytes_reclaimed", compact_report.bytes_reclaimed)
+      .Num("seconds", compact_s, 4)
+      .Num("mb_per_s", compact_mb_per_s, 1)
+      .End()
+      .Array("recovery");
+  for (const RecoveryPoint& p : recovery) {
+    json.Object()
+        .Int("segments", p.segments)
+        .Int("rows", p.rows)
+        .Num("open_ms", p.open_ms, 2)
+        .End();
+  }
+  json.End().Num("torn_tail_open_ms", torn_open_ms, 2);
+  if (fleet_rows > 0) {
+    json.Object("fleet")
+        .Int("rows", fleet_rows)
+        .Num("data_mb", static_cast<double>(fleet_data_bytes) / 1e6, 0)
+        .Int("cache_mb", 64)
+        .Num("append_rows_per_s",
+             static_cast<double>(fleet_rows) / fleet_append_s, 0)
+        .Num("scan_rows_per_s", static_cast<double>(fleet_rows) / fleet_scan_s,
+             0)
+        .Num("hit_ratio", fleet_hit_ratio, 3)
+        .Num("peak_rss_delta_mb", static_cast<double>(fleet_rss_delta) / 1e6,
+             1)
+        .Str("determinism", "bit-identical");
+  }
+  bench::EmitJson(json);
   return 0;
 }

@@ -5,10 +5,11 @@
 // dirtied with noise, spikes, duplicate deliveries, and stragglers past
 // the lateness bound, then recorded as an arrival-ordered event log.
 //
-//   ingest        serial Push() over the whole log: sustained records/s
-//                 plus the per-record latency distribution (p50/p99) --
+//   ingest        serial Push() over the whole log: sustained records/s,
 //                 the figure that decides whether online cleaning keeps up
-//                 with a device gateway.
+//                 with a device gateway. Per-record Push latency is the
+//                 end-to-end benchmark's stream.push_us_p50/p99, measured
+//                 on the composed path (bench/e2e/README.md).
 //   window_close  amortized cost of closing a window (sort + online
 //                 outlier gate + incremental Kalman + KPI fold), measured
 //                 over the engine's own closes.
@@ -17,14 +18,14 @@
 // Every configuration -- serial engine, every worker count, and the batch
 // reference -- must agree on OutputChecksum bit-for-bit; any mismatch
 // exits 1, so this bench doubles as the stream determinism gate.
-// scripts/bench_json.py scrapes the BENCH_JSON line into BENCH_stream.json.
+// scripts/bench_json.py records the BENCH_JSON line as BENCH_stream.json.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -41,11 +42,6 @@ namespace sidq {
 namespace {
 
 constexpr uint64_t kSeed = 777;
-
-double SecondsSince(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 stream::EventLog MakeLog(size_t num_sensors, size_t samples_per_sensor) {
   Rng rng(kSeed);
@@ -87,66 +83,40 @@ stream::StreamConfig MakeConfig() {
 struct IngestStats {
   double seconds = 0.0;
   double records_per_s = 0.0;
-  double push_p50_us = 0.0;
-  double push_p99_us = 0.0;
   double flush_s = 0.0;
   size_t windows = 0;
   double close_us_per_window = 0.0;
   uint64_t checksum = 0;
 };
 
-// One serial engine pass with per-Push latency capture. Best-of-`reps` on
-// the aggregate time (per-record latencies come from the fastest rep too:
-// noise on a shared box is additive).
+// One serial engine pass, best-of-`reps` on the aggregate time (noise on a
+// shared box is additive).
 IngestStats BenchIngest(const stream::EventLog& log,
                         const stream::StreamConfig& config, int reps) {
   IngestStats best;
   best.seconds = 1e300;
-  std::vector<double> latencies_us;
   for (int rep = 0; rep < reps; ++rep) {
     stream::StreamEngine engine(config);
     engine.set_field_name(log.field_name);
-    std::vector<double> lat;
-    lat.reserve(log.events.size());
     const auto t0 = std::chrono::steady_clock::now();
     for (const stream::StreamEvent& ev : log.events) {
-      const auto p0 = std::chrono::steady_clock::now();
       const Status st = engine.Push(ev);
-      lat.push_back(SecondsSince(p0) * 1e6);
-      if (!st.ok()) {
-        std::fprintf(stderr, "ingest: Push failed: %s\n",
-                     st.ToString().c_str());
-        std::exit(1);
-      }
+      if (!st.ok()) bench::Die("ingest: Push", st);
     }
-    const double ingest_s = SecondsSince(t0);
+    const double ingest_s = bench::SecondsSince(t0);
     const auto f0 = std::chrono::steady_clock::now();
     const Status st = engine.Flush();
-    const double flush_s = SecondsSince(f0);
-    if (!st.ok()) {
-      std::fprintf(stderr, "ingest: Flush failed: %s\n",
-                   st.ToString().c_str());
-      std::exit(1);
-    }
+    const double flush_s = bench::SecondsSince(f0);
+    if (!st.ok()) bench::Die("ingest: Flush", st);
     stream::StreamOutput out = engine.TakeOutput();
     if (ingest_s < best.seconds) {
       best.seconds = ingest_s;
       best.flush_s = flush_s;
       best.windows = out.kpis.size();
       best.checksum = stream::OutputChecksum(out);
-      latencies_us = std::move(lat);
     }
   }
   best.records_per_s = static_cast<double>(log.events.size()) / best.seconds;
-  auto pct = [&latencies_us](double q) {
-    const size_t k = static_cast<size_t>(
-        q * static_cast<double>(latencies_us.size() - 1));
-    std::nth_element(latencies_us.begin(), latencies_us.begin() + k,
-                     latencies_us.end());
-    return latencies_us[k];
-  };
-  best.push_p50_us = pct(0.50);
-  best.push_p99_us = pct(0.99);
   // Window-close work happens inline in Push (watermark crossings) and in
   // Flush; amortize the whole pass over the closes for an honest per-close
   // figure.
@@ -173,7 +143,7 @@ int main(int argc, char** argv) {
 
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
+    if (std::string_view(argv[i]) == "--quick") {
       quick = true;
     } else {
       std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
@@ -197,12 +167,9 @@ int main(int argc, char** argv) {
 
   const IngestStats ingest = BenchIngest(log, config, reps);
 
-  bench::Table ingest_table(
-      {"metric", "value"});
+  bench::Table ingest_table({"metric", "value"});
   ingest_table.AddRow({"ingest seconds", bench::F3(ingest.seconds)});
   ingest_table.AddRow({"records/s", bench::FInt(ingest.records_per_s)});
-  ingest_table.AddRow({"Push p50 (us)", bench::F2(ingest.push_p50_us)});
-  ingest_table.AddRow({"Push p99 (us)", bench::F2(ingest.push_p99_us)});
   ingest_table.AddRow({"windows closed", std::to_string(ingest.windows)});
   ingest_table.AddRow(
       {"amortized us/window", bench::F1(ingest.close_us_per_window)});
@@ -210,14 +177,9 @@ int main(int argc, char** argv) {
 
   // The batch reference must agree with the serial engine before any
   // parallel claim means anything.
-  const uint64_t batch_checksum =
-      stream::OutputChecksum(stream::BatchReference(log, config));
-  if (batch_checksum != ingest.checksum) {
-    std::fprintf(stderr,
-                 "DETERMINISM VIOLATION: batch reference differs from the "
-                 "serial stream engine\n");
-    return 1;
-  }
+  bench::RequireEqual(
+      "batch reference vs serial engine", ingest.checksum,
+      stream::OutputChecksum(stream::BatchReference(log, config)));
 
   std::vector<ReplayPoint> replay;
   double serial_replay_s = 0.0;
@@ -225,26 +187,16 @@ int main(int argc, char** argv) {
     stream::ReplayOptions options;
     options.num_threads = threads;
     double best_s = 1e300;
-    uint64_t checksum = 0;
     for (int rep = 0; rep < reps; ++rep) {
       const auto t0 = std::chrono::steady_clock::now();
       const StatusOr<stream::StreamOutput> out =
           stream::Replay(log, config, options);
-      const double secs = SecondsSince(t0);
-      if (!out.ok()) {
-        std::fprintf(stderr, "replay: %d threads failed: %s\n", threads,
-                     out.status().ToString().c_str());
-        return 1;
-      }
-      checksum = stream::OutputChecksum(*out);
+      const double secs = bench::SecondsSince(t0);
+      const std::string what = std::to_string(threads) + "-thread replay";
+      if (!out.ok()) bench::Die(what, out.status());
+      bench::RequireEqual(what + " vs serial engine", ingest.checksum,
+                          stream::OutputChecksum(*out));
       best_s = std::min(best_s, secs);
-    }
-    if (checksum != ingest.checksum) {
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION at %d threads: replay output "
-                   "differs from the serial engine\n",
-                   threads);
-      return 1;
     }
     if (threads == 1) serial_replay_s = best_s;
     replay.push_back({threads, best_s,
@@ -264,32 +216,33 @@ int main(int argc, char** argv) {
       "worker count agree on checksum %llu\n\n",
       static_cast<unsigned long long>(ingest.checksum));
 
-  // records_per_s is an absolute machine-dependent rate, deliberately NOT
-  // named traj_per_s: bench_compare's --ratios-only mode would treat that
-  // as host-portable. speedup is a same-machine quotient, so it is.
-  std::string replay_json = "[";
-  for (size_t i = 0; i < replay.size(); ++i) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"threads\":%d,\"seconds\":%.4f,"
-                  "\"records_per_s\":%.0f,\"speedup\":%.2f}",
-                  i == 0 ? "" : ",", replay[i].threads, replay[i].seconds,
-                  replay[i].records_per_s, replay[i].speedup);
-    replay_json += buf;
+  // records_per_s is an absolute machine-dependent rate; speedup is a
+  // same-machine quotient, the only figure bench_compare's --ratios-only
+  // mode holds across hosts.
+  bench::JsonWriter json;
+  json.Str("bench", "stream")
+      .Int("events", log.events.size())
+      .Int("sensors", num_sensors)
+      .Int("hardware_threads", std::thread::hardware_concurrency())
+      .Str("determinism", "bit-identical")
+      .Str("checksum", std::to_string(ingest.checksum))
+      .Object("ingest")
+      .Num("seconds", ingest.seconds, 4)
+      .Num("records_per_s", ingest.records_per_s, 0)
+      .End()
+      .Object("window_close")
+      .Int("windows", ingest.windows)
+      .Num("close_us_per_window", ingest.close_us_per_window, 1)
+      .End()
+      .Array("replay");
+  for (const ReplayPoint& p : replay) {
+    json.Object()
+        .Int("threads", p.threads)
+        .Num("seconds", p.seconds, 4)
+        .Num("records_per_s", p.records_per_s, 0)
+        .Num("speedup", p.speedup, 2)
+        .End();
   }
-  replay_json += "]";
-
-  std::printf(
-      "BENCH_JSON: {\"bench\":\"stream\",\"events\":%zu,\"sensors\":%zu,"
-      "\"hardware_threads\":%u,\"determinism\":\"bit-identical\","
-      "\"checksum\":\"%llu\","
-      "\"ingest\":{\"seconds\":%.4f,\"records_per_s\":%.0f,"
-      "\"push_p50_us\":%.2f,\"push_p99_us\":%.2f},"
-      "\"window_close\":{\"windows\":%zu,\"close_us_per_window\":%.1f},"
-      "\"replay\":%s}\n",
-      log.events.size(), num_sensors, std::thread::hardware_concurrency(),
-      static_cast<unsigned long long>(ingest.checksum), ingest.seconds,
-      ingest.records_per_s, ingest.push_p50_us, ingest.push_p99_us,
-      ingest.windows, ingest.close_us_per_window, replay_json.c_str());
+  bench::EmitJson(json);
   return 0;
 }

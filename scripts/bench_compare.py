@@ -18,8 +18,9 @@ benches grow new rows; they must not silently lose performance.
 
 --ratios-only restricts the check to ratio and slowdown keys (both are
 machine-independent quotients of two same-machine timings, so they stay
-comparable across hosts -- the observability overhead budget is enforced
-this way). Absolute times and rates (a throughput such as traj_per_s is
+comparable across hosts). A slowdown such as obs_slowdown is bounded only
+relative to the baseline here; no absolute ceiling exists for it yet.
+Absolute times and rates (a throughput such as traj_per_s is
 work per absolute second) are machine-dependent, so CI compares a fresh
 run against the committed artifact with --ratios-only and a loose
 tolerance; nightly same-machine runs compare everything.
@@ -103,7 +104,7 @@ def walk(base, new, path, metrics, drift):
 def floor_violations(doc, grace, out, path=""):
     """Collects kernel-bench primitive rows below their absolute speedup
     floor. Walks the whole document so the floors hold wherever the rows
-    are nested (top-level artifact or an --attach'ed sub-document)."""
+    are nested."""
     if isinstance(doc, dict):
         name = doc.get("primitive")
         speedup = doc.get("speedup")

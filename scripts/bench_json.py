@@ -1,25 +1,20 @@
 #!/usr/bin/env python3
-"""bench_json: run a bench binary and record its BENCH_JSON line(s) to disk.
+"""bench_json: run a bench binary and record its BENCH_JSON line to disk.
 
-Bench binaries print human-readable markdown tables plus one machine-
-readable line per experiment:
+Component bench binaries print human-readable markdown tables plus exactly
+one machine-readable line (bench/bench_util.h, bench::EmitJson):
 
     BENCH_JSON: {"bench": "exec_fleet", ...}
 
 This wrapper runs the binary (forwarding extra args), echoes its stdout so
-provenance stays visible, validates every BENCH_JSON payload as JSON, and
-writes them -- pretty-printed, wrapped with run metadata -- to --out. One
-payload is written as an object, several as a list.
-
---attach NAME=FILE (repeatable) embeds another JSON file into the output
-doc under "attachments" -- e.g. the metrics snapshot the bench exported via
---metrics-out, so one artifact carries both the timings and the
-observability ledger of the same run. Attachments are parsed before
-embedding: a missing or non-JSON file fails the run.
+provenance stays visible, validates the BENCH_JSON payload as JSON, and
+writes it -- pretty-printed, wrapped with run metadata as "results" -- to
+--out. No line, two lines or an invalid payload fail the run.
 
 Usage: scripts/bench_json.py --out BENCH_exec.json build/bench/bench_exec_fleet [args...]
 
-Exit codes: 0 ok; 1 bench failed or emitted no/invalid BENCH_JSON; 2 usage.
+Exit codes: 0 ok; 1 bench failed or did not emit exactly one valid
+BENCH_JSON line; 2 usage.
 """
 
 import argparse
@@ -35,10 +30,6 @@ PREFIX = "BENCH_JSON:"
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="output JSON file")
-    parser.add_argument("--attach", action="append", default=[],
-                        metavar="NAME=FILE",
-                        help="embed FILE (validated as JSON) under "
-                             "attachments.NAME in the output doc")
     parser.add_argument("binary", help="bench binary to run")
     # REMAINDER, not "*": forwarded args may be flags (e.g. --quick), which
     # "*" would reject as unrecognized options of this wrapper.
@@ -60,54 +51,29 @@ def main():
               file=sys.stderr)
         return 1
 
-    payloads = []
-    for line in proc.stdout.splitlines():
-        if not line.startswith(PREFIX):
-            continue
-        try:
-            payloads.append(json.loads(line[len(PREFIX):].strip()))
-        except json.JSONDecodeError as err:
-            print(f"bench_json: invalid BENCH_JSON payload: {err}",
-                  file=sys.stderr)
-            return 1
-    if not payloads:
-        print(f"bench_json: {binary} printed no '{PREFIX}' line",
+    lines = [line[len(PREFIX):] for line in proc.stdout.splitlines()
+             if line.startswith(PREFIX)]
+    if len(lines) != 1:
+        print(f"bench_json: {binary} printed {len(lines)} '{PREFIX}' lines, "
+              "want exactly 1", file=sys.stderr)
+        return 1
+    try:
+        payload = json.loads(lines[0])
+    except json.JSONDecodeError as err:
+        print(f"bench_json: invalid BENCH_JSON payload: {err}",
               file=sys.stderr)
         return 1
-
-    # Attachments are read after the bench ran, so files the bench itself
-    # writes (--metrics-out) can be attached.
-    attachments = {}
-    for spec in opts.attach:
-        name, sep, path = spec.partition("=")
-        if not sep or not name or not path:
-            print(f"bench_json: --attach wants NAME=FILE, got: {spec}",
-                  file=sys.stderr)
-            return 2
-        try:
-            attachments[name] = json.loads(Path(path).read_text(
-                encoding="utf-8"))
-        except OSError as err:
-            print(f"bench_json: cannot read attachment {path}: {err}",
-                  file=sys.stderr)
-            return 1
-        except json.JSONDecodeError as err:
-            print(f"bench_json: attachment {path} is not valid JSON: {err}",
-                  file=sys.stderr)
-            return 1
 
     doc = {
         "binary": binary.name,
         "recorded_utc": datetime.now(timezone.utc)
         .replace(microsecond=0)
         .isoformat(),
-        "results": payloads[0] if len(payloads) == 1 else payloads,
+        "results": payload,
     }
-    if attachments:
-        doc["attachments"] = attachments
     out = Path(opts.out)
     out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    print(f"bench_json: wrote {out} ({len(payloads)} payload(s))")
+    print(f"bench_json: wrote {out}")
     return 0
 
 

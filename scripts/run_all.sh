@@ -69,25 +69,15 @@ echo "obs determinism gate: OK"
 python3 bench/e2e/run.py --quick
 
 # Refresh the recorded parallel-execution perf artifact (also re-checks the
-# serial-vs-parallel determinism gate and the <=5% instrumentation-overhead
-# gate baked into the bench). The instrumented run's metrics snapshot rides
-# along inside the artifact.
-python3 scripts/bench_json.py --out BENCH_exec.json \
-  --attach obs_metrics="${obs_tmp}/bench_metrics.json" \
-  build/bench/bench_exec_fleet --metrics-out "${obs_tmp}/bench_metrics.json"
+# serial-vs-parallel and plain-vs-instrumented determinism gates baked into
+# the bench; obs_slowdown is recorded, not gated). The instrumented run's
+# metrics snapshot rides in the payload under obs.metrics.
+python3 scripts/bench_json.py --out BENCH_exec.json build/bench/bench_exec_fleet
 
-# Kernel dispatch gate: the runtime-dispatched tiers (whatever this CPU
-# offers) and the forced-scalar reference tier must produce byte-identical
-# per-primitive checksums. cmp, not a parser: the contract is bytes.
-build/bench/bench_kernels --quick \
-  --checksums-out "${obs_tmp}/ck_dispatch.txt" > /dev/null
-SIDQ_FORCE_ISA=scalar build/bench/bench_kernels --quick \
-  --checksums-out "${obs_tmp}/ck_scalar.txt" > /dev/null
-cmp "${obs_tmp}/ck_dispatch.txt" "${obs_tmp}/ck_scalar.txt" || {
-  echo "FAILED: dispatched kernel checksums differ from forced-scalar" >&2
-  exit 1
-}
-echo "kernel dispatch gate: OK"
+# Forced-scalar kernel run: the bench exits 1 unless every primitive's
+# checksum equals the tier-independent scalar reference's, so this run and
+# the dispatched one below carry equal checksums whenever both exit 0.
+SIDQ_FORCE_ISA=scalar build/bench/bench_kernels --quick > /dev/null
 
 # Refresh the columnar-kernel perf artifact (the bench itself enforces the
 # kernel-vs-scalar bit-identity gate and exits nonzero on any mismatch).

@@ -26,8 +26,9 @@ namespace kernels {
 // primitives avoid reassociating reductions, all tiers produce
 // BIT-IDENTICAL results -- the dispatch choice changes speed, never
 // output. tests/kernels_dispatch_test.cc asserts this checksum equality
-// for every compiled tier, and run_all.sh byte-compares a forced-scalar
-// bench run against the dispatched one.
+// for every compiled tier; bench_kernels exits 1 unless every primitive
+// matches its tier-independent scalar reference, and CI also runs it
+// under SIDQ_FORCE_ISA=scalar.
 //
 // Override: set SIDQ_FORCE_ISA=scalar|sse2|avx2|avx512 in the environment
 // to pin the tier (CI keeps the oracle leg exercised this way). Forcing a

@@ -17,10 +17,10 @@ class BlockCache;
 
 // -------------------------------------------------------------------------
 // BlockCache: one LRU over CRC-verified decoded blocks, the RAM arm of
-// the ≫-RAM scan path (DESIGN.md "Store v2"). Shaped after rippled's
-// TaggedCache (beast/container): a fixed byte budget, entry pinning so a
-// block being scanned can never be evicted under the reader, and
-// deterministic LRU order.
+// the ≫-RAM scan path (DESIGN.md "Durability & recovery"). Shaped after
+// rippled's TaggedCache (beast/container): a fixed byte budget, entry
+// pinning so a block being scanned can never be evicted under the
+// reader, and deterministic LRU order.
 //
 // Invariants (pinned by the model-based property test in
 // tests/store_cache_test.cc):

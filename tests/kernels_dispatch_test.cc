@@ -365,8 +365,9 @@ TEST(KernelDispatchTest, Crc32cChainsAcrossSplitsOnEveryTier) {
 }
 
 // One checksum over a long randomized mixed workload per tier: the
-// compressed form of the property above, and the number run_all.sh's
-// forced-scalar gate compares at the bench level.
+// compressed form of the property above. At the bench level the same
+// guarantee is bench_kernels' exit status, on the dispatched tier and under
+// SIDQ_FORCE_ISA=scalar alike.
 TEST(KernelDispatchTest, WorkloadChecksumIdenticalAcrossTiers) {
   const auto run = [](const KernelOps& ops) {
     Rng rng_store(99);
