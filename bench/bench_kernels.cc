@@ -12,10 +12,12 @@
 // Primitives:
 //   pairwise     all-pairs squared distances (the EDR/LCSS/Frechet inner
 //                pattern) -- embarrassingly vectorizable, the headline win
-//   dtw_row      full banded DTW through kernels::DtwRowKernel; the
-//                loop-carried DP recurrence bounds both paths, so this
+//   dtw_row      full banded DTW through the dispatched dtw_row kernel;
+//                the loop-carried DP recurrence bounds both paths, so this
 //                one is a parity check (expect ~1x), not a speedup
-//   frechet_row  full discrete Frechet through kernels::FrechetRowKernel
+//   frechet_row  full discrete Frechet (query::DiscreteFrechetDistance),
+//                i.e. the anti-diagonal frechet_full kernel; the key keeps
+//                its historical name
 //   packed_range batched range queries over per-segment boxes on
 //                kernels::PackedRTree vs. per-query
 //                index::RTree::RangeQuery
@@ -41,7 +43,6 @@
 #include "core/trajectory.h"
 #include "index/rtree.h"
 #include "kernels/dispatch.h"
-#include "kernels/distance.h"
 #include "kernels/packed_rtree.h"
 #include "kernels/scalar_ref.h"
 #include "kernels/soa.h"
@@ -121,14 +122,15 @@ PrimitiveResult BenchPairwise(const std::vector<Trajectory>& fleet,
   }
   r.scalar_s = bench::SecondsSince(t0);
 
+  const kernels::KernelOps& k = kernels::KernelDispatch::Get();
   t0 = std::chrono::steady_clock::now();
   for (size_t p = 0; p < pairs; ++p) {
     const Trajectory& a = fleet[p % fleet.size()];
     const Trajectory& b = fleet[(p * 7 + 1) % fleet.size()];
     const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
     const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
-    kernels::PairwiseSqDist(va.x(), va.y(), va.size(), vb.x(), vb.y(),
-                            vb.size(), out.data());
+    k.pairwise_sq_dist(va.x(), va.y(), va.size(), vb.x(), vb.y(), vb.size(),
+                       out.data());
     kernel_sum.MixDouble(out[p % out.size()]);
   }
   r.kernel_s = bench::SecondsSince(t0);

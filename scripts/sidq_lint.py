@@ -32,9 +32,8 @@ Rules
   R7  scalar-haversine   per-point `HaversineDistance` inside a loop in
                          the hot-path layers (src/query/, src/outlier/,
                          src/refine/). Project once through
-                         geometry::LocalProjection (or
-                         kernels::SoaBuffer::FromLatLon) and use the
-                         planar kernels.
+                         geometry::LocalProjection and use the planar
+                         kernels.
   R8  wallclock          time comes from the Clock abstraction
                          (core/clock.h), so tests run on VirtualClock
                          instantly and deterministically. One rule, scoped
@@ -565,9 +564,8 @@ def run_line_rules(ctx):
             if in_loop and not ctx.suppressed(lineno, "scalar-haversine"):
                 ctx.add(lineno, "R7",
                         "per-point HaversineDistance in a loop; project "
-                        "once (geometry::LocalProjection / "
-                        "SoaBuffer::FromLatLon) and use the planar "
-                        "kernels, or annotate with "
+                        "once (geometry::LocalProjection) and use the "
+                        "planar kernels, or annotate with "
                         "'// sidq: allow-scalar-haversine(<reason>)'")
 
         # R8: wall-clock sources, per the WALLCLOCK_SCOPES table.

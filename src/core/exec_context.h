@@ -9,10 +9,11 @@
 namespace sidq {
 
 // Execution context threaded through FleetRunner, TrajectoryPipeline, and
-// the expensive inner loops (HMM Viterbi layers, DTW/Frechet rows, particle
-// filter steps). Bundles a deadline against an injectable Clock with a
-// shared cancellation flag, so long-running kernels can stop cooperatively
-// instead of running to completion after the answer stopped mattering.
+// the expensive inner loops (HMM Viterbi layers, DTW rows, Frechet
+// anti-diagonals, particle filter steps). Bundles a deadline against an
+// injectable Clock with a shared cancellation flag, so long-running kernels
+// can stop cooperatively instead of running to completion after the answer
+// stopped mattering.
 //
 // The context itself is immutable and safe to share across threads; the
 // cancellation flag is an external atomic (typically owned by the fleet

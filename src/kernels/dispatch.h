@@ -46,33 +46,63 @@ inline constexpr int kIsaCount = 4;
 
 const char* IsaName(Isa isa);
 
-// The per-primitive entry points one ISA tier provides. All functions have
-// the exact semantics documented in distance.h / packed_rtree.h; `ops.isa`
-// records which tier the table belongs to.
+// The per-primitive entry points one ISA tier provides; `ops.isa` records
+// which tier the table belongs to. Callers hoist
+//   const KernelOps& k = KernelDispatch::Get();
+// once per function and call the fields directly. Every primitive is a
+// flat-array loop over SoA columns (see soa.h) compiled per tier with FP
+// contraction OFF, so each operation is a correctly-rounded IEEE op
+// executed in the same order at every vector width: results are
+// BIT-IDENTICAL to the scalar oracle, not merely close.
+//
+// Operand-order convention: a distance between a "query" sample q and a
+// column sample j is computed as dq = q - column[j] (matching
+// geometry::Distance(q, col) = (q - col).Norm()), except where noted.
 struct KernelOps {
+  // out[i*m + j] = squared Euclidean distance between a-sample i and
+  // b-sample j. `out` must hold n*m doubles.
   void (*pairwise_sq_dist)(const double* ax, const double* ay, size_t n,
                            const double* bx, const double* by, size_t m,
                            double* out);
+  // out[j] = sqrt((qx-bx[j])^2 + (qy-by[j])^2) for j in [lo, hi).
+  // Entries outside [lo, hi) are left untouched.
   void (*dist_row)(double qx, double qy, const double* bx, const double* by,
                    size_t lo, size_t hi, double* out);
+  // out[j] = distance from column sample j to (px, py), computed as
+  // (sample - point): matches geometry::Distance(sample, point).
   void (*point_to_many_dist)(double px, double py, const double* xs,
                              const double* ys, size_t n, double* out);
+  // out[i] = distance between consecutive samples i and i+1, for
+  // i in [0, n-1). `out` must hold n-1 doubles; no-op when n < 2.
   void (*consecutive_dist)(const double* xs, const double* ys, size_t n,
                            double* out);
-  double (*point_to_polyline_dist)(double px, double py, const double* xs,
-                                   const double* ys, size_t n);
+  // One row of the DTW dynamic program (columns of `b`, rows of `a`):
+  // for 1-based DP columns j in [lo, hi],
+  //     cur[j] = d(q, b[j-1]) + min(prev[j], prev[j-1], cur[j-1])
+  // with cur entries outside the band set to +infinity and the sum skipped
+  // when all three predecessors are +infinity. `prev`/`cur` hold m+1 DP
+  // cells. `dist_scratch` (hi-lo+1 doubles, may be nullptr) enables the
+  // two-pass form on wide bands: a vectorized squared-distance sweep into
+  // the scratch, then the short sequential sqrt/min/add recurrence. Narrow
+  // bands (or a null scratch) use the fused single-pass form. Both forms
+  // produce the same outputs to the bit: the squared distance rounds to a
+  // double either way, so sqrt of the staged value equals the fused sqrt.
   void (*dtw_row)(double qx, double qy, const double* bx, const double* by,
                   size_t m, size_t lo, size_t hi, const double* prev,
                   double* cur, double* dist_scratch);
-  void (*frechet_row)(double qx, double qy, const double* bx,
-                      const double* by, size_t m, const double* prev,
-                      double* cur, double* dist_scratch);
-  // Full n x m discrete-Frechet DP via an anti-diagonal wavefront (cells
-  // of one anti-diagonal are data-parallel); `scratch` holds 3*m doubles.
-  // Bit-identical to iterating frechet_row over the rows.
+  // The n x m discrete-Frechet DP (n, m >= 1), anti-diagonals
+  // d = i + j in [d_begin, d_end) of it; the whole table is
+  // [0, n + m - 1). Cells of one anti-diagonal are independent, so each
+  // diagonal vectorizes. Diagonal d lives at scratch + (d % 3) * m
+  // (indexed by j; `scratch` holds 3*m doubles), so a call can resume
+  // where the previous one stopped and the chunking never changes a bit.
+  // Every cell is
+  //     D[i][j] = max(min(D[i-1][j], D[i-1][j-1], D[i][j-1]), d(a_i, b_j))
+  // with D[0][j] = max(D[0][j-1], dist) and D[i][0] = max(D[i-1][0], dist).
+  // Returns D[n-1][m-1] when d_end == n + m - 1, NaN otherwise.
   double (*frechet_full)(const double* ax, const double* ay, size_t n,
                          const double* bx, const double* by, size_t m,
-                         double* scratch);
+                         size_t d_begin, size_t d_end, double* scratch);
   // Branch-free box-intersection sweep over columnar leaf arrays; writes
   // the ids of hits to `out` (capacity >= count) and returns the hit
   // count. The emitted id sequence preserves leaf order for every tier.

@@ -161,10 +161,8 @@ void PackedRTree::ScanLeaf(const Node& node, const geometry::BBox& query,
 std::vector<uint64_t> PackedRTree::RangeQuery(
     const geometry::BBox& query) const {
   std::vector<uint64_t> out;
-  last_nodes_visited = 0;
-  if (nodes_.empty() || query.Empty()) return out;
-  if (!nodes_[root()].box.Intersects(query)) {
-    last_nodes_visited = 1;
+  if (nodes_.empty() || query.Empty() ||
+      !nodes_[root()].box.Intersects(query)) {
     return out;
   }
   // Children are intersection-tested before they are pushed, so every
@@ -177,7 +175,6 @@ std::vector<uint64_t> PackedRTree::RangeQuery(
   while (!stack.empty()) {
     const int32_t n = stack.back();
     stack.pop_back();
-    ++last_nodes_visited;
     const Node& node = nodes_[n];
     if (IsLeaf(static_cast<size_t>(n))) {
       ScanLeaf(node, query, &out);
@@ -209,7 +206,6 @@ void PackedRTree::RangeQueryMany(const std::vector<geometry::BBox>& queries,
   res->offsets.clear();
   res->offsets.reserve(queries.size() + 1);
   res->offsets.push_back(0);
-  last_nodes_visited = 0;
   if (nodes_.empty() || queries.empty()) {
     res->offsets.resize(queries.size() + 1, 0);
     return;
@@ -252,7 +248,6 @@ void PackedRTree::RangeQueryMany(const std::vector<geometry::BBox>& queries,
   ArenaVec<EmitRun> runs(arena, 64);
   ArenaVec<uint64_t> pool(arena, 256);
   uint64_t leaf_hits[kMaxEntriesCap];
-  size_t visited = 0;
   // One atomic dispatch load for the whole batch.
   const auto leaf_scan = KernelDispatch::Get().leaf_scan;
 
@@ -263,7 +258,6 @@ void PackedRTree::RangeQueryMany(const std::vector<geometry::BBox>& queries,
     const Frame f = stack.back();
     stack.pop_back();
     const Node& node = nodes_[f.node];
-    visited += f.count;  // one visit per (node, active query), as before
     if (IsLeaf(static_cast<size_t>(f.node))) {
       for (uint32_t a = 0; a < f.count; ++a) {
         const uint32_t q = f.active[a];
@@ -371,7 +365,6 @@ void PackedRTree::RangeQueryMany(const std::vector<geometry::BBox>& queries,
                 pool.data() + run.pool_begin, run.count * sizeof(uint64_t));
     cursor[run.query] += run.count;
   }
-  last_nodes_visited = visited;
 }
 
 namespace {
@@ -383,88 +376,48 @@ struct KnnEntry {
   bool operator>(const KnnEntry& o) const { return dist > o.dist; }
 };
 
-// Best-first search over an arena-backed binary heap. push/pop replicate
-// std::priority_queue<Entry, vector<Entry>, greater<Entry>> exactly
-// (push_back+push_heap / pop_heap+pop_back on the same comparator), so the
-// emitted order -- including resolution of equal-distance ties -- is
-// bit-identical to the former std::priority_queue implementation. The
-// template keeps PackedRTree's private Node/Item types out of the free
-// function's signature.
-template <typename NodeVec, typename ItemVec>
-size_t KnnWalk(const NodeVec& nodes, const ItemVec& items, size_t leaf_count,
-               int32_t root, const geometry::Point& q, size_t k,
-               ArenaVec<KnnEntry>* heap, std::vector<uint64_t>* out) {
-  const std::greater<KnnEntry> cmp;
-  heap->clear();
-  const auto push = [&](KnnEntry e) {
-    heap->push_back(e);
-    std::push_heap(heap->begin(), heap->end(), cmp);
-  };
-  size_t visited = 0;
-  size_t emitted = 0;
-  // At most k ids are emitted per walk; reserving up front keeps the
-  // emission loop free of reallocation.
-  out->reserve(out->size() + k);
-  push(KnnEntry{nodes[root].box.MinDistance(q), false,
-                static_cast<uint64_t>(root)});
-  while (!heap->empty() && emitted < k) {
-    const KnnEntry e = (*heap)[0];
-    std::pop_heap(heap->begin(), heap->end(), cmp);
-    heap->pop_back();
-    if (e.is_item) {
-      out->push_back(e.key);
-      ++emitted;
-      continue;
-    }
-    ++visited;
-    const auto& node = nodes[e.key];
-    if (e.key < leaf_count) {
-      for (uint32_t i = node.begin; i < node.end; ++i) {
-        push(KnnEntry{items[i].box.MinDistance(q), true, items[i].id});
-      }
-    } else {
-      for (uint32_t c = node.begin; c < node.end; ++c) {
-        push(KnnEntry{nodes[c].box.MinDistance(q), false,
-                      static_cast<uint64_t>(c)});
-      }
-    }
-  }
-  return visited;
-}
-
 }  // namespace
 
 std::vector<uint64_t> PackedRTree::Knn(const geometry::Point& q,
                                        size_t k) const {
   std::vector<uint64_t> out;
-  last_nodes_visited = 0;
   if (nodes_.empty() || k == 0) return out;
+  // Best-first search over an arena-backed binary heap. push/pop replicate
+  // std::priority_queue<Entry, vector<Entry>, greater<Entry>> exactly
+  // (push_back+push_heap / pop_heap+pop_back on the same comparator), so
+  // the emitted order -- including resolution of equal-distance ties -- is
+  // bit-identical to the former std::priority_queue implementation.
   ArenaScope scope(ScratchArena());
   ArenaVec<KnnEntry> heap(scope.arena(), 64);
-  last_nodes_visited =
-      KnnWalk(nodes_, items_, leaf_count_, root(), q, k, &heap, &out);
-  return out;
-}
-
-PackedRTree::BatchResults PackedRTree::KnnMany(
-    const std::vector<geometry::Point>& qs, size_t k) const {
-  BatchResults res;
-  res.offsets.reserve(qs.size() + 1);
-  res.offsets.push_back(0);
-  // One arena heap serves the whole batch (cleared, capacity kept), so the
-  // per-query frontier costs zero allocations after the first query.
-  ArenaScope scope(ScratchArena());
-  ArenaVec<KnnEntry> heap(scope.arena(), 64);
-  size_t visited = 0;
-  for (const geometry::Point& q : qs) {
-    if (!nodes_.empty() && k > 0) {
-      visited +=
-          KnnWalk(nodes_, items_, leaf_count_, root(), q, k, &heap, &res.ids);
+  const std::greater<KnnEntry> cmp;
+  const auto push = [&](KnnEntry e) {
+    heap.push_back(e);
+    std::push_heap(heap.begin(), heap.end(), cmp);
+  };
+  out.reserve(std::min(k, items_.size()));
+  push(KnnEntry{nodes_[root()].box.MinDistance(q), false,
+                static_cast<uint64_t>(root())});
+  while (!heap.empty() && out.size() < k) {
+    const KnnEntry e = heap[0];
+    std::pop_heap(heap.begin(), heap.end(), cmp);
+    heap.pop_back();
+    if (e.is_item) {
+      out.push_back(e.key);
+      continue;
     }
-    res.offsets.push_back(res.ids.size());
+    const Node& node = nodes_[e.key];
+    if (IsLeaf(e.key)) {
+      for (uint32_t i = node.begin; i < node.end; ++i) {
+        push(KnnEntry{items_[i].box.MinDistance(q), true, items_[i].id});
+      }
+    } else {
+      for (uint32_t c = node.begin; c < node.end; ++c) {
+        push(KnnEntry{nodes_[c].box.MinDistance(q), false,
+                      static_cast<uint64_t>(c)});
+      }
+    }
   }
-  last_nodes_visited = visited;
-  return res;
+  return out;
 }
 
 BoxGapScan::BoxGapScan(const PackedRTree& tree, const geometry::BBox& query)

@@ -21,9 +21,11 @@ double BoxGap(const geometry::BBox& a, const geometry::BBox& b);
 // root last). This is the one spatial tree the library queries: range
 // lookups, best-first kNN (trajectory calibration snaps through Knn(p, 1))
 // and incremental BoxGap scans. Traversal is pointer-free over dense
-// arrays -- child ranges are [begin, end) index spans, and batched query
-// entry points amortize the traversal stack and result buffers across a
-// whole query set. Leaf boxes are additionally stored COLUMNAR
+// arrays -- child ranges are [begin, end) index spans, and the batched
+// range query amortizes the traversal stack and result buffers across a
+// whole query set. Queries write no member state (traversal state lives on
+// the stack or in the thread-local scratch arena), so any number of
+// threads may query one loaded tree concurrently. Leaf boxes are additionally stored COLUMNAR
 // (min_x/min_y/max_x/max_y in separate arrays mirroring leaf order, ~40
 // extra bytes per item) so the per-leaf intersection test is a
 // branch-free SIMD sweep instead of a branchy AoS scan; because the
@@ -99,19 +101,9 @@ class PackedRTree {
   // Ids of the k items nearest to `q` by box MinDistance, nearest first.
   [[nodiscard]] std::vector<uint64_t> Knn(const geometry::Point& q,
                                           size_t k) const;
-  // Batched k-nearest-neighbour queries. The best-first frontier heap is
-  // arena-backed and reused across the whole batch (heap ops replicate
-  // std::priority_queue push/pop exactly, so per-query output -- including
-  // tie resolution -- is identical to Knn).
-  [[nodiscard]] BatchResults KnnMany(const std::vector<geometry::Point>& qs,
-                                     size_t k) const;
 
   // Items in leaf order (for tests / bulk consumers).
   [[nodiscard]] const std::vector<Item>& items() const { return items_; }
-
-  // Number of nodes visited by the last RangeQuery / Knn on this thread's
-  // call (pruning statistics).
-  mutable size_t last_nodes_visited = 0;
 
  private:
   friend class BoxGapScan;

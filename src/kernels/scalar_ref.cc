@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "geometry/point.h"
-#include "geometry/segment.h"
 
 namespace sidq {
 namespace kernels {
@@ -116,18 +115,6 @@ void PairwiseSqDist(const Trajectory& a, const Trajectory& b, double* out) {
       out[i * m + j] = geometry::DistanceSq(a[i].p, b[j].p);
     }
   }
-}
-
-double PointToPolylineDist(const geometry::Point& p, const Trajectory& tr) {
-  const size_t n = tr.size();
-  if (n == 0) return kInf;
-  if (n == 1) return geometry::Distance(p, tr[0].p);
-  double best = kInf;
-  for (size_t i = 0; i + 1 < n; ++i) {
-    best = std::min(
-        best, geometry::PointSegmentDistance(p, tr[i].p, tr[i + 1].p));
-  }
-  return best;
 }
 
 void ConsecutiveDist(const Trajectory& tr, double* out) {

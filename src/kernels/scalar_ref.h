@@ -32,9 +32,6 @@ double LcssSimilarity(const Trajectory& a, const Trajectory& b,
 // AoS pairwise squared distances: out[i*m + j] = DistanceSq(a[i].p, b[j].p).
 void PairwiseSqDist(const Trajectory& a, const Trajectory& b, double* out);
 
-// AoS minimum point-to-polyline distance over the samples of `tr`.
-double PointToPolylineDist(const geometry::Point& p, const Trajectory& tr);
-
 // AoS consecutive-sample distances: out[i] = Distance(tr[i].p, tr[i+1].p).
 void ConsecutiveDist(const Trajectory& tr, double* out);
 

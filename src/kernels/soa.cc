@@ -21,22 +21,6 @@ SoaBuffer SoaBuffer::FromTrajectory(const Trajectory& tr) {
   return buf;
 }
 
-SoaBuffer SoaBuffer::FromLatLon(
-    const std::vector<std::pair<Timestamp, geometry::LatLon>>& samples,
-    const geometry::LocalProjection& proj) {
-  SoaBuffer buf;
-  buf.xs_.reserve(samples.size());
-  buf.ys_.reserve(samples.size());
-  buf.ts_.reserve(samples.size());
-  for (const auto& [t, geo] : samples) {
-    const geometry::Point p = proj.Forward(geo);
-    buf.xs_.push_back(p.x);
-    buf.ys_.push_back(p.y);
-    buf.ts_.push_back(t);
-  }
-  return buf;
-}
-
 namespace {
 
 // Striped locks guarding Trajectory::derived_cache() slots: the slot itself

@@ -7,7 +7,6 @@
 
 #include "core/trajectory.h"
 #include "core/types.h"
-#include "geometry/geo.h"
 
 namespace sidq {
 namespace kernels {
@@ -16,8 +15,8 @@ namespace kernels {
 // The hot loops in similarity, outlier detection, and map matching stream
 // x/y/t columns; a 32-byte AoS TrajectoryPoint wastes three quarters of
 // every cache line on fields those loops never read, and its layout defeats
-// auto-vectorization. The kernels in distance.h all take raw column
-// pointers from this view.
+// auto-vectorization. The dispatched kernels (dispatch.h) all take raw
+// column pointers from this view.
 struct SoaView {
   const double* x = nullptr;
   const double* y = nullptr;
@@ -37,13 +36,6 @@ class SoaBuffer {
 
   // Copies the planar coordinates and timestamps of `tr` into columns.
   static SoaBuffer FromTrajectory(const Trajectory& tr);
-
-  // Projects geographic samples into planar metres (via `proj`) while
-  // materializing the columns -- the ingestion-side fast lane for feeds
-  // that deliver WGS-84 coordinates.
-  static SoaBuffer FromLatLon(
-      const std::vector<std::pair<Timestamp, geometry::LatLon>>& samples,
-      const geometry::LocalProjection& proj);
 
   [[nodiscard]] SoaView view() const {
     return SoaView{xs_.data(), ys_.data(), ts_.data(), xs_.size()};

@@ -5,7 +5,7 @@
 #include <cstring>
 
 #include "core/arena.h"
-#include "kernels/distance.h"
+#include "kernels/dispatch.h"
 #include "kernels/soa.h"
 
 namespace sidq {
@@ -28,7 +28,7 @@ double* SegmentSpeeds(const Trajectory& input, ArenaScope* scope) {
   const size_t n = input.size();
   double* speeds = scope->AllocArray<double>(n - 1);
   const kernels::TrajectoryView v = kernels::TrajectoryView::Of(input);
-  kernels::ConsecutiveDist(v.x(), v.y(), n, speeds);
+  kernels::KernelDispatch::Get().consecutive_dist(v.x(), v.y(), n, speeds);
   for (size_t i = 0; i + 1 < n; ++i) {
     const Timestamp dt = v.t()[i + 1] - v.t()[i];
     speeds[i] = dt <= 0 ? 0.0 : speeds[i] / TimestampToSeconds(dt);
@@ -102,7 +102,8 @@ StatusOr<std::vector<bool>> StatisticalDetector::Detect(
   for (size_t i = 0; i < n; ++i) abs_dev[i] = std::abs(deviations[i] - med_dev);
   const double mad = MedianInPlace(abs_dev, n);
   double* steps = scope.AllocArray<double>(n - 1);
-  kernels::ConsecutiveDist(view.x(), view.y(), n, steps);
+  kernels::KernelDispatch::Get().consecutive_dist(view.x(), view.y(), n,
+                                                  steps);
   const double median_step = MedianInPlace(steps, n - 1);
   const double scale =
       std::max({options_.min_scale_m, 1.4826 * mad, median_step});

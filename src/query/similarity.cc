@@ -5,22 +5,24 @@
 #include <limits>
 
 #include "core/arena.h"
-#include "kernels/distance.h"
+#include "kernels/dispatch.h"
 #include "kernels/soa.h"
 
 namespace sidq {
 namespace query {
 
 // The O(n*m) measures below run on columnar views (kernels::TrajectoryView)
-// and per-row kernels (kernels/distance.h): the distance pass of each DP row
-// vectorizes over contiguous x/y columns while the carried recurrence stays
-// sequential. The kernels execute the same operations in the same order as
-// the original AoS loops (kept verbatim in kernels/scalar_ref.cc), so every
-// result is bit-identical to the pre-kernel implementation -- asserted by
-// tests/kernels_test.cc and the bench_kernels checksum gate. DP rows and
-// distance scratch live in the thread-local scratch arena (core/arena.h):
-// a distance call performs zero heap allocations, which matters when the
-// similarity search evaluates thousands of candidates per query.
+// and the dispatched kernels (kernels/dispatch.h): DTW, EDR and LCSS run a
+// vectorized distance pass per DP row while the carried recurrence stays
+// sequential; discrete Frechet runs as an anti-diagonal wavefront. The
+// kernels execute the same operations in the same order as the original
+// AoS loops (kept verbatim in kernels/scalar_ref.cc), so every result is
+// bit-identical to the pre-kernel implementation -- asserted by
+// tests/kernels_test.cc and the bench_kernels checksum gate. DP rows,
+// diagonals and distance scratch live in the thread-local scratch arena
+// (core/arena.h): a distance call performs zero heap allocations, which
+// matters when the similarity search evaluates thousands of candidates per
+// query.
 
 namespace {
 
@@ -35,6 +37,7 @@ StatusOr<double> DtwDistanceBounded(const Trajectory& a, const Trajectory& b,
   if (n == 0 || m == 0) return n == m ? 0.0 : kInf;
   const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
   const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
+  const kernels::KernelOps& k = kernels::KernelDispatch::Get();
   // Two-row DP; rows over a, columns over b. Rows and the per-row distance
   // scratch come from the arena (the kernel fills `cur` completely, so
   // only `prev` needs initializing).
@@ -54,8 +57,8 @@ StatusOr<double> DtwDistanceBounded(const Trajectory& a, const Trajectory& b,
       hi = static_cast<size_t>(
           std::min(static_cast<double>(m), center + band));
     }
-    kernels::DtwRowKernel(va.x()[i - 1], va.y()[i - 1], vb.x(), vb.y(), m,
-                          lo, hi, prev, cur, dist);
+    k.dtw_row(va.x()[i - 1], va.y()[i - 1], vb.x(), vb.y(), m, lo, hi, prev,
+              cur, dist);
     std::swap(prev, cur);
   }
   return prev[m];
@@ -74,32 +77,22 @@ StatusOr<double> DiscreteFrechetDistanceBounded(const Trajectory& a,
   if (n == 0 || m == 0) return n == m ? 0.0 : kInf;
   const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
   const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
+  const kernels::KernelOps& k = kernels::KernelDispatch::Get();
   ArenaScope scope(ScratchArena());
-  if (exec == nullptr) {
-    // No deadline to honor: run the whole DP as one anti-diagonal
-    // wavefront. Bit-identical to the row iteration below (see
-    // FrechetFullKernel), just without its carried per-row recurrence.
-    double* scratch = scope.AllocArray<double>(3 * m);
-    return kernels::FrechetFullKernel(va.x(), va.y(), n, vb.x(), vb.y(), m,
-                                      scratch);
+  double* scratch = scope.AllocArray<double>(3 * m);
+  // Without a context the whole table is one wavefront call. With one, the
+  // anti-diagonal is the unit of work a deadline can interrupt: one call
+  // per diagonal, each resuming from the scratch diagonals the previous
+  // call left, so the result is bit-identical either way.
+  const size_t diagonals = n + m - 1;
+  const size_t step = exec == nullptr ? diagonals : 1;
+  double result = 0.0;
+  for (size_t d = 0; d < diagonals; d += step) {
+    if (exec != nullptr) SIDQ_RETURN_IF_ERROR(exec->Check());
+    result = k.frechet_full(va.x(), va.y(), n, vb.x(), vb.y(), m, d, d + step,
+                            scratch);
   }
-  // Deadline-bounded: the DP row is the unit of work a deadline can
-  // interrupt, so keep the row-kernel form.
-  // Every row is written in full, so all three arrays start uninitialized.
-  double* prev = scope.AllocArray<double>(m);
-  double* cur = scope.AllocArray<double>(m);
-  double* dist = scope.AllocArray<double>(m);
-  // Row 0: running max of the distance prefix.
-  kernels::DistRow(va.x()[0], va.y()[0], vb.x(), vb.y(), 0, m, dist);
-  prev[0] = dist[0];
-  for (size_t j = 1; j < m; ++j) prev[j] = std::max(prev[j - 1], dist[j]);
-  for (size_t i = 1; i < n; ++i) {
-    SIDQ_RETURN_IF_ERROR(exec->Check());
-    kernels::FrechetRowKernel(va.x()[i], va.y()[i], vb.x(), vb.y(), m, prev,
-                              cur, dist);
-    std::swap(prev, cur);
-  }
-  return prev[m - 1];
+  return result;
 }
 
 double DiscreteFrechetDistance(const Trajectory& a, const Trajectory& b) {
@@ -114,6 +107,7 @@ double EdrDistance(const Trajectory& a, const Trajectory& b,
   if (n == 0 || m == 0) return 1.0;
   const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
   const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
+  const kernels::KernelOps& k = kernels::KernelDispatch::Get();
   ArenaScope scope(ScratchArena());
   double* prev = scope.AllocArray<double>(m + 1);
   double* cur = scope.AllocArray<double>(m + 1);
@@ -121,8 +115,7 @@ double EdrDistance(const Trajectory& a, const Trajectory& b,
   for (size_t j = 0; j <= m; ++j) prev[j] = static_cast<double>(j);
   for (size_t i = 1; i <= n; ++i) {
     cur[0] = static_cast<double>(i);
-    kernels::DistRow(va.x()[i - 1], va.y()[i - 1], vb.x(), vb.y(), 0, m,
-                     dist);
+    k.dist_row(va.x()[i - 1], va.y()[i - 1], vb.x(), vb.y(), 0, m, dist);
     for (size_t j = 1; j <= m; ++j) {
       const bool match = dist[j - 1] <= epsilon_m;
       const double sub = prev[j - 1] + (match ? 0.0 : 1.0);
@@ -140,6 +133,7 @@ double LcssSimilarity(const Trajectory& a, const Trajectory& b,
   if (n == 0 || m == 0) return 0.0;
   const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
   const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
+  const kernels::KernelOps& k = kernels::KernelDispatch::Get();
   // cur[0] is never written by the row loop and must stay 0 across swaps,
   // so both DP rows start zero-filled.
   ArenaScope scope(ScratchArena());
@@ -147,8 +141,7 @@ double LcssSimilarity(const Trajectory& a, const Trajectory& b,
   double* cur = scope.AllocFilled<double>(m + 1, 0.0);
   double* dist = scope.AllocArray<double>(m);
   for (size_t i = 1; i <= n; ++i) {
-    kernels::DistRow(va.x()[i - 1], va.y()[i - 1], vb.x(), vb.y(), 0, m,
-                     dist);
+    k.dist_row(va.x()[i - 1], va.y()[i - 1], vb.x(), vb.y(), 0, m, dist);
     const Timestamp ta = va.t()[i - 1];
     for (size_t j = 1; j <= m; ++j) {
       const bool match = dist[j - 1] <= epsilon_m &&

@@ -34,8 +34,9 @@ double DtwDistance(const Trajectory& a, const Trajectory& b, int band = -1);
 // Discrete Frechet distance. O(n*m).
 double DiscreteFrechetDistance(const Trajectory& a, const Trajectory& b);
 
-// DiscreteFrechetDistance with a cooperative ExecContext check per DP row
-// (same contract as DtwDistanceBounded).
+// DiscreteFrechetDistance with a cooperative ExecContext check per DP
+// anti-diagonal (n + m - 1 checks; otherwise the same contract as
+// DtwDistanceBounded).
 [[nodiscard]] StatusOr<double> DiscreteFrechetDistanceBounded(
     const Trajectory& a, const Trajectory& b, const ExecContext* exec);
 

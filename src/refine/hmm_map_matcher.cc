@@ -6,7 +6,7 @@
 
 #include "core/arena.h"
 #include "core/failpoint.h"
-#include "kernels/distance.h"
+#include "kernels/dispatch.h"
 #include "kernels/soa.h"
 
 namespace sidq {
@@ -38,7 +38,8 @@ std::vector<HmmMapMatcher::Candidate> HmmMapMatcher::CandidatesFor(
     out.push_back(c);
   }
   double* dists = scope.AllocArray<double>(out.size());
-  kernels::PointToManyDist(p.x, p.y, proj_x, proj_y, out.size(), dists);
+  kernels::KernelDispatch::Get().point_to_many_dist(p.x, p.y, proj_x, proj_y,
+                                                    out.size(), dists);
   for (size_t i = 0; i < out.size(); ++i) {
     const double d = dists[i];
     out[i].emission_logp = -d * d * inv_2s2;
@@ -109,7 +110,8 @@ StatusOr<HmmMapMatcher::MatchResult> HmmMapMatcher::Match(
   const kernels::TrajectoryView nv = kernels::TrajectoryView::Of(noisy);
   double* straight_dists = vscope.AllocArray<double>(n > 1 ? n - 1 : 0);
   if (n > 1) {
-    kernels::ConsecutiveDist(nv.x(), nv.y(), n, straight_dists);
+    kernels::KernelDispatch::Get().consecutive_dist(nv.x(), nv.y(), n,
+                                                    straight_dists);
   }
   size_t* row = vscope.AllocArray<size_t>(n + 1);
   row[0] = 0;

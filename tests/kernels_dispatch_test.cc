@@ -123,8 +123,6 @@ TEST(KernelDispatchTest, RowAndColumnPrimitivesMatchScalarOnEveryTier) {
     ref.dist_row(px, py, xs.data(), ys.data(), lo, hi, want_row.data());
     ref.point_to_many_dist(px, py, xs.data(), ys.data(), n, want_many.data());
     ref.consecutive_dist(xs.data(), ys.data(), n, want_consec.data());
-    const double want_poly =
-        ref.point_to_polyline_dist(px, py, xs.data(), ys.data(), n);
 
     for (Isa isa : CompiledTiers()) {
       const KernelOps& ops = *KernelDispatch::Table(isa);
@@ -133,13 +131,9 @@ TEST(KernelDispatchTest, RowAndColumnPrimitivesMatchScalarOnEveryTier) {
       ops.dist_row(px, py, xs.data(), ys.data(), lo, hi, row.data());
       ops.point_to_many_dist(px, py, xs.data(), ys.data(), n, many.data());
       ops.consecutive_dist(xs.data(), ys.data(), n, consec.data());
-      const double poly =
-          ops.point_to_polyline_dist(px, py, xs.data(), ys.data(), n);
       ExpectBytesEqual(want_row, row, isa, "dist_row");
       ExpectBytesEqual(want_many, many, isa, "point_to_many_dist");
       ExpectBytesEqual(want_consec, consec, isa, "consecutive_dist");
-      EXPECT_EQ(0, std::memcmp(&want_poly, &poly, sizeof(double)))
-          << "point_to_polyline_dist diverges on tier " << IsaName(isa);
     }
   }
 }
@@ -181,37 +175,12 @@ TEST(KernelDispatchTest, DtwRowMatchesScalarAndFusedEqualsTwoPass) {
   }
 }
 
-TEST(KernelDispatchTest, FrechetRowMatchesScalarOnEveryTier) {
-  const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
-  Rng rng_store(14);
-  Rng* rng = &rng_store;
-  for (size_t m : {size_t{1}, size_t{2}, size_t{17}, size_t{64}}) {
-    const auto bx = Column(rng, m, true);
-    const auto by = Column(rng, m, true);
-    std::vector<double> prev(m);
-    for (double& p : prev) {
-      p = rng->Bernoulli(0.2) ? kInf : rng->Uniform(0.0, 800.0);
-    }
-    const double qx = rng->Uniform(-100.0, 100.0);
-    const double qy = rng->Uniform(-100.0, 100.0);
-    std::vector<double> want(m, -7.0), scratch(m, -7.0);
-    ref.frechet_row(qx, qy, bx.data(), by.data(), m, prev.data(), want.data(),
-                    scratch.data());
-    for (Isa isa : CompiledTiers()) {
-      std::vector<double> got(m, -7.0), s2(m, -7.0);
-      KernelDispatch::Table(isa)->frechet_row(qx, qy, bx.data(), by.data(), m,
-                                              prev.data(), got.data(),
-                                              s2.data());
-      ExpectBytesEqual(want, got, isa, "frechet_row");
-    }
-  }
-}
-
 TEST(KernelDispatchTest, FrechetFullMatchesRowIterationOnEveryTier) {
-  // Two properties at once: the wavefront form equals the row-kernel
-  // composition (row 0 = prefix max of dist_row, then frechet_row per row)
-  // on the scalar tier, and every tier's wavefront equals the scalar
-  // wavefront -- so the anti-diagonal schedule changes no bits anywhere.
+  // Two properties at once: the wavefront form equals the row-serial DP
+  // (row 0 = prefix max of dist_row, then one recurrence per row with the
+  // reference operand order) on the scalar tier, and every tier's
+  // wavefront equals the scalar wavefront -- so the anti-diagonal schedule
+  // changes no bits anywhere.
   const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
   Rng rng_store(16);
   Rng* rng = &rng_store;
@@ -221,7 +190,6 @@ TEST(KernelDispatchTest, FrechetFullMatchesRowIterationOnEveryTier) {
       const auto ay = Column(rng, n, true);
       const auto bx = Column(rng, m, true);
       const auto by = Column(rng, m, true);
-      // Row-kernel composition on the scalar tier.
       std::vector<double> prev(m), cur(m), dist(m);
       ref.dist_row(ax[0], ay[0], bx.data(), by.data(), 0, m, dist.data());
       prev[0] = dist[0];
@@ -229,18 +197,61 @@ TEST(KernelDispatchTest, FrechetFullMatchesRowIterationOnEveryTier) {
         prev[j] = std::max(prev[j - 1], dist[j]);
       }
       for (size_t i = 1; i < n; ++i) {
-        ref.frechet_row(ax[i], ay[i], bx.data(), by.data(), m, prev.data(),
-                        cur.data(), dist.data());
+        ref.dist_row(ax[i], ay[i], bx.data(), by.data(), 0, m, dist.data());
+        cur[0] = std::max(prev[0], dist[0]);
+        for (size_t j = 1; j < m; ++j) {
+          cur[j] = std::max(std::min({prev[j], prev[j - 1], cur[j - 1]}),
+                            dist[j]);
+        }
         std::swap(prev, cur);
       }
       const double want = prev[m - 1];
       for (Isa isa : CompiledTiers()) {
         std::vector<double> scratch(3 * m, -7.0);
         const double got = KernelDispatch::Table(isa)->frechet_full(
-            ax.data(), ay.data(), n, bx.data(), by.data(), m, scratch.data());
+            ax.data(), ay.data(), n, bx.data(), by.data(), m, 0, n + m - 1,
+            scratch.data());
         EXPECT_EQ(0, std::memcmp(&want, &got, sizeof(double)))
             << "frechet_full (n=" << n << ", m=" << m
             << ") diverges from the row iteration on tier " << IsaName(isa);
+      }
+    }
+  }
+}
+
+TEST(KernelDispatchTest, FrechetFullResumesOneDiagonalPerCallOnEveryTier) {
+  // A deadline-bounded caller runs the wavefront one anti-diagonal per
+  // call, resuming from the scratch diagonals the last call left. That
+  // chunking must give the same bits as a single call over the table, and
+  // every call that stops short of the last diagonal reports NaN.
+  Rng rng_store(17);
+  Rng* rng = &rng_store;
+  for (size_t n : {size_t{1}, size_t{2}, size_t{3}, size_t{17}, size_t{64}}) {
+    for (size_t m : {size_t{1}, size_t{2}, size_t{3}, size_t{17}}) {
+      const auto ax = Column(rng, n, true);
+      const auto ay = Column(rng, n, true);
+      const auto bx = Column(rng, m, true);
+      const auto by = Column(rng, m, true);
+      const size_t diagonals = n + m - 1;
+      for (Isa isa : CompiledTiers()) {
+        const KernelOps& ops = *KernelDispatch::Table(isa);
+        std::vector<double> whole_scratch(3 * m, -7.0);
+        const double whole =
+            ops.frechet_full(ax.data(), ay.data(), n, bx.data(), by.data(), m,
+                             0, diagonals, whole_scratch.data());
+        std::vector<double> scratch(3 * m, -7.0);
+        double chunked = 0.0;
+        for (size_t d = 0; d < diagonals; ++d) {
+          chunked = ops.frechet_full(ax.data(), ay.data(), n, bx.data(),
+                                     by.data(), m, d, d + 1, scratch.data());
+          if (d + 1 < diagonals) {
+            EXPECT_TRUE(std::isnan(chunked))
+                << "partial call returned a value on " << IsaName(isa);
+          }
+        }
+        EXPECT_EQ(0, std::memcmp(&whole, &chunked, sizeof(double)))
+            << "frechet_full one diagonal per call (n=" << n << ", m=" << m
+            << ") diverges from one call on tier " << IsaName(isa);
       }
     }
   }
@@ -384,9 +395,13 @@ TEST(KernelDispatchTest, WorkloadChecksumIdenticalAcrossTiers) {
       ops.point_to_many_dist(xs[0], ys[0], xs.data(), ys.data(), n,
                              out.data());
       h = FnvBytes(h, out.data(), n * sizeof(double));
-      const double poly =
-          ops.point_to_polyline_dist(ys[0], xs[0], xs.data(), ys.data(), n);
-      h = FnvBytes(h, &poly, sizeof(double));
+      ops.consecutive_dist(xs.data(), ys.data(), n, out.data());
+      h = FnvBytes(h, out.data(), (n - 1) * sizeof(double));
+      std::vector<double> scratch(3 * n);
+      const double frechet = ops.frechet_full(
+          xs.data(), ys.data(), n, ys.data(), xs.data(), n, 0, 2 * n - 1,
+          scratch.data());
+      h = FnvBytes(h, &frechet, sizeof(double));
     }
     return h;
   };

@@ -5,15 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/random.h"
-#include "geometry/geo.h"
-#include "kernels/distance.h"
+#include "kernels/dispatch.h"
 #include "kernels/packed_rtree.h"
 #include "kernels/scalar_ref.h"
 #include "kernels/soa.h"
@@ -26,8 +25,6 @@ namespace {
 
 using geometry::BBox;
 using geometry::Point;
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Random trajectory with degenerate features: duplicate points (zero-length
 // segments), repeated timestamps, collinear runs.
@@ -121,7 +118,8 @@ TEST(KernelEquivalenceTest, PairwiseSqDistMatchesScalar) {
       const TrajectoryView va = TrajectoryView::Of(a);
       const TrajectoryView vb = TrajectoryView::Of(b);
       std::vector<double> got(n * m, -1.0), want(n * m, -2.0);
-      PairwiseSqDist(va.x(), va.y(), n, vb.x(), vb.y(), m, got.data());
+      KernelDispatch::Get().pairwise_sq_dist(va.x(), va.y(), n, vb.x(),
+                                             vb.y(), m, got.data());
       scalar::PairwiseSqDist(a, b, want.data());
       EXPECT_EQ(got, want) << "n=" << n << " m=" << m;
     }
@@ -134,7 +132,7 @@ TEST(KernelEquivalenceTest, ConsecutiveDistMatchesScalar) {
     const Trajectory tr = RandomTrajectory(&rng, n);
     const TrajectoryView v = TrajectoryView::Of(tr);
     std::vector<double> got(n > 1 ? n - 1 : 0), want(n > 1 ? n - 1 : 0);
-    ConsecutiveDist(v.x(), v.y(), n, got.data());
+    KernelDispatch::Get().consecutive_dist(v.x(), v.y(), n, got.data());
     scalar::ConsecutiveDist(tr, want.data());
     EXPECT_EQ(got, want) << "n=" << n;
   }
@@ -147,28 +145,11 @@ TEST(KernelEquivalenceTest, PointToManyDistMatchesScalar) {
     const TrajectoryView v = TrajectoryView::Of(tr);
     const Point p(rng.Uniform(-500.0, 500.0), rng.Uniform(-500.0, 500.0));
     std::vector<double> got(n), want(n);
-    PointToManyDist(p.x, p.y, v.x(), v.y(), n, got.data());
+    KernelDispatch::Get().point_to_many_dist(p.x, p.y, v.x(), v.y(), n,
+                                             got.data());
     scalar::PointToManyDist(p, tr, want.data());
     EXPECT_EQ(got, want) << "n=" << n;
   }
-}
-
-TEST(KernelEquivalenceTest, PointToPolylineDistMatchesScalar) {
-  Rng rng(31);
-  for (size_t n : InterestingSizes()) {
-    const Trajectory tr = RandomTrajectory(&rng, n);
-    const TrajectoryView v = TrajectoryView::Of(tr);
-    for (int reps = 0; reps < 8; ++reps) {
-      const Point p(rng.Uniform(-600.0, 600.0), rng.Uniform(-600.0, 600.0));
-      const double got = PointToPolylineDist(p.x, p.y, v.x(), v.y(), n);
-      const double want = scalar::PointToPolylineDist(p, tr);
-      EXPECT_EQ(got, want) << "n=" << n;
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, PointToPolylineEmptyIsInfinite) {
-  EXPECT_EQ(PointToPolylineDist(0.0, 0.0, nullptr, nullptr, 0), kInf);
 }
 
 // ------------------------------------------------------------ SoA caching
@@ -204,28 +185,6 @@ TEST(TrajectoryViewTest, ColumnsMatchPoints) {
     EXPECT_EQ(v.x()[i], tr[i].p.x);
     EXPECT_EQ(v.y()[i], tr[i].p.y);
     EXPECT_EQ(v.t()[i], tr[i].t);
-  }
-}
-
-TEST(SoaBufferTest, FromLatLonMatchesManualProjection) {
-  const geometry::LatLon origin(40.0, -74.0);
-  const geometry::LocalProjection proj(origin);
-  std::vector<std::pair<Timestamp, geometry::LatLon>> samples;
-  Rng rng(43);
-  for (int i = 0; i < 20; ++i) {
-    samples.emplace_back(
-        i * 1000,
-        geometry::LatLon(40.0 + rng.Uniform(-0.01, 0.01),
-                         -74.0 + rng.Uniform(-0.01, 0.01)));
-  }
-  const SoaBuffer buf = SoaBuffer::FromLatLon(samples, proj);
-  ASSERT_EQ(buf.size(), samples.size());
-  const SoaView v = buf.view();
-  for (size_t i = 0; i < samples.size(); ++i) {
-    const Point p = proj.Forward(samples[i].second);
-    EXPECT_EQ(v.x[i], p.x);
-    EXPECT_EQ(v.y[i], p.y);
-    EXPECT_EQ(v.t[i], samples[i].first);
   }
 }
 
@@ -371,11 +330,49 @@ TEST(PackedRTreeTest, KnnMatchesRTreeDistances) {
       }
     }
   }
-  const PackedRTree::BatchResults batch =
-      packed.KnnMany({Point(0, 0), Point(500, 500)}, 3);
-  ASSERT_EQ(batch.queries(), 2u);
-  EXPECT_EQ(batch.count_of(0), 3u);
-  EXPECT_EQ(batch.count_of(1), 3u);
+}
+
+// Queries are const and keep no member state, so threads sharing one tree
+// (e.g. two threads calibrating through one TrajectoryCalibrator, whose
+// anchor index answers Knn) must each get exactly the serial answers. Run
+// under TSan this also proves the queries write nothing shared.
+TEST(PackedRTreeTest, ConcurrentQueriesMatchSerial) {
+  Rng rng(73);
+  PackedRTree packed;
+  packed.BulkLoad(RandomBoxes(&rng, 400));
+  std::vector<Point> points;
+  std::vector<BBox> boxes;
+  for (int q = 0; q < 24; ++q) {
+    const double x = rng.Uniform(0.0, 1000.0);
+    const double y = rng.Uniform(0.0, 1000.0);
+    points.emplace_back(x, y);
+    boxes.emplace_back(x, y, x + 80.0, y + 80.0);
+  }
+  std::vector<std::vector<uint64_t>> serial_knn;
+  for (const Point& p : points) serial_knn.push_back(packed.Knn(p, 7));
+  const PackedRTree::BatchResults serial_range = packed.RangeQueryMany(boxes);
+
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<uint64_t>>> knn(kThreads);
+  std::vector<PackedRTree::BatchResults> range(kThreads);
+  // sidq: allow-stray-thread(raw threads share one const tree without pool scheduling)
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 20; ++rep) {
+        knn[t].clear();
+        for (const Point& p : points) knn[t].push_back(packed.Knn(p, 7));
+        packed.RangeQueryMany(boxes, &range[t]);
+      }
+    });
+  }
+  // sidq: allow-stray-thread(joining the query threads spawned above)
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(knn[t], serial_knn) << "thread " << t;
+    EXPECT_EQ(range[t].ids, serial_range.ids) << "thread " << t;
+    EXPECT_EQ(range[t].offsets, serial_range.offsets) << "thread " << t;
+  }
 }
 
 TEST(PackedRTreeTest, BoxGapScanStreamsSortedOrder) {

@@ -1,8 +1,13 @@
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "core/clock.h"
 #include "core/random.h"
+#include "kernels/scalar_ref.h"
 #include "query/private.h"
 #include "query/similarity.h"
 #include "query/uncertain_trajectory.h"
@@ -73,6 +78,95 @@ TEST(FrechetTest, DominatedByWorstExcursion) {
   EXPECT_NEAR(DiscreteFrechetDistance(a, b), 100.0, 1e-9);
   // DTW, in contrast, pays the spike only once among many cheap steps.
   EXPECT_LT(DtwDistance(a, b), 100.0 * 2.5);
+}
+
+Trajectory RandomWalk(Rng* rng, size_t n, ObjectId id) {
+  Trajectory tr(id);
+  Point p(rng->Uniform(-100.0, 100.0), rng->Uniform(-100.0, 100.0));
+  for (size_t i = 0; i < n; ++i) {
+    tr.AppendUnordered(TrajectoryPoint(static_cast<Timestamp>(i) * 1000, p));
+    p += Point(rng->Uniform(-15.0, 15.0), rng->Uniform(-15.0, 15.0));
+  }
+  return tr;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The bounded Frechet runs one wavefront call without a context and one
+// call per anti-diagonal with one; both must reproduce the row-serial
+// scalar reference to the bit, for every shape (including single-row and
+// single-column tables) and with NaN coordinates in either input.
+TEST(FrechetTest, BoundedMatchesScalarReferenceBitForBit) {
+  const size_t sizes[] = {1, 2, 3, 17, 64};
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(23);
+  VirtualClock clock;
+  const ExecContext live = ExecContext::After(&clock, 1000);
+  for (size_t n : sizes) {
+    for (size_t m : sizes) {
+      for (int nan_case = 0; nan_case < 3; ++nan_case) {
+        Trajectory a = RandomWalk(&rng, n, 1);
+        Trajectory b = RandomWalk(&rng, m, 2);
+        if (nan_case == 1) a.mutable_points()[n / 2].p.x = kNan;
+        if (nan_case == 2) b.mutable_points()[m - 1].p.y = kNan;
+        const double want = kernels::scalar::FrechetDistance(a, b);
+        const auto plain = DiscreteFrechetDistanceBounded(a, b, nullptr);
+        const auto bounded = DiscreteFrechetDistanceBounded(a, b, &live);
+        ASSERT_TRUE(plain.ok());
+        ASSERT_TRUE(bounded.ok());
+        EXPECT_TRUE(SameBits(*plain, want))
+            << "n=" << n << " m=" << m << " nan_case=" << nan_case;
+        EXPECT_TRUE(SameBits(*bounded, want))
+            << "n=" << n << " m=" << m << " nan_case=" << nan_case;
+      }
+    }
+  }
+}
+
+// A clock that advances 1 ms on every reading, so a budget of B ms admits
+// exactly B deadline checks after the context is created.
+class TickingClock : public Clock {
+ public:
+  int64_t NowMs() const override {
+    return now_ms_.fetch_add(1, std::memory_order_acq_rel);
+  }
+  void SleepMs(int64_t ms) const override {
+    now_ms_.fetch_add(ms, std::memory_order_acq_rel);
+  }
+  // Readings taken so far (the clock started at 0).
+  int64_t reads() const { return now_ms_.load(std::memory_order_acquire); }
+
+ private:
+  mutable std::atomic<int64_t> now_ms_{0};
+};
+
+TEST(FrechetTest, DeadlineInterruptsBetweenAntiDiagonals) {
+  Rng rng(29);
+  const Trajectory a = RandomWalk(&rng, 17, 1);
+  const Trajectory b = RandomWalk(&rng, 5, 2);
+  const int64_t diagonals = 17 + 5 - 1;
+  {
+    // One check per anti-diagonal: a budget of exactly n+m-1 checks runs
+    // the whole table.
+    TickingClock clock;
+    const ExecContext ctx = ExecContext::After(&clock, diagonals);
+    const auto got = DiscreteFrechetDistanceBounded(a, b, &ctx);
+    ASSERT_TRUE(got.ok());
+    EXPECT_TRUE(SameBits(*got, DiscreteFrechetDistance(a, b)));
+    EXPECT_EQ(clock.reads(), 1 + diagonals);
+  }
+  for (const int64_t budget : {int64_t{1}, int64_t{7}, diagonals - 1}) {
+    // Fewer checks than diagonals: the call stops at check budget+1, with
+    // diagonals left unvisited.
+    TickingClock clock;
+    const ExecContext ctx = ExecContext::After(&clock, budget);
+    const auto got = DiscreteFrechetDistanceBounded(a, b, &ctx);
+    EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded)
+        << "budget=" << budget;
+    EXPECT_EQ(clock.reads(), 1 + budget + 1) << "budget=" << budget;
+  }
 }
 
 TEST(EdrTest, ToleranceControlsMatching) {
