@@ -12,9 +12,9 @@
 // Primitives:
 //   pairwise     all-pairs squared distances (the EDR/LCSS/Frechet inner
 //                pattern) -- embarrassingly vectorizable, the headline win
-//   dtw_row      full banded DTW through the dispatched dtw_row kernel;
-//                the loop-carried DP recurrence bounds both paths, so this
-//                one is a parity check (expect ~1x), not a speedup
+//   dtw_row      full banded DTW (query::DtwDistance), i.e. the
+//                anti-diagonal dtw_full kernel; the key keeps its
+//                historical name
 //   frechet_row  full discrete Frechet (query::DiscreteFrechetDistance),
 //                i.e. the anti-diagonal frechet_full kernel; the key keeps
 //                its historical name

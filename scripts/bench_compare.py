@@ -63,11 +63,10 @@ SKIP_KEYS = {"recorded_utc"}
 
 # Absolute speedup floors per kernel primitive (dispatched kernel vs the
 # scalar reference, same machine, same run). pairwise and packed_range are
-# the vectorization/batching headline wins. dtw_row is bounded by a
-# loop-carried DP recurrence, so its floor is parity -- the kernel lane may
-# never be SLOWER than the scalar one it replaced. frechet_row runs the
-# anti-diagonal wavefront (frechet_full), which breaks that recurrence;
-# its floor catches a silent fallback to the row-serial form (~1.0x).
+# the vectorization/batching headline wins. dtw_row and frechet_row run
+# the anti-diagonal wavefronts (dtw_full, frechet_full), which break the
+# row form's loop-carried DP recurrence; their floors catch a silent
+# fallback to a row-serial form (~1.0x for Frechet, ~0.95x for DTW).
 SPEEDUP_FLOORS = {
     "pairwise": 3.5,
     "packed_range": 2.5,

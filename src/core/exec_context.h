@@ -9,7 +9,7 @@
 namespace sidq {
 
 // Execution context threaded through FleetRunner, TrajectoryPipeline, and
-// the expensive inner loops (HMM Viterbi layers, DTW rows, Frechet
+// the expensive inner loops (HMM Viterbi layers, DTW and Frechet
 // anti-diagonals, particle filter steps). Bundles a deadline against an
 // injectable Clock with a shared cancellation flag, so long-running kernels
 // can stop cooperatively instead of running to completion after the answer
@@ -48,7 +48,7 @@ class ExecContext {
 
   // The cooperative check: kCancelled when the shared flag is set,
   // kDeadlineExceeded when the clock passed the deadline, OK otherwise.
-  // Cheap enough to call once per DP row / filter step.
+  // Cheap enough to call once per DP layer or anti-diagonal / filter step.
   [[nodiscard]] Status Check() const {
     if (cancel_ != nullptr && cancel_->load(std::memory_order_acquire)) {
       return Status::Cancelled("execution cancelled");

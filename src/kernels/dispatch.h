@@ -76,20 +76,26 @@ struct KernelOps {
   // i in [0, n-1). `out` must hold n-1 doubles; no-op when n < 2.
   void (*consecutive_dist)(const double* xs, const double* ys, size_t n,
                            double* out);
-  // One row of the DTW dynamic program (columns of `b`, rows of `a`):
-  // for 1-based DP columns j in [lo, hi],
-  //     cur[j] = d(q, b[j-1]) + min(prev[j], prev[j-1], cur[j-1])
-  // with cur entries outside the band set to +infinity and the sum skipped
-  // when all three predecessors are +infinity. `prev`/`cur` hold m+1 DP
-  // cells. `dist_scratch` (hi-lo+1 doubles, may be nullptr) enables the
-  // two-pass form on wide bands: a vectorized squared-distance sweep into
-  // the scratch, then the short sequential sqrt/min/add recurrence. Narrow
-  // bands (or a null scratch) use the fused single-pass form. Both forms
-  // produce the same outputs to the bit: the squared distance rounds to a
-  // double either way, so sqrt of the staged value equals the fused sqrt.
-  void (*dtw_row)(double qx, double qy, const double* bx, const double* by,
-                  size_t m, size_t lo, size_t hi, const double* prev,
-                  double* cur, double* dist_scratch);
+  // The n x m banded DTW DP (n, m >= 1; cells (i, j) 1-based),
+  // anti-diagonals d = i + j - 2 in [d_begin, d_end) of it; the whole
+  // table is [0, n + m - 1). band <= 0 admits every cell; otherwise row i
+  // admits columns [lo_i, hi_i] with center = double(i) * m / n,
+  // lo_i = size_t(max(1, center - band)), hi_i = size_t(min(m, center +
+  // band)) -- the scaled Sakoe-Chiba band of kernels::scalar::DtwDistance.
+  // Every in-band cell is
+  //     best = min(D[i-1][j], D[i-1][j-1], D[i][j-1])
+  //     D[i][j] = best != inf ? d(a_i, b_j) + best : inf
+  // with D[0][0] = 0 and every other border or out-of-band cell +inf; min
+  // keeps its first operand on NaN, exactly as the row-serial reference.
+  // Cells of one anti-diagonal are independent, so each diagonal runs
+  // without the row form's carried dependency. Diagonal d lives at
+  // scratch + ((d + 2) % 3) * (m + 2) (indexed by j; `scratch` holds
+  // 3 * (m + 2) doubles), so a call can resume where the previous one
+  // stopped and the chunking never changes a bit. Returns D[n][m] when
+  // d_end == n + m - 1, NaN otherwise.
+  double (*dtw_full)(const double* ax, const double* ay, size_t n,
+                     const double* bx, const double* by, size_t m, int band,
+                     size_t d_begin, size_t d_end, double* scratch);
   // The n x m discrete-Frechet DP (n, m >= 1), anti-diagonals
   // d = i + j in [d_begin, d_end) of it; the whole table is
   // [0, n + m - 1). Cells of one anti-diagonal are independent, so each

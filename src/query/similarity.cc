@@ -12,9 +12,9 @@ namespace sidq {
 namespace query {
 
 // The O(n*m) measures below run on columnar views (kernels::TrajectoryView)
-// and the dispatched kernels (kernels/dispatch.h): DTW, EDR and LCSS run a
+// and the dispatched kernels (kernels/dispatch.h): EDR and LCSS run a
 // vectorized distance pass per DP row while the carried recurrence stays
-// sequential; discrete Frechet runs as an anti-diagonal wavefront. The
+// sequential; DTW and discrete Frechet run as anti-diagonal wavefronts. The
 // kernels execute the same operations in the same order as the original
 // AoS loops (kept verbatim in kernels/scalar_ref.cc), so every result is
 // bit-identical to the pre-kernel implementation -- asserted by
@@ -28,6 +28,23 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+// Every pruning bound is a floating-point sum (or product) of per-point
+// costs, each no larger than the float distance the DTW adds for the same
+// match; rounding the sum can still lift it a few ulps per term above the
+// exact value. Shrinking by 2^-30 relative covers the rounding of both
+// the bound's and the DTW's sums for trajectories under ~4 M points, so a
+// shrunk bound never exceeds a float DTW it bounds in exact arithmetic.
+constexpr double kLowerBoundMargin = 1.0 - 0x1p-30;
+
+double Shrunk(double bound) { return bound * kLowerBoundMargin; }
+
+// Sum over the points of `tr` of their distance to `box`.
+double SumDistanceToBox(const Trajectory& tr, const geometry::BBox& box) {
+  double sum = 0.0;
+  for (const TrajectoryPoint& pt : tr.points()) sum += box.MinDistance(pt.p);
+  return sum;
+}
+
 }  // namespace
 
 StatusOr<double> DtwDistanceBounded(const Trajectory& a, const Trajectory& b,
@@ -38,35 +55,32 @@ StatusOr<double> DtwDistanceBounded(const Trajectory& a, const Trajectory& b,
   const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
   const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
   const kernels::KernelOps& k = kernels::KernelDispatch::Get();
-  // Two-row DP; rows over a, columns over b. Rows and the per-row distance
-  // scratch come from the arena (the kernel fills `cur` completely, so
-  // only `prev` needs initializing).
   ArenaScope scope(ScratchArena());
-  double* prev = scope.AllocFilled<double>(m + 1, kInf);
-  double* cur = scope.AllocArray<double>(m + 1);
-  double* dist = scope.AllocArray<double>(m);
-  prev[0] = 0.0;
-  for (size_t i = 1; i <= n; ++i) {
-    // The DP row is the unit of work a deadline can interrupt.
+  double* scratch = scope.AllocArray<double>(3 * (m + 2));
+  // Without a context the whole table is one wavefront call. With one, the
+  // anti-diagonal is the unit of work a deadline can interrupt: one call
+  // per diagonal, each resuming from the scratch diagonals the previous
+  // call left, so the result is bit-identical either way.
+  const size_t diagonals = n + m - 1;
+  const size_t step = exec == nullptr ? diagonals : 1;
+  double result = 0.0;
+  for (size_t d = 0; d < diagonals; d += step) {
     if (exec != nullptr) SIDQ_RETURN_IF_ERROR(exec->Check());
-    size_t lo = 1, hi = m;
-    if (band > 0) {
-      // Keep |i*m/n - j| within the band (scaled Sakoe-Chiba).
-      const double center = static_cast<double>(i) * m / n;
-      lo = static_cast<size_t>(std::max(1.0, center - band));
-      hi = static_cast<size_t>(
-          std::min(static_cast<double>(m), center + band));
-    }
-    k.dtw_row(va.x()[i - 1], va.y()[i - 1], vb.x(), vb.y(), m, lo, hi, prev,
-              cur, dist);
-    std::swap(prev, cur);
+    result = k.dtw_full(va.x(), va.y(), n, vb.x(), vb.y(), m, band, d,
+                        d + step, scratch);
   }
-  return prev[m];
+  return result;
 }
 
 double DtwDistance(const Trajectory& a, const Trajectory& b, int band) {
   // Without a context the bounded variant cannot fail.
   return *DtwDistanceBounded(a, b, band, nullptr);
+}
+
+double DtwMbrLowerBound(const Trajectory& q, const geometry::BBox& q_mbr,
+                        const Trajectory& c, const geometry::BBox& c_mbr) {
+  return Shrunk(std::max(SumDistanceToBox(q, c_mbr),
+                         SumDistanceToBox(c, q_mbr)));
 }
 
 StatusOr<double> DiscreteFrechetDistanceBounded(const Trajectory& a,
@@ -80,10 +94,8 @@ StatusOr<double> DiscreteFrechetDistanceBounded(const Trajectory& a,
   const kernels::KernelOps& k = kernels::KernelDispatch::Get();
   ArenaScope scope(ScratchArena());
   double* scratch = scope.AllocArray<double>(3 * m);
-  // Without a context the whole table is one wavefront call. With one, the
-  // anti-diagonal is the unit of work a deadline can interrupt: one call
-  // per diagonal, each resuming from the scratch diagonals the previous
-  // call left, so the result is bit-identical either way.
+  // One wavefront call, or one per anti-diagonal with a context (as for
+  // DTW above).
   const size_t diagonals = n + m - 1;
   const size_t step = exec == nullptr ? diagonals : 1;
   double result = 0.0;
@@ -197,20 +209,33 @@ StatusOr<std::vector<size_t>> TrajectorySimilaritySearch::Knn(
   // Max-heap of the best k (dtw, index). Candidates arrive in increasing
   // (MBR-gap, index) order -- BoxGapScan streams the tree in exactly the
   // order the former sort-all-candidates implementation produced -- so the
-  // pruning bound tightens as early as possible, and once even a
-  // query-length alignment at the current gap cannot beat the k-th best
-  // (gap * |q| >= kth), every remaining candidate is pruned wholesale.
+  // k-th best tightens as early as possible. Once the heap is full, each
+  // candidate meets a cascade of lower bounds, cheapest first, and is
+  // pruned as soon as one reaches the k-th best (a candidate whose DTW
+  // only ties it would not enter the heap either):
+  //   1. gap * |q|: no later candidate can beat it, so the scan stops;
+  //   2. gap * max(|q|, |c|): every alignment has that many matched
+  //      pairs, each costing at least the MBR gap;
+  //   3. DtwMbrLowerBound, O(|q| + |c|);
+  // and only then the banded DTW. Every bound goes through Shrunk (the
+  // third inside DtwMbrLowerBound).
   std::vector<std::pair<double, size_t>> best;
+  const auto prunes = [&](double bound) {
+    return best.size() == k && Shrunk(bound) >= best.front().first;
+  };
   // Returns false when the scan can stop: all remaining candidates (gap at
   // least as large) are prunable.
   const auto consider = [&](size_t i, double gap) {
-    if (best.size() == k && gap * qn >= best.front().first) return false;
+    if (prunes(gap * qn)) return false;
     const Trajectory& cand = (*collection_)[i];
-    // Every DTW alignment has at least max(|q|, |c|) matched pairs, each
-    // costing at least the MBR gap.
-    const double lower_bound =
-        gap * static_cast<double>(std::max(queried.size(), cand.size()));
-    if (best.size() == k && lower_bound >= best.front().first) return true;
+    const double matched =
+        static_cast<double>(std::max(queried.size(), cand.size()));
+    if (prunes(gap * matched)) return true;
+    if (best.size() == k &&
+        DtwMbrLowerBound(queried, qbox, cand, mbrs_[i]) >=
+            best.front().first) {
+      return true;
+    }
     ++local.dtw_computed;
     const double d = DtwDistance(queried, cand, options_.dtw_band);
     if (best.size() < k) {

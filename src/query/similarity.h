@@ -6,6 +6,7 @@
 #include "core/statusor.h"
 #include "core/trajectory.h"
 #include "core/types.h"
+#include "geometry/bbox.h"
 #include "kernels/packed_rtree.h"
 
 namespace sidq {
@@ -19,24 +20,40 @@ namespace query {
 // naive pointwise distances.
 
 // Dynamic time warping distance with an optional Sakoe-Chiba band
-// (band <= 0 disables the constraint). O(n*m) time, O(min(n,m)) memory.
+// (band <= 0 disables the constraint). O(n*m) time (O((n+m)*band) with a
+// band), O(m) memory from the scratch arena. Runs as an anti-diagonal
+// wavefront (kernels::KernelOps::dtw_full), bit-identical to the row-serial
+// reference kernels::scalar::DtwDistance.
 double DtwDistance(const Trajectory& a, const Trajectory& b, int band = -1);
 
-// DtwDistance with a cooperative ExecContext check per DP row: a deadline
-// or fleet cancellation aborts the O(n*m) recursion between rows with
-// kDeadlineExceeded / kCancelled instead of running to completion. exec ==
-// nullptr never fails and computes exactly DtwDistance.
+// DtwDistance with a cooperative ExecContext check per DP anti-diagonal
+// (n + m - 1 checks): a deadline or fleet cancellation aborts the O(n*m)
+// recursion between diagonals with kDeadlineExceeded / kCancelled instead
+// of running to completion. exec == nullptr never fails and computes
+// exactly DtwDistance.
 [[nodiscard]] StatusOr<double> DtwDistanceBounded(const Trajectory& a,
                                                   const Trajectory& b,
                                                   int band,
                                                   const ExecContext* exec);
 
+// Lower bound of DtwDistance(q, c, band) for every band, given the MBRs of
+// both trajectories: max(sum_i dist(q_i, c_mbr), sum_j dist(c_j, q_mbr)).
+// Every warping path matches each point of either trajectory at least
+// once, and a match costs at least that point's distance to the other
+// trajectory's MBR; a band only removes paths (and yields +inf when it
+// leaves none). Shrunk by a 2^-30 relative margin so floating-point
+// rounding never lifts it above the DTW it bounds (trajectories under
+// ~4 M points). O(|q| + |c|). This is the second stage of the pruning
+// cascade in TrajectorySimilaritySearch::Knn (the UCR-suite scheme,
+// Rakthanmanon et al. KDD 2012).
+double DtwMbrLowerBound(const Trajectory& q, const geometry::BBox& q_mbr,
+                        const Trajectory& c, const geometry::BBox& c_mbr);
+
 // Discrete Frechet distance. O(n*m).
 double DiscreteFrechetDistance(const Trajectory& a, const Trajectory& b);
 
 // DiscreteFrechetDistance with a cooperative ExecContext check per DP
-// anti-diagonal (n + m - 1 checks; otherwise the same contract as
-// DtwDistanceBounded).
+// anti-diagonal (the same contract as DtwDistanceBounded).
 [[nodiscard]] StatusOr<double> DiscreteFrechetDistanceBounded(
     const Trajectory& a, const Trajectory& b, const ExecContext* exec);
 
@@ -53,10 +70,14 @@ double EdrDistance(const Trajectory& a, const Trajectory& b,
 double LcssSimilarity(const Trajectory& a, const Trajectory& b,
                       double epsilon_m, Timestamp delta_ms);
 
-// k-nearest-trajectory search under DTW with bounding-box pruning: a
-// candidate whose MBR distance to the query's MBR already exceeds the
-// current k-th best DTW is skipped without computing DTW (the MBR gap is
-// a lower bound of any pointwise alignment cost).
+// k-nearest-trajectory search under DTW with a lower-bound cascade.
+// Candidates stream from a packed R-tree in ascending MBR gap to the
+// query's MBR; once k results are held, a candidate is skipped without its
+// DTW when a bound reaches the current k-th best: first gap * |q| (which
+// also ends the scan), then gap * max(|q|, |c|) -- every alignment has at
+// least that many matched pairs, each at least the gap apart -- then
+// DtwMbrLowerBound. The cascade never changes the result: it skips only
+// candidates whose DTW could not enter the k best.
 class TrajectorySimilaritySearch {
  public:
   struct Options {

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -138,39 +139,98 @@ TEST(KernelDispatchTest, RowAndColumnPrimitivesMatchScalarOnEveryTier) {
   }
 }
 
-TEST(KernelDispatchTest, DtwRowMatchesScalarAndFusedEqualsTwoPass) {
-  const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
+// The row-serial banded DTW over columns, written out independently of
+// the kernel: two DP rows, the scaled Sakoe-Chiba band, and the reference
+// cell expression with its (up, diag, left) operand order.
+double RowSerialDtw(const std::vector<double>& ax,
+                    const std::vector<double>& ay,
+                    const std::vector<double>& bx,
+                    const std::vector<double>& by, int band) {
+  const size_t n = ax.size();
+  const size_t m = bx.size();
+  std::vector<double> prev(m + 1, kInf), cur(m + 1, kInf);
+  prev[0] = 0.0;
+  for (size_t i = 1; i <= n; ++i) {
+    std::fill(cur.begin(), cur.end(), kInf);
+    size_t lo = 1, hi = m;
+    if (band > 0) {
+      const double center = static_cast<double>(i) * m / n;
+      lo = static_cast<size_t>(std::max(1.0, center - band));
+      hi = static_cast<size_t>(
+          std::min(static_cast<double>(m), center + band));
+    }
+    for (size_t j = lo; j <= hi; ++j) {
+      const double best = std::min({prev[j], prev[j - 1], cur[j - 1]});
+      const double dx = ax[i - 1] - bx[j - 1];
+      const double dy = ay[i - 1] - by[j - 1];
+      if (best != kInf) cur[j] = std::sqrt(dx * dx + dy * dy) + best;
+    }
+    std::swap(prev, cur);
+  }
+  return prev[m];
+}
+
+// Runs dtw_full on every tier, both as one call over the whole table and
+// as one anti-diagonal per call, and expects the bits of the row-serial
+// DP from both. Scratch starts filled with a sentinel, so a read of a cell
+// the wavefront never wrote shows up as a wrong result.
+void ExpectDtwFullMatchesRowSerial(const std::vector<double>& ax,
+                                   const std::vector<double>& ay,
+                                   const std::vector<double>& bx,
+                                   const std::vector<double>& by, int band) {
+  const size_t n = ax.size();
+  const size_t m = bx.size();
+  const size_t diagonals = n + m - 1;
+  const double want = RowSerialDtw(ax, ay, bx, by, band);
+  for (Isa isa : CompiledTiers()) {
+    const KernelOps& ops = *KernelDispatch::Table(isa);
+    std::vector<double> whole_scratch(3 * (m + 2), -7.0);
+    const double whole =
+        ops.dtw_full(ax.data(), ay.data(), n, bx.data(), by.data(), m, band,
+                     0, diagonals, whole_scratch.data());
+    EXPECT_EQ(0, std::memcmp(&want, &whole, sizeof(double)))
+        << "dtw_full (n=" << n << ", m=" << m << ", band=" << band
+        << ") diverges from the row-serial DP on tier " << IsaName(isa);
+    std::vector<double> scratch(3 * (m + 2), -7.0);
+    double chunked = 0.0;
+    for (size_t d = 0; d < diagonals; ++d) {
+      chunked = ops.dtw_full(ax.data(), ay.data(), n, bx.data(), by.data(), m,
+                             band, d, d + 1, scratch.data());
+      if (d + 1 < diagonals) {
+        EXPECT_TRUE(std::isnan(chunked))
+            << "partial call returned a value on " << IsaName(isa);
+      }
+    }
+    EXPECT_EQ(0, std::memcmp(&whole, &chunked, sizeof(double)))
+        << "dtw_full one diagonal per call (n=" << n << ", m=" << m
+        << ", band=" << band << ") diverges from one call on tier "
+        << IsaName(isa);
+  }
+}
+
+TEST(KernelDispatchTest, DtwFullResumesOneDiagonalPerCallOnEveryTier) {
+  // Every tier's DTW wavefront equals the row-serial DP, and running it
+  // one anti-diagonal per call -- as the deadline-bounded
+  // DtwDistanceBounded does -- gives the same bits as one call. Bands cover
+  // the unbanded table, rows narrower than the length ratio (no finite
+  // path) and empty diagonals between disjoint row bands; the IEEE
+  // specials turn most results into NaN or +inf, so every shape also runs
+  // without them. 240 is the length kNN sees in the end-to-end benchmark:
+  // its band-32 diagonals run the vector body many times over.
   Rng rng_store(13);
   Rng* rng = &rng_store;
-  // Widths straddle kDtwTwoPassMinWidth (16) so both the fused and the
-  // two-pass body run; scratch == nullptr forces the fused form, which
-  // must be bit-identical to the two-pass form on every tier.
-  for (size_t m : {size_t{1}, size_t{5}, size_t{16}, size_t{48}}) {
-    const auto bx = Column(rng, m, true);
-    const auto by = Column(rng, m, true);
-    std::vector<double> prev(m + 1);
-    for (double& p : prev) {
-      p = rng->Bernoulli(0.3) ? kInf : rng->Uniform(0.0, 500.0);
-    }
-    const double qx = rng->Uniform(-100.0, 100.0);
-    const double qy = rng->Uniform(-100.0, 100.0);
-    const size_t lo = static_cast<size_t>(
-        rng->UniformInt(1, static_cast<int64_t>(m)));
-    const size_t hi = static_cast<size_t>(rng->UniformInt(
-        static_cast<int64_t>(lo), static_cast<int64_t>(m)));
-    std::vector<double> want(m + 1, -7.0), scratch(m, -7.0);
-    ref.dtw_row(qx, qy, bx.data(), by.data(), m, lo, hi, prev.data(),
-                want.data(), scratch.data());
-    for (Isa isa : CompiledTiers()) {
-      const KernelOps& ops = *KernelDispatch::Table(isa);
-      std::vector<double> got(m + 1, -7.0), s2(m, -7.0);
-      ops.dtw_row(qx, qy, bx.data(), by.data(), m, lo, hi, prev.data(),
-                  got.data(), s2.data());
-      ExpectBytesEqual(want, got, isa, "dtw_row(two-pass)");
-      std::vector<double> fused(m + 1, -7.0);
-      ops.dtw_row(qx, qy, bx.data(), by.data(), m, lo, hi, prev.data(),
-                  fused.data(), nullptr);
-      ExpectBytesEqual(want, fused, isa, "dtw_row(fused)");
+  const size_t sizes[] = {1, 2, 3, 17, 48, 240};
+  for (size_t n : sizes) {
+    for (size_t m : sizes) {
+      for (const bool specials : {false, true}) {
+        const auto ax = Column(rng, n, specials);
+        const auto ay = Column(rng, n, specials);
+        const auto bx = Column(rng, m, specials);
+        const auto by = Column(rng, m, specials);
+        for (const int band : {-1, 1, 4, 32}) {
+          ExpectDtwFullMatchesRowSerial(ax, ay, bx, by, band);
+        }
+      }
     }
   }
 }

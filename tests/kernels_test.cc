@@ -5,12 +5,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/clock.h"
+#include "core/exec_context.h"
 #include "core/random.h"
 #include "kernels/dispatch.h"
 #include "kernels/packed_rtree.h"
@@ -51,16 +55,41 @@ std::vector<size_t> InterestingSizes() { return {0, 1, 2, 3, 7, 33, 64}; }
 
 // ------------------------------------------------------- measure identity
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 TEST(KernelEquivalenceTest, DtwMatchesScalarBitForBit) {
+  // The wavefront DTW, as one kernel call (no context) and one call per
+  // anti-diagonal (live context), against the row-serial reference: every
+  // shape from empty to 240 points, every band from unbanded to narrower
+  // than the length ratio, with a NaN coordinate in neither, the first or
+  // the second input.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  const size_t sizes[] = {0, 1, 2, 3, 17, 64, 240};
   Rng rng(7);
-  for (size_t n : InterestingSizes()) {
-    for (size_t m : InterestingSizes()) {
-      const Trajectory a = RandomTrajectory(&rng, n, 1);
-      const Trajectory b = RandomTrajectory(&rng, m, 2);
-      for (int band : {-1, 0, 1, 4, 32}) {
-        const double got = query::DtwDistance(a, b, band);
-        const double want = scalar::DtwDistance(a, b, band);
-        EXPECT_EQ(got, want) << "n=" << n << " m=" << m << " band=" << band;
+  VirtualClock clock;
+  const ExecContext live = ExecContext::After(&clock, 1000);
+  for (size_t n : sizes) {
+    for (size_t m : sizes) {
+      for (int nan_case = 0; nan_case < 3; ++nan_case) {
+        Trajectory a = RandomTrajectory(&rng, n, 1);
+        Trajectory b = RandomTrajectory(&rng, m, 2);
+        if (nan_case == 1 && n > 0) a.mutable_points()[n / 2].p.x = kNan;
+        if (nan_case == 2 && m > 0) b.mutable_points()[m - 1].p.y = kNan;
+        for (int band : {-1, 0, 1, 4, 32}) {
+          const double want = scalar::DtwDistance(a, b, band);
+          const auto plain = query::DtwDistanceBounded(a, b, band, nullptr);
+          const auto bounded = query::DtwDistanceBounded(a, b, band, &live);
+          ASSERT_TRUE(plain.ok());
+          ASSERT_TRUE(bounded.ok());
+          EXPECT_TRUE(SameBits(*plain, want))
+              << "n=" << n << " m=" << m << " band=" << band
+              << " nan_case=" << nan_case;
+          EXPECT_TRUE(SameBits(*bounded, want))
+              << "n=" << n << " m=" << m << " band=" << band
+              << " nan_case=" << nan_case;
+        }
       }
     }
   }
@@ -419,33 +448,118 @@ TEST(PackedRTreeTest, EmptyTree) {
 
 // -------------------------------------------- similarity search parity
 
+// Expects DtwMbrLowerBound(q, c) never above DtwDistance(q, c, band) for
+// any band. NaN on either side passes: a NaN bound never prunes, and a
+// candidate whose DTW is NaN never enters a full heap.
+void ExpectBoundBelowDtw(const Trajectory& q, const Trajectory& c,
+                         const char* what) {
+  const double lb = query::DtwMbrLowerBound(q, q.Bounds(), c, c.Bounds());
+  for (int band : {-1, 1, 4, 32}) {
+    const double dtw = query::DtwDistance(q, c, band);
+    EXPECT_FALSE(dtw < lb) << what << ": bound " << lb << " above DTW "
+                           << dtw << " (|q|=" << q.size()
+                           << " |c|=" << c.size() << " band=" << band << ")";
+  }
+}
+
+// Straight line of `n` points along x with spacing `dx`, at height `y`.
+Trajectory Line(size_t n, double dx, double y, ObjectId id = 1) {
+  Trajectory tr(id);
+  for (size_t i = 0; i < n; ++i) {
+    tr.AppendUnordered(TrajectoryPoint(static_cast<Timestamp>(i) * 1000,
+                                       Point(static_cast<double>(i) * dx, y)));
+  }
+  return tr;
+}
+
+TEST(SimilaritySearchKernelTest, MbrLowerBoundNeverExceedsDtw) {
+  Rng rng(61);
+  for (int trial = 0; trial < 40; ++trial) {
+    const Trajectory q =
+        RandomTrajectory(&rng, static_cast<size_t>(rng.UniformInt(1, 80)), 1);
+    const Trajectory c =
+        RandomTrajectory(&rng, static_cast<size_t>(rng.UniformInt(0, 80)), 2);
+    ExpectBoundBelowDtw(q, c, "random");
+    ExpectBoundBelowDtw(c, q, "random, swapped");
+  }
+  // Parallel lines at sub-metre offsets: each point's distance to the
+  // other line's MBR is the offset itself, so with equal lengths the bound
+  // equals the DTW before its rounding margin, and any upward slip of the
+  // bound fails here.
+  for (const double offset : {1e-9, 1e-3, 0.1, 0.3, 0.7}) {
+    for (const size_t n : {size_t{1}, size_t{7}, size_t{64}, size_t{240}}) {
+      for (const size_t m : {n, n + 3, 2 * n}) {
+        const Trajectory q = Line(n, 1.0, 0.0);
+        const Trajectory c = Line(m, static_cast<double>(n) / m, offset, 2);
+        ExpectBoundBelowDtw(q, c, "parallel lines");
+        ExpectBoundBelowDtw(c, q, "parallel lines, swapped");
+      }
+    }
+  }
+  // A candidate identical to the query: DTW and bound are both 0.
+  const Trajectory q = RandomTrajectory(&rng, 50, 1);
+  EXPECT_EQ(query::DtwMbrLowerBound(q, q.Bounds(), q, q.Bounds()), 0.0);
+  ExpectBoundBelowDtw(q, q, "identical");
+  // Length 1 against 240: the narrow bands leave no finite path (DTW is
+  // +inf), the unbanded DTW is finite.
+  const Trajectory one = RandomTrajectory(&rng, 1, 2);
+  const Trajectory long_tr = RandomTrajectory(&rng, 240, 3);
+  ExpectBoundBelowDtw(one, long_tr, "1 vs 240");
+  ExpectBoundBelowDtw(long_tr, one, "240 vs 1");
+  // NaN coordinates in either input.
+  Trajectory nan_x = RandomTrajectory(&rng, 30, 4);
+  nan_x.mutable_points()[10].p.x = std::numeric_limits<double>::quiet_NaN();
+  Trajectory nan_y = RandomTrajectory(&rng, 30, 5);
+  nan_y.mutable_points()[29].p.y = std::numeric_limits<double>::quiet_NaN();
+  ExpectBoundBelowDtw(q, nan_x, "NaN in candidate");
+  ExpectBoundBelowDtw(nan_x, q, "NaN in query");
+  ExpectBoundBelowDtw(nan_x, nan_y, "NaN in both");
+  // Empty candidates: DTW is +inf against a non-empty query, 0 against an
+  // empty one.
+  const Trajectory empty(6);
+  ExpectBoundBelowDtw(q, empty, "empty candidate");
+  ExpectBoundBelowDtw(empty, empty, "both empty");
+}
+
 TEST(SimilaritySearchKernelTest, KnnMatchesBruteForceDtwOrder) {
-  Rng rng(67);
-  std::vector<Trajectory> collection;
-  for (size_t i = 0; i < 40; ++i) {
-    collection.push_back(
-        RandomTrajectory(&rng, 20 + (i % 13), static_cast<ObjectId>(i)));
-  }
-  collection.push_back(Trajectory(99));  // empty candidate
-  const Trajectory q = RandomTrajectory(&rng, 25, 1000);
+  // The pruning cascade must return exactly the brute-force ranking by
+  // (DTW, index) over seeds, with duplicate trajectories (equal DTW and
+  // equal MBR gap, so ties break by index on both sides), an exact copy of
+  // the query, an empty candidate, and k from 1 past the collection size.
+  for (uint64_t seed = 67; seed < 67 + 12; ++seed) {
+    Rng rng(seed);
+    std::vector<Trajectory> collection;
+    for (size_t i = 0; i < 40; ++i) {
+      collection.push_back(
+          RandomTrajectory(&rng, 20 + (i % 13), static_cast<ObjectId>(i)));
+    }
+    const Trajectory q = RandomTrajectory(&rng, 25, 1000);
+    collection.push_back(collection[3]);
+    collection.push_back(collection[17]);
+    collection.push_back(q);
+    collection.push_back(Trajectory(99));  // empty candidate
+    const size_t size = collection.size();
 
-  query::TrajectorySimilaritySearch search;
-  search.Build(&collection);
-  query::TrajectorySimilaritySearch::SearchStats stats;
-  const auto got = search.Knn(q, 5, &stats);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(stats.candidates, collection.size());
-  EXPECT_EQ(stats.pruned + stats.dtw_computed, stats.candidates);
-
-  // Brute force: DTW against everything, same band.
-  std::vector<std::pair<double, size_t>> all;
-  for (size_t i = 0; i < collection.size(); ++i) {
-    all.emplace_back(query::DtwDistance(q, collection[i], 32), i);
-  }
-  std::sort(all.begin(), all.end());
-  ASSERT_EQ(got.value().size(), 5u);
-  for (size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(got.value()[i], all[i].second) << "rank " << i;
+    query::TrajectorySimilaritySearch search;
+    search.Build(&collection);
+    // Brute force: DTW against everything, same band.
+    std::vector<std::pair<double, size_t>> all;
+    for (size_t i = 0; i < size; ++i) {
+      all.emplace_back(query::DtwDistance(q, collection[i], 32), i);
+    }
+    std::sort(all.begin(), all.end());
+    for (const size_t k : {size_t{1}, size_t{5}, size - 1, size, size + 3}) {
+      query::TrajectorySimilaritySearch::SearchStats stats;
+      const auto got = search.Knn(q, k, &stats);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(stats.candidates, size);
+      EXPECT_EQ(stats.pruned + stats.dtw_computed, stats.candidates);
+      ASSERT_EQ(got.value().size(), std::min(k, size));
+      for (size_t i = 0; i < got.value().size(); ++i) {
+        EXPECT_EQ(got.value()[i], all[i].second)
+            << "seed " << seed << " k " << k << " rank " << i;
+      }
+    }
   }
 }
 

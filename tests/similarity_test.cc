@@ -169,6 +169,36 @@ TEST(FrechetTest, DeadlineInterruptsBetweenAntiDiagonals) {
   }
 }
 
+TEST(DtwTest, DeadlineInterruptsBetweenAntiDiagonals) {
+  Rng rng(31);
+  const Trajectory a = RandomWalk(&rng, 17, 1);
+  const Trajectory b = RandomWalk(&rng, 40, 2);
+  const int64_t diagonals = 17 + 40 - 1;
+  for (const int band : {-1, 4}) {
+    {
+      // One check per anti-diagonal: a budget of exactly n+m-1 checks runs
+      // the whole table.
+      TickingClock clock;
+      const ExecContext ctx = ExecContext::After(&clock, diagonals);
+      const auto got = DtwDistanceBounded(a, b, band, &ctx);
+      ASSERT_TRUE(got.ok());
+      EXPECT_TRUE(SameBits(*got, DtwDistance(a, b, band)));
+      EXPECT_EQ(clock.reads(), 1 + diagonals);
+    }
+    for (const int64_t budget : {int64_t{1}, int64_t{9}, diagonals - 1}) {
+      // Fewer checks than diagonals: the call stops at check budget+1,
+      // before the DP reaches its last diagonal.
+      TickingClock clock;
+      const ExecContext ctx = ExecContext::After(&clock, budget);
+      const auto got = DtwDistanceBounded(a, b, band, &ctx);
+      EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded)
+          << "band=" << band << " budget=" << budget;
+      EXPECT_EQ(clock.reads(), 1 + budget + 1)
+          << "band=" << band << " budget=" << budget;
+    }
+  }
+}
+
 TEST(EdrTest, ToleranceControlsMatching) {
   const Trajectory a = Line(0.0);
   const Trajectory b = Line(5.0);
