@@ -6,28 +6,32 @@
 namespace sidq {
 namespace outlier {
 
-namespace {
-
-double MedianOf(std::vector<double> values) {
-  const size_t mid = values.size() / 2;
-  std::nth_element(values.begin(), values.begin() + mid, values.end());
-  double m = values[mid];
-  if (values.size() % 2 == 0) {
-    m = (m + *std::max_element(values.begin(), values.begin() + mid)) / 2.0;
-  }
-  return m;
-}
-
-}  // namespace
-
 bool RollingRobustZ::Observe(double value) {
+  if (!std::isfinite(value)) return true;
+  if (options_.window == 0) return false;
+
   bool outlier = false;
-  if (buffer_.size() >= options_.min_samples) {
-    const double median = MedianOf(buffer_);
-    std::vector<double> deviations;
-    deviations.reserve(buffer_.size());
-    for (double v : buffer_) deviations.push_back(std::abs(v - median));
-    const double mad = MedianOf(std::move(deviations));
+  const size_t n = sorted_.size();
+  if (n > 0 && n >= options_.min_samples) {
+    const double* s = sorted_.data();
+    const size_t mid = n / 2;
+    double median = s[mid];
+    if (n % 2 == 0) median = (median + s[mid - 1]) / 2.0;
+    // The deviations |s[i] - median| ascend from lower_bound(median)
+    // outward on both sides: two sorted runs, merged up to rank mid.
+    size_t lo =
+        static_cast<size_t>(std::lower_bound(s, s + n, median) - s);
+    size_t hi = lo;
+    double below_mad = 0.0;  // rank mid - 1, the even-n partner
+    double mad = 0.0;
+    for (size_t rank = 0; rank <= mid; ++rank) {
+      below_mad = mad;
+      const bool take_low =
+          hi == n || (lo > 0 && std::abs(s[lo - 1] - median) <
+                                    std::abs(s[hi] - median));
+      mad = take_low ? std::abs(s[--lo] - median) : std::abs(s[hi++] - median);
+    }
+    if (n % 2 == 0) mad = (mad + below_mad) / 2.0;
     const double scale = std::max(1.4826 * mad,
                                   options_.min_mad_fraction *
                                       std::max(1.0, std::abs(median)));
@@ -37,9 +41,14 @@ bool RollingRobustZ::Observe(double value) {
     if (buffer_.size() < options_.window) {
       buffer_.push_back(value);
     } else {
+      const double evicted = buffer_[next_];
+      sorted_.erase(
+          std::lower_bound(sorted_.begin(), sorted_.end(), evicted));
       buffer_[next_] = value;
       next_ = (next_ + 1) % options_.window;
     }
+    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), value),
+                   value);
   }
   return outlier;
 }

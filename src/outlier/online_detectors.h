@@ -13,6 +13,16 @@ namespace outlier {
 // streaming analogue of the robust (median/MAD) detectors in
 // stid_outliers. Deterministic: state is a pure function of the observed
 // value sequence.
+//
+// A non-finite value (NaN, +-inf) is always an outlier and never enters
+// the baseline. An empty baseline flags nothing, so with `min_samples`
+// 0 the first value is an inlier; `window` 0 keeps no baseline at all,
+// so every finite value is an inlier.
+//
+// Beside the ring, the detector keeps the same values sorted, so the
+// median and MAD are read off in O(window) with no per-call allocation:
+// an update is one erase and one insert into a vector of at most
+// `window` doubles, and once the window is full Observe never allocates.
 class RollingRobustZ {
  public:
   struct Options {
@@ -36,6 +46,7 @@ class RollingRobustZ {
  private:
   Options options_;
   std::vector<double> buffer_;  // ring of trailing inliers
+  std::vector<double> sorted_;  // buffer_'s values, ascending
   size_t next_ = 0;             // ring write cursor
 };
 

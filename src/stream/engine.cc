@@ -182,8 +182,9 @@ Status StreamEngine::Push(const StreamEvent& ev) {
   }
   ++state.admitted;
   admitted_counter_.Increment();
-  auto [it, inserted] = state.open_windows.try_emplace(
-      d.window_index, RingWindow(config_.window_capacity));
+  // Constructs a RingWindow (and its reservation) only for a new key.
+  auto [it, inserted] =
+      state.open_windows.try_emplace(d.window_index, config_.window_capacity);
   it->second.Push(event);
   return CloseReadyWindows(event.record.sensor, &state);
 }

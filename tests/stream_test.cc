@@ -3,9 +3,14 @@
 // operators, event-log recording and serialization, and the engine's chaos
 // behaviour at the ingest and window-close failpoint sites.
 
+#include <dlfcn.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -26,6 +31,21 @@
 #include "stream/rules.h"
 #include "stream/window.h"
 #include "store/vfs.h"
+
+// Counts calls to the global operator new, so a test can assert that a hot
+// path performs no heap allocation. Each call forwards to the next
+// definition in symbol lookup order (the C++ runtime's, or a sanitizer
+// runtime's), so the runtime's own operator delete still matches it.
+std::atomic<size_t> g_operator_new_calls{0};
+
+void* operator new(std::size_t size) {
+  using NewFn = void* (*)(std::size_t);
+  // "_Znwm" is the Itanium C++ ABI name of operator new(unsigned long).
+  static const NewFn next =
+      reinterpret_cast<NewFn>(dlsym(RTLD_NEXT, "_Znwm"));
+  g_operator_new_calls.fetch_add(1, std::memory_order_relaxed);
+  return next(size);
+}
 
 namespace sidq {
 namespace stream {
@@ -207,6 +227,207 @@ TEST(RollingRobustZTest, WarmupAdmitsEverything) {
   for (int i = 0; i < 7; ++i) {
     EXPECT_FALSE(detector.Observe(i % 2 == 0 ? 0.0 : 1000.0));
   }
+}
+
+// The selection form of the detector: each Observe copies the window and
+// runs nth_element on it, twice. It is the reference the sorted-window
+// detector must agree with, verdict for verdict.
+class ReferenceRollingRobustZ {
+ public:
+  explicit ReferenceRollingRobustZ(outlier::RollingRobustZ::Options options)
+      : options_(options) {}
+
+  bool Observe(double value) {
+    bool outlier = false;
+    if (buffer_.size() >= options_.min_samples) {
+      const double median = MedianOf(buffer_);
+      std::vector<double> deviations;
+      deviations.reserve(buffer_.size());
+      for (double v : buffer_) deviations.push_back(std::abs(v - median));
+      const double mad = MedianOf(std::move(deviations));
+      const double scale = std::max(1.4826 * mad,
+                                    options_.min_mad_fraction *
+                                        std::max(1.0, std::abs(median)));
+      outlier = std::abs(value - median) > options_.z_threshold * scale;
+    }
+    if (!outlier) {
+      if (buffer_.size() < options_.window) {
+        buffer_.push_back(value);
+      } else {
+        buffer_[next_] = value;
+        next_ = (next_ + 1) % options_.window;
+      }
+    }
+    return outlier;
+  }
+
+ private:
+  static double MedianOf(std::vector<double> values) {
+    const size_t mid = values.size() / 2;
+    std::nth_element(values.begin(), values.begin() + mid, values.end());
+    double m = values[mid];
+    if (values.size() % 2 == 0) {
+      m = (m + *std::max_element(values.begin(), values.begin() + mid)) /
+          2.0;
+    }
+    return m;
+  }
+
+  outlier::RollingRobustZ::Options options_;
+  std::vector<double> buffer_;
+  size_t next_ = 0;
+};
+
+// One seeded input sequence of a family chosen to stress order statistics:
+// 0 noise with 1e6 / 1e300 spikes, 1 long constant runs, 2 heavy ties,
+// 3 signed zeros, 4 alternating signs.
+std::vector<double> RobustZInput(int family, uint64_t seed, size_t length) {
+  Rng rng(seed);
+  std::vector<double> values;
+  values.reserve(length);
+  double level = 0.0;
+  int64_t run_left = 0;
+  for (size_t i = 0; i < length; ++i) {
+    double v = 0.0;
+    switch (family) {
+      case 0:
+        v = 10.0 + rng.Gaussian(0.0, 0.5);
+        break;
+      case 1:
+        if (run_left-- <= 0) {
+          level = static_cast<double>(rng.UniformInt(-3, 3));
+          run_left = rng.UniformInt(1, 80);
+        }
+        v = level;
+        break;
+      case 2:
+        v = static_cast<double>(rng.UniformInt(0, 4));
+        break;
+      case 3: {
+        const double zeros[] = {0.0, -0.0, 0.0, -0.0, 1.0, -1.0};
+        v = zeros[rng.UniformInt(0, 5)];
+        break;
+      }
+      default:
+        v = (i % 2 == 0 ? 1.0 : -1.0) * (5.0 + rng.Gaussian(0.0, 1.0));
+        break;
+    }
+    if (rng.Bernoulli(0.05)) v = rng.Bernoulli(0.5) ? 1e6 : -1e6;
+    if (rng.Bernoulli(0.02)) v = rng.Bernoulli(0.5) ? 1e300 : -1e300;
+    values.push_back(v);
+  }
+  return values;
+}
+
+TEST(RollingRobustZTest, MatchesTheSelectionReferenceVerdictForVerdict) {
+  int64_t outliers = 0;
+  int64_t inliers = 0;
+  for (size_t window : {1, 2, 3, 7, 8, 32, 33}) {
+    for (size_t min_samples : {1, 2, 8, 40}) {
+      for (double z_threshold : {0.0, 3.5}) {
+        outlier::RollingRobustZ::Options options;
+        options.window = window;
+        options.min_samples = min_samples;
+        options.z_threshold = z_threshold;
+        for (int family = 0; family < 5; ++family) {
+          for (uint64_t seed = 1; seed <= 2; ++seed) {
+            outlier::RollingRobustZ detector(options);
+            ReferenceRollingRobustZ reference(options);
+            const std::vector<double> input =
+                RobustZInput(family, seed * 131 + window, 400);
+            for (size_t i = 0; i < input.size(); ++i) {
+              const bool verdict = detector.Observe(input[i]);
+              ASSERT_EQ(verdict, reference.Observe(input[i]))
+                  << "window " << window << " min_samples " << min_samples
+                  << " z " << z_threshold << " family " << family
+                  << " seed " << seed << " at " << i << " value "
+                  << input[i];
+              ++(verdict ? outliers : inliers);
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both verdicts are common, so neither side is vacuous.
+  EXPECT_GT(outliers, 10000);
+  EXPECT_GT(inliers, 10000);
+}
+
+TEST(RollingRobustZTest, NonFiniteValuesAreOutliersAndStayOutOfTheBaseline) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  outlier::RollingRobustZ dirty;
+  outlier::RollingRobustZ clean;
+  Rng rng(3);
+  for (int i = 0; i < 200; ++i) {
+    // Inject from the very first call, so warm-up is covered too.
+    if (i % 5 == 0) {
+      EXPECT_TRUE(dirty.Observe(bad[(i / 5) % 3])) << i;
+    }
+    const double v = 10.0 + rng.Gaussian(0.0, 1.0) + (i % 17 == 0 ? 300 : 0);
+    EXPECT_EQ(dirty.Observe(v), clean.Observe(v)) << i;
+  }
+  EXPECT_EQ(dirty.num_samples(), clean.num_samples());
+}
+
+TEST(RollingRobustZTest, EmptyBaselineFlagsNothingWithZeroMinSamples) {
+  outlier::RollingRobustZ::Options options;
+  options.window = 8;
+  options.min_samples = 0;
+  outlier::RollingRobustZ zero(options);
+  EXPECT_FALSE(zero.Observe(1e6));  // the empty-baseline call
+  // From one sample on, min_samples 0 and 1 are the same rule.
+  options.min_samples = 1;
+  outlier::RollingRobustZ one(options);
+  EXPECT_FALSE(one.Observe(1e6));
+  Rng rng(4);
+  for (int i = 0; i < 100; ++i) {
+    const double v = rng.Bernoulli(0.1) ? -1e6 : rng.Gaussian(0.0, 1.0);
+    EXPECT_EQ(zero.Observe(v), one.Observe(v)) << i;
+  }
+}
+
+TEST(RollingRobustZTest, ZeroWindowKeepsNoBaseline) {
+  outlier::RollingRobustZ::Options options;
+  options.window = 0;
+  options.min_samples = 0;
+  outlier::RollingRobustZ used(options);
+  for (double v : {1.0, 1e300, -1e6, 0.0}) EXPECT_FALSE(used.Observe(v));
+  EXPECT_TRUE(used.Observe(std::numeric_limits<double>::quiet_NaN()));
+  EXPECT_EQ(used.num_samples(), 0u);
+  outlier::RollingRobustZ fresh(options);
+  Rng rng(6);
+  for (int i = 0; i < 100; ++i) {
+    const double v = rng.Bernoulli(0.1) ? 1e6 : rng.Gaussian(0.0, 1.0);
+    const bool verdict = used.Observe(v);
+    EXPECT_FALSE(verdict) << i;
+    EXPECT_EQ(verdict, fresh.Observe(v)) << i;
+  }
+  EXPECT_EQ(used.num_samples(), 0u);
+}
+
+TEST(RollingRobustZTest, ObserveDoesNotAllocateOnceTheWindowIsFull) {
+  outlier::RollingRobustZ detector;
+  ReferenceRollingRobustZ reference(outlier::RollingRobustZ::Options{});
+  const std::vector<double> input = RobustZInput(0, 9, 500);
+  for (size_t i = 0; i < 32; ++i) {
+    detector.Observe(10.0 + 0.01 * static_cast<double>(i));
+    reference.Observe(10.0 + 0.01 * static_cast<double>(i));
+  }
+  ASSERT_EQ(detector.num_samples(), 32u);
+
+  const size_t before = g_operator_new_calls.load();
+  int64_t flagged = 0;
+  for (double v : input) flagged += detector.Observe(v) ? 1 : 0;
+  EXPECT_EQ(g_operator_new_calls.load() - before, 0u);
+  EXPECT_GT(flagged, 0);
+
+  // The hook does see allocations: the reference copies its window.
+  const size_t reference_before = g_operator_new_calls.load();
+  for (double v : input) reference.Observe(v);
+  EXPECT_GE(g_operator_new_calls.load() - reference_before, input.size());
 }
 
 TEST(PageHinkleyTest, DetectsMeanShiftAndIgnoresStationary) {
