@@ -9,7 +9,7 @@
 //   latency_bound  each trajectory first pays a simulated sensor-gateway
 //                  fetch (50 us sleep) before the same smoothing step --
 //                  the IoT regime where cleaning stalls on ingest I/O. The
-//                  pool overlaps the stalls, so speedup survives even a
+//                  workers overlap the stalls, so speedup survives even a
 //                  single core.
 //
 // Every parallel configuration is checked bit-identical to the serial

@@ -12,12 +12,10 @@
 // Primitives:
 //   pairwise     all-pairs squared distances (the EDR/LCSS/Frechet inner
 //                pattern) -- embarrassingly vectorizable, the headline win
-//   dtw_row      full banded DTW (query::DtwDistance), i.e. the
-//                anti-diagonal dtw_full kernel; the key keeps its
-//                historical name
-//   frechet_row  full discrete Frechet (query::DiscreteFrechetDistance),
-//                i.e. the anti-diagonal frechet_full kernel; the key keeps
-//                its historical name
+//   dtw_full     full banded DTW (query::DtwDistance), i.e. the
+//                anti-diagonal dtw_full kernel
+//   frechet_full full discrete Frechet (query::DiscreteFrechetDistance),
+//                i.e. the anti-diagonal frechet_full kernel
 //   packed_range batched range queries over per-segment boxes on
 //                kernels::PackedRTree vs. per-query
 //                index::RTree::RangeQuery
@@ -140,7 +138,7 @@ PrimitiveResult BenchPairwise(const std::vector<Trajectory>& fleet,
 
 PrimitiveResult BenchDtw(const std::vector<Trajectory>& fleet, size_t pairs,
                          int band) {
-  PrimitiveResult r{"dtw_row"};
+  PrimitiveResult r{"dtw_full"};
   Checksum scalar_sum, kernel_sum;
 
   auto t0 = std::chrono::steady_clock::now();
@@ -164,7 +162,7 @@ PrimitiveResult BenchDtw(const std::vector<Trajectory>& fleet, size_t pairs,
 
 PrimitiveResult BenchFrechet(const std::vector<Trajectory>& fleet,
                              size_t pairs) {
-  PrimitiveResult r{"frechet_row"};
+  PrimitiveResult r{"frechet_full"};
   Checksum scalar_sum, kernel_sum;
 
   auto t0 = std::chrono::steady_clock::now();

@@ -3,7 +3,7 @@
 // then cleaned by a TrajectoryPipeline -- HMM map matching (Location
 // Refinement), road-constrained gap completion (Uncertainty Elimination),
 // DP-SED simplification (Data Reduction) -- run over the whole fleet by
-// exec::FleetRunner on a work-stealing pool. A dispatcher's continuous
+// exec::FleetRunner's fork-join workers. A dispatcher's continuous
 // range query consumes the cleaned streams (Exploitation).
 //
 //   fleet_cleaning [--threads N]       (default 0 = all hardware threads)

@@ -5,7 +5,7 @@ v2: a tokenizing multi-pass engine. Pass 1 strips comments/strings and
 collects suppression annotations; pass 2 runs line rules; pass 3 runs
 file-scope rules that need cross-line structure (range-for scanning,
 class-body capability checks); pass 4 flags suppressions that matched
-nothing; pass 5 applies the checked-in baseline and formats output.
+nothing; pass 5 formats output.
 
 Rules
 -----
@@ -26,8 +26,8 @@ Rules
                          sanctioned exception.
   R6  stray-thread       `std::thread` / `std::jthread` / `std::async`
                          outside src/exec/; ad-hoc threads bypass the
-                         pool's determinism and shutdown guarantees. Go
-                         through exec::ThreadPool / exec::FleetRunner.
+                         fork-join's per-index result slots and join. Go
+                         through exec::ParallelFor / exec::FleetRunner.
                          (`std::thread::hardware_concurrency` is fine.)
   R7  scalar-haversine   per-point `HaversineDistance` inside a loop in
                          the hot-path layers (src/query/, src/outlier/,
@@ -113,8 +113,8 @@ One unified spelling, reason mandatory:
     // comment lines>)
 
 placed on the offending line or on the comment block directly above it.
-Suppression-hygiene meta rules (not suppressible, not baselineable-away
-by accident: they are ordinary findings):
+Suppression-hygiene meta rules (not suppressible: they are ordinary
+findings):
 
   S1  legacy-suppression    old spellings (`ignore-status`, `allow-thread`)
                             are findings and do NOT suppress. --fix
@@ -125,19 +125,12 @@ by accident: they are ordinary findings):
   S4  unused-suppression    a suppression whose rule never matched the
                             covered line. Stale annotations rot.
 
-Baseline
---------
-`scripts/sidq_lint_baseline.json` holds grandfathered findings as
-{file, line, rule} triples. Baselined findings do not fail the run but
-are counted. `--write-baseline` regenerates the file from the current
-findings. The checked-in baseline is empty and must stay free of
-src/exec/ and src/obs/ entries.
+Every finding fails the run; there is no grandfathering. Fix the code or
+annotate it with a written reason.
 
 Usage: scripts/sidq_lint.py [--root DIR] [--format {text,json}]
-                            [--fix] [--write-baseline]
-                            [--baseline FILE] [paths...]
-Exits 0 when the tree is clean (baselined findings allowed), 1 with
-findings otherwise, 2 on usage errors.
+                            [--fix] [paths...]
+Exits 0 when the tree is clean, 1 with findings, 2 on usage errors.
 
 Registered as the tier-1 `sidq_lint` ctest; `lint_selftest` runs the
 engine against the fixture corpus in tests/lint_fixtures/.
@@ -345,7 +338,7 @@ def strip_comments_and_strings(text):
 
 
 class Finding:
-    __slots__ = ("file", "line", "rule", "message", "fix", "baselined")
+    __slots__ = ("file", "line", "rule", "message", "fix")
 
     def __init__(self, file, line, rule, message, fix=None):
         self.file = file
@@ -353,10 +346,6 @@ class Finding:
         self.rule = rule
         self.message = message
         self.fix = fix  # None | ("insert_pragma_once",) | ("replace", old, new)
-        self.baselined = False
-
-    def key(self):
-        return (self.file, self.line, self.rule)
 
     def to_json(self):
         return {
@@ -365,7 +354,6 @@ class Finding:
             "rule": self.rule,
             "slug": RULES.get(self.rule, "?"),
             "message": self.message,
-            "baselined": self.baselined,
             "fixable": self.fix is not None,
         }
 
@@ -555,7 +543,7 @@ def run_line_rules(ctx):
             if not ctx.suppressed(lineno, "stray-thread"):
                 ctx.add(lineno, "R6",
                         "std::thread/jthread/async outside src/exec/; use "
-                        "exec::ThreadPool or annotate with "
+                        "exec::ParallelFor or annotate with "
                         "'// sidq: allow-stray-thread(<reason>)'")
 
         # R7: per-point HaversineDistance inside a loop in hot layers.
@@ -580,7 +568,7 @@ def run_line_rules(ctx):
             if not ctx.suppressed(lineno, "raw-mutex"):
                 ctx.add(lineno, "R10",
                         "raw std synchronization primitive; use "
-                        "sidq::Mutex / sidq::MutexLock / sidq::CondVar "
+                        "sidq::Mutex / sidq::MutexLock "
                         "(src/core/mutex.h) so -Wthread-safety sees the "
                         "capability, or annotate with "
                         "'// sidq: allow-raw-mutex(<reason>)'")
@@ -835,31 +823,6 @@ def run_unused_suppression_pass(ctx):
 
 
 # ---------------------------------------------------------------------------
-# Baseline
-
-def load_baseline(path):
-    if not path.is_file():
-        return set()
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        print(f"sidq-lint: bad baseline {path}: {e}", file=sys.stderr)
-        sys.exit(2)
-    entries = data["entries"] if isinstance(data, dict) else data
-    return {(e["file"], e["line"], e["rule"]) for e in entries}
-
-
-def write_baseline(path, findings):
-    entries = [
-        {"file": f.file, "line": f.line, "rule": f.rule}
-        for f in findings
-    ]
-    path.write_text(
-        json.dumps({"version": 1, "entries": entries}, indent=2) + "\n",
-        encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
 # --fix
 
 def apply_fixes(root, findings):
@@ -932,19 +895,12 @@ def main():
                         default="text", help="output format")
     parser.add_argument("--fix", action="store_true",
                         help="apply mechanical fixes (R4, S1) in place")
-    parser.add_argument("--baseline", default=None,
-                        help="baseline file "
-                             "(default: <root>/scripts/sidq_lint_baseline.json)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline from current findings")
     parser.add_argument("paths", nargs="*",
                         help="files to lint (default: whole tree)")
     args = parser.parse_args()
 
     root = (Path(args.root).resolve() if args.root
             else Path(__file__).resolve().parent.parent)
-    baseline_path = (Path(args.baseline) if args.baseline
-                     else root / "scripts" / "sidq_lint_baseline.json")
 
     files = collect_files(root, args.paths)
     findings = lint_tree(root, files)
@@ -956,41 +912,23 @@ def main():
                   file=sys.stderr)
             findings = lint_tree(root, files)
 
-    if args.write_baseline:
-        write_baseline(baseline_path, findings)
-        print(f"sidq-lint: wrote {len(findings)} entr(ies) to "
-              f"{baseline_path}")
-        return 0
-
-    baseline = load_baseline(baseline_path)
-    live = []
-    for f in findings:
-        if f.key() in baseline:
-            f.baselined = True
-        else:
-            live.append(f)
-
     if args.format == "json":
         print(json.dumps({
             "files_scanned": len(files),
             "findings": [f.to_json() for f in findings],
-            "clean": not live,
+            "clean": not findings,
         }, indent=2))
     else:
         for f in findings:
-            tag = " (baselined)" if f.baselined else ""
-            print(f"{f.file}:{f.line}: [{f.rule}] {f.message}{tag}",
+            print(f"{f.file}:{f.line}: [{f.rule}] {f.message}",
                   file=sys.stderr)
-        n_base = sum(1 for f in findings if f.baselined)
-        if live:
-            print(f"sidq-lint: {len(live)} finding(s) "
-                  f"({n_base} baselined) in {len(files)} files",
-                  file=sys.stderr)
+        if findings:
+            print(f"sidq-lint: {len(findings)} finding(s) in "
+                  f"{len(files)} files", file=sys.stderr)
         else:
-            extra = f", {n_base} baselined" if n_base else ""
-            print(f"sidq-lint: OK ({len(files)} files clean{extra})")
+            print(f"sidq-lint: OK ({len(files)} files clean)")
 
-    return 1 if live else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":

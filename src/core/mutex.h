@@ -1,6 +1,5 @@
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 #include <shared_mutex>
 
@@ -34,7 +33,6 @@ class SIDQ_CAPABILITY("mutex") Mutex {
   }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -98,35 +96,6 @@ class SIDQ_SCOPED_CAPABILITY ReaderMutexLock {
 
  private:
   SharedMutex& mu_;
-};
-
-// Condition variable bound to sidq::Mutex. Wait() is deliberately
-// predicate-free: callers loop `while (!cond) cv_.Wait(mu_);` in the
-// function that holds the capability, which keeps the guarded reads of the
-// condition inside an analyzed scope (predicate lambdas are opaque to the
-// analysis and would need escape hatches).
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
-  // Atomically releases `mu`, blocks until notified, reacquires `mu`.
-  // Spurious wakeups happen; always wait in a condition loop.
-  void Wait(Mutex& mu) SIDQ_REQUIRES(mu) {
-    // Adopt the already-held native mutex for the wait protocol, then
-    // release the unique_lock's ownership claim so the caller's scoped
-    // lock remains the one true owner.
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    cv_.wait(native);
-    native.release();
-  }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace sidq

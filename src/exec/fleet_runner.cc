@@ -4,14 +4,13 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <future>
 #include <thread>
 #include <utility>
 
 #include "core/exec_context.h"
 #include "core/random.h"
+#include "exec/parallel_for.h"
 #include "exec/steady_clock.h"
-#include "exec/thread_pool.h"
 #include "obs/observer.h"
 
 namespace sidq {
@@ -160,15 +159,14 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
   std::atomic<size_t> shards_cancelled{0};
   std::atomic<size_t> quarantined_count{0};
 
-  // Each shard task writes only its own indices of cleaned/statuses/
-  // all_reports/traces; the future join publishes those writes to this
+  // Each shard writes only its own indices of cleaned/statuses/
+  // all_reports/traces; the ParallelFor join publishes those writes to this
   // thread.
-  auto run_shard = [&](const std::vector<size_t>* shard) -> Status {
+  auto run_shard = [&](const std::vector<size_t>& shard) {
     if (cancelled.load(std::memory_order_acquire)) {
       shards_cancelled.fetch_add(1, std::memory_order_relaxed);
-      return Status::Cancelled("shard skipped after earlier failure");
+      return;
     }
-    Status first = Status::OK();
     // One observer per shard: it caches metric handles and span names
     // across the shard's objects and flushes its buffered spans to the
     // tracer in a single batch when it goes out of scope.
@@ -180,7 +178,7 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
                   obs::MetricsRegistry::DurationBucketsMs(),
                   timing_stability)
             : obs::Histogram();
-    for (size_t i : *shard) {
+    for (size_t i : shard) {
       const ObjectId id = fleet[i].object_id();
       Rng rng = Rng::ForKey(options_.base_seed, id);
       Rng retry_rng =
@@ -226,7 +224,6 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
         result.statuses[i] = Status::OK();
       } else {
         result.statuses[i] = out.status();
-        if (first.ok()) first = out.status();
         if (out.status().code() != StatusCode::kCancelled) {
           const size_t q =
               quarantined_count.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -237,7 +234,6 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
         }
       }
     }
-    return first;
   };
 
   size_t num_threads =
@@ -245,31 +241,8 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  if (num_threads <= 1) {
-    // Single-threaded: run shards inline on the caller thread, in shard
-    // order. A one-worker pool pays thread spawn/join plus a future and
-    // condvar round-trip per shard, which made threads=1 measurably
-    // SLOWER than serial execution on cpu-bound fleets.
-    for (const std::vector<size_t>& shard : shards) {
-      Status shard_status = run_shard(&shard);
-      (void)shard_status;  // recorded per trajectory in statuses
-    }
-  } else {
-    ThreadPool pool(num_threads, sinks.metrics);
-    std::vector<std::future<Status>> futures;
-    futures.reserve(shards.size());
-    for (const std::vector<size_t>& shard : shards) {
-      futures.push_back(pool.Submit([&run_shard, &shard] {
-        return run_shard(&shard);
-      }));
-    }
-    for (std::future<Status>& f : futures) {
-      // Shard-level failures are also recorded per trajectory; the future
-      // exists to join and to propagate Status through the pool API.
-      Status shard_status = f.get();
-      (void)shard_status;  // recorded per trajectory in statuses
-    }
-  }
+  ParallelFor(shards.size(), num_threads,
+              [&](size_t s) { run_shard(shards[s]); });
 
   result.shards_cancelled = shards_cancelled.load(std::memory_order_relaxed);
   result.breaker_tripped = breaker_tripped.load(std::memory_order_relaxed);

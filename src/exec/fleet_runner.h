@@ -103,8 +103,8 @@ struct FleetResult {
   [[nodiscard]] std::string ResilienceSummary() const;
 };
 
-// Runs a TrajectoryPipeline over a batch of trajectories on a work-stealing
-// ThreadPool.
+// Runs a TrajectoryPipeline over a batch of trajectories, one shard per
+// exec::ParallelFor index.
 //
 // Determinism contract: trajectory i is cleaned with the RNG substream
 // DeriveSeed(base_seed, fleet[i].object_id()) and results are written back
@@ -125,10 +125,9 @@ class FleetRunner {
   struct Options {
     // Worker threads; <= 0 means std::thread::hardware_concurrency().
     int num_threads = 0;
-    // Trajectories per task: the fleet is cut into contiguous index chunks
-    // of this size. Small shards expose more parallelism; large shards
-    // amortize scheduling; the work-stealing pool absorbs moderate
-    // imbalance.
+    // Trajectories per shard: the fleet is cut into contiguous index chunks
+    // of this size. Workers claim shards one at a time, in index order, so
+    // small shards even out imbalance and large shards amortize the claim.
     size_t shard_size = 16;
     // Base seed of the per-trajectory substreams.
     uint64_t base_seed = 42;

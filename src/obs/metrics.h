@@ -27,8 +27,8 @@ namespace obs {
 //     config) under virtual time: counters/gauges of discrete events, and
 //     histograms fed integer-valued samples (integer doubles sum exactly in
 //     any stripe order, so even the float `sum` field is reproducible);
-//   kVolatile -- its value depends on OS scheduling (work-steal counts,
-//     wall-clock durations). Volatile metrics are excluded from snapshots
+//   kVolatile -- its value depends on OS scheduling (how many shards a
+//     fleet stop skipped, wall-clock durations). Volatile metrics are excluded from snapshots
 //     unless SnapshotOptions::include_volatile is set, so the default
 //     export is byte-identical across runs and worker counts -- the
 //     property the golden-trace tests pin.

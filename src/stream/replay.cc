@@ -1,13 +1,12 @@
 #include "stream/replay.h"
 
 #include <algorithm>
-#include <future>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/trace.h"
 
 namespace sidq {
@@ -23,11 +22,12 @@ StatusOr<StreamOutput> Replay(const EventLog& log, const StreamConfig& config,
     replay_span.set_note("threads=" + std::to_string(threads) +
                          " events=" + std::to_string(log.size()));
   }
-  if (threads == 1) {
+  const auto replay = [&](const EventLog& part) -> StatusOr<StreamOutput> {
     StreamEngine engine(config, options.sinks, options.clock, options.ctx);
-    SIDQ_RETURN_IF_ERROR(ReplayInto(&engine, log));
+    SIDQ_RETURN_IF_ERROR(ReplayInto(&engine, part));
     return engine.TakeOutput();
-  }
+  };
+  if (threads == 1) return replay(log);
 
   // Shard by sensor: each sub-log keeps arrival order (ascending seq), and
   // every decision the engine makes is per-sensor, so shard outputs are
@@ -39,32 +39,19 @@ StatusOr<StreamOutput> Replay(const EventLog& log, const StreamConfig& config,
         ev);
   }
 
-  exec::ThreadPool pool(static_cast<size_t>(threads), options.sinks.metrics);
-  std::vector<std::future<StatusOr<StreamOutput>>> futures;
-  futures.reserve(shards.size());
-  for (size_t i = 0; i < shards.size(); ++i) {
-    const EventLog& shard = shards[i];
-    futures.push_back(
-        pool.Submit([&config, &options, &shard]() -> StatusOr<StreamOutput> {
-          StreamEngine engine(config, options.sinks, options.clock,
-                              options.ctx);
-          SIDQ_RETURN_IF_ERROR(ReplayInto(&engine, shard));
-          return engine.TakeOutput();
-        }));
-  }
+  std::vector<StatusOr<StreamOutput>> outputs(
+      shards.size(), Status::Internal("replay shard did not run"));
+  exec::ParallelFor(shards.size(), shards.size(),
+                    [&](size_t i) { outputs[i] = replay(shards[i]); });
 
+  // Merge in shard order; the lowest-index failure wins, so the reported
+  // Status does not depend on which shard finished first.
   StreamOutput merged;
   merged.cleaned = StDataset(log.field_name);
-  Status failure = Status::OK();
-  for (std::future<StatusOr<StreamOutput>>& f : futures) {
-    StatusOr<StreamOutput> shard_output = f.get();
-    if (!shard_output.ok()) {
-      failure = shard_output.status();
-      continue;  // drain every future before reporting
-    }
+  for (StatusOr<StreamOutput>& shard_output : outputs) {
+    SIDQ_RETURN_IF_ERROR(shard_output.status());
     merged.Merge(std::move(shard_output).value());
   }
-  SIDQ_RETURN_IF_ERROR(failure);
   merged.Canonicalize();
   return merged;
 }

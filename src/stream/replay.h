@@ -10,10 +10,11 @@ namespace sidq {
 namespace stream {
 
 struct ReplayOptions {
-  // 1 = serial replay; > 1 shards *sensors* across that many engines on an
-  // exec::ThreadPool. All engine state is per-sensor, so a sensor shard
-  // replays exactly the serial decision sequence and the merged output is
-  // bit-identical to the serial replay for any worker count.
+  // 1 = serial replay; > 1 shards *sensors* across that many engines, one
+  // per exec::ParallelFor index. All engine state is per-sensor, so a
+  // sensor shard replays exactly the serial decision sequence and the
+  // merged output is bit-identical to the serial replay for any worker
+  // count.
   int num_threads = 1;
   obs::ObsSinks sinks;
   const Clock* clock = nullptr;
@@ -21,8 +22,9 @@ struct ReplayOptions {
 };
 
 // Replays `log` through the stream engine and returns the canonical
-// output. Fails only on cooperative cancellation / deadline (or a worker
-// dying); data problems land in the output's quarantine ledger instead.
+// output. Fails only on cooperative cancellation / deadline; a sharded
+// replay reports the failure of its lowest-index shard. Data problems land
+// in the output's quarantine ledger instead.
 [[nodiscard]] StatusOr<StreamOutput> Replay(const EventLog& log,
                                             const StreamConfig& config,
                                             const ReplayOptions& options = {});

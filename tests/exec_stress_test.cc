@@ -1,14 +1,11 @@
 // Concurrency stress tests for src/exec/, written to be run under the
 // `tsan` preset (they also run in every other preset): tiny shards and
-// more workers than cores hammer the pool's queue, steal, cancellation,
-// and report-merge paths so ThreadSanitizer sees real interleavings
-// instead of a single lucky schedule.
+// more workers than cores hammer the fork-join's index claim, the
+// cancellation flag, and the report merge so ThreadSanitizer sees real
+// interleavings instead of a single lucky schedule.
 
-#include <atomic>
 #include <cstdint>
-#include <future>
 #include <string>
-#include <thread>  // multi-producer submission stress
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,7 +16,7 @@
 #include "core/status.h"
 #include "core/trajectory.h"
 #include "exec/fleet_runner.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 #include "obs/metrics.h"
 
 namespace sidq {
@@ -27,7 +24,6 @@ namespace {
 
 using exec::FleetResult;
 using exec::FleetRunner;
-using exec::ThreadPool;
 
 std::vector<Trajectory> MakeTinyFleet(size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -73,7 +69,7 @@ TEST(ExecStressTest, ManyWorkersSingleTrajectoryShardsStayDeterministic) {
 
   FleetRunner::Options options;
   options.num_threads = 8;  // deliberately more than this container's cores
-  options.shard_size = 1;   // maximum queue/steal churn
+  options.shard_size = 1;   // maximum index-claim churn
   options.base_seed = kSeed;
   const FleetRunner runner(&pipeline, options);
 
@@ -160,77 +156,33 @@ TEST(ExecStressTest, CancellationRaceIsClean) {
   }
 }
 
-TEST(ExecStressTest, MultiProducerSubmission) {
-  // Four producer threads hammer one pool while its eight workers drain;
-  // the counter must come out exact and TSan must stay silent.
-  ThreadPool pool(8);
-  std::atomic<int64_t> sum{0};
-  constexpr int kProducers = 4;
-  constexpr int kTasksPerProducer = 2000;
-  {
-    std::vector<std::thread> producers;  // sidq: allow-stray-thread(stress the pool's MPMC path)
-    producers.reserve(kProducers);
-    for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&pool, &sum, p] {
-        std::vector<std::future<Status>> futures;
-        futures.reserve(kTasksPerProducer);
-        for (int i = 0; i < kTasksPerProducer; ++i) {
-          futures.push_back(pool.Submit([&sum, p, i]() -> Status {
-            sum.fetch_add(static_cast<int64_t>(p) * kTasksPerProducer + i,
-                          std::memory_order_relaxed);
-            return Status::OK();
-          }));
-        }
-        for (auto& f : futures) f.wait();
-      });
-    }
-    // sidq: allow-stray-thread(joining the producer threads spawned above)
-    for (std::thread& t : producers) t.join();
-  }
-  pool.Shutdown();
-  constexpr int64_t kTotal = int64_t{kProducers} * kTasksPerProducer;
-  EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
-}
-
-// Eight pool workers hammer one MetricsRegistry -- the same counter, gauge,
-// and histogram cells, plus racing first-registrations of per-task names --
-// and the merged snapshot must equal the arithmetic totals exactly. Under
-// the tsan preset this is the data-race check for the striped lock-free
-// write path; in every preset it is the no-lost-updates check.
+// Eight ParallelFor workers hammer one MetricsRegistry -- the same counter,
+// gauge, and histogram cells, plus racing first-registrations of per-task
+// names -- and the merged snapshot must equal the arithmetic totals exactly.
+// Under the tsan preset this is the data-race check for the striped
+// lock-free write path; in every preset it is the no-lost-updates check.
 TEST(ExecStressTest, MetricsRegistryLosesNothingUnderPoolContention) {
   obs::MetricsRegistry registry;
   constexpr int kWorkers = 8;
   constexpr int kTasks = 64;
   constexpr int kOpsPerTask = 5000;
 
-  ThreadPool pool(kWorkers);
-  {
-    std::vector<std::future<Status>> futures;
-    futures.reserve(kTasks);
-    for (int task = 0; task < kTasks; ++task) {
-      futures.push_back(pool.Submit([&registry, task]() -> Status {
-        // Shared hot cells: every task resolves the same names (shared-lock
-        // fast path) and writes lock-free.
-        obs::Counter hits = registry.counter("stress.hits");
-        obs::Gauge net = registry.gauge("stress.net");
-        obs::Histogram lat =
-            registry.histogram("stress.latency", {10.0, 100.0, 1000.0});
-        // Racing first registration: a fresh name per task, exercising the
-        // exclusive path concurrently with the fast path above.
-        registry.counter("stress.task." + std::to_string(task)).Increment();
-        for (int i = 0; i < kOpsPerTask; ++i) {
-          hits.Increment();
-          net.Add(i % 2 == 0 ? 1 : -1);
-          lat.Record(static_cast<double>(i % 200));
-        }
-        return Status::OK();
-      }));
+  exec::ParallelFor(kTasks, kWorkers, [&registry](size_t task) {
+    // Shared hot cells: every task resolves the same names (shared-lock
+    // fast path) and writes lock-free.
+    obs::Counter hits = registry.counter("stress.hits");
+    obs::Gauge net = registry.gauge("stress.net");
+    obs::Histogram lat =
+        registry.histogram("stress.latency", {10.0, 100.0, 1000.0});
+    // Racing first registration: a fresh name per task, exercising the
+    // exclusive path concurrently with the fast path above.
+    registry.counter("stress.task." + std::to_string(task)).Increment();
+    for (int i = 0; i < kOpsPerTask; ++i) {
+      hits.Increment();
+      net.Add(i % 2 == 0 ? 1 : -1);
+      lat.Record(static_cast<double>(i % 200));
     }
-    for (auto& f : futures) {
-      EXPECT_TRUE(f.get().ok());
-    }
-  }
-  pool.Shutdown();
+  });
 
   const obs::MetricsSnapshot snap = registry.Snapshot();
   int64_t hits = -1;

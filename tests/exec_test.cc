@@ -1,13 +1,14 @@
 // Tests for the parallel fleet execution engine (src/exec/): the golden
 // determinism contract (parallel output bit-identical to serial for every
 // worker count and shard size), the fail-fast stop rule, and
-// the ThreadPool's shutdown/edge-case behaviour.
+// exec::ParallelFor's fork-join contract.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
-#include <thread>  // std::this_thread::sleep_for only
+#include <filesystem>
+#include <iterator>
+#include <thread>  // std::this_thread only
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,14 +19,14 @@
 #include "core/status.h"
 #include "core/trajectory.h"
 #include "exec/fleet_runner.h"
-#include "exec/thread_pool.h"
+#include "exec/parallel_for.h"
 
 namespace sidq {
 namespace {
 
 using exec::FleetResult;
 using exec::FleetRunner;
-using exec::ThreadPool;
+using exec::ParallelFor;
 
 // A clustered synthetic fleet: 70% of the vehicles random-walk near a
 // depot, the rest spread over the full region.
@@ -305,98 +306,110 @@ TEST(FleetRunnerTest, ProfiledDeterminismMatchesUnprofiledRun) {
   }
 }
 
-// ----------------------------------------------------------- ThreadPool
+// ---------------------------------------------------------- ParallelFor
 
-TEST(ThreadPoolTest, ShutdownDrainsPendingTasks) {
-  std::atomic<int> done{0};
-  ThreadPool pool(2);
-  std::vector<std::future<Status>> futures;
-  futures.reserve(100);
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([&done]() -> Status {
-      // sidq: allow-wallclock(deliberately slow task to race Shutdown drain)
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      done.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }));
+// Threads alive in this process right now: one /proc/self/task entry each.
+size_t LiveThreads() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(
+      std::distance(tasks, std::filesystem::directory_iterator()));
+}
+
+// Spins until `counter` reaches `target` or ten seconds pass, so a broken
+// fork-join fails the test instead of hanging it. Returns whether it got
+// there.
+bool AwaitCount(const std::atomic<size_t>& counter, size_t target) {
+  const auto limit =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (counter.load(std::memory_order_acquire) < target) {
+    if (std::chrono::steady_clock::now() > limit) return false;
+    std::this_thread::yield();
   }
-  // Shutdown must block until every queued task ran, not drop the backlog.
-  pool.Shutdown();
-  EXPECT_EQ(done.load(), 100);
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
+  return true;
 }
 
-TEST(ThreadPoolTest, SubmitAfterShutdownIsRejectedWithUnavailable) {
-  ThreadPool pool(2);
-  auto before = pool.Submit([]() -> StatusOr<int> { return 5; });
-  pool.Shutdown();
-  // Post-shutdown submissions must never be silently dropped: the future
-  // resolves immediately to kUnavailable, for Status and StatusOr alike.
-  std::atomic<bool> ran{false};
-  auto rejected_status = pool.Submit([&ran]() -> Status {
-    ran.store(true);
-    return Status::OK();
-  });
-  auto rejected_value = pool.Submit([&ran]() -> StatusOr<int> {
-    ran.store(true);
-    return 9;
-  });
-  ASSERT_TRUE(before.get().ok());
-  EXPECT_EQ(rejected_status.get().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(rejected_value.get().status().code(), StatusCode::kUnavailable);
-  EXPECT_FALSE(ran.load());
-}
-
-TEST(ThreadPoolTest, ZeroTasksAndIdempotentShutdown) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_workers(), 4u);
-  pool.Shutdown();
-  pool.Shutdown();  // second call is a no-op
-  // Destructor also re-runs Shutdown; nothing to hang on.
-}
-
-TEST(ThreadPoolTest, ZeroThreadRequestClampsToOneWorker) {
-  ThreadPool pool(0);
-  EXPECT_GE(pool.num_workers(), 1u);
-  auto f = pool.Submit([]() -> StatusOr<int> { return 41 + 1; });
-  ASSERT_TRUE(f.get().ok());
-}
-
-TEST(ThreadPoolTest, StatusPropagatesThroughFutures) {
-  ThreadPool pool(2);
-  auto ok = pool.Submit([]() -> StatusOr<int> { return 7; });
-  auto err = pool.Submit(
-      []() -> Status { return Status::Internal("worker exploded"); });
-  auto err_or = pool.Submit([]() -> StatusOr<int> {
-    return Status::ResourceExhausted("queue full");
-  });
-  const auto ok_value = ok.get();
-  ASSERT_TRUE(ok_value.ok());
-  EXPECT_EQ(ok_value.value(), 7);
-  const Status err_status = err.get();
-  EXPECT_EQ(err_status.code(), StatusCode::kInternal);
-  EXPECT_EQ(err_or.get().status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ThreadPoolTest, WorkStealingDrainsOneHotQueue) {
-  // Round-robin placement puts every 4th task on the same worker; a task
-  // that blocks one worker must not strand the rest of the queue because
-  // siblings steal. The run finishing at all (quickly) is the assertion.
-  ThreadPool pool(4);
-  std::atomic<int> done{0};
-  std::vector<std::future<Status>> futures;
-  futures.reserve(64);
-  for (int i = 0; i < 64; ++i) {
-    const bool slow = (i == 0);
-    futures.push_back(pool.Submit([&done, slow]() -> Status {
-      // sidq: allow-wallclock(one genuinely blocked worker forces stealing)
-      if (slow) std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      done.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }));
+TEST(ParallelForTest, EachIndexRunsExactlyOnce) {
+  for (const size_t n : {0, 1, 7, 1000}) {
+    for (const size_t threads : {0, 1, 2, 8}) {
+      std::vector<std::atomic<int>> calls(n);
+      // Plain per-index slots: the join alone must publish them.
+      std::vector<size_t> slots(n, 0);
+      ParallelFor(n, threads, [&](size_t i) {
+        calls[i].fetch_add(1, std::memory_order_relaxed);
+        slots[i] = i * i + 1;
+      });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(calls[i].load(), 1) << "n=" << n << " threads=" << threads
+                                      << " index " << i;
+        EXPECT_EQ(slots[i], i * i + 1);
+      }
+    }
   }
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(done.load(), 64);
+}
+
+TEST(ParallelForTest, AtMostOneThreadRunsInlineInIndexOrder) {
+  const auto caller = std::this_thread::get_id();
+  for (const size_t threads : {0, 1}) {
+    std::vector<size_t> order;
+    bool all_on_caller = true;
+    ParallelFor(5, threads, [&](size_t i) {
+      order.push_back(i);
+      all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+    });
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(all_on_caller) << "threads=" << threads;
+  }
+}
+
+TEST(ParallelForTest, SpawnsAtMostNThreads) {
+#ifndef __linux__
+  GTEST_SKIP() << "counts threads through /proc/self/task";
+#endif
+  // Warm up first: ThreadSanitizer starts a helper thread of its own on
+  // the first spawn. A joined thread can linger in /proc for a moment, so
+  // the base is the least of many samples.
+  ParallelFor(1, 2, [](size_t) {});
+  size_t base = LiveThreads();
+  for (int k = 0; k < 1000; ++k) base = std::min(base, LiveThreads());
+  for (const size_t n : {1, 3}) {
+    std::atomic<size_t> started{0};
+    std::vector<size_t> peak(n, 0);
+    std::vector<char> met(n, 0);  // not vector<bool>: one byte per slot
+    ParallelFor(n, 8, [&](size_t i) {
+      // Every index holds its worker until all n have started, so the
+      // first sample taken sees every worker alive.
+      started.fetch_add(1, std::memory_order_acq_rel);
+      met[i] = AwaitCount(started, n) ? 1 : 0;
+      for (int k = 0; k < 200; ++k) peak[i] = std::max(peak[i], LiveThreads());
+    });
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_NE(met[i], 0) << "n=" << n << ": indices did not run concurrently";
+    }
+    // The caller only joins: exactly n extra threads, not n + 1 and not 8.
+    EXPECT_EQ(*std::max_element(peak.begin(), peak.end()), base + n)
+        << "n=" << n;
+    // Let this round's joined threads leave /proc before the next samples.
+    for (int k = 0; k < 100000 && LiveThreads() > base; ++k) {
+      std::this_thread::yield();
+    }
+  }
+}
+
+TEST(ParallelForTest, BlockedIndexDoesNotStallOthers) {
+  // Index 0 holds its worker until every other index has finished; the
+  // remaining workers must claim and finish all of them meanwhile.
+  constexpr size_t kN = 64;
+  std::atomic<size_t> done{0};
+  bool others_finished = false;
+  ParallelFor(kN, 4, [&](size_t i) {
+    if (i == 0) {
+      others_finished = AwaitCount(done, kN - 1);
+      return;
+    }
+    done.fetch_add(1, std::memory_order_acq_rel);
+  });
+  EXPECT_TRUE(others_finished);
+  EXPECT_EQ(done.load(), kN - 1);
 }
 
 }  // namespace

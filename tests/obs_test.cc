@@ -188,7 +188,7 @@ TEST(MetricsRegistryTest, SnapshotIsSortedByName) {
 // The merge-exactness property behind the determinism contract: N threads
 // hammering one counter and one histogram through striped relaxed atomics
 // lose nothing -- Snapshot() equals the arithmetic total. (The heavier
-// ThreadPool version runs in exec_stress_test.cc under TSan.)
+// exec::ParallelFor version runs in exec_stress_test.cc under TSan.)
 TEST(MetricsRegistryTest, ConcurrentWritesMergeExactly) {
   MetricsRegistry reg;
   constexpr int kThreads = 8;

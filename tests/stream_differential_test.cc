@@ -6,8 +6,11 @@
 // duplicates, garbage values), and with retryable chaos armed at the
 // ingest / window-close sites (disarmed-checksum parity: the armed run's
 // checksum equals the disarmed batch checksum because bounded deterministic
-// retries absorb every transient fault).
+// retries absorb every transient fault). Replay's error path is pinned at
+// the same worker counts: a cancelled or expiring context fails the replay
+// with one Status, whatever the scheduling.
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -15,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/clock.h"
+#include "core/exec_context.h"
 #include "core/failpoint.h"
 #include "core/random.h"
 #include "geometry/bbox.h"
@@ -216,6 +221,65 @@ TEST_F(StreamDifferentialTest, FileRoundTripPreservesTheContract) {
     ASSERT_TRUE(streamed.ok()) << streamed.status();
     EXPECT_EQ(StreamOutputToJson(*streamed), batch_json)
         << workers << " workers";
+  }
+}
+
+// A clock that moves one millisecond on every read, so a deadline expires
+// after a fixed number of context checks: partway through a replay.
+class TickingClock : public Clock {
+ public:
+  int64_t NowMs() const override {
+    return now_ms_.fetch_add(1, std::memory_order_relaxed);
+  }
+  void SleepMs(int64_t ms) const override {
+    now_ms_.fetch_add(ms, std::memory_order_relaxed);
+  }
+
+ private:
+  mutable std::atomic<int64_t> now_ms_{0};
+};
+
+// A context cancelled before the replay starts stops every shard; the
+// replay reports kCancelled and returns (a lost shard would hang the join).
+TEST_F(StreamDifferentialTest, CancelledContextFailsReplayAtEveryWorkerCount) {
+  const StreamConfig config = DifferentialConfig();
+  const EventLog log = MakeAdversarialLog(2);
+  const std::atomic<bool> cancelled{true};
+  const ExecContext ctx(nullptr, &cancelled);
+  for (const int workers : {1, 2, 8}) {
+    ReplayOptions options;
+    options.num_threads = workers;
+    options.ctx = &ctx;
+    const StatusOr<StreamOutput> streamed = Replay(log, config, options);
+    ASSERT_FALSE(streamed.ok()) << workers << " workers";
+    EXPECT_EQ(streamed.status().code(), StatusCode::kCancelled)
+        << workers << " workers: " << streamed.status();
+  }
+}
+
+// A deadline that expires partway through the log fails the replay with
+// the same Status on every run, at every worker count: the merge reports
+// the lowest-index failing shard, not whichever shard finished last.
+TEST_F(StreamDifferentialTest, DeadlinePartwayGivesTheSameStatusEveryRun) {
+  const StreamConfig config = DifferentialConfig();
+  const EventLog log = MakeAdversarialLog(2);
+  // Every Push checks the context once, so half the events' worth of clock
+  // reads expires the budget mid-log at any worker count.
+  const int64_t budget = static_cast<int64_t>(log.size() / 2);
+  ASSERT_GT(budget, 0);
+  for (const int workers : {1, 2, 8}) {
+    for (int run = 0; run < 4; ++run) {
+      const TickingClock clock;
+      const ExecContext ctx = ExecContext::After(&clock, budget);
+      ReplayOptions options;
+      options.num_threads = workers;
+      options.ctx = &ctx;
+      const StatusOr<StreamOutput> streamed = Replay(log, config, options);
+      ASSERT_FALSE(streamed.ok()) << workers << " workers, run " << run;
+      EXPECT_EQ(streamed.status(),
+                Status::DeadlineExceeded("deadline exceeded"))
+          << workers << " workers, run " << run << ": " << streamed.status();
+    }
   }
 }
 
