@@ -12,13 +12,17 @@
 // Primitives:
 //   pairwise     all-pairs squared distances (the EDR/LCSS/Frechet inner
 //                pattern) -- embarrassingly vectorizable, the headline win
-//   dtw_full     full banded DTW (query::DtwDistance), i.e. the
-//                anti-diagonal dtw_full kernel
-//   frechet_full full discrete Frechet (query::DiscreteFrechetDistance),
-//                i.e. the anti-diagonal frechet_full kernel
+//   dtw_full     full banded DTW: one anti-diagonal dtw_full call over the
+//                whole table, as query::DtwDistance makes it
+//   frechet_full full discrete Frechet: one anti-diagonal frechet_full call,
+//                as query::DiscreteFrechetDistance makes it
 //   packed_range batched range queries over per-segment boxes on
 //                kernels::PackedRTree vs. per-query
 //                index::RTree::RangeQuery
+//
+// The kernel side of the first three reads x/y columns built before the
+// timed loops and calls the KernelOps fields on them, so it times the
+// kernels and not the per-call column copy.
 //
 // Pass --quick to cut repetitions (CI smoke). The reference side of every
 // gate (kernels/scalar_ref.cc, index::RTree) does not go through the ISA
@@ -43,14 +47,14 @@
 #include "kernels/dispatch.h"
 #include "kernels/packed_rtree.h"
 #include "kernels/scalar_ref.h"
-#include "kernels/soa.h"
-#include "query/similarity.h"
 
 namespace sidq {
 namespace {
 
 constexpr size_t kFleetSize = 1000;
 constexpr size_t kPointsEach = 64;
+// Anti-diagonals of a kPointsEach x kPointsEach DP table.
+constexpr size_t kDiagonals = 2 * kPointsEach - 1;
 constexpr uint64_t kSeed = 20220611;
 
 std::vector<Trajectory> MakeFleet() {
@@ -76,6 +80,30 @@ std::vector<Trajectory> MakeFleet() {
   }
   return fleet;
 }
+
+// The x/y columns of every fleet trajectory, flat: trajectory i owns
+// entries [i * kPointsEach, (i + 1) * kPointsEach).
+struct FleetColumns {
+  std::vector<double> xs;
+  std::vector<double> ys;
+
+  explicit FleetColumns(const std::vector<Trajectory>& fleet) {
+    xs.reserve(fleet.size() * kPointsEach);
+    ys.reserve(fleet.size() * kPointsEach);
+    for (const Trajectory& t : fleet) {
+      for (const TrajectoryPoint& pt : t.points()) {
+        xs.push_back(pt.p.x);
+        ys.push_back(pt.p.y);
+      }
+    }
+  }
+  [[nodiscard]] const double* x(size_t i) const {
+    return xs.data() + i * kPointsEach;
+  }
+  [[nodiscard]] const double* y(size_t i) const {
+    return ys.data() + i * kPointsEach;
+  }
+};
 
 // FNV-1a over raw bit patterns: any rounding difference flips the hash.
 struct Checksum {
@@ -106,7 +134,7 @@ PrimitiveResult Finish(PrimitiveResult r, const Checksum& scalar_sum,
 // ------------------------------------------------------------- primitives
 
 PrimitiveResult BenchPairwise(const std::vector<Trajectory>& fleet,
-                              size_t pairs) {
+                              const FleetColumns& cols, size_t pairs) {
   PrimitiveResult r{"pairwise"};
   std::vector<double> out(kPointsEach * kPointsEach);
   Checksum scalar_sum, kernel_sum;
@@ -123,12 +151,10 @@ PrimitiveResult BenchPairwise(const std::vector<Trajectory>& fleet,
   const kernels::KernelOps& k = kernels::KernelDispatch::Get();
   t0 = std::chrono::steady_clock::now();
   for (size_t p = 0; p < pairs; ++p) {
-    const Trajectory& a = fleet[p % fleet.size()];
-    const Trajectory& b = fleet[(p * 7 + 1) % fleet.size()];
-    const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
-    const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
-    k.pairwise_sq_dist(va.x(), va.y(), va.size(), vb.x(), vb.y(), vb.size(),
-                       out.data());
+    const size_t a = p % fleet.size();
+    const size_t b = (p * 7 + 1) % fleet.size();
+    k.pairwise_sq_dist(cols.x(a), cols.y(a), kPointsEach, cols.x(b),
+                       cols.y(b), kPointsEach, out.data());
     kernel_sum.MixDouble(out[p % out.size()]);
   }
   r.kernel_s = bench::SecondsSince(t0);
@@ -136,8 +162,8 @@ PrimitiveResult BenchPairwise(const std::vector<Trajectory>& fleet,
   return Finish(r, scalar_sum, kernel_sum);
 }
 
-PrimitiveResult BenchDtw(const std::vector<Trajectory>& fleet, size_t pairs,
-                         int band) {
+PrimitiveResult BenchDtw(const std::vector<Trajectory>& fleet,
+                         const FleetColumns& cols, size_t pairs, int band) {
   PrimitiveResult r{"dtw_full"};
   Checksum scalar_sum, kernel_sum;
 
@@ -149,11 +175,15 @@ PrimitiveResult BenchDtw(const std::vector<Trajectory>& fleet, size_t pairs,
   }
   r.scalar_s = bench::SecondsSince(t0);
 
+  const kernels::KernelOps& k = kernels::KernelDispatch::Get();
+  std::vector<double> scratch(3 * (kPointsEach + 2));
   t0 = std::chrono::steady_clock::now();
   for (size_t p = 0; p < pairs; ++p) {
-    const Trajectory& a = fleet[p % fleet.size()];
-    const Trajectory& b = fleet[(p * 13 + 3) % fleet.size()];
-    kernel_sum.MixDouble(query::DtwDistance(a, b, band));
+    const size_t a = p % fleet.size();
+    const size_t b = (p * 13 + 3) % fleet.size();
+    kernel_sum.MixDouble(k.dtw_full(cols.x(a), cols.y(a), kPointsEach,
+                                    cols.x(b), cols.y(b), kPointsEach, band,
+                                    0, kDiagonals, scratch.data()));
   }
   r.kernel_s = bench::SecondsSince(t0);
 
@@ -161,7 +191,7 @@ PrimitiveResult BenchDtw(const std::vector<Trajectory>& fleet, size_t pairs,
 }
 
 PrimitiveResult BenchFrechet(const std::vector<Trajectory>& fleet,
-                             size_t pairs) {
+                             const FleetColumns& cols, size_t pairs) {
   PrimitiveResult r{"frechet_full"};
   Checksum scalar_sum, kernel_sum;
 
@@ -173,11 +203,15 @@ PrimitiveResult BenchFrechet(const std::vector<Trajectory>& fleet,
   }
   r.scalar_s = bench::SecondsSince(t0);
 
+  const kernels::KernelOps& k = kernels::KernelDispatch::Get();
+  std::vector<double> scratch(3 * kPointsEach);
   t0 = std::chrono::steady_clock::now();
   for (size_t p = 0; p < pairs; ++p) {
-    const Trajectory& a = fleet[p % fleet.size()];
-    const Trajectory& b = fleet[(p * 11 + 5) % fleet.size()];
-    kernel_sum.MixDouble(query::DiscreteFrechetDistance(a, b));
+    const size_t a = p % fleet.size();
+    const size_t b = (p * 11 + 5) % fleet.size();
+    kernel_sum.MixDouble(k.frechet_full(cols.x(a), cols.y(a), kPointsEach,
+                                        cols.x(b), cols.y(b), kPointsEach, 0,
+                                        kDiagonals, scratch.data()));
   }
   r.kernel_s = bench::SecondsSince(t0);
 
@@ -270,18 +304,12 @@ int main(int argc, char** argv) {
               fleet.size(), static_cast<size_t>(kPointsEach), isa,
               quick ? " (--quick)" : "");
 
-  // Materialize every trajectory's column view up front. Views are
-  // memoized on the trajectory in production, so timing the one-time
-  // build inside the first primitive would misattribute it.
-  for (const Trajectory& t : fleet) {
-    (void)kernels::TrajectoryView::Of(t);  // sidq: allow-ignored-status(warmup)
-  }
-
+  const FleetColumns cols(fleet);
   const size_t mul = quick ? 1 : 10;
   std::vector<PrimitiveResult> results;
-  results.push_back(BenchPairwise(fleet, 400 * mul));
-  results.push_back(BenchDtw(fleet, 200 * mul, /*band=*/32));
-  results.push_back(BenchFrechet(fleet, 100 * mul));
+  results.push_back(BenchPairwise(fleet, cols, 400 * mul));
+  results.push_back(BenchDtw(fleet, cols, 200 * mul, /*band=*/32));
+  results.push_back(BenchFrechet(fleet, cols, 100 * mul));
   results.push_back(BenchPackedRange(fleet, 2 * mul));
 
   bench::Table table({"primitive", "scalar_s", "kernel_s", "speedup"});

@@ -14,13 +14,11 @@ Status Trajectory::Append(const TrajectoryPoint& pt) {
   if (!points_.empty() && pt.t < points_.back().t) {
     return Status::OutOfRange("Append would violate time order");
   }
-  ++revision_;
   points_.push_back(pt);
   return Status::OK();
 }
 
 void Trajectory::SortByTime() {
-  ++revision_;
   std::stable_sort(
       points_.begin(), points_.end(),
       [](const TrajectoryPoint& a, const TrajectoryPoint& b) {

@@ -1,9 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <limits>
-#include <memory>
 #include <vector>
 
 #include "core/status.h"
@@ -39,14 +36,8 @@ class Trajectory {
   void set_object_id(ObjectId id) { object_id_ = id; }
 
   const std::vector<TrajectoryPoint>& points() const { return points_; }
-  // Conservatively bumps revision(): the caller may mutate through the
-  // returned reference, so any derived-column cache must be rebuilt.
-  std::vector<TrajectoryPoint>& mutable_points() {
-    ++revision_;
-    return points_;
-  }
-  // Pre-allocates capacity for `n` samples (no revision bump: capacity is
-  // not content).
+  std::vector<TrajectoryPoint>& mutable_points() { return points_; }
+  // Pre-allocates capacity for `n` samples.
   void Reserve(size_t n) { points_.reserve(n); }
   [[nodiscard]] size_t size() const { return points_.size(); }
   [[nodiscard]] bool empty() const { return points_.empty(); }
@@ -58,10 +49,7 @@ class Trajectory {
   [[nodiscard]] Status Append(const TrajectoryPoint& pt);
   // Appends without ordering checks (raw IoT ingestion); call SortByTime()
   // before using time-ordered algorithms.
-  void AppendUnordered(const TrajectoryPoint& pt) {
-    ++revision_;
-    points_.push_back(pt);
-  }
+  void AppendUnordered(const TrajectoryPoint& pt) { points_.push_back(pt); }
   // Stable-sorts samples by timestamp.
   void SortByTime();
   // True when timestamps are non-decreasing.
@@ -87,31 +75,9 @@ class Trajectory {
   // Sub-trajectory of samples with t in [t_begin, t_end].
   Trajectory Slice(Timestamp t_begin, Timestamp t_end) const;
 
-  // --- derived-column cache -------------------------------------------
-  // Monotonic mutation counter: every mutating method (Append,
-  // AppendUnordered, SortByTime, and -- conservatively -- mutable_points())
-  // bumps it. Derived caches stamp the revision they were built at; a stale
-  // stamp means "rebuild".
-  [[nodiscard]] uint64_t revision() const { return revision_; }
-
-  // Opaque per-object slot for memoized derived data (the columnar x/y/t
-  // copies built by kernels::TrajectoryView, see src/kernels/soa.h). The
-  // slot is mutable state behind a const object: it is NOT internally
-  // synchronized. Concurrent first-materialization on the same object must
-  // be serialized by the consumer (kernels::TrajectoryView stripes a lock);
-  // copies of a Trajectory share the immutable cached buffer, which is safe
-  // because a cached value is only ever read while its stamp matches.
-  struct DerivedCache {
-    uint64_t revision = std::numeric_limits<uint64_t>::max();
-    std::shared_ptr<const void> value;
-  };
-  DerivedCache& derived_cache() const { return derived_cache_; }
-
  private:
   ObjectId object_id_ = kInvalidObjectId;
   std::vector<TrajectoryPoint> points_;
-  uint64_t revision_ = 0;
-  mutable DerivedCache derived_cache_;
 };
 
 // Splits a trajectory into sub-trajectories wherever the time gap between

@@ -22,15 +22,15 @@ double MedianInPlace(double* v, size_t n) {
 }
 
 // Per-segment speeds (n-1 entries) in arena scratch: one vectorized
-// distance sweep over the columnar view instead of 2(n-2) scalar Distance
-// calls, and no heap round trip per trajectory.
+// distance sweep over columns copied into the same scratch instead of
+// 2(n-2) scalar Distance calls, and no heap round trip per trajectory.
 double* SegmentSpeeds(const Trajectory& input, ArenaScope* scope) {
   const size_t n = input.size();
   double* speeds = scope->AllocArray<double>(n - 1);
-  const kernels::TrajectoryView v = kernels::TrajectoryView::Of(input);
-  kernels::KernelDispatch::Get().consecutive_dist(v.x(), v.y(), n, speeds);
+  const kernels::SoaView v = kernels::CopyColumns(input, scope);
+  kernels::KernelDispatch::Get().consecutive_dist(v.x, v.y, n, speeds);
   for (size_t i = 0; i + 1 < n; ++i) {
-    const Timestamp dt = v.t()[i + 1] - v.t()[i];
+    const Timestamp dt = v.t[i + 1] - v.t[i];
     speeds[i] = dt <= 0 ? 0.0 : speeds[i] / TimestampToSeconds(dt);
   }
   return speeds;
@@ -71,15 +71,15 @@ StatusOr<std::vector<bool>> StatisticalDetector::Detect(
   const size_t n = input.size();
   std::vector<bool> flags(n, false);
   if (n < 3) return flags;
-  const kernels::TrajectoryView view = kernels::TrajectoryView::Of(input);
-  // All statistics scratch (window slices, deviation arrays, step lengths)
-  // lives in the arena for the duration of this call.
+  // The columns and all statistics scratch (window slices, deviation
+  // arrays, step lengths) live in the arena for the duration of this call.
   ArenaScope scope(ScratchArena());
+  const kernels::SoaView view = kernels::CopyColumns(input, &scope);
   const size_t wcap = 2 * options_.half_window + 1;
   double* xs = scope.AllocArray<double>(wcap);
   double* ys = scope.AllocArray<double>(wcap);
   // Deviation of each point from its window median position. The window
-  // coordinate copies are contiguous column slices of the SoA view.
+  // coordinate copies are contiguous column slices.
   double* deviations = scope.AllocArray<double>(n);
   for (size_t i = 0; i < n; ++i) {
     const size_t lo = i >= options_.half_window ? i - options_.half_window : 0;
@@ -87,8 +87,8 @@ StatusOr<std::vector<bool>> StatisticalDetector::Detect(
     const size_t w = hi - lo + 1;
     // The window includes the point itself: the median is robust to it,
     // and excluding it would bias the window centre off the path.
-    std::memcpy(xs, view.x() + lo, w * sizeof(double));
-    std::memcpy(ys, view.y() + lo, w * sizeof(double));
+    std::memcpy(xs, view.x + lo, w * sizeof(double));
+    std::memcpy(ys, view.y + lo, w * sizeof(double));
     const geometry::Point med(MedianInPlace(xs, w), MedianInPlace(ys, w));
     deviations[i] = geometry::Distance(input[i].p, med);
   }
@@ -102,8 +102,7 @@ StatusOr<std::vector<bool>> StatisticalDetector::Detect(
   for (size_t i = 0; i < n; ++i) abs_dev[i] = std::abs(deviations[i] - med_dev);
   const double mad = MedianInPlace(abs_dev, n);
   double* steps = scope.AllocArray<double>(n - 1);
-  kernels::KernelDispatch::Get().consecutive_dist(view.x(), view.y(), n,
-                                                  steps);
+  kernels::KernelDispatch::Get().consecutive_dist(view.x, view.y, n, steps);
   const double median_step = MedianInPlace(steps, n - 1);
   const double scale =
       std::max({options_.min_scale_m, 1.4826 * mad, median_step});

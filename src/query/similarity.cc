@@ -11,18 +11,19 @@
 namespace sidq {
 namespace query {
 
-// The O(n*m) measures below run on columnar views (kernels::TrajectoryView)
-// and the dispatched kernels (kernels/dispatch.h): EDR and LCSS run a
-// vectorized distance pass per DP row while the carried recurrence stays
-// sequential; DTW and discrete Frechet run as anti-diagonal wavefronts. The
-// kernels execute the same operations in the same order as the original
-// AoS loops (kept verbatim in kernels/scalar_ref.cc), so every result is
-// bit-identical to the pre-kernel implementation -- asserted by
-// tests/kernels_test.cc and the bench_kernels checksum gate. DP rows,
-// diagonals and distance scratch live in the thread-local scratch arena
-// (core/arena.h): a distance call performs zero heap allocations, which
-// matters when the similarity search evaluates thousands of candidates per
-// query.
+// The O(n*m) measures below run on x/y/t columns copied per call into the
+// scratch arena (kernels::CopyColumns) and the dispatched kernels
+// (kernels/dispatch.h): EDR and LCSS run a vectorized distance pass per DP
+// row while the carried recurrence stays sequential; DTW and discrete
+// Frechet run as anti-diagonal wavefronts. The kernels execute the same
+// operations in the same order as the original AoS loops (kept verbatim in
+// kernels/scalar_ref.cc), so every result is bit-identical to the
+// pre-kernel implementation -- asserted by tests/kernels_test.cc and the
+// bench_kernels checksum gate. Columns, DP
+// rows, diagonals and distance scratch live in the thread-local scratch
+// arena (core/arena.h): a distance call performs zero heap allocations,
+// which matters when the similarity search evaluates thousands of
+// candidates per query.
 
 namespace {
 
@@ -45,31 +46,37 @@ double SumDistanceToBox(const Trajectory& tr, const geometry::BBox& box) {
   return sum;
 }
 
-}  // namespace
-
-StatusOr<double> DtwDistanceBounded(const Trajectory& a, const Trajectory& b,
-                                    int band, const ExecContext* exec) {
-  const size_t n = a.size();
-  const size_t m = b.size();
+// The one DTW entry point: banded DTW over columns. Without a context the
+// whole table is one wavefront call. With one, the anti-diagonal is the
+// unit of work a deadline can interrupt: one call per diagonal, each
+// resuming from the scratch diagonals the previous call left, so the
+// result is bit-identical either way.
+StatusOr<double> DtwColumns(const kernels::SoaView& a,
+                            const kernels::SoaView& b, int band,
+                            const ExecContext* exec) {
+  const size_t n = a.size;
+  const size_t m = b.size;
   if (n == 0 || m == 0) return n == m ? 0.0 : kInf;
-  const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
-  const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
   const kernels::KernelOps& k = kernels::KernelDispatch::Get();
   ArenaScope scope(ScratchArena());
   double* scratch = scope.AllocArray<double>(3 * (m + 2));
-  // Without a context the whole table is one wavefront call. With one, the
-  // anti-diagonal is the unit of work a deadline can interrupt: one call
-  // per diagonal, each resuming from the scratch diagonals the previous
-  // call left, so the result is bit-identical either way.
   const size_t diagonals = n + m - 1;
   const size_t step = exec == nullptr ? diagonals : 1;
   double result = 0.0;
   for (size_t d = 0; d < diagonals; d += step) {
     if (exec != nullptr) SIDQ_RETURN_IF_ERROR(exec->Check());
-    result = k.dtw_full(va.x(), va.y(), n, vb.x(), vb.y(), m, band, d,
-                        d + step, scratch);
+    result = k.dtw_full(a.x, a.y, n, b.x, b.y, m, band, d, d + step, scratch);
   }
   return result;
+}
+
+}  // namespace
+
+StatusOr<double> DtwDistanceBounded(const Trajectory& a, const Trajectory& b,
+                                    int band, const ExecContext* exec) {
+  ArenaScope scope(ScratchArena());
+  return DtwColumns(kernels::CopyColumns(a, &scope),
+                    kernels::CopyColumns(b, &scope), band, exec);
 }
 
 double DtwDistance(const Trajectory& a, const Trajectory& b, int band) {
@@ -89,10 +96,10 @@ StatusOr<double> DiscreteFrechetDistanceBounded(const Trajectory& a,
   const size_t n = a.size();
   const size_t m = b.size();
   if (n == 0 || m == 0) return n == m ? 0.0 : kInf;
-  const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
-  const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
   const kernels::KernelOps& k = kernels::KernelDispatch::Get();
   ArenaScope scope(ScratchArena());
+  const kernels::SoaView va = kernels::CopyColumns(a, &scope);
+  const kernels::SoaView vb = kernels::CopyColumns(b, &scope);
   double* scratch = scope.AllocArray<double>(3 * m);
   // One wavefront call, or one per anti-diagonal with a context (as for
   // DTW above).
@@ -101,8 +108,8 @@ StatusOr<double> DiscreteFrechetDistanceBounded(const Trajectory& a,
   double result = 0.0;
   for (size_t d = 0; d < diagonals; d += step) {
     if (exec != nullptr) SIDQ_RETURN_IF_ERROR(exec->Check());
-    result = k.frechet_full(va.x(), va.y(), n, vb.x(), vb.y(), m, d, d + step,
-                            scratch);
+    result =
+        k.frechet_full(va.x, va.y, n, vb.x, vb.y, m, d, d + step, scratch);
   }
   return result;
 }
@@ -117,17 +124,17 @@ double EdrDistance(const Trajectory& a, const Trajectory& b,
   const size_t m = b.size();
   if (n == 0 && m == 0) return 0.0;
   if (n == 0 || m == 0) return 1.0;
-  const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
-  const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
   const kernels::KernelOps& k = kernels::KernelDispatch::Get();
   ArenaScope scope(ScratchArena());
+  const kernels::SoaView va = kernels::CopyColumns(a, &scope);
+  const kernels::SoaView vb = kernels::CopyColumns(b, &scope);
   double* prev = scope.AllocArray<double>(m + 1);
   double* cur = scope.AllocArray<double>(m + 1);
   double* dist = scope.AllocArray<double>(m);
   for (size_t j = 0; j <= m; ++j) prev[j] = static_cast<double>(j);
   for (size_t i = 1; i <= n; ++i) {
     cur[0] = static_cast<double>(i);
-    k.dist_row(va.x()[i - 1], va.y()[i - 1], vb.x(), vb.y(), 0, m, dist);
+    k.dist_row(va.x[i - 1], va.y[i - 1], vb.x, vb.y, 0, m, dist);
     for (size_t j = 1; j <= m; ++j) {
       const bool match = dist[j - 1] <= epsilon_m;
       const double sub = prev[j - 1] + (match ? 0.0 : 1.0);
@@ -143,21 +150,21 @@ double LcssSimilarity(const Trajectory& a, const Trajectory& b,
   const size_t n = a.size();
   const size_t m = b.size();
   if (n == 0 || m == 0) return 0.0;
-  const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
-  const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
   const kernels::KernelOps& k = kernels::KernelDispatch::Get();
+  ArenaScope scope(ScratchArena());
+  const kernels::SoaView va = kernels::CopyColumns(a, &scope);
+  const kernels::SoaView vb = kernels::CopyColumns(b, &scope);
   // cur[0] is never written by the row loop and must stay 0 across swaps,
   // so both DP rows start zero-filled.
-  ArenaScope scope(ScratchArena());
   double* prev = scope.AllocFilled<double>(m + 1, 0.0);
   double* cur = scope.AllocFilled<double>(m + 1, 0.0);
   double* dist = scope.AllocArray<double>(m);
   for (size_t i = 1; i <= n; ++i) {
-    k.dist_row(va.x()[i - 1], va.y()[i - 1], vb.x(), vb.y(), 0, m, dist);
-    const Timestamp ta = va.t()[i - 1];
+    k.dist_row(va.x[i - 1], va.y[i - 1], vb.x, vb.y, 0, m, dist);
+    const Timestamp ta = va.t[i - 1];
     for (size_t j = 1; j <= m; ++j) {
       const bool match = dist[j - 1] <= epsilon_m &&
-                         std::abs(ta - vb.t()[j - 1]) <= delta_ms;
+                         std::abs(ta - vb.t[j - 1]) <= delta_ms;
       if (match) {
         cur[j] = prev[j - 1] + 1.0;
       } else {
@@ -205,6 +212,9 @@ StatusOr<std::vector<size_t>> TrajectorySimilaritySearch::Knn(
   }
   const geometry::BBox qbox = queried.Bounds();
   const double qn = static_cast<double>(queried.size());
+  // The query's columns are copied once; each DTW copies its candidate's.
+  ArenaScope scope(ScratchArena());
+  const kernels::SoaView qv = kernels::CopyColumns(queried, &scope);
 
   // Max-heap of the best k (dtw, index). Candidates arrive in increasing
   // (MBR-gap, index) order -- BoxGapScan streams the tree in exactly the
@@ -237,7 +247,10 @@ StatusOr<std::vector<size_t>> TrajectorySimilaritySearch::Knn(
       return true;
     }
     ++local.dtw_computed;
-    const double d = DtwDistance(queried, cand, options_.dtw_band);
+    ArenaScope cand_scope(ScratchArena());
+    // Without a context the DTW cannot fail.
+    const double d = *DtwColumns(qv, kernels::CopyColumns(cand, &cand_scope),
+                                 options_.dtw_band, nullptr);
     if (best.size() < k) {
       best.emplace_back(d, i);
       std::push_heap(best.begin(), best.end());

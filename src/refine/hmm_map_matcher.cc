@@ -107,10 +107,10 @@ StatusOr<HmmMapMatcher::MatchResult> HmmMapMatcher::Match(
   // are ragged (one row per point, layer-sized), so they are flattened
   // over prefix-sum row offsets.
   ArenaScope vscope(ScratchArena());
-  const kernels::TrajectoryView nv = kernels::TrajectoryView::Of(noisy);
+  const kernels::SoaView nv = kernels::CopyColumns(noisy, &vscope);
   double* straight_dists = vscope.AllocArray<double>(n > 1 ? n - 1 : 0);
   if (n > 1) {
-    kernels::KernelDispatch::Get().consecutive_dist(nv.x(), nv.y(), n,
+    kernels::KernelDispatch::Get().consecutive_dist(nv.x, nv.y, n,
                                                     straight_dists);
   }
   size_t* row = vscope.AllocArray<size_t>(n + 1);

@@ -55,6 +55,12 @@ Store::Store(Vfs* vfs, std::string dir, StoreOptions options)
   cache_ = std::make_unique<BlockCache>(options_.cache_bytes,
                                         options_.obs.metrics);
   reader_ = std::make_unique<BlockReader>(vfs_, dir_, cache_.get());
+  if (obs::MetricsRegistry* m = options_.obs.metrics) {
+    append_records_metric_ = m->counter("store.append.records");
+    append_blocks_metric_ = m->counter("store.append.blocks");
+    append_bytes_metric_ = m->counter("store.append.bytes");
+    commit_manifests_metric_ = m->counter("store.commit.manifests");
+  }
 }
 
 StatusOr<std::unique_ptr<Store>> Store::Open(Vfs* vfs, std::string dir,
@@ -421,9 +427,7 @@ Status Store::EnsureWriter() {
 Status Store::Append(const StRecord& rec) {
   open_block_.Add(rec);
   ++next_row_;
-  if (obs::MetricsRegistry* m = options_.obs.metrics) {
-    m->counter("store.append.records").Increment();
-  }
+  append_records_metric_.Increment();
   if (open_block_.size() >= options_.block_records) {
     return SealOpenBlock();
   }
@@ -438,11 +442,8 @@ Status Store::SealOpenBlock() {
   entry.row_start = open_row_start_;
   entry.row_count = static_cast<uint32_t>(open_block_.size());
   entry.sensor_rows = SensorRowsOf(open_block_);
-  if (obs::MetricsRegistry* m = options_.obs.metrics) {
-    m->counter("store.append.blocks").Increment();
-    m->counter("store.append.bytes")
-        .Increment(static_cast<int64_t>(entry.length));
-  }
+  append_blocks_metric_.Increment();
+  append_bytes_metric_.Increment(static_cast<int64_t>(entry.length));
   pending_.push_back(std::move(entry));
   segment_size_ = writer_->offset();
   segment_blocks_ = writer_->num_blocks();
@@ -513,9 +514,7 @@ Status Store::PublishManifest() {
   manifest_gen_ = m.gen;
   manifest_crc_ = crc;
   dirty_ = false;
-  if (obs::MetricsRegistry* metrics = options_.obs.metrics) {
-    metrics->counter("store.commit.manifests").Increment();
-  }
+  commit_manifests_metric_.Increment();
   if (obs::Tracer* t = options_.obs.tracer) {
     t->Instant(obs::kProcessKey, "store.commit", "store", nullptr,
                "gen=" + std::to_string(manifest_gen_) +

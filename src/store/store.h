@@ -11,6 +11,7 @@
 #include "core/statusor.h"
 #include "core/stid.h"
 #include "core/types.h"
+#include "obs/metrics.h"
 #include "obs/observer.h"
 #include "store/block_cache.h"
 #include "store/block_reader.h"
@@ -191,6 +192,13 @@ class Store {
   // read handles; the store is externally synchronized).
   std::unique_ptr<BlockCache> cache_;
   mutable std::unique_ptr<BlockReader> reader_;
+
+  // Write-path counters, resolved once at construction (detached no-op
+  // handles without a metrics sink).
+  obs::Counter append_records_metric_;
+  obs::Counter append_blocks_metric_;
+  obs::Counter append_bytes_metric_;
+  obs::Counter commit_manifests_metric_;
 
   // Committed state (mirrors the live manifest).
   std::vector<BlockEntry> committed_;

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/arena.h"
 #include "core/clock.h"
 #include "core/exec_context.h"
 #include "core/random.h"
@@ -144,11 +145,12 @@ TEST(KernelEquivalenceTest, PairwiseSqDistMatchesScalar) {
     for (size_t m : InterestingSizes()) {
       const Trajectory a = RandomTrajectory(&rng, n, 1);
       const Trajectory b = RandomTrajectory(&rng, m, 2);
-      const TrajectoryView va = TrajectoryView::Of(a);
-      const TrajectoryView vb = TrajectoryView::Of(b);
+      ArenaScope scope(ScratchArena());
+      const SoaView va = CopyColumns(a, &scope);
+      const SoaView vb = CopyColumns(b, &scope);
       std::vector<double> got(n * m, -1.0), want(n * m, -2.0);
-      KernelDispatch::Get().pairwise_sq_dist(va.x(), va.y(), n, vb.x(),
-                                             vb.y(), m, got.data());
+      KernelDispatch::Get().pairwise_sq_dist(va.x, va.y, n, vb.x, vb.y, m,
+                                             got.data());
       scalar::PairwiseSqDist(a, b, want.data());
       EXPECT_EQ(got, want) << "n=" << n << " m=" << m;
     }
@@ -159,9 +161,10 @@ TEST(KernelEquivalenceTest, ConsecutiveDistMatchesScalar) {
   Rng rng(23);
   for (size_t n : InterestingSizes()) {
     const Trajectory tr = RandomTrajectory(&rng, n);
-    const TrajectoryView v = TrajectoryView::Of(tr);
+    ArenaScope scope(ScratchArena());
+    const SoaView v = CopyColumns(tr, &scope);
     std::vector<double> got(n > 1 ? n - 1 : 0), want(n > 1 ? n - 1 : 0);
-    KernelDispatch::Get().consecutive_dist(v.x(), v.y(), n, got.data());
+    KernelDispatch::Get().consecutive_dist(v.x, v.y, n, got.data());
     scalar::ConsecutiveDist(tr, want.data());
     EXPECT_EQ(got, want) << "n=" << n;
   }
@@ -171,49 +174,29 @@ TEST(KernelEquivalenceTest, PointToManyDistMatchesScalar) {
   Rng rng(29);
   for (size_t n : InterestingSizes()) {
     const Trajectory tr = RandomTrajectory(&rng, n);
-    const TrajectoryView v = TrajectoryView::Of(tr);
+    ArenaScope scope(ScratchArena());
+    const SoaView v = CopyColumns(tr, &scope);
     const Point p(rng.Uniform(-500.0, 500.0), rng.Uniform(-500.0, 500.0));
     std::vector<double> got(n), want(n);
-    KernelDispatch::Get().point_to_many_dist(p.x, p.y, v.x(), v.y(), n,
+    KernelDispatch::Get().point_to_many_dist(p.x, p.y, v.x, v.y, n,
                                              got.data());
     scalar::PointToManyDist(p, tr, want.data());
     EXPECT_EQ(got, want) << "n=" << n;
   }
 }
 
-// ------------------------------------------------------------ SoA caching
+// ------------------------------------------------------------ SoA columns
 
-TEST(TrajectoryViewTest, CachesUntilMutation) {
-  Rng rng(37);
-  Trajectory tr = RandomTrajectory(&rng, 16);
-  const TrajectoryView v1 = TrajectoryView::Of(tr);
-  const TrajectoryView v2 = TrajectoryView::Of(tr);
-  EXPECT_EQ(v1.buffer().get(), v2.buffer().get()) << "same revision reuses";
-
-  tr.AppendUnordered(TrajectoryPoint(999999, Point(1.0, 2.0)));
-  const TrajectoryView v3 = TrajectoryView::Of(tr);
-  EXPECT_NE(v3.buffer().get(), v1.buffer().get()) << "mutation invalidates";
-  EXPECT_EQ(v3.size(), tr.size());
-  // The old view still describes the pre-mutation snapshot.
-  EXPECT_EQ(v1.size(), tr.size() - 1);
-
-  // mutable_points() conservatively invalidates even without a write.
-  const uint64_t rev = tr.revision();
-  (void)tr.mutable_points();  // sidq: allow-ignored-status(only the revision bump matters here)
-  EXPECT_GT(tr.revision(), rev);
-  const TrajectoryView v4 = TrajectoryView::Of(tr);
-  EXPECT_NE(v4.buffer().get(), v3.buffer().get());
-}
-
-TEST(TrajectoryViewTest, ColumnsMatchPoints) {
+TEST(CopyColumnsTest, ColumnsMatchPoints) {
   Rng rng(41);
   const Trajectory tr = RandomTrajectory(&rng, 33);
-  const TrajectoryView v = TrajectoryView::Of(tr);
-  ASSERT_EQ(v.size(), tr.size());
+  ArenaScope scope(ScratchArena());
+  const SoaView v = CopyColumns(tr, &scope);
+  ASSERT_EQ(v.size, tr.size());
   for (size_t i = 0; i < tr.size(); ++i) {
-    EXPECT_EQ(v.x()[i], tr[i].p.x);
-    EXPECT_EQ(v.y()[i], tr[i].p.y);
-    EXPECT_EQ(v.t()[i], tr[i].t);
+    EXPECT_EQ(v.x[i], tr[i].p.x);
+    EXPECT_EQ(v.y[i], tr[i].p.y);
+    EXPECT_EQ(v.t[i], tr[i].t);
   }
 }
 

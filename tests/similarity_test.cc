@@ -1,13 +1,18 @@
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/clock.h"
 #include "core/random.h"
+#include "exec/parallel_for.h"
 #include "kernels/scalar_ref.h"
+#include "outlier/trajectory_outliers.h"
 #include "query/private.h"
 #include "query/similarity.h"
 #include "query/uncertain_trajectory.h"
@@ -249,6 +254,97 @@ TEST(SimilaritySearchTest, ErrorsWithoutBuild) {
   std::vector<Trajectory> collection{Line(0.0)};
   search.Build(&collection);
   EXPECT_FALSE(search.Knn(Trajectory(1), 1).ok());
+}
+
+// ------------------------------------------------------ per-call columns
+
+// Every measure that reads x/y/t columns, of `a` against `b`, and both
+// trajectory detectors' flags on `a`.
+struct ColumnResults {
+  double dtw = 0.0;
+  double frechet = 0.0;
+  double edr = 0.0;
+  double lcss = 0.0;
+  std::vector<bool> speed_flags;
+  std::vector<bool> stat_flags;
+};
+
+ColumnResults RunColumnMeasures(const Trajectory& a, const Trajectory& b) {
+  ColumnResults r;
+  r.dtw = DtwDistance(a, b, 8);
+  r.frechet = DiscreteFrechetDistance(a, b);
+  r.edr = EdrDistance(a, b, 10.0);
+  r.lcss = LcssSimilarity(a, b, 10.0, 1000);
+  r.speed_flags = *outlier::SpeedConstraintDetector().Detect(a);
+  r.stat_flags = *outlier::StatisticalDetector().Detect(a);
+  return r;
+}
+
+uint64_t Bits(double v) {
+  uint64_t b = 0;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+void ExpectSameBits(const ColumnResults& got, const ColumnResults& want,
+                    const std::string& where) {
+  EXPECT_EQ(Bits(got.dtw), Bits(want.dtw)) << where;
+  EXPECT_EQ(Bits(got.frechet), Bits(want.frechet)) << where;
+  EXPECT_EQ(Bits(got.edr), Bits(want.edr)) << where;
+  EXPECT_EQ(Bits(got.lcss), Bits(want.lcss)) << where;
+  EXPECT_EQ(got.speed_flags, want.speed_flags) << where;
+  EXPECT_EQ(got.stat_flags, want.stat_flags) << where;
+}
+
+TEST(ColumnCopyTest, WriteThroughHeldMutablePointsIsSeen) {
+  // A write through a reference taken before a measure ran must reach the
+  // next call: nothing derived from the points may outlive the call that
+  // derived it.
+  Trajectory a = Line(0.0);
+  const Trajectory b = Line(3.0);
+  std::vector<TrajectoryPoint>& points = a.mutable_points();
+  const ColumnResults before = RunColumnMeasures(a, b);
+  points[25].p.y = 500.0;  // a 500 m spike in a 10 m/s walk
+  const ColumnResults after = RunColumnMeasures(a, b);
+  const Trajectory fresh(a.object_id(), a.points());
+  ExpectSameBits(after, RunColumnMeasures(fresh, b), "after the write");
+  // The write changes every result, so a stale answer cannot pass.
+  EXPECT_NE(after.dtw, before.dtw);
+  EXPECT_NE(after.frechet, before.frechet);
+  EXPECT_NE(after.edr, before.edr);
+  EXPECT_NE(after.lcss, before.lcss);
+  EXPECT_TRUE(after.speed_flags[25]);
+  EXPECT_FALSE(before.speed_flags[25]);
+  EXPECT_TRUE(after.stat_flags[25]);
+}
+
+TEST(ColumnCopyTest, ParallelCallsOnSharedTrajectoriesMatchSerial) {
+  // Four workers evaluate every measure over shared const trajectories,
+  // each trajectory read by several workers at once; the results must be
+  // bit-equal to a serial loop.
+  Rng rng(5);
+  sim::TrajectorySimulator simulator({}, &rng);
+  std::vector<Trajectory> shared;
+  for (ObjectId id = 0; id < 12; ++id) {
+    Trajectory tr = simulator.RandomWaypoint(BBox(0, 0, 2000, 2000), 120, id);
+    for (size_t i = 7; i < tr.size(); i += 31) {
+      tr.mutable_points()[i].p.x += 400.0;
+    }
+    shared.push_back(std::move(tr));
+  }
+  const std::vector<Trajectory>& trs = shared;
+  constexpr size_t kCalls = 48;
+  const auto run = [&](size_t i) {
+    return RunColumnMeasures(trs[i % trs.size()],
+                             trs[(i * 5 + 1) % trs.size()]);
+  };
+  std::vector<ColumnResults> serial(kCalls);
+  for (size_t i = 0; i < kCalls; ++i) serial[i] = run(i);
+  std::vector<ColumnResults> parallel(kCalls);
+  exec::ParallelFor(kCalls, 4, [&](size_t i) { parallel[i] = run(i); });
+  for (size_t i = 0; i < kCalls; ++i) {
+    ExpectSameBits(parallel[i], serial[i], "call " + std::to_string(i));
+  }
 }
 
 // ----------------------------------------------------------------- privacy

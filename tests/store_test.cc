@@ -447,6 +447,50 @@ TEST(StoreTest, ManifestGenerationsChainAcrossCommits) {
   EXPECT_TRUE((*reopened)->recovery().chain_intact);
 }
 
+TEST(StoreTest, WriteCountersMatchTheManifest) {
+  MemVfs vfs;
+  obs::MetricsRegistry metrics;
+  StoreOptions options = SmallBlocks();
+  options.obs.metrics = &metrics;
+  StatusOr<std::unique_ptr<Store>> opened = Store::Open(&vfs, "db", options);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Store& store = **opened;
+  // 12 full blocks and one of 4 rows, in two commits; the first falls on
+  // a block boundary, so it seals no partial block.
+  constexpr uint64_t kRows = 100;
+  constexpr uint64_t kFirstCommit = 48;
+  for (uint64_t i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(store.Append(MakeRecord(i)).ok());
+    if (i + 1 == kFirstCommit) {
+      ASSERT_TRUE(store.Commit().ok());
+    }
+  }
+  ASSERT_TRUE(store.Close().ok());
+  ASSERT_EQ(store.manifest_gen(), 2u);
+
+  const StatusOr<std::string> text =
+      vfs.ReadFile("db/" + ManifestFileName(store.manifest_gen()));
+  ASSERT_TRUE(text.ok()) << text.status();
+  const StatusOr<ParsedManifest> parsed = ParseManifest(*text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const std::vector<BlockEntry>& blocks = parsed->manifest.blocks;
+  int64_t block_bytes = 0;
+  for (const BlockEntry& b : blocks) {
+    block_bytes += static_cast<int64_t>(b.length);
+  }
+
+  std::map<std::string, int64_t> counters;
+  for (const obs::CounterValue& c : metrics.Snapshot().counters) {
+    counters[c.name] = c.value;
+  }
+  EXPECT_EQ(counters["store.append.records"], static_cast<int64_t>(kRows));
+  EXPECT_EQ(blocks.size(), 13u);
+  EXPECT_EQ(counters["store.append.blocks"],
+            static_cast<int64_t>(blocks.size()));
+  EXPECT_EQ(counters["store.append.bytes"], block_bytes);
+  EXPECT_EQ(counters["store.commit.manifests"], 2);
+}
+
 TEST(StoreTest, UncommittedSealedBlocksAreRecoveredFromTail) {
   MemVfs vfs;
   {
