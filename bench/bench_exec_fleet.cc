@@ -214,7 +214,8 @@ struct ObsOverhead {
 // plain run (exit 1 otherwise): observation may cost time but must never
 // perturb results. The cost itself, obs_slowdown, is recorded, not gated
 // here; scripts/bench_compare.py bounds only its drift against the
-// committed artifact. The absolute <= 5% ceiling is ROADMAP.md item 1.
+// committed artifact. The absolute <= 5% ceiling is part of ROADMAP.md's
+// obs v2 item ("Library spans replace the benchmark's tracer").
 ObsOverhead BenchObsOverhead(const TrajectoryPipeline& pipeline,
                              const std::vector<Trajectory>& fleet) {
   auto make_options = [] {

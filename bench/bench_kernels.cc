@@ -18,14 +18,14 @@
 //                as query::DiscreteFrechetDistance makes it
 //   packed_range batched range queries over per-segment boxes on
 //                kernels::PackedRTree vs. per-query
-//                index::RTree::RangeQuery
+//                RangeQuery on the pointer R-tree in bench/rtree.h
 //
 // The kernel side of the first three reads x/y columns built before the
 // timed loops and calls the KernelOps fields on them, so it times the
 // kernels and not the per-call column copy.
 //
 // Pass --quick to cut repetitions (CI smoke). The reference side of every
-// gate (kernels/scalar_ref.cc, index::RTree) does not go through the ISA
+// gate (kernels/scalar_ref.cc, bench/rtree.h) does not go through the ISA
 // dispatcher, so a dispatched run and a SIDQ_FORCE_ISA=scalar run that both
 // exit 0 carry equal per-primitive checksums; CI runs the forced-scalar
 // one. The BENCH_JSON line records which ISA tier the dispatcher resolved
@@ -40,10 +40,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/rtree.h"
 #include "core/hash.h"
 #include "core/random.h"
 #include "core/trajectory.h"
-#include "index/rtree.h"
 #include "kernels/dispatch.h"
 #include "kernels/packed_rtree.h"
 #include "kernels/scalar_ref.h"
@@ -227,7 +227,7 @@ PrimitiveResult BenchPackedRange(const std::vector<Trajectory>& fleet,
   // out-of-cache tree is where layout and batching matter -- contiguous
   // level-order node arrays, one amortized result buffer instead of a
   // per-query allocation, and the contains-whole-subtree linear emit.
-  std::vector<index::RTree::Item> base_items;
+  std::vector<bench::RTree::Item> base_items;
   std::vector<kernels::PackedRTree::Item> packed_items;
   std::vector<geometry::BBox> queries;
   for (size_t i = 0; i < fleet.size(); ++i) {
@@ -242,7 +242,7 @@ PrimitiveResult BenchPackedRange(const std::vector<Trajectory>& fleet,
       queries.push_back(geometry::BBox(pts[k].p, pts[k].p).Expanded(75.0));
     }
   }
-  index::RTree baseline;
+  bench::RTree baseline;
   baseline.BulkLoad(base_items);
   // Wide leaves: the SIMD leaf sweep makes 64-entry leaves cheaper than
   // deeper traversal, which a branchy AoS scan cannot afford.

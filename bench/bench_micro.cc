@@ -6,9 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/rtree.h"
 #include "core/random.h"
-#include "index/grid_index.h"
-#include "index/rtree.h"
 #include "kernels/packed_rtree.h"
 #include "reduce/coding.h"
 #include "reduce/simplify.h"
@@ -28,21 +27,8 @@ std::vector<geometry::Point> MakePoints(size_t n) {
   return pts;
 }
 
-void BM_GridIndexRange(benchmark::State& state) {
-  const auto pts = MakePoints(state.range(0));
-  index::GridIndex idx(100.0);
-  for (size_t i = 0; i < pts.size(); ++i) idx.Insert(i, pts[i]);
-  Rng rng(2);
-  for (auto _ : state) {
-    const double x = rng.Uniform(0, 9000);
-    const double y = rng.Uniform(0, 9000);
-    benchmark::DoNotOptimize(
-        idx.RangeQuery(geometry::BBox(x, y, x + 500, y + 500)));
-  }
-}
-BENCHMARK(BM_GridIndexRange)->Arg(10'000)->Arg(100'000);
-
-// The kNN path trajectory calibration runs: point boxes in a PackedRTree.
+// Best-first 10-NN over point boxes in a PackedRTree: the BoxGapScan walk
+// trajectory calibration snaps through (it takes the first item).
 void BM_PackedRTreeKnn(benchmark::State& state) {
   const auto pts = MakePoints(state.range(0));
   std::vector<kernels::PackedRTree::Item> items;
@@ -53,19 +39,24 @@ void BM_PackedRTreeKnn(benchmark::State& state) {
   tree.BulkLoad(std::move(items));
   Rng rng(3);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Knn(
-        geometry::Point(rng.Uniform(0, 10000), rng.Uniform(0, 10000)), 10));
+    const geometry::Point q(rng.Uniform(0, 10000), rng.Uniform(0, 10000));
+    kernels::BoxGapScan scan(tree, geometry::BBox(q, q));
+    uint64_t id = 0;
+    double gap = 0.0;
+    for (int k = 0; k < 10 && scan.Next(&id, &gap); ++k) {
+      benchmark::DoNotOptimize(id);
+    }
   }
 }
 BENCHMARK(BM_PackedRTreeKnn)->Arg(10'000)->Arg(100'000);
 
 void BM_RTreeRange(benchmark::State& state) {
   const auto pts = MakePoints(state.range(0));
-  std::vector<index::RTree::Item> items;
+  std::vector<bench::RTree::Item> items;
   for (size_t i = 0; i < pts.size(); ++i) {
     items.push_back({i, geometry::BBox(pts[i], pts[i])});
   }
-  index::RTree tree;
+  bench::RTree tree;
   tree.BulkLoad(items);
   Rng rng(4);
   for (auto _ : state) {

@@ -1,4 +1,4 @@
-#include "index/rtree.h"
+#include "bench/rtree.h"
 
 #include <algorithm>
 #include <cmath>
@@ -6,7 +6,7 @@
 #include "core/logging.h"
 
 namespace sidq {
-namespace index {
+namespace bench {
 
 RTree::RTree(size_t max_entries) : max_entries_(max_entries) {
   SIDQ_CHECK(max_entries >= 4) << "max_entries must be >= 4";
@@ -105,13 +105,11 @@ void RTree::BulkLoad(std::vector<Item> items) {
 
 std::vector<uint64_t> RTree::RangeQuery(const geometry::BBox& query) const {
   std::vector<uint64_t> out;
-  last_nodes_visited = 0;
   if (root_ < 0 || query.Empty()) return out;
   std::vector<int32_t> stack{root_};
   while (!stack.empty()) {
     const int32_t n = stack.back();
     stack.pop_back();
-    ++last_nodes_visited;
     const Node& node = nodes_[n];
     if (!node.box.Intersects(query)) continue;
     if (node.leaf) {
@@ -127,5 +125,5 @@ std::vector<uint64_t> RTree::RangeQuery(const geometry::BBox& query) const {
   return out;
 }
 
-}  // namespace index
+}  // namespace bench
 }  // namespace sidq

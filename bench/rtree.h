@@ -6,14 +6,15 @@
 #include "geometry/bbox.h"
 
 namespace sidq {
-namespace index {
+namespace bench {
 
 // A pointer-based R-tree over rectangles, bulk-loaded with
 // Sort-Tile-Recursive (STR): one heap-allocated child/item vector per node.
 // It is the measured baseline for kernels::PackedRTree, which packs an STR
 // tree into flat arrays: bench_kernels times per-query RangeQuery here
-// against the packed batched walk (the gated `packed_range` speedup).
-// Library code uses kernels::PackedRTree.
+// against the packed batched walk (the gated `packed_range` speedup) and
+// checksums both result sets. It is bench code, not library code;
+// index_test compiles it to keep it checked against brute force.
 class RTree {
  public:
   struct Item {
@@ -32,8 +33,6 @@ class RTree {
 
   // Ids of items whose box intersects `query`.
   [[nodiscard]] std::vector<uint64_t> RangeQuery(const geometry::BBox& query) const;
-  // Number of nodes visited by the last RangeQuery (pruning statistics).
-  mutable size_t last_nodes_visited = 0;
 
  private:
   struct Node {
@@ -53,5 +52,5 @@ class RTree {
   std::vector<Node> nodes_;
 };
 
-}  // namespace index
+}  // namespace bench
 }  // namespace sidq

@@ -20,7 +20,7 @@ Rules
   R3  using-namespace    `using namespace` in a header leaks into every
                          includer; banned in *.h. No suppression.
   R4  pragma-once        every header starts with `#pragma once` as its
-                         first non-comment line. Fixable with --fix.
+                         first non-comment line.
   R5  naked-new          `new` / `delete`; use std::make_unique /
                          containers. The arena (core/arena.h) is the one
                          sanctioned exception.
@@ -48,7 +48,6 @@ Rules
                            Clock, and stream watermarks advance on event
                            time; a wall-clock read would make traces and
                            stream-vs-batch replay depend on arrival time.
-  R9                     retired (merged into R8).
   R10 raw-mutex          raw `std::mutex` / `std::lock_guard` /
                          `std::unique_lock` / `std::condition_variable`
                          (and friends) outside src/core/mutex.h. The
@@ -72,7 +71,6 @@ Rules
                          same class or struct. A guard expression the
                          analysis cannot resolve locally is a contract
                          that cannot be checked.
-  R13                    retired (merged into R8).
   R14 hotloop-heap-alloc heap allocation inside a loop in src/kernels/:
                          `new`/`delete`, `malloc`/`free` and friends, or
                          `push_back`/`emplace_back` onto a container with
@@ -116,9 +114,6 @@ placed on the offending line or on the comment block directly above it.
 Suppression-hygiene meta rules (not suppressible: they are ordinary
 findings):
 
-  S1  legacy-suppression    old spellings (`ignore-status`, `allow-thread`)
-                            are findings and do NOT suppress. --fix
-                            rewrites them to the unified form.
   S2  unknown-suppression   `allow-<slug>` where <slug> is not a
                             suppressible rule.
   S3  missing-reason        `allow-<slug>` without a written reason.
@@ -129,7 +124,7 @@ Every finding fails the run; there is no grandfathering. Fix the code or
 annotate it with a written reason.
 
 Usage: scripts/sidq_lint.py [--root DIR] [--format {text,json}]
-                            [--fix] [paths...]
+                            [paths...]
 Exits 0 when the tree is clean, 1 with findings, 2 on usage errors.
 
 Registered as the tier-1 `sidq_lint` ctest; `lint_selftest` runs the
@@ -166,7 +161,6 @@ RULES = {
     "R14": "hotloop-heap-alloc",
     "R15": "raw-io",
     "R16": "raw-read",
-    "S1": "legacy-suppression",
     "S2": "unknown-suppression",
     "S3": "missing-reason",
     "S4": "unused-suppression",
@@ -177,10 +171,6 @@ SUPPRESSIBLE = {
     "ignored-status", "stray-thread", "scalar-haversine", "wallclock",
     "raw-mutex", "unordered-iter", "guarded-by-unknown-lock",
     "hotloop-heap-alloc", "raw-io", "raw-read",
-}
-LEGACY_SPELLINGS = {
-    "ignore-status": "allow-ignored-status",
-    "allow-thread": "allow-stray-thread",
 }
 
 # ---------------------------------------------------------------------------
@@ -288,7 +278,7 @@ CLASS_HEAD_RE = re.compile(
 # first `//` on the line, so prose that *mentions* the syntax (docs) does
 # not register as an annotation.
 SUPPRESSION_RE = re.compile(
-    r"^\s*sidq:\s*(allow-[a-z0-9-]+|ignore-status)(?:\s*\((.*))?")
+    r"^\s*sidq:\s*(allow-[a-z0-9-]+)(?:\s*\((.*))?")
 
 CPP_KEYWORDS = {
     "auto", "const", "constexpr", "static", "mutable", "volatile",
@@ -338,14 +328,13 @@ def strip_comments_and_strings(text):
 
 
 class Finding:
-    __slots__ = ("file", "line", "rule", "message", "fix")
+    __slots__ = ("file", "line", "rule", "message")
 
-    def __init__(self, file, line, rule, message, fix=None):
+    def __init__(self, file, line, rule, message):
         self.file = file
         self.line = line
         self.rule = rule
         self.message = message
-        self.fix = fix  # None | ("insert_pragma_once",) | ("replace", old, new)
 
     def to_json(self):
         return {
@@ -354,7 +343,6 @@ class Finding:
             "rule": self.rule,
             "slug": RULES.get(self.rule, "?"),
             "message": self.message,
-            "fixable": self.fix is not None,
         }
 
 
@@ -421,15 +409,6 @@ class FileContext:
             if not m:
                 continue
             spelled, reason = m.group(1), m.group(2)
-            if spelled in LEGACY_SPELLINGS:
-                new = LEGACY_SPELLINGS[spelled]
-                self.findings.append(Finding(
-                    self.rel, lineno, "S1",
-                    f"legacy suppression spelling 'sidq: {spelled}(...)'; "
-                    f"write 'sidq: {new}(...)' (legacy spellings do not "
-                    "suppress; --fix rewrites them)",
-                    fix=("replace", f"sidq: {spelled}(", f"sidq: {new}(")))
-                continue
             slug = spelled[len("allow-"):]
             if slug not in SUPPRESSIBLE:
                 known = "" if slug not in SLUG_TO_RULE else (
@@ -471,8 +450,8 @@ class FileContext:
                 hit = True
         return hit
 
-    def add(self, lineno, rule, message, fix=None):
-        self.findings.append(Finding(self.rel, lineno, rule, message, fix))
+    def add(self, lineno, rule, message):
+        self.findings.append(Finding(self.rel, lineno, rule, message))
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +464,7 @@ def run_line_rules(ctx):
         first_code = next(
             (ln.strip() for ln in ctx.code_lines if ln.strip()), "")
         if first_code != "#pragma once":
-            ctx.add(1, "R4", "header must start with '#pragma once'",
-                    fix=("insert_pragma_once",))
+            ctx.add(1, "R4", "header must start with '#pragma once'")
 
     haversine_scoped = bool(HAVERSINE_SCOPED.search(rel))
     wallclock_rows = [(pattern, waivable, message)
@@ -823,33 +801,6 @@ def run_unused_suppression_pass(ctx):
 
 
 # ---------------------------------------------------------------------------
-# --fix
-
-def apply_fixes(root, findings):
-    """Applies every mechanical fix; returns the number applied."""
-    by_file = {}
-    for f in findings:
-        if f.fix is not None:
-            by_file.setdefault(f.file, []).append(f)
-    applied = 0
-    for rel, file_findings in by_file.items():
-        path = root / rel
-        text = path.read_text(encoding="utf-8", errors="replace")
-        for f in file_findings:
-            kind = f.fix[0]
-            if kind == "insert_pragma_once":
-                text = "#pragma once\n" + text
-                applied += 1
-            elif kind == "replace":
-                _, old, new = f.fix
-                if old in text:
-                    text = text.replace(old, new)
-                    applied += 1
-        path.write_text(text, encoding="utf-8")
-    return applied
-
-
-# ---------------------------------------------------------------------------
 # Driver
 
 def collect_files(root, paths):
@@ -893,8 +844,6 @@ def main():
                         help="repo root (default: parent of this script)")
     parser.add_argument("--format", choices=("text", "json"),
                         default="text", help="output format")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply mechanical fixes (R4, S1) in place")
     parser.add_argument("paths", nargs="*",
                         help="files to lint (default: whole tree)")
     args = parser.parse_args()
@@ -904,13 +853,6 @@ def main():
 
     files = collect_files(root, args.paths)
     findings = lint_tree(root, files)
-
-    if args.fix:
-        applied = apply_fixes(root, findings)
-        if applied:
-            print(f"sidq-lint: applied {applied} fix(es); re-linting",
-                  file=sys.stderr)
-            findings = lint_tree(root, files)
 
     if args.format == "json":
         print(json.dumps({

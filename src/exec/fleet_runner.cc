@@ -70,20 +70,6 @@ std::string FleetStageStats::ToString() const {
 FleetRunner::FleetRunner(const TrajectoryPipeline* pipeline, Options options)
     : pipeline_(pipeline), options_(options) {}
 
-std::vector<std::vector<size_t>> FleetRunner::MakeShards(
-    const std::vector<Trajectory>& fleet) const {
-  std::vector<std::vector<size_t>> shards;
-  const size_t shard_size = std::max<size_t>(1, options_.shard_size);
-  for (size_t begin = 0; begin < fleet.size(); begin += shard_size) {
-    std::vector<size_t> shard;
-    const size_t end = std::min(fleet.size(), begin + shard_size);
-    shard.reserve(end - begin);
-    for (size_t i = begin; i < end; ++i) shard.push_back(i);
-    shards.push_back(std::move(shard));
-  }
-  return shards;
-}
-
 FleetResult FleetRunner::Run(const std::vector<Trajectory>& fleet) const {
   return RunInternal(fleet, nullptr, nullptr);
 }
@@ -108,8 +94,10 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
     return result;
   }
 
-  const std::vector<std::vector<size_t>> shards = MakeShards(fleet);
-  result.shards_total = shards.size();
+  // Shard s is the contiguous index range [s*shard_size,
+  // min(n, (s+1)*shard_size)).
+  const size_t shard_size = std::max<size_t>(1, options_.shard_size);
+  result.shards_total = (n + shard_size - 1) / shard_size;
 
   // Per-trajectory profiling output, merged after the join so aggregation
   // order never depends on scheduling.
@@ -162,7 +150,7 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
   // Each shard writes only its own indices of cleaned/statuses/
   // all_reports/traces; the ParallelFor join publishes those writes to this
   // thread.
-  auto run_shard = [&](const std::vector<size_t>& shard) {
+  auto run_shard = [&](size_t s) {
     if (cancelled.load(std::memory_order_acquire)) {
       shards_cancelled.fetch_add(1, std::memory_order_relaxed);
       return;
@@ -178,7 +166,8 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
                   obs::MetricsRegistry::DurationBucketsMs(),
                   timing_stability)
             : obs::Histogram();
-    for (size_t i : shard) {
+    const size_t end = std::min(n, (s + 1) * shard_size);
+    for (size_t i = s * shard_size; i < end; ++i) {
       const ObjectId id = fleet[i].object_id();
       Rng rng = Rng::ForKey(options_.base_seed, id);
       Rng retry_rng =
@@ -241,8 +230,7 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
   if (num_threads == 0) {
     num_threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  ParallelFor(shards.size(), num_threads,
-              [&](size_t s) { run_shard(shards[s]); });
+  ParallelFor(result.shards_total, num_threads, run_shard);
 
   result.shards_cancelled = shards_cancelled.load(std::memory_order_relaxed);
   result.breaker_tripped = breaker_tripped.load(std::memory_order_relaxed);

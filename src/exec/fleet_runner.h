@@ -180,12 +180,6 @@ class FleetRunner {
       const std::vector<Trajectory>* truths,
       const TrajectoryProfiler& profiler) const;
 
-  // The shard index sets the next Run would use (exposed for tests):
-  // contiguous chunks of shard_size. Every input index appears exactly
-  // once.
-  [[nodiscard]] std::vector<std::vector<size_t>> MakeShards(
-      const std::vector<Trajectory>& fleet) const;
-
  private:
   FleetResult RunInternal(const std::vector<Trajectory>& fleet,
                           const std::vector<Trajectory>* truths,

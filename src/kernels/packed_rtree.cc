@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 
 #include "core/arena.h"
 #include "core/logging.h"
@@ -193,13 +192,6 @@ std::vector<uint64_t> PackedRTree::RangeQuery(
   return out;
 }
 
-PackedRTree::BatchResults PackedRTree::RangeQueryMany(
-    const std::vector<geometry::BBox>& queries) const {
-  BatchResults res;
-  RangeQueryMany(queries, &res);
-  return res;
-}
-
 void PackedRTree::RangeQueryMany(const std::vector<geometry::BBox>& queries,
                                  BatchResults* res) const {
   res->ids.clear();
@@ -365,59 +357,6 @@ void PackedRTree::RangeQueryMany(const std::vector<geometry::BBox>& queries,
                 pool.data() + run.pool_begin, run.count * sizeof(uint64_t));
     cursor[run.query] += run.count;
   }
-}
-
-namespace {
-
-struct KnnEntry {
-  double dist;
-  bool is_item;
-  uint64_t key;  // item id, or node index
-  bool operator>(const KnnEntry& o) const { return dist > o.dist; }
-};
-
-}  // namespace
-
-std::vector<uint64_t> PackedRTree::Knn(const geometry::Point& q,
-                                       size_t k) const {
-  std::vector<uint64_t> out;
-  if (nodes_.empty() || k == 0) return out;
-  // Best-first search over an arena-backed binary heap. push/pop replicate
-  // std::priority_queue<Entry, vector<Entry>, greater<Entry>> exactly
-  // (push_back+push_heap / pop_heap+pop_back on the same comparator), so
-  // the emitted order -- including resolution of equal-distance ties -- is
-  // bit-identical to the former std::priority_queue implementation.
-  ArenaScope scope(ScratchArena());
-  ArenaVec<KnnEntry> heap(scope.arena(), 64);
-  const std::greater<KnnEntry> cmp;
-  const auto push = [&](KnnEntry e) {
-    heap.push_back(e);
-    std::push_heap(heap.begin(), heap.end(), cmp);
-  };
-  out.reserve(std::min(k, items_.size()));
-  push(KnnEntry{nodes_[root()].box.MinDistance(q), false,
-                static_cast<uint64_t>(root())});
-  while (!heap.empty() && out.size() < k) {
-    const KnnEntry e = heap[0];
-    std::pop_heap(heap.begin(), heap.end(), cmp);
-    heap.pop_back();
-    if (e.is_item) {
-      out.push_back(e.key);
-      continue;
-    }
-    const Node& node = nodes_[e.key];
-    if (IsLeaf(e.key)) {
-      for (uint32_t i = node.begin; i < node.end; ++i) {
-        push(KnnEntry{items_[i].box.MinDistance(q), true, items_[i].id});
-      }
-    } else {
-      for (uint32_t c = node.begin; c < node.end; ++c) {
-        push(KnnEntry{nodes_[c].box.MinDistance(q), false,
-                      static_cast<uint64_t>(c)});
-      }
-    }
-  }
-  return out;
 }
 
 BoxGapScan::BoxGapScan(const PackedRTree& tree, const geometry::BBox& query)

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <vector>
 
@@ -18,9 +19,10 @@ double BoxGap(const geometry::BBox& a, const geometry::BBox& b);
 
 // A read-only, bulk-loaded R-tree packed into contiguous arrays: the
 // items in leaf order and the nodes in level order (all leaves first,
-// root last). This is the one spatial tree the library queries: range
-// lookups, best-first kNN (trajectory calibration snaps through Knn(p, 1))
-// and incremental BoxGap scans. Traversal is pointer-free over dense
+// root last). This is the one spatial tree the library queries, with one
+// range walk (RangeQueryMany; RangeQuery is its single-query reference)
+// and one best-first walk (BoxGapScan below; trajectory calibration snaps
+// through its first item). Traversal is pointer-free over dense
 // arrays -- child ranges are [begin, end) index spans, and the batched
 // range query amortizes the traversal stack and result buffers across a
 // whole query set. Queries write no member state (traversal state lives on
@@ -33,10 +35,10 @@ double BoxGap(const geometry::BBox& a, const geometry::BBox& b);
 // so a query that CONTAINS a node's box emits the whole span with a single
 // linear copy. Wide leaves (max_entries 32..64) are cheap under the
 // vectorized scan and cut traversal overhead for range workloads; the
-// default 16 matches the fanout of index::RTree, the pointer-based
-// baseline bench_kernels measures range queries against. Result sets are
-// exact (tests compare them with brute-force scans); range enumeration
-// order is traversal order, Knn is distance-ordered.
+// default 16 matches the fanout of the pointer-based R-tree in
+// bench/rtree.h, the baseline bench_kernels measures range queries
+// against. Result sets are exact (tests compare them with brute-force
+// scans); range enumeration order is traversal order.
 class PackedRTree {
  public:
   struct Item {
@@ -91,16 +93,10 @@ class PackedRTree {
   // Contract: for every query q, the id sequence [begin_of(q), end_of(q))
   // is IDENTICAL to what RangeQuery(queries[q]) returns -- the shared walk
   // restricted to q pops q's nodes in exactly the solo DFS order.
-  [[nodiscard]] BatchResults RangeQueryMany(
-      const std::vector<geometry::BBox>& queries) const;
-  // Same, into caller-owned buffers (cleared, capacity kept) so repeated
-  // batches reuse their result allocations.
+  // Results go into caller-owned buffers (cleared, capacity kept) so
+  // repeated batches reuse their result allocations.
   void RangeQueryMany(const std::vector<geometry::BBox>& queries,
                       BatchResults* res) const;
-
-  // Ids of the k items nearest to `q` by box MinDistance, nearest first.
-  [[nodiscard]] std::vector<uint64_t> Knn(const geometry::Point& q,
-                                          size_t k) const;
 
   // Items in leaf order (for tests / bulk consumers).
   [[nodiscard]] const std::vector<Item>& items() const { return items_; }

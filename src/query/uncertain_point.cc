@@ -156,8 +156,8 @@ std::vector<std::vector<ObjectId>> ProbabilisticRangeQueryMany(
   // One shared walk answers every box; BBox::Intersects is symmetric, so
   // the tree's region-vs-box test prunes exactly the objects the solo
   // scan's region.Intersects(box) would.
-  const kernels::PackedRTree::BatchResults candidates =
-      tree.RangeQueryMany(boxes);
+  kernels::PackedRTree::BatchResults candidates;
+  tree.RangeQueryMany(boxes, &candidates);
   for (size_t q = 0; q < boxes.size(); ++q) {
     PruningStats local;
     local.total_objects = objects.size();

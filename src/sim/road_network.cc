@@ -140,13 +140,32 @@ double RoadNetwork::ShortestPathLength(NodeId from, NodeId to) const {
   return len;
 }
 
+namespace {
+
+// Grid cell coordinate of `v` along one axis.
+int64_t CellCoord(double v, double cell_size) {
+  return static_cast<int64_t>(std::floor(v / cell_size));
+}
+
+// Interleave-free 32/32 packing; fine for |cell coord| < 2^31.
+uint64_t CellKey(int64_t cx, int64_t cy) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(cx)) << 32) |
+         static_cast<uint64_t>(static_cast<uint32_t>(cy));
+}
+
+}  // namespace
+
 void RoadNetwork::BuildSpatialIndex(double cell_size) {
-  edge_index_ = index::GridIndex(cell_size);
+  SIDQ_CHECK(cell_size > 0.0) << "cell size must be positive";
+  edge_cells_.clear();
+  cell_size_ = cell_size;
   max_edge_length_ = 0.0;
   for (EdgeId e = 0; e < edges_.size(); ++e) {
     const geometry::Point mid =
         geometry::Lerp(nodes_[edges_[e].u].p, nodes_[edges_[e].v].p, 0.5);
-    edge_index_.Insert(e, mid);
+    edge_cells_[CellKey(CellCoord(mid.x, cell_size_),
+                        CellCoord(mid.y, cell_size_))]
+        .push_back(EdgeMidpoint{e, mid});
     max_edge_length_ = std::max(max_edge_length_, edges_[e].length);
   }
   index_built_ = true;
@@ -157,12 +176,24 @@ std::vector<EdgeId> RoadNetwork::EdgesNear(const geometry::Point& p,
   SIDQ_CHECK(index_built_) << "call BuildSpatialIndex() first";
   std::vector<EdgeId> out;
   // A point within `radius` of an edge is within radius + len/2 of its
-  // midpoint.
-  const auto ids =
-      edge_index_.RadiusQuery(p, radius + max_edge_length_ / 2.0);
-  for (uint64_t id : ids) {
-    const EdgeId e = static_cast<EdgeId>(id);
-    if (DistanceToEdge(e, p) <= radius) out.push_back(e);
+  // midpoint. Cells are visited x-major, each in insertion order.
+  const double reach = radius + max_edge_length_ / 2.0;
+  const double reach_sq = reach * reach;
+  const int64_t cx0 = CellCoord(p.x - reach, cell_size_);
+  const int64_t cy0 = CellCoord(p.y - reach, cell_size_);
+  const int64_t cx1 = CellCoord(p.x + reach, cell_size_);
+  const int64_t cy1 = CellCoord(p.y + reach, cell_size_);
+  for (int64_t cx = cx0; cx <= cx1; ++cx) {
+    for (int64_t cy = cy0; cy <= cy1; ++cy) {
+      const auto it = edge_cells_.find(CellKey(cx, cy));
+      if (it == edge_cells_.end()) continue;
+      for (const EdgeMidpoint& m : it->second) {
+        if (geometry::DistanceSq(m.mid, p) <= reach_sq &&
+            DistanceToEdge(m.edge, p) <= radius) {
+          out.push_back(m.edge);
+        }
+      }
+    }
   }
   return out;
 }

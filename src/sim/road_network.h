@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "core/random.h"
@@ -10,7 +11,6 @@
 #include "core/types.h"
 #include "geometry/bbox.h"
 #include "geometry/point.h"
-#include "index/grid_index.h"
 
 namespace sidq {
 namespace sim {
@@ -117,9 +117,16 @@ class RoadNetwork {
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<std::vector<EdgeId>> adjacency_;
-  // Edge midpoints indexed on a grid; radius searches over-expand by the
-  // max edge half-length to stay exact.
-  index::GridIndex edge_index_{100.0};
+  // Edge midpoints bucketed on a uniform grid of `cell_size_` cells, keyed
+  // by the cell's packed (x, y) coordinates; each cell keeps its edges in
+  // insertion (edge id) order. Radius searches over-expand by the max edge
+  // half-length to stay exact.
+  struct EdgeMidpoint {
+    EdgeId edge;
+    geometry::Point mid;
+  };
+  std::unordered_map<uint64_t, std::vector<EdgeMidpoint>> edge_cells_;
+  double cell_size_ = 100.0;
   double max_edge_length_ = 0.0;
   bool index_built_ = false;
 };

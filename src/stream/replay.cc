@@ -86,9 +86,9 @@ StreamOutput BatchReference(const EventLog& log, const StreamConfig& config) {
     for (auto& [window_index, events] : windows) {
       const int64_t dups = filter.ReleaseWindow(sensor, window_index);
       const WindowKpis kpis = ProcessWindow(
-          sensor, window_index, config.window_ms, std::move(events), dups,
-          *rule, config.thresholds, &pipeline, &cleaned, &out.ledger,
-          &out.alerts);
+          sensor, window_index, config.window_ms, events.data(),
+          events.size(), dups, *rule, config.thresholds, &pipeline,
+          &cleaned, &out.ledger, &out.alerts);
       out.kpis.push_back(kpis);
       summary.quarantined += kpis.outliers;
       ++summary.windows_closed;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 #include <tuple>
-#include <utility>
 
 #include "obs/export.h"
 
@@ -20,13 +19,6 @@ bool EventTimeLess(const StreamEvent& a, const StreamEvent& b) {
 
 }  // namespace
 
-std::vector<StreamEvent> RingWindow::TakeSortedByTime() {
-  std::vector<StreamEvent> out = std::move(events_);
-  events_.clear();
-  std::sort(out.begin(), out.end(), EventTimeLess);
-  return out;
-}
-
 StreamEvent* RingWindow::TakeSortedByTime(Arena* arena, size_t* count) {
   *count = events_.size();
   StreamEvent* out = arena->AllocArray<StreamEvent>(events_.size());
@@ -34,19 +26,6 @@ StreamEvent* RingWindow::TakeSortedByTime(Arena* arena, size_t* count) {
   events_.clear();
   std::sort(out, out + *count, EventTimeLess);
   return out;
-}
-
-WindowKpis ProcessWindow(SensorId sensor, int64_t window_index,
-                         Timestamp window_ms, std::vector<StreamEvent> events,
-                         int64_t duplicates, const SensorRule& rule,
-                         const KpiThresholds& thresholds,
-                         SensorPipeline* pipeline,
-                         std::vector<StRecord>* cleaned,
-                         QuarantineLedger* ledger,
-                         std::vector<KpiAlert>* alerts) {
-  return ProcessWindow(sensor, window_index, window_ms, events.data(),
-                       events.size(), duplicates, rule, thresholds, pipeline,
-                       cleaned, ledger, alerts);
 }
 
 WindowKpis ProcessWindow(SensorId sensor, int64_t window_index,

@@ -29,14 +29,12 @@ class RingWindow {
   [[nodiscard]] size_t size() const { return events_.size(); }
   [[nodiscard]] bool empty() const { return events_.empty(); }
 
-  // Drains the window's events sorted by event time. Admission dedups on
-  // (sensor, t), so event times are unique within a window and this sort
-  // is a total order -- arrival order cannot leak into window processing.
-  [[nodiscard]] std::vector<StreamEvent> TakeSortedByTime();
-
-  // Same drain into arena scratch (the stream engine's window-close path):
-  // the sorted events live until the caller's ArenaScope rewinds, and the
-  // close performs no heap allocation for them.
+  // Drains the window's events sorted by event time into arena scratch
+  // (the stream engine's window-close path): the sorted events live until
+  // the caller's ArenaScope rewinds, and the close performs no heap
+  // allocation for them. Admission dedups on (sensor, t), so event times
+  // are unique within a window and this sort is a total order -- arrival
+  // order cannot leak into window processing.
   [[nodiscard]] StreamEvent* TakeSortedByTime(Arena* arena, size_t* count);
 
  private:
@@ -100,26 +98,15 @@ struct SensorPipeline {
   outlier::PageHinkley drift;
 };
 
-// Processes one closed window: events (already admitted) in event-time
-// order run through the outlier gate then the Kalman update; survivors
-// append to `cleaned` with the filtered value and posterior stddev,
-// rejects go to `ledger` as kOutlier. Computes the window KPIs and any
-// threshold alerts. Shared verbatim by the stream engine and the batch
-// reference -- the differential contract holds because both sides call
-// exactly this function on identical admitted event sets.
-WindowKpis ProcessWindow(SensorId sensor, int64_t window_index,
-                         Timestamp window_ms, std::vector<StreamEvent> events,
-                         int64_t duplicates, const SensorRule& rule,
-                         const KpiThresholds& thresholds,
-                         SensorPipeline* pipeline,
-                         std::vector<StRecord>* cleaned,
-                         QuarantineLedger* ledger,
-                         std::vector<KpiAlert>* alerts);
-
-// Span form of the same function (sorts `events` in place). This is the
-// single implementation both overloads share: the stream engine passes
-// arena scratch, the batch reference passes its vector's storage -- so the
-// stream-vs-batch differential contract is preserved by construction.
+// Processes one closed window: the `event_count` events at `events`
+// (already admitted) are sorted in place into event-time order, then run
+// through the outlier gate and the Kalman update; survivors append to
+// `cleaned` with the filtered value and posterior stddev, rejects go to
+// `ledger` as kOutlier. Computes the window KPIs and any threshold alerts.
+// Shared verbatim by the stream engine (which passes arena scratch) and
+// the batch reference (which passes its vector's storage) -- the
+// differential contract holds because both sides call exactly this
+// function on identical admitted event sets.
 WindowKpis ProcessWindow(SensorId sensor, int64_t window_index,
                          Timestamp window_ms, StreamEvent* events,
                          size_t event_count, int64_t duplicates,

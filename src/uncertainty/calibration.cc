@@ -52,11 +52,14 @@ StatusOr<Trajectory> TrajectoryCalibrator::Calibrate(
   Trajectory out(noisy.object_id());
   for (const TrajectoryPoint& pt : noisy.points()) {
     TrajectoryPoint calibrated = pt;
-    const std::vector<uint64_t> nn = anchor_index_.Knn(pt.p, 1);
-    if (!nn.empty() &&
-        geometry::Distance(anchors_[nn.front()], pt.p) <=
-            options_.snap_radius_m) {
-      calibrated.p = anchors_[nn.front()];
+    // The best-first scan's first item is the nearest anchor; an exact tie
+    // goes to the lower anchor index.
+    uint64_t nn = 0;
+    double gap = 0.0;
+    if (kernels::BoxGapScan(anchor_index_, geometry::BBox(pt.p, pt.p))
+            .Next(&nn, &gap) &&
+        geometry::Distance(anchors_[nn], pt.p) <= options_.snap_radius_m) {
+      calibrated.p = anchors_[nn];
     }
     out.AppendUnordered(calibrated);
   }

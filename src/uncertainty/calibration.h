@@ -37,8 +37,8 @@ class TrajectoryCalibrator {
   const std::vector<geometry::Point>& anchors() const { return anchors_; }
 
   // Snaps every input point to its nearest anchor within snap_radius_m.
-  // Fails when no anchors have been built. Not safe to call concurrently
-  // on one calibrator: each lookup updates the index's pruning counter.
+  // Fails when no anchors have been built. Lookups write no calibrator or
+  // index state, so concurrent calls on one calibrator are safe.
   [[nodiscard]] StatusOr<Trajectory> Calibrate(const Trajectory& noisy) const;
 
  private:

@@ -227,20 +227,31 @@ TEST(FleetRunnerTest, EmptyFleetIsOk) {
 
 TEST(FleetRunnerTest, MakeShardsCoversEveryIndexExactlyOnce) {
   auto fleet = MakeSyntheticFleet(97, 12, kSeed);
-  fleet.push_back(Trajectory(997));  // point-free straggler
-  const TrajectoryPipeline pipeline = MakeCleaningPipeline();
+  fleet.push_back(Trajectory(97));  // point-free straggler
+  // Object ids equal input indices, so a counting stage sees which
+  // indices the shards actually ran.
+  std::vector<std::atomic<int>> calls(fleet.size());
+  TrajectoryPipeline pipeline;
+  pipeline.Add("count", [&calls](const Trajectory& in) -> StatusOr<Trajectory> {
+    calls[static_cast<size_t>(in.object_id())].fetch_add(
+        1, std::memory_order_relaxed);
+    return in;
+  });
 
-  FleetRunner::Options options;
-  options.shard_size = 9;
-  const FleetRunner runner(&pipeline, options);
-  std::vector<size_t> seen;
-  for (const auto& shard : runner.MakeShards(fleet)) {
-    ASSERT_FALSE(shard.empty());
-    seen.insert(seen.end(), shard.begin(), shard.end());
+  for (const int workers : {1, 2, 8}) {
+    SCOPED_TRACE(::testing::Message() << "workers=" << workers);
+    for (std::atomic<int>& c : calls) c.store(0);
+    FleetRunner::Options options;
+    options.shard_size = 9;
+    options.num_threads = workers;
+    const FleetResult result = FleetRunner(&pipeline, options).Run(fleet);
+    EXPECT_EQ(result.shards_total, 11u);  // ceil(98 / 9)
+    EXPECT_EQ(result.shards_cancelled, 0u);
+    for (size_t i = 0; i < fleet.size(); ++i) {
+      EXPECT_TRUE(result.statuses[i].ok()) << "index " << i;
+      EXPECT_EQ(calls[i].load(), 1) << "index " << i;
+    }
   }
-  std::sort(seen.begin(), seen.end());
-  ASSERT_EQ(seen.size(), fleet.size());
-  for (size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
 }
 
 TEST(FleetRunnerTest, ProfiledRunAggregatesFleetMetrics) {

@@ -1,15 +1,17 @@
+// The pointer-based R-tree that bench_kernels times as packed_range's
+// baseline (bench/rtree.h, compiled into this test) and the library's
+// kernels::PackedRTree, both checked against brute force.
+
 #include <algorithm>
-#include <set>
 
 #include <gtest/gtest.h>
 
+#include "bench/rtree.h"
 #include "core/random.h"
-#include "index/grid_index.h"
-#include "index/rtree.h"
 #include "kernels/packed_rtree.h"
 
 namespace sidq {
-namespace index {
+namespace bench {
 namespace {
 
 using geometry::BBox;
@@ -46,46 +48,6 @@ std::vector<uint64_t> BruteKnn(const std::vector<Point>& pts, const Point& q,
   return out;
 }
 
-// ------------------------------------------------------------- GridIndex
-
-TEST(GridIndexTest, RangeMatchesBruteForce) {
-  const auto pts = RandomPoints(500, 1000.0, 5);
-  GridIndex idx(50.0);
-  for (size_t i = 0; i < pts.size(); ++i) idx.Insert(i, pts[i]);
-  EXPECT_EQ(idx.size(), pts.size());
-  for (int trial = 0; trial < 20; ++trial) {
-    Rng rng(100 + trial);
-    const double x = rng.Uniform(0, 900), y = rng.Uniform(0, 900);
-    const BBox box(x, y, x + rng.Uniform(10, 300), y + rng.Uniform(10, 300));
-    auto got = idx.RangeQuery(box);
-    auto want = BruteRange(pts, box);
-    std::sort(got.begin(), got.end());
-    std::sort(want.begin(), want.end());
-    EXPECT_EQ(got, want);
-  }
-}
-
-TEST(GridIndexTest, RadiusMatchesBruteForce) {
-  const auto pts = RandomPoints(400, 800.0, 6);
-  GridIndex idx(40.0);
-  for (size_t i = 0; i < pts.size(); ++i) idx.Insert(i, pts[i]);
-  const Point q(400, 400);
-  auto got = idx.RadiusQuery(q, 120.0);
-  std::set<uint64_t> got_set(got.begin(), got.end());
-  for (size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(got_set.count(i) > 0,
-              geometry::Distance(pts[i], q) <= 120.0)
-        << "point " << i;
-  }
-}
-
-TEST(GridIndexTest, EmptyQueries) {
-  GridIndex idx(10.0);
-  EXPECT_EQ(idx.size(), 0u);
-  EXPECT_TRUE(idx.RangeQuery(BBox(0, 0, 100, 100)).empty());
-  EXPECT_TRUE(idx.RadiusQuery(Point(0, 0), 50).empty());
-}
-
 // ------------------------------------------------------------------ RTree
 
 TEST(RTreeTest, BulkLoadRange) {
@@ -103,7 +65,6 @@ TEST(RTreeTest, BulkLoadRange) {
   auto want = BruteRange(pts, box);
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, want);
-  EXPECT_GT(tree.last_nodes_visited, 0u);
 }
 
 TEST(RTreeTest, RectangleItems) {
@@ -148,10 +109,10 @@ std::vector<double> SortedDistances(const std::vector<Point>& pts,
   return out;
 }
 
-// Parameterised consistency sweep: the grid index and both R-trees agree
-// with brute force on range queries (and PackedRTree on kNN) across sizes,
-// on continuous random points and on an integer lattice full of duplicate
-// coordinates.
+// Parameterised consistency sweep: both R-trees agree with brute force on
+// range queries (and PackedRTree's best-first BoxGapScan on kNN) across
+// sizes, on continuous random points and on an integer lattice full of
+// duplicate coordinates.
 class IndexConsistencyTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(IndexConsistencyTest, AllIndexesAgree) {
@@ -160,11 +121,9 @@ TEST_P(IndexConsistencyTest, AllIndexesAgree) {
     SCOPED_TRACE(lattice ? "lattice" : "random");
     const auto pts = lattice ? LatticePoints(n, 10, 50.0, 42 + n)
                              : RandomPoints(n, 500.0, 42 + n);
-    GridIndex grid(20.0);
     std::vector<RTree::Item> rt_items;
     std::vector<kernels::PackedRTree::Item> packed_items;
     for (size_t i = 0; i < n; ++i) {
-      grid.Insert(i, pts[i]);
       rt_items.push_back({i, BBox(pts[i], pts[i])});
       packed_items.push_back({i, BBox(pts[i], pts[i])});
     }
@@ -182,23 +141,25 @@ TEST_P(IndexConsistencyTest, AllIndexesAgree) {
                      x0 + 50.0 * static_cast<double>(rng.UniformInt(0, 5)),
                      y0 + 50.0 * static_cast<double>(rng.UniformInt(0, 5)));
       auto want = BruteRange(pts, box);
-      auto g = grid.RangeQuery(box);
       auto r = rt.RangeQuery(box);
       auto p = packed.RangeQuery(box);
-      std::sort(g.begin(), g.end());
       std::sort(r.begin(), r.end());
       std::sort(p.begin(), p.end());
-      EXPECT_EQ(g, want) << "trial " << trial;
       EXPECT_EQ(r, want) << "trial " << trial;
       EXPECT_EQ(p, want) << "trial " << trial;
 
-      // PackedRTree kNN: equal-distance ties may resolve to different ids,
-      // so compare the distance sequences.
+      // PackedRTree kNN (the first k items of a BoxGapScan): equal-distance
+      // ties may resolve to different ids, so compare the distance
+      // sequences.
       const Point q(x0, y0);
       const size_t k = std::min<size_t>(5, n);
       const auto want_d = SortedDistances(pts, BruteKnn(pts, q, k), q);
-      EXPECT_EQ(SortedDistances(pts, packed.Knn(q, k), q), want_d)
-          << "trial " << trial;
+      kernels::BoxGapScan scan(packed, BBox(q, q));
+      std::vector<uint64_t> knn;
+      uint64_t id = 0;
+      double gap = 0.0;
+      while (knn.size() < k && scan.Next(&id, &gap)) knn.push_back(id);
+      EXPECT_EQ(SortedDistances(pts, knn, q), want_d) << "trial " << trial;
     }
   }
 }
@@ -207,5 +168,5 @@ INSTANTIATE_TEST_SUITE_P(Sizes, IndexConsistencyTest,
                          ::testing::Values(1, 10, 64, 256, 1000));
 
 }  // namespace
-}  // namespace index
+}  // namespace bench
 }  // namespace sidq

@@ -235,6 +235,18 @@ std::vector<double> BruteDistances(const std::vector<PackedRTree::Item>& items,
   return out;
 }
 
+// kNN through the best-first walk: the first k items a BoxGapScan from the
+// point box of `p` streams.
+std::vector<uint64_t> NearestK(const PackedRTree& tree, const Point& p,
+                               size_t k) {
+  std::vector<uint64_t> out;
+  BoxGapScan scan(tree, BBox(p, p));
+  uint64_t id = 0;
+  double gap = 0.0;
+  while (out.size() < k && scan.Next(&id, &gap)) out.push_back(id);
+  return out;
+}
+
 TEST(PackedRTreeTest, RangeQueryMatchesRTree) {
   Rng rng(47);
   for (size_t n : {0ul, 1ul, 5ul, 16ul, 17ul, 300ul}) {
@@ -290,14 +302,17 @@ TEST(PackedRTreeTest, RangeQueryManyReusesCallerBuffers) {
     const double y = rng.Uniform(0.0, 1000.0);
     queries.emplace_back(x, y, x + 150.0, y + 150.0);
   }
+  // A batch into buffers that already hold another batch's results
+  // replaces them entirely: it equals the same batch into fresh buffers.
+  std::vector<BBox> one_query{queries.front()};
   PackedRTree::BatchResults reused;
+  packed.RangeQueryMany(one_query, &reused);
   packed.RangeQueryMany(queries, &reused);
-  const PackedRTree::BatchResults fresh = packed.RangeQueryMany(queries);
+  PackedRTree::BatchResults fresh;
+  packed.RangeQueryMany(queries, &fresh);
   EXPECT_EQ(reused.ids, fresh.ids);
   EXPECT_EQ(reused.offsets, fresh.offsets);
-  // A second in-place batch over different queries fully replaces the
-  // previous contents.
-  std::vector<BBox> one_query{queries.front()};
+  // And back to the single query.
   packed.RangeQueryMany(one_query, &reused);
   ASSERT_EQ(reused.queries(), 1u);
   EXPECT_EQ(std::vector<uint64_t>(reused.begin_of(0), reused.end_of(0)),
@@ -314,7 +329,8 @@ TEST(PackedRTreeTest, RangeQueryManyMatchesSingleQueries) {
     const double y = rng.Uniform(0.0, 1000.0);
     queries.emplace_back(x, y, x + 100.0, y + 100.0);
   }
-  const PackedRTree::BatchResults batch = packed.RangeQueryMany(queries);
+  PackedRTree::BatchResults batch;
+  packed.RangeQueryMany(queries, &batch);
   ASSERT_EQ(batch.queries(), queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
     const std::vector<uint64_t> single = packed.RangeQuery(queries[q]);
@@ -333,7 +349,7 @@ TEST(PackedRTreeTest, KnnMatchesRTreeDistances) {
     const Point p(rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0));
     const std::vector<double> all = BruteDistances(items, p);
     for (size_t k : {1ul, 5ul, 151ul}) {
-      const std::vector<uint64_t> got = packed.Knn(p, k);
+      const std::vector<uint64_t> got = NearestK(packed, p, k);
       ASSERT_EQ(got.size(), std::min(k, items.size()));
       // Ties at equal MinDistance may pick either id; the distance
       // sequence must equal the k smallest brute-force distances, sorted.
@@ -346,8 +362,9 @@ TEST(PackedRTreeTest, KnnMatchesRTreeDistances) {
 
 // Queries are const and keep no member state, so threads sharing one tree
 // (e.g. two threads calibrating through one TrajectoryCalibrator, whose
-// anchor index answers Knn) must each get exactly the serial answers. Run
-// under TSan this also proves the queries write nothing shared.
+// anchor index answers a BoxGapScan) must each get exactly the serial
+// answers. Run under TSan this also proves the queries write nothing
+// shared.
 TEST(PackedRTreeTest, ConcurrentQueriesMatchSerial) {
   Rng rng(73);
   PackedRTree packed;
@@ -361,8 +378,9 @@ TEST(PackedRTreeTest, ConcurrentQueriesMatchSerial) {
     boxes.emplace_back(x, y, x + 80.0, y + 80.0);
   }
   std::vector<std::vector<uint64_t>> serial_knn;
-  for (const Point& p : points) serial_knn.push_back(packed.Knn(p, 7));
-  const PackedRTree::BatchResults serial_range = packed.RangeQueryMany(boxes);
+  for (const Point& p : points) serial_knn.push_back(NearestK(packed, p, 7));
+  PackedRTree::BatchResults serial_range;
+  packed.RangeQueryMany(boxes, &serial_range);
 
   constexpr int kThreads = 4;
   std::vector<std::vector<std::vector<uint64_t>>> knn(kThreads);
@@ -373,7 +391,7 @@ TEST(PackedRTreeTest, ConcurrentQueriesMatchSerial) {
     threads.emplace_back([&, t] {
       for (int rep = 0; rep < 20; ++rep) {
         knn[t].clear();
-        for (const Point& p : points) knn[t].push_back(packed.Knn(p, 7));
+        for (const Point& p : points) knn[t].push_back(NearestK(packed, p, 7));
         packed.RangeQueryMany(boxes, &range[t]);
       }
     });
@@ -422,7 +440,6 @@ TEST(PackedRTreeTest, EmptyTree) {
   EXPECT_TRUE(packed.empty());
   EXPECT_EQ(packed.height(), 0);
   EXPECT_TRUE(packed.RangeQuery(BBox(0, 0, 1, 1)).empty());
-  EXPECT_TRUE(packed.Knn(Point(0, 0), 3).empty());
   BoxGapScan scan(packed, BBox(0, 0, 1, 1));
   uint64_t id;
   double gap;

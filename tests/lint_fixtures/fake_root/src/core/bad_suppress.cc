@@ -3,7 +3,7 @@ namespace bad {
 int Run();
 
 void Legacy() {
-  (void)Run();  // sidq: ignore-status(old spelling)  // expect-lint: R1,S1
+  (void)Run();  // sidq: ignore-status(old spelling)  // expect-lint: R1
 }
 
 void Unknown() {

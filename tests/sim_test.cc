@@ -71,6 +71,32 @@ TEST(RoadNetworkTest, NearestEdgeAndProjection) {
   EXPECT_NEAR(proj.y, 0.0, 1e-9);
 }
 
+// EdgesNear's edge-cell lookup must return exactly the edges an all-edges
+// DistanceToEdge scan finds, each once: on the generator's default cells
+// and on cells far smaller than an edge, with probes off the network's
+// bounds (negative cell coordinates) and zero radii.
+TEST(RoadNetworkTest, EdgesNearMatchesBruteForce) {
+  Rng rng(11);
+  RoadNetwork net = MakeGridRoadNetwork(8, 8, 100.0, 20.0, 0.1, &rng);
+  for (const double cell_size : {100.0, 37.0}) {
+    SCOPED_TRACE(::testing::Message() << "cell_size=" << cell_size);
+    net.BuildSpatialIndex(cell_size);
+    for (int probe = 0; probe < 200; ++probe) {
+      const Point p(rng.Uniform(-150.0, 850.0), rng.Uniform(-150.0, 850.0));
+      const double radius = probe % 10 == 0 ? 0.0 : rng.Uniform(0.0, 250.0);
+      const std::vector<EdgeId> got = net.EdgesNear(p, radius);
+      const std::set<EdgeId> got_set(got.begin(), got.end());
+      EXPECT_EQ(got_set.size(), got.size()) << "duplicate edge, probe "
+                                            << probe;
+      std::set<EdgeId> want;
+      for (EdgeId e = 0; e < net.num_edges(); ++e) {
+        if (net.DistanceToEdge(e, p) <= radius) want.insert(e);
+      }
+      EXPECT_EQ(got_set, want) << "probe " << probe;
+    }
+  }
+}
+
 TEST(RoadNetworkTest, GridGeneratorConnectivity) {
   Rng rng(2);
   RoadNetwork net = MakeGridRoadNetwork(6, 6, 100.0, 5.0, 0.0, &rng);
