@@ -139,6 +139,37 @@ void BM_SquishE(benchmark::State& state) {
 }
 BENCHMARK(BM_SquishE)->Arg(1'000)->Arg(10'000);
 
+// One Rng draw. Gaussian pays two or more canonical draws and a log per
+// call; ForKey pays the 312-word seeding of a fresh engine plus its first
+// twist, as FleetRunner does once per object.
+void BM_RngGaussian(benchmark::State& state) {
+  Rng rng(8);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.Gaussian(0.0, 1.0));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngGaussian);
+
+void BM_RngUniform(benchmark::State& state) {
+  Rng rng(9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.Uniform(-1.0, 1.0));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngUniform);
+
+void BM_RngForKey(benchmark::State& state) {
+  uint64_t key = 0;
+  for (auto _ : state) {
+    Rng rng = Rng::ForKey(10, ++key);
+    benchmark::DoNotOptimize(rng.Uniform(0.0, 1.0));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngForKey);
+
 }  // namespace
 }  // namespace sidq
 

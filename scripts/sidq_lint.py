@@ -16,7 +16,16 @@ Rules
                          forces a written reason.
   R2  banned-rand        `rand()` / `srand()` are banned; use the seeded,
                          reproducible `sidq::Rng` from src/core/random.h.
-                         No suppression: there is no legitimate use.
+                         In src/, bench/ and examples/, so are the std::
+                         engines (`std::mt19937`, `std::mt19937_64`,
+                         `std::default_random_engine`,
+                         `std::random_device`) and every
+                         `std::*_distribution`: their algorithms are the
+                         standard library's, so a stream drawn through
+                         them bypasses the one place that pins draws
+                         (src/core/random.h, which is exempt). tests/ is
+                         exempt too: the oracles there compare sidq::Rng
+                         with the std:: streams. No suppression.
   R3  using-namespace    `using namespace` in a header leaks into every
                          includer; banned in *.h. No suppression.
   R4  pragma-once        every header starts with `#pragma once` as its
@@ -178,6 +187,11 @@ SUPPRESSIBLE = {
 
 VOID_CAST_CALL_RE = re.compile(r"\(void\)\s*[\w:\->.\[\]]+\s*\(")
 RAND_RE = re.compile(r"\b(?:srand|rand)\s*\(")
+STD_RANDOM_RE = re.compile(
+    r"\bstd::(?:mt19937(?:_64)?|random_device|default_random_engine"
+    r"|\w+_distribution)\b")
+STD_RANDOM_SCOPED = re.compile(r"^(?:src|bench|examples)/")
+RNG_FILE = "src/core/random.h"
 USING_NAMESPACE_RE = re.compile(r"\busing\s+namespace\b")
 NEW_RE = re.compile(r"\bnew\b(?!\s*\()")  # `new (ptr) T` placement incl.
 DELETE_RE = re.compile(r"\bdelete(\[\])?\b")
@@ -467,6 +481,8 @@ def run_line_rules(ctx):
             ctx.add(1, "R4", "header must start with '#pragma once'")
 
     haversine_scoped = bool(HAVERSINE_SCOPED.search(rel))
+    std_random_scoped = (rel != RNG_FILE
+                         and bool(STD_RANDOM_SCOPED.search(rel)))
     wallclock_rows = [(pattern, waivable, message)
                       for applies, pattern, waivable, message
                       in WALLCLOCK_SCOPES if applies(rel)]
@@ -498,11 +514,17 @@ def run_line_rules(ctx):
                         "'// sidq: allow-ignored-status(<reason>)' "
                         "annotation")
 
-        # R2: rand()/srand() banned outside the Rng implementation.
-        if rel != "src/core/random.h" and RAND_RE.search(code):
+        # R2: rand()/srand() banned outside the Rng implementation, and
+        # the std:: engines and distributions outside it and tests/.
+        if rel != RNG_FILE and RAND_RE.search(code):
             ctx.add(lineno, "R2",
                     "rand()/srand() banned; use sidq::Rng "
                     "(src/core/random.h)")
+        elif std_random_scoped and STD_RANDOM_RE.search(code):
+            ctx.add(lineno, "R2",
+                    "std:: random engine or distribution outside "
+                    "src/core/random.h; draw through sidq::Rng so every "
+                    "seeded stream has one pinned implementation")
 
         # R3: using namespace in a header.
         if ctx.is_header and USING_NAMESPACE_RE.search(code):

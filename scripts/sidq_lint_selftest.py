@@ -21,6 +21,16 @@ LINT = ROOT / "scripts" / "sidq_lint.py"
 FIXTURES = ROOT / "tests" / "lint_fixtures" / "fake_root"
 MARKER_RE = re.compile(r"//\s*expect-lint:\s*([A-Z0-9, ]+)")
 EXTENSIONS = {".h", ".cc", ".cpp"}
+R2_STD_SCOPED = ("src/", "bench/", "examples/")
+R2_STD_EXEMPT = ("src/core/random.h", "tests/oracle_test.cc")
+
+sys.path.insert(0, str(LINT.parent))
+from sidq_lint import STD_RANDOM_RE  # noqa: E402
+
+
+def line_of(rel, lineno):
+    return (FIXTURES / rel).read_text(
+        encoding="utf-8").splitlines()[lineno - 1]
 
 
 def expected_findings(fixture_root):
@@ -70,6 +80,19 @@ def main():
                  "S2", "S3", "S4"):
         if rule not in covered:
             failures.append(f"fixture corpus has no case for {rule}")
+
+    # R2's std:: engine/distribution ban is scoped: every scoped tree has
+    # a flagged case, and each exempt file uses std:: random and is clean.
+    for prefix in R2_STD_SCOPED:
+        if not any(rule == "R2" and rel.startswith(prefix)
+                   and STD_RANDOM_RE.search(line_of(rel, lineno))
+                   for rel, lineno, rule in expected):
+            failures.append(f"no std:: random R2 case under {prefix}")
+    for rel in R2_STD_EXEMPT:
+        path = FIXTURES / rel
+        if not path.is_file() or not STD_RANDOM_RE.search(
+                path.read_text(encoding="utf-8")):
+            failures.append(f"R2 exemption {rel} has no std:: random case")
 
     if failures:
         for f in failures:

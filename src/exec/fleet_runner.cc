@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -170,8 +171,12 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
     for (size_t i = s * shard_size; i < end; ++i) {
       const ObjectId id = fleet[i].object_id();
       Rng rng = Rng::ForKey(options_.base_seed, id);
-      Rng retry_rng =
-          Rng::ForKey(options_.base_seed ^ kRetryStreamSalt, id);
+      // Only a retry reads the backoff-jitter stream; seeding one costs a
+      // 312-step multiply chain, so a run without retries skips it.
+      std::optional<Rng> retry_rng;
+      if (retry_enabled) {
+        retry_rng = Rng::ForKey(options_.base_seed ^ kRetryStreamSalt, id);
+      }
       // Virtual time gives every object a private clock starting at 0:
       // injected stalls and backoffs advance only this object's time, so
       // deadline decisions are identical for any worker count.
@@ -183,7 +188,7 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
           ExecContext::After(clock, options_.deadline_ms, &cancelled);
       StageContext ctx;
       ctx.rng = &rng;
-      ctx.retry_rng = &retry_rng;
+      ctx.retry_rng = retry_rng ? &*retry_rng : nullptr;
       ctx.exec = &exec;
       ctx.retry = retry_enabled ? &options_.retry : nullptr;
       ctx.trace = &traces[i];

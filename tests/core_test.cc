@@ -1,5 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <numeric>
+#include <random>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 #include "core/pipeline.h"
 #include "core/quality.h"
 #include "core/random.h"
@@ -114,6 +123,234 @@ TEST(RngTest, CategoricalWeights) {
   for (int i = 0; i < 8000; ++i) ++counts[rng.Categorical(w)];
   EXPECT_EQ(counts[0], 0);
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[1], 3.0, 0.4);
+}
+
+TEST(RngTest, EngineMatchesStdMt19937_64) {
+  // The standard's check value ([rand.predef]): the 10000th output of a
+  // default-constructed mt19937_64.
+  Mt19937_64 standard;
+  for (int i = 0; i < 9999; ++i) standard();
+  EXPECT_EQ(standard(), 9981545732273789042ull);
+
+  // Four twists' worth of outputs, so at least 1,000 come after the third.
+  const int n = 4 * 312 + 1000;
+  for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{42}, uint64_t{5489},
+                        std::numeric_limits<uint64_t>::max()}) {
+    Mt19937_64 ours(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < n; ++i) {
+      const uint64_t a = ours();
+      const uint64_t b = ref();
+      ASSERT_EQ(a, b) << "seed " << seed << " output " << i;
+    }
+  }
+}
+
+TEST(RngTest, CanonicalIsExact) {
+  // 2^64 - x, computed modulo 2^64.
+  auto two64_minus = [](uint64_t x) { return uint64_t{0} - x; };
+  const std::vector<uint64_t> cases = {
+      0,
+      1,
+      (uint64_t{1} << 32) - 1,
+      uint64_t{1} << 32,
+      (uint64_t{1} << 53) - 1,
+      uint64_t{1} << 53,
+      (uint64_t{1} << 53) + 1,
+      uint64_t{1} << 63,
+      // Doubles in [2^63, 2^64) are 2^11 apart: ties at odd multiples of
+      // 2^10 round to even, and the top tie rounds up to 2^64.
+      (uint64_t{1} << 63) + 1024,
+      (uint64_t{1} << 63) + 3 * 1024,
+      two64_minus(3 * 1024) - 1,
+      two64_minus(3 * 1024),
+      two64_minus(3 * 1024) + 1,
+      two64_minus(2048),
+      two64_minus(1024) - 1,
+      two64_minus(1024),
+      two64_minus(1024) + 1,
+      std::numeric_limits<uint64_t>::max(),
+  };
+  auto reference = [](uint64_t u) {
+    const double c = static_cast<double>(u) / 0x1p64;
+    return c >= 1.0 ? std::nextafter(1.0, 0.0) : c;
+  };
+  for (uint64_t u : cases) {
+    EXPECT_EQ(ToCanonical(u), reference(u)) << std::hex << u;
+  }
+  EXPECT_EQ(ToCanonical(two64_minus(1024)), 0x1.fffffffffffffp-1);
+  EXPECT_EQ(ToCanonical(std::numeric_limits<uint64_t>::max()),
+            0x1.fffffffffffffp-1);
+  EXPECT_EQ(ToCanonical(1), 0x1p-64);
+
+  Mt19937_64 bits(7);
+  for (int i = 0; i < 1'000'000; ++i) {
+    // Masking the low bits exercises the ties and the carries between the
+    // two 32-bit halves more often than raw outputs do.
+    const uint64_t u = bits() | (i % 2 == 0 ? 0 : 0x3FF);
+    ASSERT_EQ(ToCanonical(u), reference(u)) << std::hex << u;
+  }
+}
+
+#if defined(__GLIBCXX__)
+// Draws n values from Rng(seed) with `ours` and from std::mt19937_64(seed)
+// with `theirs`, and fails at the first pair whose bytes differ.
+template <typename Ours, typename Theirs>
+void ExpectSameBits(const char* what, uint64_t seed, int n, Ours ours,
+                    Theirs theirs) {
+  Rng rng(seed);
+  std::mt19937_64 ref(seed);
+  for (int i = 0; i < n; ++i) {
+    const auto a = ours(rng);
+    const auto b = theirs(ref);
+    static_assert(std::is_same_v<decltype(a), decltype(b)>);
+    if (std::memcmp(&a, &b, sizeof(a)) != 0) {
+      ADD_FAILURE() << what << ": draw " << i << " differs: " << a << " vs "
+                    << b;
+      return;
+    }
+  }
+}
+
+TEST(RngTest, DistributionsMatchLibstdcxxBitForBit) {
+  constexpr int kDraws = 1'000'000;
+  ExpectSameBits(
+      "Canonical", 1, kDraws, [](Rng& r) { return r.Canonical(); },
+      [](std::mt19937_64& e) {
+        return std::generate_canonical<double, 53>(e);
+      });
+  const std::pair<double, double> uniform_sets[] = {
+      {0.0, 1.0}, {2.0, 2.0}, {-5.0, -1.0}, {-1e3, 1e6}};
+  for (const auto& [lo, hi] : uniform_sets) {
+    ExpectSameBits(
+        "Uniform", 2, kDraws, [&](Rng& r) { return r.Uniform(lo, hi); },
+        [&](std::mt19937_64& e) {
+          return std::uniform_real_distribution<double>(lo, hi)(e);
+        });
+  }
+  std::vector<std::pair<double, double>> gaussian_sets = {
+      {0.0, 1.0}, {5.0, 2.0}, {-3.0, 1e-6}};
+#if !defined(_GLIBCXX_ASSERTIONS)
+  // std::normal_distribution requires stddev > 0 only as an assertion.
+  gaussian_sets.push_back({3.0, 0.0});
+#endif
+  for (const auto& [mean, stddev] : gaussian_sets) {
+    ExpectSameBits(
+        "Gaussian", 3, kDraws,
+        [&](Rng& r) { return r.Gaussian(mean, stddev); },
+        [&](std::mt19937_64& e) {
+          return std::normal_distribution<double>(mean, stddev)(e);
+        });
+  }
+  for (double rate : {1.0, 1e-3, 250.0}) {
+    ExpectSameBits(
+        "Exponential", 4, kDraws, [&](Rng& r) { return r.Exponential(rate); },
+        [&](std::mt19937_64& e) {
+          return std::exponential_distribution<double>(rate)(e);
+        });
+  }
+  for (double p : {0.0, 1.0, 0.3}) {
+    ExpectSameBits(
+        "Bernoulli", 5, kDraws, [&](Rng& r) { return r.Bernoulli(p); },
+        [&](std::mt19937_64& e) { return std::bernoulli_distribution(p)(e); });
+  }
+  const std::pair<int64_t, int64_t> int_sets[] = {
+      {-3, 3},
+      {0, 1000},
+      {std::numeric_limits<int64_t>::min(),
+       std::numeric_limits<int64_t>::max()}};
+  for (const auto& [lo, hi] : int_sets) {
+    ExpectSameBits(
+        "UniformInt", 6, kDraws, [&](Rng& r) { return r.UniformInt(lo, hi); },
+        [&](std::mt19937_64& e) {
+          return std::uniform_int_distribution<int64_t>(lo, hi)(e);
+        });
+  }
+  for (double mean : {0.5, 40.0}) {
+    ExpectSameBits(
+        "Poisson", 7, kDraws, [&](Rng& r) { return r.Poisson(mean); },
+        [&](std::mt19937_64& e) {
+          return std::poisson_distribution<int>(mean)(e);
+        });
+  }
+  const std::vector<double> weights = {0.0, 1.0, 3.0, 0.5};
+  ExpectSameBits(
+      "Categorical", 8, kDraws, [&](Rng& r) { return r.Categorical(weights); },
+      [&](std::mt19937_64& e) {
+        std::discrete_distribution<size_t> d(weights.begin(), weights.end());
+        return d(e);
+      });
+
+  // 1,000 shuffles of 1,000 items: 999,000 bounded draws.
+  Rng rng(9);
+  std::mt19937_64 ref(9);
+  std::vector<int> ours(1000), theirs(1000);
+  std::iota(ours.begin(), ours.end(), 0);
+  std::iota(theirs.begin(), theirs.end(), 0);
+  for (int round = 0; round < 1000; ++round) {
+    rng.Shuffle(ours);
+    for (size_t i = theirs.size(); i > 1; --i) {
+      const auto j = static_cast<size_t>(
+          std::uniform_int_distribution<int64_t>(
+              0, static_cast<int64_t>(i) - 1)(ref));
+      std::swap(theirs[i - 1], theirs[j]);
+    }
+    ASSERT_EQ(ours, theirs) << "shuffle " << round;
+  }
+}
+#endif  // __GLIBCXX__
+
+// The first draws of every method at seed 42. The literals were computed by
+// the std:: distributions over std::mt19937_64 that Rng wrapped before it
+// owned its engine, so they hold on any standard library.
+TEST(RngTest, GoldenSequencesArePinned) {
+  auto draws = [](auto draw, int n) {
+    Rng rng(42);
+    std::vector<decltype(draw(rng))> out;
+    for (int i = 0; i < n; ++i) out.push_back(draw(rng));
+    return out;
+  };
+  Mt19937_64 engine(42);
+  EXPECT_EQ(engine(), 13930160852258120406ull);
+  EXPECT_EQ(engine(), 11788048577503494824ull);
+  EXPECT_EQ(engine(), 13874630024467741450ull);
+  EXPECT_EQ(draws([](Rng& r) { return r.Uniform(0, 1); }, 4),
+            (std::vector<double>{0x1.82a3befaddcbcp-1, 0x1.472f1f73724ap-1,
+                                 0x1.81192cfe1cbcfp-1, 0x1.171621fc50d6ap-3}));
+  EXPECT_EQ(draws([](Rng& r) { return r.Uniform(-5, -1); }, 4),
+            (std::vector<double>{-0x1.fab8820a44688p+0, -0x1.38d0e08c8db6p+1,
+                                 -0x1.fdcda603c6862p+0,
+                                 -0x1.1d1d3bc075e53p+2}));
+  EXPECT_EQ(draws([](Rng& r) { return r.Gaussian(0, 1); }, 4),
+            (std::vector<double>{0x1.68f438d8aec29p-1, -0x1.25efc127557c7p-1,
+                                 -0x1.e81c87dfcf302p+0,
+                                 -0x1.72c03dadaa429p-1}));
+  EXPECT_EQ(draws([](Rng& r) { return r.Gaussian(5, 2); }, 4),
+            (std::vector<double>{0x1.9a3d0e362bb0ap+2, 0x1.ed081f6c5541cp+1,
+                                 0x1.2fc6f040619fcp+0, 0x1.c69fe1292adecp+1}));
+  EXPECT_EQ(draws([](Rng& r) { return r.Exponential(2); }, 4),
+            (std::vector<double>{0x1.6839cf27d4febp-1, 0x1.04dad7f4d36f5p-1,
+                                 0x1.6518f721dc864p-1, 0x1.2c073b00cefa3p-4}));
+  EXPECT_EQ(draws([](Rng& r) { return r.Bernoulli(0.5); }, 16),
+            (std::vector<bool>{false, false, false, true, false, true, false,
+                               true, true, true, true, false, false, false,
+                               false, false}));
+  EXPECT_EQ(draws([](Rng& r) { return r.UniformInt(-100, 100); }, 8),
+            (std::vector<int64_t>{51, 28, 51, -73, 81, -82, 15, -26}));
+  EXPECT_EQ(draws([](Rng& r) { return r.Poisson(3.5); }, 8),
+            (std::vector<int>{5, 3, 0, 7, 2, 2, 2, 3}));
+  EXPECT_EQ(draws([](Rng& r) { return r.Poisson(40); }, 8),
+            (std::vector<int>{46, 40, 47, 32, 44, 47, 35, 43}));
+  const std::vector<double> weights = {1, 2, 3, 4};
+  EXPECT_EQ(draws([&](Rng& r) { return r.Categorical(weights); }, 8),
+            (std::vector<size_t>{3, 3, 3, 1, 3, 0, 2, 2}));
+  Rng rng(42);
+  std::vector<int> items = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  rng.Shuffle(items);
+  EXPECT_EQ(items, (std::vector<int>{3, 4, 1, 2, 9, 8, 0, 6, 5, 7}));
+  Rng keyed = Rng::ForKey(42, 7);
+  EXPECT_EQ(keyed.Uniform(0, 1), 0x1.5f28c768e15f4p-3);
+  EXPECT_EQ(keyed.Uniform(0, 1), 0x1.a4fed64933b2bp-1);
 }
 
 // -------------------------------------------------------------- Trajectory
