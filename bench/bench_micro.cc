@@ -1,13 +1,16 @@
 // M1 -- substrate micro-benchmarks (google-benchmark): index queries,
-// coder throughput, and filter throughput. These quantify the building
-// blocks the experiment harness stands on.
+// coder throughput, filter throughput, Rng draws and the block CRC32C.
+// These quantify the building blocks the experiment harness stands on.
 
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench/rtree.h"
 #include "core/random.h"
+#include "kernels/dispatch.h"
 #include "kernels/packed_rtree.h"
 #include "reduce/coding.h"
 #include "reduce/simplify.h"
@@ -169,6 +172,30 @@ void BM_RngForKey(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RngForKey);
+
+// The CRC32C a block read verifies: a 12,308-byte block of 256 rows,
+// checksummed as ParseBlockAt does (8 header-field bytes, then the
+// 12,292-byte payload). Arg 0 runs the dispatched tier, arg 1 the scalar
+// table loop every tier must match.
+void BM_Crc32cBlock(benchmark::State& state) {
+  constexpr size_t kBlockBytes = 12'308;
+  const kernels::KernelOps& ops =
+      state.range(0) == 0 ? kernels::KernelDispatch::Get()
+                          : *kernels::KernelDispatch::Table(
+                                kernels::Isa::kScalar);
+  Rng rng(11);
+  std::vector<char> block(kBlockBytes);
+  for (char& c : block) c = static_cast<char>(rng.UniformInt(0, 255));
+  for (auto _ : state) {
+    uint32_t crc = ops.crc32c(0, block.data() + 4, 8);
+    crc = ops.crc32c(crc, block.data() + 16, kBlockBytes - 16);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetLabel(kernels::IsaName(ops.isa));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kBlockBytes - 8));
+}
+BENCHMARK(BM_Crc32cBlock)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace sidq

@@ -54,8 +54,11 @@ RATE_KEYS = {"traj_per_s"}
 RATIO_KEYS = {"speedup"}
 # Quotients where growth is the bad direction (e.g. instrumented/plain).
 # cold_scan_slowdown_vs_ram is bench_store's every-block-misses scan over
-# the in-memory walk; it rises several-fold if the store's CRC32C falls
-# back from the SSE4.2 instruction to the table loop.
+# the in-memory walk: each miss is one pread, one CRC32C pass and a view
+# of the columns in place. It rises several-fold if the CRC32C falls back
+# from the SSE4.2 instruction to the table loop, and by about a third
+# (~2.9 -> ~3.9 on the avx512 recording host) with a serial crc32 chain
+# and a copy of each block into six column vectors.
 SLOWDOWN_KEYS = {"obs_slowdown", "scan_slowdown_vs_ram",
                  "cached_scan_slowdown_vs_ram", "cold_scan_slowdown_vs_ram"}
 # Run metadata that legitimately differs between two recordings.

@@ -12,17 +12,17 @@ PinnedBlock& PinnedBlock::operator=(PinnedBlock&& other) noexcept {
     key_ = other.key_;
     block_ = std::move(other.block_);
     other.cache_ = nullptr;
-    other.block_.reset();
+    other.block_ = CachedBlock();
   }
   return *this;
 }
 
 void PinnedBlock::Release() {
-  if (cache_ != nullptr && block_ != nullptr) {
+  if (cache_ != nullptr && block_.bytes != nullptr) {
     cache_->Unpin(key_);
   }
   cache_ = nullptr;
-  block_.reset();
+  block_ = CachedBlock();
 }
 
 BlockCache::BlockCache(size_t capacity_bytes, obs::MetricsRegistry* obs)
@@ -58,7 +58,7 @@ PinnedBlock BlockCache::Lookup(uint32_t segment, uint64_t offset) {
 }
 
 PinnedBlock BlockCache::Insert(uint32_t segment, uint64_t offset,
-                               ColumnarBlock block) {
+                               CachedBlock block) {
   const uint64_t key = KeyOf(segment, offset);
   MutexLock lock(mu_);
   auto it = table_.find(key);
@@ -75,8 +75,8 @@ PinnedBlock BlockCache::Insert(uint32_t segment, uint64_t offset,
     return PinnedBlock(this, key, e.block);
   }
   Entry e;
-  e.charge = ChargeOf(block.size());
-  e.block = std::make_shared<const ColumnarBlock>(std::move(block));
+  e.charge = ChargeOf(block.view.size());
+  e.block = std::move(block);
   e.pins = 1;
   e.in_lru = false;
   resident_bytes_ += e.charge;

@@ -16,8 +16,8 @@ namespace store {
 class BlockCache;
 
 // -------------------------------------------------------------------------
-// BlockCache: one LRU over CRC-verified decoded blocks, the RAM arm of
-// the ≫-RAM scan path (DESIGN.md "Durability & recovery"). Shaped after
+// BlockCache: one LRU over CRC-verified blocks, the RAM arm of the
+// ≫-RAM scan path (DESIGN.md "Durability & recovery"). Shaped after
 // rippled's TaggedCache (beast/container): a fixed byte budget, entry
 // pinning so a block being scanned can never be evicted under the
 // reader, and deterministic LRU order.
@@ -40,8 +40,15 @@ class BlockCache;
 // stays alive until its last PinnedBlock drops.
 // -------------------------------------------------------------------------
 
+// A verified block as the cache keeps it: the one allocation its encoded
+// bytes were read into, and the view of its columns inside those bytes.
+struct CachedBlock {
+  std::shared_ptr<const char[]> bytes;
+  BlockView view;
+};
+
 // RAII pin on a cached block. While alive, the block cannot be evicted
-// and the pointer stays valid even if the entry is invalidated under it.
+// and its bytes stay valid even if the entry is invalidated under it.
 class PinnedBlock {
  public:
   PinnedBlock() = default;
@@ -51,23 +58,24 @@ class PinnedBlock {
   PinnedBlock& operator=(const PinnedBlock&) = delete;
   ~PinnedBlock() { Release(); }
 
-  explicit operator bool() const { return block_ != nullptr; }
-  const ColumnarBlock& operator*() const { return *block_; }
-  const ColumnarBlock* operator->() const { return block_.get(); }
-  [[nodiscard]] const ColumnarBlock* get() const { return block_.get(); }
+  explicit operator bool() const { return block_.bytes != nullptr; }
+  const BlockView& operator*() const { return block_.view; }
+  const BlockView* operator->() const { return &block_.view; }
+  [[nodiscard]] const BlockView* get() const {
+    return block_.bytes != nullptr ? &block_.view : nullptr;
+  }
 
   // Unpins early (idempotent).
   void Release();
 
  private:
   friend class BlockCache;
-  PinnedBlock(BlockCache* cache, uint64_t key,
-              std::shared_ptr<const ColumnarBlock> block)
+  PinnedBlock(BlockCache* cache, uint64_t key, CachedBlock block)
       : cache_(cache), key_(key), block_(std::move(block)) {}
 
   BlockCache* cache_ = nullptr;
   uint64_t key_ = 0;
-  std::shared_ptr<const ColumnarBlock> block_;
+  CachedBlock block_;
 };
 
 class BlockCache {
@@ -95,22 +103,25 @@ class BlockCache {
   [[nodiscard]] static uint32_t SegmentOf(uint64_t key) {
     return static_cast<uint32_t>(key >> 40);
   }
-  // Bytes an entry is charged for: the decoded columns plus fixed
-  // bookkeeping overhead. Exposed so tests and budget flags can reason in
+  // Fixed per-entry allowance for a block's header, the shared
+  // allocation's control block and the table entry.
+  static constexpr size_t kEntryOverhead = 208;
+  // Bytes an entry is charged for: 48 bytes of columns per row plus the
+  // fixed allowance. Exposed so tests and budget flags can reason in
   // whole blocks.
   [[nodiscard]] static size_t ChargeOf(size_t rows) {
-    return sizeof(ColumnarBlock) + rows * 48 + 64;
+    return kEntryOverhead + rows * 48;
   }
 
   // Hit: pins the entry and returns it (counts one hit). Miss: returns a
   // null handle (counts one miss).
   [[nodiscard]] PinnedBlock Lookup(uint32_t segment, uint64_t offset);
 
-  // Inserts a decoded block and returns it pinned. If the key is already
+  // Inserts a verified block and returns it pinned. If the key is already
   // resident the existing entry is pinned and returned instead (neither a
   // hit nor a miss: Lookup already counted this key's miss).
   [[nodiscard]] PinnedBlock Insert(uint32_t segment, uint64_t offset,
-                                   ColumnarBlock block);
+                                   CachedBlock block);
 
   // Drops every resident entry of `segment` (compaction / truncation
   // invalidation). Pinned entries are unlinked immediately -- later
@@ -127,7 +138,7 @@ class BlockCache {
   friend class PinnedBlock;
 
   struct Entry {
-    std::shared_ptr<const ColumnarBlock> block;
+    CachedBlock block;
     size_t charge = 0;
     uint32_t pins = 0;
     bool in_lru = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string_view>
 #include <utility>
 
@@ -22,13 +23,20 @@ constexpr size_t kMaxHandles = 64;
 // kBadVersion / kBadLength; if the header's own payload length reaches
 // past what was read, the block is re-read at that length, so
 // kShortPayload is only ever "the file ends early", not "our window was
-// small". `scratch` only grows, so steady-state reads reuse its bytes.
-Status LadderAt(RandomAccessFile* file, std::string* scratch, uint64_t offset,
-                uint64_t expected, ParsedBlock* parsed) {
+// small". Each read lands in one fresh allocation, left in `*bytes`;
+// ParseBlockAt verifies the block there and `parsed->block` views it.
+Status LadderAt(RandomAccessFile* file, uint64_t offset, uint64_t expected,
+                std::shared_ptr<char[]>* bytes, ParsedBlock* parsed) {
   *parsed = ParsedBlock();
   const auto read = [&](size_t n) -> StatusOr<size_t> {
-    if (scratch->size() < n) scratch->resize(n);
-    return file->Read(offset, n, scratch->data());
+    // 8-byte words, read into at +4: the columns start 20 bytes into a
+    // block, so every column value lands 8-aligned and no load of the
+    // scan's row loop splits a cache line.
+    std::shared_ptr<uint64_t[]> words =
+        std::make_shared_for_overwrite<uint64_t[]>((4 + n + 7) / 8);
+    *bytes = std::shared_ptr<char[]>(
+        words, reinterpret_cast<char*>(words.get()) + 4);
+    return file->Read(offset, n, bytes->get());
   };
   const uint64_t first = std::clamp<uint64_t>(
       expected, kBlockHeaderSize, kBlockHeaderSize + kMaxBlockPayload);
@@ -38,7 +46,7 @@ Status LadderAt(RandomAccessFile* file, std::string* scratch, uint64_t offset,
     return Status::OK();
   }
   const ParsedBlock header_verdict =
-      ParseBlockAt(std::string_view(scratch->data(), kBlockHeaderSize), 0);
+      ParseBlockAt(std::string_view(bytes->get(), kBlockHeaderSize), 0);
   if (header_verdict.defect == BlockDefect::kBadMagic ||
       header_verdict.defect == BlockDefect::kBadVersion ||
       header_verdict.defect == BlockDefect::kBadLength) {
@@ -46,7 +54,7 @@ Status LadderAt(RandomAccessFile* file, std::string* scratch, uint64_t offset,
     return Status::OK();
   }
   uint32_t payload_len = 0;
-  std::memcpy(&payload_len, scratch->data() + 8, sizeof(payload_len));
+  std::memcpy(&payload_len, bytes->get() + 8, sizeof(payload_len));
   const size_t want = kBlockHeaderSize + payload_len;
   if (got < want) {
     SIDQ_ASSIGN_OR_RETURN(got, read(want));
@@ -55,7 +63,7 @@ Status LadderAt(RandomAccessFile* file, std::string* scratch, uint64_t offset,
       return Status::OK();
     }
   }
-  *parsed = ParseBlockAt(std::string_view(scratch->data(), want), 0);
+  *parsed = ParseBlockAt(std::string_view(bytes->get(), want), 0);
   return Status::OK();
 }
 
@@ -80,12 +88,12 @@ StatusOr<RandomAccessFile*> BlockReader::Handle(uint32_t segment) {
   return raw;
 }
 
-Status BlockReader::VerifyAt(RandomAccessFile* file, std::string* scratch,
-                             const BlockEntry& entry, BlockDefect* defect,
-                             ColumnarBlock* out) {
+Status BlockReader::VerifyAt(RandomAccessFile* file, const BlockEntry& entry,
+                             BlockDefect* defect, CachedBlock* out) {
+  std::shared_ptr<char[]> bytes;
   ParsedBlock parsed;
   SIDQ_RETURN_IF_ERROR(
-      LadderAt(file, scratch, entry.offset, entry.length, &parsed));
+      LadderAt(file, entry.offset, entry.length, &bytes, &parsed));
   *defect = parsed.defect;
   if (*defect == BlockDefect::kNone &&
       (parsed.crc != entry.crc || parsed.bytes_consumed != entry.length ||
@@ -93,7 +101,8 @@ Status BlockReader::VerifyAt(RandomAccessFile* file, std::string* scratch,
     *defect = BlockDefect::kManifestMismatch;
   }
   if (*defect == BlockDefect::kNone && out != nullptr) {
-    *out = std::move(parsed.block);
+    out->bytes = std::move(bytes);
+    out->view = parsed.block;
   }
   return Status::OK();
 }
@@ -112,8 +121,8 @@ Status BlockReader::Read(const BlockEntry& entry, MissingPolicy policy,
     }
     return handle.status();
   }
-  ColumnarBlock block;
-  const Status st = VerifyAt(*handle, &scratch_, entry, defect, &block);
+  CachedBlock block;
+  const Status st = VerifyAt(*handle, entry, defect, &block);
   if (!st.ok()) {
     if (policy == MissingPolicy::kDefect) {
       *defect = BlockDefect::kShortHeader;
@@ -136,8 +145,9 @@ StatusOr<BlockReader::TailScanResult> BlockReader::TailScan(
   uint32_t index = start_index;
   uint64_t expected = 0;  // blocks of one segment are usually alike in size
   while (offset < size) {
+    std::shared_ptr<char[]> bytes;
     ParsedBlock parsed;
-    SIDQ_RETURN_IF_ERROR(LadderAt(file, &scratch_, offset, expected, &parsed));
+    SIDQ_RETURN_IF_ERROR(LadderAt(file, offset, expected, &bytes, &parsed));
     if (parsed.defect != BlockDefect::kNone) {
       result.defect = parsed.defect;
       break;
@@ -148,7 +158,7 @@ StatusOr<BlockReader::TailScanResult> BlockReader::TailScan(
     scanned.length = parsed.bytes_consumed;
     expected = parsed.bytes_consumed;
     scanned.crc = parsed.crc;
-    scanned.block = std::move(parsed.block);
+    scanned.block = parsed.block;
     offset += parsed.bytes_consumed;
     ++index;
     fn(std::move(scanned));

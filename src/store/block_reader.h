@@ -19,12 +19,14 @@ namespace store {
 // -------------------------------------------------------------------------
 // BlockReader: the bounded-memory segment read path. Every segment byte
 // the store reads flows through positional RandomAccessFile handles
-// (pread on RealVfs) in block-sized chunks into one reused scratch
-// buffer, feeding decoded blocks into the BlockCache -- peak read-path
-// RSS is bounded by the cache budget plus one in-flight block,
-// regardless of segment or dataset size. sidq-lint R16 bans
-// whole-segment Vfs::ReadFile in src/store/ outside this file so the
-// load-everything scan path cannot creep back.
+// (pread on RealVfs), one block at a time, each straight into one fresh
+// allocation. A block is CRC-verified in those bytes and its columns are
+// served in place, so on a cache miss the allocation the read filled is
+// the one the BlockCache keeps -- peak read-path RSS is bounded by the
+// cache budget plus one in-flight block, regardless of segment or
+// dataset size. sidq-lint R16 bans whole-segment Vfs::ReadFile in
+// src/store/ outside this file so the load-everything scan path cannot
+// creep back.
 //
 // Defect parity: the bounded ladder reproduces ParseBlockAt's verdicts on
 // a whole file byte-for-byte. One read sized by the expected block length
@@ -38,7 +40,7 @@ namespace store {
 //
 // Invalidation contract: after any mutation of a segment file (tail
 // truncation, orphan removal, compaction rename) the caller must
-// Invalidate(segment) before the next read -- cached decodes of
+// Invalidate(segment) before the next read -- cached blocks of
 // rewritten offsets would be wrong, and a handle to a renamed-over file
 // would read the old inode. Externally synchronized, like the Store that
 // owns it.
@@ -56,11 +58,11 @@ class BlockReader {
   BlockReader(const Vfs* vfs, std::string dir, BlockCache* cache);
 
   // Verified, cached read of a manifested block. On a cache hit the
-  // decode is served as-is (it was verified on insert). On a miss the
-  // block is read in bounded chunks, run through the defect ladder,
+  // block is served as-is (it was verified on insert). On a miss the
+  // block is read into one allocation, run through the defect ladder,
   // cross-checked against the entry (crc/length/row_count mismatch =>
-  // kManifestMismatch), and inserted into the cache when clean. *defect
-  // receives the verdict; *out is set only when the verdict is kNone.
+  // kManifestMismatch), and that allocation enters the cache when clean.
+  // *defect receives the verdict; *out is set only when it is kNone.
   [[nodiscard]] Status Read(const BlockEntry& entry, MissingPolicy policy,
                             BlockDefect* defect, PinnedBlock* out);
 
@@ -69,18 +71,17 @@ class BlockReader {
   // verifies NNNNNN.seg.cmp contents with this before renaming. `out`
   // may be null when only the verdict matters.
   [[nodiscard]] static Status VerifyAt(RandomAccessFile* file,
-                                       std::string* scratch,
                                        const BlockEntry& entry,
-                                       BlockDefect* defect,
-                                       ColumnarBlock* out);
+                                       BlockDefect* defect, CachedBlock* out);
 
   // Tail recovery without a manifest: walks self-describing blocks from
   // `start_offset`, calling `fn` for each valid block, stopping at the
   // first defect. valid_bytes is the offset of the first unexplained byte
   // (recovery truncates the file there); defect is what stopped the walk
   // (kNone for a clean run to EOF; kShortHeader / kShortPayload at EOF
-  // are torn appends, anything else is corruption). One block is decoded
-  // at a time, never the whole segment.
+  // are torn appends, anything else is corruption). One block is read
+  // at a time, never the whole segment; a ScannedBlock's view is valid
+  // only during its `fn` call.
   struct TailScanResult {
     uint64_t valid_bytes = 0;
     BlockDefect defect = BlockDefect::kNone;
@@ -97,7 +98,7 @@ class BlockReader {
 
   [[nodiscard]] StatusOr<uint64_t> SegmentSize(uint32_t segment);
 
-  // Drops the open handle and cached decodes of `segment`. Required after
+  // Drops the open handle and cached blocks of `segment`. Required after
   // truncate/remove/rewrite of the segment file.
   void Invalidate(uint32_t segment);
 
@@ -109,7 +110,6 @@ class BlockReader {
   std::string dir_;
   BlockCache* cache_;
   std::map<uint32_t, std::unique_ptr<RandomAccessFile>> handles_;
-  std::string scratch_;  // reused bounded read buffer
 };
 
 }  // namespace store

@@ -31,12 +31,6 @@ void AppendColumn(std::string* out, const std::vector<T>& column) {
               column.size() * sizeof(T));
 }
 
-template <typename T>
-void ReadColumn(const char* src, size_t n, std::vector<T>* column) {
-  column->resize(n);
-  std::memcpy(column->data(), src, n * sizeof(T));
-}
-
 // Per-record payload bytes: sensor u64 + t i64 + four doubles.
 constexpr size_t kRowBytes = sizeof(SensorId) + sizeof(Timestamp) +
                              4 * sizeof(double);
@@ -211,18 +205,7 @@ ParsedBlock ParseBlockAt(std::string_view segment, uint64_t offset) {
     out.defect = BlockDefect::kBadPayload;
     return out;
   }
-  const char* p = payload + sizeof(uint32_t);
-  ReadColumn(p, n, &out.block.sensor);
-  p += n * sizeof(SensorId);
-  ReadColumn(p, n, &out.block.t);
-  p += n * sizeof(Timestamp);
-  ReadColumn(p, n, &out.block.x);
-  p += n * sizeof(double);
-  ReadColumn(p, n, &out.block.y);
-  p += n * sizeof(double);
-  ReadColumn(p, n, &out.block.value);
-  p += n * sizeof(double);
-  ReadColumn(p, n, &out.block.stddev);
+  out.block = BlockView(payload + sizeof(uint32_t), n);
   return out;
 }
 

@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <string>
 #include <string_view>
@@ -33,11 +35,12 @@ namespace store {
 //   CURRENT           the name + commit CRC of the live manifest, itself
 //                     published via AtomicWriteFile.
 //
-// Blocks are columnar (one array per field, mirroring src/kernels/ SoA):
-// scans memcpy straight into kernel-ready column vectors, no per-record
-// deserialization. Doubles are stored as raw IEEE-754 bits, so NaN
-// payloads and signed zeros round-trip exactly -- the store-vs-memory
-// bit-identity gates depend on that.
+// Blocks are columnar (one array per field, mirroring src/kernels/ SoA).
+// A read verifies a block in the bytes it was read into and serves its
+// columns in place (BlockView): no per-record deserialization and no
+// copy into column vectors. Doubles are stored as raw IEEE-754 bits, so
+// NaN payloads and signed zeros round-trip exactly -- the
+// store-vs-memory bit-identity gates depend on that.
 //
 // All integers are little-endian host layout (the only platform sidq
 // builds on; a static_assert in format.cc pins the assumption).
@@ -45,10 +48,11 @@ namespace store {
 
 // CRC32C (Castagnoli, reflected, as in RFC 3720) over every block and
 // manifest. Computed by the kernel layer's dispatched `crc32c` primitive:
-// the SSE4.2 crc32 instruction on the avx2/avx512 tiers, a 256-entry
-// table loop on scalar/sse2 and non-x86 builds (SIDQ_FORCE_ISA picks the
-// tier). Every tier yields the same value, so the on-disk bytes do not
-// depend on the host that wrote or reads them.
+// on the avx2/avx512 tiers three interleaved SSE4.2 crc32 streams merged
+// with zero-shift tables, on scalar/sse2 and non-x86 builds a 256-entry
+// table loop (SIDQ_FORCE_ISA picks the tier). Every tier yields the same
+// value, so the on-disk bytes do not depend on the host that wrote or
+// reads them.
 uint32_t Crc32c(const char* data, size_t n);
 inline uint32_t Crc32c(std::string_view data) {
   return Crc32c(data.data(), data.size());
@@ -95,6 +99,36 @@ struct ColumnarBlock {
 // Header + payload bytes, ready to append to a segment.
 [[nodiscard]] std::string EncodeBlock(const ColumnarBlock& block);
 
+// The six columns of a verified block, viewed in place in its encoded
+// bytes: `columns` is the payload after its row count, `rows` 8-byte
+// values per column in ColumnarBlock's field order. Loads go through
+// memcpy, so the bytes need no alignment. Valid while those bytes live.
+class BlockView {
+ public:
+  BlockView() = default;
+  BlockView(const char* columns, size_t rows)
+      : columns_(columns), rows_(rows) {}
+
+  [[nodiscard]] size_t size() const { return rows_; }
+  [[nodiscard]] StRecord Record(size_t i) const {
+    return StRecord(Load<SensorId>(0, i), Load<Timestamp>(1, i),
+                    geometry::Point{Load<double>(2, i), Load<double>(3, i)},
+                    Load<double>(4, i), Load<double>(5, i));
+  }
+
+ private:
+  template <typename T>
+  T Load(size_t column, size_t i) const {
+    static_assert(sizeof(T) == 8);
+    T v;
+    std::memcpy(&v, columns_ + (column * rows_ + i) * sizeof(T), sizeof(T));
+    return v;
+  }
+
+  const char* columns_ = nullptr;
+  size_t rows_ = 0;
+};
+
 // Why a block failed verification. Append-only (reason codes are persisted
 // in manifests and surfaced in quarantine ledgers).
 enum class BlockDefect : int {
@@ -112,13 +146,14 @@ const char* BlockDefectName(BlockDefect defect);
 
 struct ParsedBlock {
   BlockDefect defect = BlockDefect::kNone;
-  ColumnarBlock block;        // populated when defect == kNone
+  BlockView block;            // into the parsed bytes, when defect == kNone
   uint64_t bytes_consumed = 0;  // header + payload, when parseable
   uint32_t crc = 0;           // header-recorded CRC, when header parseable
 };
 
-// Parses the block starting at `offset` in `segment`. Never throws, never
-// reads past the end: every malformation maps to a BlockDefect.
+// Verifies the block starting at `offset` in `segment` in place: the
+// whole CRC is checked before `block` views the columns. Never throws,
+// never reads past the end: every malformation maps to a BlockDefect.
 [[nodiscard]] ParsedBlock ParseBlockAt(std::string_view segment,
                                        uint64_t offset);
 

@@ -60,7 +60,7 @@ struct ScannedBlock {
   uint64_t offset = 0;
   uint64_t length = 0;
   uint32_t crc = 0;
-  ColumnarBlock block;
+  BlockView block;  // into the read's bytes: valid during the callback only
 };
 
 }  // namespace store

@@ -12,11 +12,12 @@ namespace store {
 
 namespace {
 
-// Per-sensor row counts of a block, sensor-ascending (std::map order).
-std::vector<std::pair<SensorId, uint32_t>> SensorRowsOf(
-    const ColumnarBlock& block) {
+// Per-sensor row counts of a block (a ColumnarBlock or a BlockView),
+// sensor-ascending (std::map order).
+template <typename Block>
+std::vector<std::pair<SensorId, uint32_t>> SensorRowsOf(const Block& block) {
   std::map<SensorId, uint32_t> counts;
-  for (SensorId s : block.sensor) ++counts[s];
+  for (size_t i = 0; i < block.size(); ++i) ++counts[block.Record(i).sensor];
   return {counts.begin(), counts.end()};
 }
 
@@ -229,7 +230,7 @@ Status Store::Recover() {
 
   // 4. CRC-verify every manifested block against both its self-checksum
   //    and its manifest entry; defects are quarantined, never dropped.
-  //    Bounded reads through the block reader: verified decodes land in
+  //    Bounded reads through the block reader: verified blocks land in
   //    the cache (budget-evicted), so recovery RSS stays flat on stores
   //    far larger than RAM. A missing/unreadable segment verdicts as
   //    short-header, exactly like the empty file it effectively is.
@@ -283,7 +284,7 @@ Status Store::Recover() {
     const uint64_t size = *size_or;
     const auto [start, start_index] = accounted[segment];
     if (start > size) continue;  // already quarantined as short
-    // Adopted blocks are decoded one at a time, so even a never-committed
+    // Adopted blocks are read one at a time, so even a never-committed
     // store recovers in bounded memory.
     SIDQ_ASSIGN_OR_RETURN(
         BlockReader::TailScanResult scan,
@@ -373,13 +374,11 @@ Status Store::RollForwardCompaction(const Manifest& manifest,
           vfs_->NewRandomAccessFile(cmp_path);
       if (file.ok()) {
         adopt = true;
-        std::string scratch;
         for (const BlockEntry& b : manifest.blocks) {
           if (b.segment != seg) continue;
           BlockDefect defect = BlockDefect::kNone;
-          const Status st =
-              BlockReader::VerifyAt(file->get(), &scratch, b, &defect,
-                                    /*out=*/nullptr);
+          const Status st = BlockReader::VerifyAt(file->get(), b, &defect,
+                                                  /*out=*/nullptr);
           if (!st.ok() || defect != BlockDefect::kNone) {
             adopt = false;
             break;
@@ -602,7 +601,7 @@ Status Store::Compact(CompactionReport* report) {
   local.manifest_gen = manifest_gen_;
 
   // Phase 3: complete each rewrite with an atomic rename, then drop every
-  // stale handle and cached decode of the rewritten segments.
+  // stale handle and cached block of the rewritten segments.
   for (uint32_t seg : targets) {
     SIDQ_RETURN_IF_ERROR(
         vfs_->Rename(dir_ + "/" + SegmentFileName(seg) + ".cmp",

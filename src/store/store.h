@@ -32,7 +32,7 @@ struct StoreOptions {
   // Thematic field name stamped into the manifest (a recovered store's
   // manifest wins over this).
   std::string field_name = "stid";
-  // Byte budget of the decoded-block cache backing the scan path; peak
+  // Byte budget of the verified-block cache backing the scan path; peak
   // read RSS is bounded by this, not by the dataset (0 = unbounded).
   size_t cache_bytes = 64ull << 20;
   // Optional metrics/trace sinks (store.* counters, store open/commit
@@ -187,7 +187,7 @@ class Store {
   StoreOptions options_;
   std::string field_name_;
 
-  // Out-of-core read path: decoded-block cache + bounded segment reader
+  // Out-of-core read path: verified-block cache + bounded segment reader
   // (mutable: Scan() is logically const but warms the cache and rotates
   // read handles; the store is externally synchronized).
   std::unique_ptr<BlockCache> cache_;

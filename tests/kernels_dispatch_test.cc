@@ -21,6 +21,7 @@
 #include "core/hash.h"
 #include "core/random.h"
 #include "force_isa_guard.h"
+#include "kernels/crc32c_tables.h"
 #include "kernels/dispatch.h"
 
 namespace sidq {
@@ -432,6 +433,113 @@ TEST(KernelDispatchTest, Crc32cChainsAcrossSplitsOnEveryTier) {
       EXPECT_EQ(want, crc) << "chained crc32c diverges on tier "
                            << IsaName(isa) << " (trial " << trial << ")";
     }
+  }
+}
+
+// The interleaved tiers run three streams over each 3 * S-byte chunk and
+// merge them through a zero-shift table: every length around a chunk
+// edge, a store block's payload and an input past 64 KiB must still
+// equal the oracle's CRC from every start offset 0..7.
+TEST(KernelDispatchTest, Crc32cStrideEdgesMatchScalarOnEveryTier) {
+  constexpr size_t kS = crc32c::kStride;
+  const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
+  const std::vector<size_t> lengths = {
+      3 * kS - 1, 3 * kS, 3 * kS + 1, 3 * kS + 7, 6 * kS,
+      12'292,                 // one 256-row block's payload
+      6 * 3 * kS + 768 + 13,  // past 64 KiB, with a long serial rest
+  };
+  ASSERT_GT(lengths.back(), 64u * 1024);
+  Rng rng(41);
+  const std::vector<char> bytes =
+      RandomBytes(&rng, *std::max_element(lengths.begin(), lengths.end()));
+  for (const size_t n : lengths) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      const char* data = bytes.data() + offset;
+      const uint32_t want = ref.crc32c(0, data, n);
+      for (Isa isa : CompiledTiers()) {
+        EXPECT_EQ(want, KernelDispatch::Table(isa)->crc32c(0, data, n))
+            << "crc32c diverges on tier " << IsaName(isa) << " at length "
+            << n << ", offset " << offset;
+      }
+    }
+  }
+}
+
+TEST(KernelDispatchTest, Crc32cChainsCutInsideStridesOnEveryTier) {
+  // Splits that fall inside a stride, inside a chunk's second and third
+  // thirds, and one byte either side of a chunk edge: each piece runs its
+  // own chunk/serial split and the chain must not notice.
+  constexpr size_t kS = crc32c::kStride;
+  const size_t n = 6 * kS + 777;
+  const std::vector<std::vector<size_t>> cut_sets = {
+      {kS / 2},
+      {kS + 5, 2 * kS + kS / 3},
+      {3 * kS - 1, 3 * kS + 1},
+      {kS - 3, 3 * kS + 2 * 256 + 7, 6 * kS + 256},
+      {7, 3 * kS + 3 * 256 - 1, n - 1},
+  };
+  const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
+  Rng rng(43);
+  const std::vector<char> bytes = RandomBytes(&rng, n);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const char* data = bytes.data() + offset;
+    const uint32_t want = ref.crc32c(0, data, n);
+    for (const std::vector<size_t>& inner : cut_sets) {
+      std::vector<size_t> cuts = {0};
+      cuts.insert(cuts.end(), inner.begin(), inner.end());
+      cuts.push_back(n);
+      for (Isa isa : CompiledTiers()) {
+        const KernelOps& ops = *KernelDispatch::Table(isa);
+        uint32_t crc = 0;
+        for (size_t k = 0; k + 1 < cuts.size(); ++k) {
+          crc = ops.crc32c(crc, data + cuts[k], cuts[k + 1] - cuts[k]);
+        }
+        EXPECT_EQ(want, crc)
+            << "chained crc32c diverges on tier " << IsaName(isa)
+            << " at offset " << offset << " with " << inner.size()
+            << " inner cuts from " << inner.front();
+      }
+    }
+  }
+}
+
+// Register `crc` advanced over `bytes` zero bytes one bit at a time: the
+// GF(2) definition the constexpr shift table is built to shortcut.
+uint32_t BitwiseZeroShift(uint32_t crc, size_t bytes) {
+  for (size_t bit = 0; bit < 8 * bytes; ++bit) {
+    crc = (crc & 1u) ? (crc >> 1) ^ crc32c::kPoly : crc >> 1;
+  }
+  return crc;
+}
+
+TEST(KernelDispatchTest, Crc32cShiftTableMatchesBitwiseReference) {
+  constexpr size_t kS = crc32c::kStride;
+  const crc32c::ShiftTable& table = crc32c::kShift;
+  // The shift is linear over GF(2): shift every basis register bitwise,
+  // then each table entry is the XOR of its set bits' images.
+  uint32_t basis[32];
+  for (int i = 0; i < 32; ++i) basis[i] = BitwiseZeroShift(1u << i, kS);
+  for (int k = 0; k < 4; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      const uint32_t in = b << (8 * k);
+      uint32_t want = 0;
+      for (int i = 0; i < 32; ++i) {
+        if ((in >> i) & 1u) want ^= basis[i];
+      }
+      ASSERT_EQ(table[k][b], want) << "table " << k << ", byte " << b;
+    }
+  }
+  // A whole register shifts as the XOR of its four bytes' entries, the
+  // lookup the interleaved tiers apply.
+  Rng rng(47);
+  for (int trial = 0; trial < 8; ++trial) {
+    const uint32_t crc = static_cast<uint32_t>(
+        rng.UniformInt(0, std::numeric_limits<uint32_t>::max()));
+    const uint32_t shifted = table[0][crc & 0xffu] ^
+                             table[1][(crc >> 8) & 0xffu] ^
+                             table[2][(crc >> 16) & 0xffu] ^
+                             table[3][crc >> 24];
+    EXPECT_EQ(shifted, BitwiseZeroShift(crc, kS)) << "register " << crc;
   }
 }
 

@@ -1,5 +1,5 @@
-// BlockCache property tests, the bounded-ladder defect differential and
-// the fixed-budget scan differential.
+// BlockCache property tests, the bounded-ladder defect differentials, the
+// fixed-budget scan differential and pin lifetimes.
 //
 // 1. Model-based randomized test: a reference model mirrors the cache's
 //    documented semantics (LRU, pinning, byte budget) operation for
@@ -17,6 +17,13 @@
 //    must produce one identical FNV-1a checksum, equal to the checksum
 //    of the expected in-memory record stream -- the cache budget may
 //    change eviction traffic, never bytes.
+//
+// 4. Corruption sweep: seeded multi-byte flips and forged length and
+//    row-count fields reach the same verdicts and rows through every
+//    reader as through ParseBlockAt over the whole file.
+//
+// 5. Pins outlive rewrites: a pinned block's rows stay readable after
+//    Compact, a truncation, Invalidate and EraseSegment.
 
 #include <cmath>
 #include <cstdint>
@@ -26,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -33,6 +41,7 @@
 
 #include "core/hash.h"
 #include "core/stid.h"
+#include "kernels/dispatch.h"
 #include "obs/metrics.h"
 #include "store/block_cache.h"
 #include "store/block_reader.h"
@@ -81,6 +90,19 @@ ColumnarBlock MakeBlock(size_t rows, uint64_t salt) {
   ColumnarBlock b;
   for (size_t i = 0; i < rows; ++i) b.Add(MakeRecord(salt * 100 + i));
   return b;
+}
+
+// `block` encoded into one shared allocation and verified there, as
+// BlockReader hands it to the cache.
+CachedBlock Cached(const ColumnarBlock& block) {
+  const std::string encoded = EncodeBlock(block);
+  std::shared_ptr<char[]> bytes =
+      std::make_shared_for_overwrite<char[]>(encoded.size());
+  std::memcpy(bytes.get(), encoded.data(), encoded.size());
+  const ParsedBlock parsed =
+      ParseBlockAt(std::string_view(bytes.get(), encoded.size()), 0);
+  EXPECT_EQ(parsed.defect, BlockDefect::kNone);
+  return CachedBlock{std::move(bytes), parsed.block};
 }
 
 // --- reference model -----------------------------------------------------
@@ -254,7 +276,8 @@ void RunModelWorkout(size_t capacity_bytes, uint64_t seed, int ops) {
       case 4:
       case 5:
       case 6: {  // Insert
-        PinnedBlock pin = cache.Insert(segment, offset, MakeBlock(rows, r));
+        PinnedBlock pin =
+            cache.Insert(segment, offset, Cached(MakeBlock(rows, r)));
         ASSERT_TRUE(pin) << "op " << op;
         model.Insert(key, BlockCache::ChargeOf(rows), keep);
         if (keep) held.emplace_back(key, std::move(pin));
@@ -341,7 +364,7 @@ TEST(StoreCacheTest, ModelConformanceUnbounded) {
 
 TEST(StoreCacheTest, PinnedBlockSurvivesInvalidation) {
   BlockCache cache(BlockCache::ChargeOf(8), nullptr);
-  PinnedBlock pin = cache.Insert(3, 0, MakeBlock(4, 9));
+  PinnedBlock pin = cache.Insert(3, 0, Cached(MakeBlock(4, 9)));
   ASSERT_TRUE(pin);
   cache.EraseSegment(3);
   // The entry is gone from the table (later lookups miss) ...
@@ -421,11 +444,9 @@ TEST(StoreCacheTest, BoundedLadderMatchesWholeFileParse) {
     StatusOr<std::unique_ptr<RandomAccessFile>> file =
         vfs.NewRandomAccessFile(path);
     ASSERT_TRUE(file.ok());
-    std::string scratch;
     for (const BlockEntry& e : checks) {
       BlockDefect got = BlockDefect::kNone;
-      ASSERT_TRUE(
-          BlockReader::VerifyAt(file->get(), &scratch, e, &got, nullptr).ok());
+      ASSERT_TRUE(BlockReader::VerifyAt(file->get(), e, &got, nullptr).ok());
       EXPECT_EQ(got, WholeFileVerdict(data, e))
           << "file " << f << " (" << data.size() << " bytes), block "
           << e.index << ", expected length " << e.length;
@@ -449,6 +470,173 @@ TEST(StoreCacheTest, BoundedLadderMatchesWholeFileParse) {
     }
     EXPECT_EQ(tail->valid_bytes, offset) << "file " << f;
     EXPECT_EQ(tail->defect, stop) << "file " << f;
+  }
+}
+
+// --- seeded corruption sweep ---------------------------------------------
+//
+// Multi-byte flips and forged length and row-count fields over a segment
+// whose blocks span the CRC's serial, short-stride and long-stride paths.
+// A forged field is sometimes re-sealed with a matching CRC, so the
+// layout checks behind the CRC (kBadPayload) and the in-place column
+// view get exercised too. Every reader -- VerifyAt, the cached Read and
+// the tail scan -- must reach ParseBlockAt's whole-file verdict, and a
+// clean verdict must serve ParseBlockAt's rows.
+
+uint64_t FnvBlock(const BlockView& block) {
+  uint64_t h = kFnvOffset;
+  for (size_t i = 0; i < block.size(); ++i) {
+    h = FnvRecord(h, i, block.Record(i));
+  }
+  return h;
+}
+
+// Recomputes the self-CRC of the block at `offset` over the payload its
+// (possibly forged) length field claims, when that payload fits.
+void Reseal(std::string* data, size_t offset) {
+  uint32_t payload_len = 0;
+  std::memcpy(&payload_len, data->data() + offset + 8, sizeof(payload_len));
+  if (data->size() - offset - kBlockHeaderSize < payload_len) return;
+  const kernels::KernelOps& k = kernels::KernelDispatch::Get();
+  uint32_t crc = k.crc32c(0, data->data() + offset + 4, 8);
+  crc = k.crc32c(crc, data->data() + offset + kBlockHeaderSize, payload_len);
+  std::memcpy(data->data() + offset + 12, &crc, sizeof(crc));
+}
+
+TEST(StoreCacheTest, SeededCorruptionSweepMatchesWholeFileParse) {
+  std::string segment;
+  std::vector<BlockEntry> entries;
+  for (size_t rows : {3, 256, 1, 17}) {
+    const std::string encoded = EncodeBlock(MakeBlock(rows, rows));
+    BlockEntry e;
+    e.index = static_cast<uint32_t>(entries.size());
+    e.offset = segment.size();
+    e.length = encoded.size();
+    std::memcpy(&e.crc, encoded.data() + 12, sizeof(e.crc));
+    e.row_count = static_cast<uint32_t>(rows);
+    entries.push_back(e);
+    segment += encoded;
+  }
+
+  MemVfs vfs;
+  ASSERT_TRUE(vfs.CreateDir("db").ok());
+  const std::string path = "db/" + SegmentFileName(0);
+  uint64_t state = 0x5eedc0de;
+  int verdicts[16] = {};
+  for (int trial = 0; trial < 600; ++trial) {
+    std::string data = segment;
+    const uint64_t r = SplitMix64(&state);
+    const BlockEntry& target = entries[(r >> 8) % entries.size()];
+    const size_t header = static_cast<size_t>(target.offset);
+    std::string what;
+    switch (r % 3) {
+      case 0: {  // 2..8 flipped bytes, as one run or scattered
+        const size_t count = 2 + (r >> 16) % 7;
+        const bool run = ((r >> 24) & 1) != 0;
+        size_t at = SplitMix64(&state) % data.size();
+        for (size_t i = 0; i < count; ++i) {
+          const uint64_t f = SplitMix64(&state);
+          if (!run) at = f % data.size();
+          data[at % data.size()] ^= static_cast<char>(1 + (f >> 32) % 255);
+          ++at;
+        }
+        what = std::to_string(count) + (run ? "-byte run" : " bytes");
+        break;
+      }
+      case 1: {  // forged payload_len
+        const uint32_t len =
+            static_cast<uint32_t>(target.length - kBlockHeaderSize);
+        const uint32_t forged[] = {0,       3,
+                                   len - 1, len + 1,
+                                   kMaxBlockPayload, kMaxBlockPayload + 1};
+        const uint32_t v = forged[(r >> 16) % 6];
+        std::memcpy(data.data() + header + 8, &v, sizeof(v));
+        what = "payload_len " + std::to_string(v);
+        break;
+      }
+      case 2: {  // forged row count
+        const uint32_t n = target.row_count;
+        const uint32_t forged[] = {0, n - 1, n + 1,
+                                   n ^ (1u << ((r >> 20) % 32)), 0xffffffffu};
+        const uint32_t v = forged[(r >> 16) % 5];
+        std::memcpy(data.data() + header + kBlockHeaderSize, &v, sizeof(v));
+        what = "row count " + std::to_string(v);
+        break;
+      }
+    }
+    if ((r >> 40) % 2 == 0) {
+      Reseal(&data, header);
+      what += ", resealed";
+    }
+    const std::string where = "trial " + std::to_string(trial) + " (" + what +
+                              " in block " + std::to_string(target.index) +
+                              ")";
+
+    StatusOr<std::unique_ptr<WritableFile>> w =
+        vfs.NewWritableFile(path, WriteMode::kTruncate);
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE((*w)->Append(data).ok());
+    ASSERT_TRUE((*w)->Close().ok());
+    StatusOr<std::unique_ptr<RandomAccessFile>> file =
+        vfs.NewRandomAccessFile(path);
+    ASSERT_TRUE(file.ok());
+
+    BlockCache cache(0, nullptr);
+    BlockReader reader(&vfs, "db", &cache);
+    for (const BlockEntry& e : entries) {
+      const BlockDefect want = WholeFileVerdict(data, e);
+      ++verdicts[static_cast<int>(want)];
+      BlockDefect got = BlockDefect::kNone;
+      ASSERT_TRUE(BlockReader::VerifyAt(file->get(), e, &got, nullptr).ok());
+      EXPECT_EQ(got, want) << where << ": VerifyAt of block " << e.index;
+
+      PinnedBlock pin;
+      ASSERT_TRUE(
+          reader.Read(e, BlockReader::MissingPolicy::kError, &got, &pin).ok());
+      EXPECT_EQ(got, want) << where << ": Read of block " << e.index;
+      EXPECT_EQ(static_cast<bool>(pin), want == BlockDefect::kNone) << where;
+      if (pin) {
+        EXPECT_EQ(FnvBlock(*pin), FnvBlock(ParseBlockAt(data, e.offset).block))
+            << where << ": Read of block " << e.index << " serves other rows";
+      }
+    }
+
+    std::vector<ScannedBlock> scanned;
+    std::vector<uint64_t> scanned_rows;
+    StatusOr<BlockReader::TailScanResult> tail =
+        reader.TailScan(0, 0, 0, [&](ScannedBlock&& b) {
+          scanned_rows.push_back(FnvBlock(b.block));
+          scanned.push_back(std::move(b));
+        });
+    ASSERT_TRUE(tail.ok()) << where;
+    uint64_t offset = 0;
+    BlockDefect stop = BlockDefect::kNone;
+    size_t walked = 0;
+    while (offset < data.size()) {
+      const ParsedBlock parsed = ParseBlockAt(data, offset);
+      if (parsed.defect != BlockDefect::kNone) {
+        stop = parsed.defect;
+        break;
+      }
+      ASSERT_LT(walked, scanned.size()) << where;
+      EXPECT_EQ(scanned[walked].offset, offset) << where;
+      EXPECT_EQ(scanned[walked].length, parsed.bytes_consumed) << where;
+      EXPECT_EQ(scanned[walked].crc, parsed.crc) << where;
+      EXPECT_EQ(scanned_rows[walked], FnvBlock(parsed.block)) << where;
+      offset += parsed.bytes_consumed;
+      ++walked;
+    }
+    EXPECT_EQ(scanned.size(), walked) << where;
+    EXPECT_EQ(tail->valid_bytes, offset) << where;
+    EXPECT_EQ(tail->defect, stop) << where;
+    if (HasFailure()) return;
+  }
+  // The sweep reaches every verdict past the header checks, not just
+  // bad-crc.
+  for (BlockDefect d :
+       {BlockDefect::kNone, BlockDefect::kBadLength, BlockDefect::kShortPayload,
+        BlockDefect::kBadCrc, BlockDefect::kBadPayload}) {
+    EXPECT_GT(verdicts[static_cast<int>(d)], 0) << BlockDefectName(d);
   }
 }
 
@@ -568,6 +756,93 @@ TEST(StoreCacheTest, UnboundedAndBoundedAgreeOnCleanStore) {
                     .ok());
     EXPECT_EQ(got, want) << "budget " << budget;
   }
+}
+
+// --- pins outlive rewrites -----------------------------------------------
+//
+// A scan holds the block under its cursor pinned while it walks the rows.
+// The pin owns the bytes the block was read into, so the rows stay
+// readable when the segment is rewritten under it: by Compact's rename,
+// by a truncation, and by the Invalidate / EraseSegment that follow.
+
+TEST(StoreCacheTest, PinnedBlockOutlivesSegmentRewrite) {
+  MemVfs vfs;
+  BuildPockedStore(&vfs);
+  if (HasFatalFailure()) return;
+  StatusOr<std::unique_ptr<Store>> store =
+      Store::Open(&vfs, "db", DiffOptions(0));
+  ASSERT_TRUE(store.ok()) << store.status();
+
+  const auto manifest_blocks = [&]() {
+    StatusOr<std::string> current = vfs.ReadFile("db/CURRENT");
+    EXPECT_TRUE(current.ok());
+    uint64_t gen = 0;
+    uint32_t crc = 0;
+    EXPECT_TRUE(ParseCurrent(*current, &gen, &crc).ok());
+    StatusOr<std::string> text = vfs.ReadFile("db/" + ManifestFileName(gen));
+    EXPECT_TRUE(text.ok());
+    StatusOr<ParsedManifest> parsed = ParseManifest(*text);
+    EXPECT_TRUE(parsed.ok());
+    return parsed->manifest.blocks;
+  };
+  // Block 2 of segment 0 (rows 16..23) sits after the quarantined block 1,
+  // so compaction moves it.
+  const auto block_of_row_16 = [&]() {
+    for (const BlockEntry& e : manifest_blocks()) {
+      if (e.row_start == 16) return e;
+    }
+    ADD_FAILURE() << "no manifested block starts at row 16";
+    return BlockEntry();
+  };
+  const BlockEntry entry = block_of_row_16();
+  ASSERT_EQ(entry.segment, 0u);
+  const auto expect_rows = [&](const PinnedBlock& pin, const char* when) {
+    ASSERT_TRUE(pin) << when;
+    ASSERT_EQ(pin->size(), entry.row_count) << when;
+    for (size_t i = 0; i < pin->size(); ++i) {
+      EXPECT_EQ(FnvRecord(kFnvOffset, 0, pin->Record(i)),
+                FnvRecord(kFnvOffset, 0, MakeRecord(entry.row_start + i)))
+          << when << ", row " << i;
+    }
+  };
+
+  BlockCache cache(BlockCache::ChargeOf(8), nullptr);
+  BlockReader reader(&vfs, "db", &cache);
+  BlockDefect defect = BlockDefect::kNone;
+  PinnedBlock pin;
+  ASSERT_TRUE(
+      reader.Read(entry, BlockReader::MissingPolicy::kError, &defect, &pin)
+          .ok());
+  ASSERT_EQ(defect, BlockDefect::kNone);
+  expect_rows(pin, "after read");
+
+  CompactionReport report;
+  ASSERT_TRUE((*store)->Compact(&report).ok());
+  ASSERT_EQ(report.segments_compacted, 1u);
+  ASSERT_EQ(report.blocks_dropped, 1u);
+  reader.Invalidate(0);
+  EXPECT_FALSE(cache.Lookup(0, entry.offset));
+  expect_rows(pin, "after Compact and Invalidate");
+
+  // The block now lives at its compacted offset; a fresh read serves the
+  // same rows beside the pin.
+  const BlockEntry after = block_of_row_16();
+  ASSERT_EQ(after.segment, 0u);
+  ASSERT_LT(after.offset, entry.offset);
+  PinnedBlock moved;
+  ASSERT_TRUE(
+      reader.Read(after, BlockReader::MissingPolicy::kError, &defect, &moved)
+          .ok());
+  ASSERT_EQ(defect, BlockDefect::kNone);
+  expect_rows(moved, "compacted read");
+  moved.Release();
+
+  ASSERT_TRUE(vfs.Truncate("db/" + SegmentFileName(0), 0).ok());
+  reader.Invalidate(0);
+  cache.EraseSegment(0);
+  expect_rows(pin, "after truncation and EraseSegment");
+  pin.Release();
+  EXPECT_EQ(cache.GetStats().resident_bytes, 0u);
 }
 
 }  // namespace
