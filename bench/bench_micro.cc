@@ -1,5 +1,6 @@
 // M1 -- substrate micro-benchmarks (google-benchmark): index queries,
-// coder throughput, filter throughput, Rng draws and the block CRC32C.
+// coder throughput, filter throughput, Rng draws, the block CRC32C and the
+// stream engine's cost per event.
 // These quantify the building blocks the experiment harness stands on.
 
 #include <cstdint>
@@ -10,12 +11,16 @@
 
 #include "bench/rtree.h"
 #include "core/random.h"
+#include "geometry/bbox.h"
 #include "kernels/dispatch.h"
 #include "kernels/packed_rtree.h"
 #include "reduce/coding.h"
 #include "reduce/simplify.h"
 #include "refine/kalman.h"
 #include "sim/noise.h"
+#include "sim/sensor_field.h"
+#include "stream/engine.h"
+#include "stream/event_log.h"
 
 namespace sidq {
 namespace {
@@ -196,6 +201,61 @@ void BM_Crc32cBlock(benchmark::State& state) {
                           static_cast<int64_t>(kBlockBytes - 8));
 }
 BENCHMARK(BM_Crc32cBlock)->Arg(0)->Arg(1);
+
+// One StreamEngine pass, every Push then Flush, over a log shaped like
+// bench_stream's: 64 sensors x 400 one-minute samples of a smooth field
+// with noise, spikes, duplicate deliveries and stragglers, window_capacity
+// 32. Items are events, so the per-item time is the engine's cost per
+// event with admission and window closes included.
+void BM_StreamEngineLog(benchmark::State& state) {
+  Rng rng(777);
+  const geometry::BBox bounds(geometry::Point(0, 0),
+                              geometry::Point(8000, 8000));
+  const sim::ScalarField field = sim::ScalarField::MakeRandom(
+      bounds, 3, 20.0, 30.0, 300.0, 900.0, 3600.0, &rng);
+  const std::vector<geometry::Point> sensors =
+      sim::DeploySensors(bounds, 64, &rng);
+  StDataset dirty = sim::AddValueNoise(
+      sim::SampleField(field, sensors, 0, 60'000, 400, "pm25"), 0.8, &rng);
+  dirty = sim::AddValueSpikes(dirty, 0.02, 400.0, &rng);
+  stream::ArrivalOptions arrivals;
+  arrivals.mean_delay_ms = 20'000;
+  arrivals.straggler_probability = 0.05;
+  arrivals.straggler_delay_ms = 400'000;
+  arrivals.duplicate_probability = 0.05;
+  const stream::EventLog log = stream::RecordArrivals(dirty, arrivals, &rng);
+
+  stream::StreamConfig config;
+  stream::SensorRule rule;
+  rule.min_value = -50.0;
+  rule.max_value = 500.0;
+  rule.expected_interval_ms = 60'000;
+  rule.max_lateness_ms = 120'000;
+  rule.max_rate_per_s = 1.0;
+  config.rules.set_default_rule(rule);
+  config.window_ms = 300'000;
+  config.window_capacity = 32;
+  config.robust_z.z_threshold = 4.0;
+  config.robust_z.min_samples = 6;
+
+  for (auto _ : state) {
+    stream::StreamEngine engine(config);
+    Status st = Status::OK();
+    for (const stream::StreamEvent& ev : log.events) {
+      st = engine.Push(ev);
+      if (!st.ok()) break;
+    }
+    if (st.ok()) st = engine.Flush();
+    if (!st.ok()) {
+      state.SkipWithError("stream engine pass failed");
+      break;
+    }
+    benchmark::DoNotOptimize(engine);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(log.events.size()));
+}
+BENCHMARK(BM_StreamEngineLog)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace sidq

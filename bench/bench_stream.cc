@@ -10,9 +10,10 @@
 //                 with a device gateway. Per-record Push latency is the
 //                 end-to-end benchmark's stream.push_us_p50/p99, measured
 //                 on the composed path (bench/e2e/README.md).
-//   window_close  amortized cost of closing a window (sort + online
-//                 outlier gate + incremental Kalman + KPI fold), measured
-//                 over the engine's own closes.
+//   window_close  amortized cost of closing a window (online outlier
+//                 gate + incremental Kalman + KPI fold over the filter's
+//                 time-ordered events), measured over the engine's own
+//                 closes.
 //   replay        Replay() at 1/2/8 workers vs. the serial engine.
 //
 // Every configuration -- serial engine, every worker count, and the batch

@@ -86,15 +86,6 @@ void ArmFailPoint(const std::string& site, FailPointConfig cfg) {
   }
 }
 
-void DisarmFailPoint(const std::string& site) {
-  auto& registry = internal_failpoint::GlobalRegistry();
-  MutexLock lock(registry.mu);
-  if (registry.sites.erase(site) > 0) {
-    internal_failpoint::g_armed_sites.fetch_sub(1,
-                                                std::memory_order_relaxed);
-  }
-}
-
 void DisarmAllFailPoints() {
   auto& registry = internal_failpoint::GlobalRegistry();
   MutexLock lock(registry.mu);

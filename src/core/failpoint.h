@@ -80,8 +80,7 @@ const char* FailPointActionName(FailPointAction action);
 // Arms `site` with `cfg`, resetting any per-key evaluation counts from a
 // previous arming (so repeated test runs start identical). Thread-safe.
 void ArmFailPoint(const std::string& site, FailPointConfig cfg);
-// Disarms one site / every site. DisarmAll() is the test-teardown hammer.
-void DisarmFailPoint(const std::string& site);
+// Disarms every site: the test-teardown hammer.
 void DisarmAllFailPoints();
 // Times `site` fired since it was last armed (0 when not armed).
 size_t FailPointHits(const std::string& site);

@@ -21,6 +21,11 @@ const KernelOps* Avx512Ops();
 
 namespace {
 
+// Each tier is gated on every extension its translation unit's compile
+// flags enable (src/kernels/CMakeLists.txt: isa_avx2.cc -mavx2 -mfma,
+// isa_avx512.cc -mavx512f -mavx512dq): the compiler may emit any of them,
+// so a CPU missing one would fault on the dispatched tier. Keep the two
+// lists in step.
 bool CpuSupports(Isa isa) {
   switch (isa) {
     case Isa::kScalar:
@@ -30,13 +35,14 @@ bool CpuSupports(Isa isa) {
       return true;
     case Isa::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2");
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 #else
       return false;
 #endif
     case Isa::kAvx512:
 #if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx512f");
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("avx512dq");
 #else
       return false;
 #endif

@@ -16,13 +16,15 @@ namespace kernels {
 //            same compilation mode as the AoS reference in scalar_ref.cc
 //   sse2     the x86-64 baseline (plain build flags; on non-x86 this is
 //            simply the portably auto-vectorized build)
-//   avx2     compiled with -mavx2 when the compiler supports it
-//   avx512   compiled with -mavx512f when the compiler supports it, and
-//            additionally guarded by a CPUID probe at runtime
+//   avx2     compiled with -mavx2 -mfma when the compiler supports them
+//   avx512   compiled with -mavx512f -mavx512dq when the compiler supports
+//            them
 //
 // The registry probes the CPU once (GCC/Clang __builtin_cpu_supports) and
 // selects the widest tier that is both compiled in and supported by the
-// host. Because every tier is built with FP contraction off and the
+// host. A tier counts as supported only when the CPU has every extension
+// its compile flags enable (avx2 + fma; avx512f + avx512dq), since the
+// compiler may emit any of them. Because every tier is built with FP contraction off and the
 // primitives avoid reassociating reductions, all tiers produce
 // BIT-IDENTICAL results -- the dispatch choice changes speed, never
 // output. tests/kernels_dispatch_test.cc asserts this checksum equality

@@ -1,6 +1,9 @@
 #include "stream/admission.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 namespace sidq {
 namespace stream {
@@ -8,12 +11,11 @@ namespace stream {
 AdmissionDecision AdmissionFilter::Observe(const StreamEvent& ev) {
   const StRecord& rec = ev.record;
   AdmissionDecision d;
-  d.rule = rules_->Find(rec.sensor);
-  if (d.rule == nullptr) {
+  const SensorRule* rule = rules_->Find(rec.sensor);
+  if (rule == nullptr) {
     d.reason = QuarantineReason::kUnknownSensor;
     return d;
   }
-  d.window_index = WindowIndexOf(rec.t, window_ms_);
   if (!std::isfinite(rec.value) || !std::isfinite(rec.loc.x) ||
       !std::isfinite(rec.loc.y) || !std::isfinite(rec.stddev)) {
     d.reason = QuarantineReason::kNonFinite;
@@ -21,26 +23,43 @@ AdmissionDecision AdmissionFilter::Observe(const StreamEvent& ev) {
   }
   SensorState& state = sensors_[rec.sensor];
   if (state.max_admitted_t != kMinTimestamp &&
-      rec.t <= state.max_admitted_t - d.rule->max_lateness_ms) {
+      rec.t <= state.max_admitted_t - rule->max_lateness_ms) {
     d.reason = QuarantineReason::kLate;
     return d;
   }
-  if (state.admitted_ts.count(rec.t) != 0) {
-    ++state.window_dups[d.window_index];
-    d.reason = QuarantineReason::kDuplicate;
-    return d;
+  // `slot` is where `ev` belongs in its window's event-time order; an equal
+  // time there is a duplicate.
+  const int64_t window_index = WindowIndexOf(rec.t, window_ms_);
+  auto window = state.windows.find(window_index);
+  const bool open = window != state.windows.end();
+  size_t slot = 0;
+  if (open) {
+    std::vector<StreamEvent>& events = window->second.events;
+    slot = static_cast<size_t>(
+        std::lower_bound(events.begin(), events.end(), rec.t,
+                         [](const StreamEvent& e, Timestamp t) {
+                           return e.record.t < t;
+                         }) -
+        events.begin());
+    if (slot < events.size() && events[slot].record.t == rec.t) {
+      ++window->second.duplicates;
+      d.reason = QuarantineReason::kDuplicate;
+      return d;
+    }
   }
-  if (rec.value < d.rule->min_value || rec.value > d.rule->max_value) {
+  if (rec.value < rule->min_value || rec.value > rule->max_value) {
     d.reason = QuarantineReason::kOutOfRange;
     return d;
   }
-  size_t& occupancy = state.window_counts[d.window_index];
-  if (occupancy >= capacity_) {
+  if ((open ? window->second.events.size() : 0) >= capacity_) {
     d.reason = QuarantineReason::kWindowOverflow;
     return d;
   }
-  ++occupancy;
-  state.admitted_ts.insert(rec.t);
+  if (!open) {
+    window = state.windows.try_emplace(window_index).first;
+    window->second.events.reserve(capacity_);
+  }
+  window->second.events.insert(window->second.events.begin() + slot, ev);
   if (rec.t > state.max_admitted_t) state.max_admitted_t = rec.t;
   d.admitted = true;
   return d;
@@ -56,19 +75,28 @@ Timestamp AdmissionFilter::Watermark(SensorId sensor) const {
   return it->second.max_admitted_t - lateness;
 }
 
-int64_t AdmissionFilter::ReleaseWindow(SensorId sensor, int64_t window_index) {
+std::optional<int64_t> AdmissionFilter::ReadyWindow(SensorId sensor,
+                                                    bool end_of_stream) const {
   auto it = sensors_.find(sensor);
-  if (it == sensors_.end()) return 0;
-  SensorState& state = it->second;
-  state.window_counts.erase(window_index);
-  const Timestamp lo = static_cast<Timestamp>(window_index) * window_ms_;
-  state.admitted_ts.erase(state.admitted_ts.lower_bound(lo),
-                          state.admitted_ts.lower_bound(lo + window_ms_));
-  auto dup_it = state.window_dups.find(window_index);
-  if (dup_it == state.window_dups.end()) return 0;
-  const int64_t dups = dup_it->second;
-  state.window_dups.erase(dup_it);
-  return dups;
+  if (it == sensors_.end() || it->second.windows.empty()) return std::nullopt;
+  const int64_t oldest = it->second.windows.begin()->first;
+  const Timestamp window_end =
+      (static_cast<Timestamp>(oldest) + 1) * window_ms_;
+  if (!end_of_stream && window_end - 1 > Watermark(sensor)) {
+    return std::nullopt;  // records could still arrive
+  }
+  return oldest;
+}
+
+OpenWindow AdmissionFilter::ReleaseWindow(SensorId sensor,
+                                          int64_t window_index) {
+  auto it = sensors_.find(sensor);
+  if (it == sensors_.end()) return {};
+  auto window = it->second.windows.find(window_index);
+  if (window == it->second.windows.end()) return {};
+  OpenWindow released = std::move(window->second);
+  it->second.windows.erase(window);
+  return released;
 }
 
 }  // namespace stream

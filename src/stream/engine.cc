@@ -1,11 +1,11 @@
 #include "stream/engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <tuple>
 #include <utility>
 
-#include "core/arena.h"
 #include "core/failpoint.h"
 #include "core/hash.h"
 #include "core/retry.h"
@@ -141,15 +141,20 @@ Status StreamEngine::EvaluateSite(const char* site, SensorId sensor,
 void StreamEngine::Quarantine(uint64_t seq, const StRecord& rec,
                               QuarantineReason reason, SensorState* state) {
   ledger_.Add(seq, rec, reason);
-  ++state->quarantined;
-  quarantined_counter_.Increment();
+  CountQuarantined(reason, 1, state);
+}
+
+void StreamEngine::CountQuarantined(QuarantineReason reason, int64_t n,
+                                    SensorState* state) {
+  state->quarantined += n;
+  quarantined_counter_.Increment(n);
   if (sinks_.metrics != nullptr) {
     const std::string name = QuarantineReasonName(reason);
     auto [it, inserted] = reason_counters_.try_emplace(name);
     if (inserted) {
       it->second = sinks_.metrics->counter("stream.quarantined." + name);
     }
-    it->second.Increment();
+    it->second.Increment(n);
   }
 }
 
@@ -182,62 +187,39 @@ Status StreamEngine::Push(const StreamEvent& ev) {
   }
   ++state.admitted;
   admitted_counter_.Increment();
-  // Constructs a RingWindow (and its reservation) only for a new key.
-  auto [it, inserted] =
-      state.open_windows.try_emplace(d.window_index, config_.window_capacity);
-  it->second.Push(event);
-  return CloseReadyWindows(event.record.sensor, &state);
+  return CloseWindows(event.record.sensor, /*end_of_stream=*/false, &state);
 }
 
-Status StreamEngine::CloseReadyWindows(SensorId sensor, SensorState* state) {
-  const Timestamp watermark = filter_.Watermark(sensor);
-  while (!state->open_windows.empty()) {
-    const int64_t window_index = state->open_windows.begin()->first;
-    const Timestamp window_end =
-        (static_cast<Timestamp>(window_index) + 1) * config_.window_ms;
-    if (window_end - 1 > watermark) break;  // records could still arrive
-    SIDQ_RETURN_IF_ERROR(CloseWindow(sensor, window_index, state));
+Status StreamEngine::CloseWindows(SensorId sensor, bool end_of_stream,
+                                  SensorState* state) {
+  while (const std::optional<int64_t> window_index =
+             filter_.ReadyWindow(sensor, end_of_stream)) {
+    SIDQ_RETURN_IF_ERROR(ctx_->Check());
+    CloseWindow(sensor, *window_index,
+                filter_.ReleaseWindow(sensor, *window_index), state);
   }
   return Status::OK();
 }
 
-Status StreamEngine::CloseWindow(SensorId sensor, int64_t window_index,
-                                 SensorState* state) {
-  SIDQ_RETURN_IF_ERROR(ctx_->Check());
-  auto it = state->open_windows.find(window_index);
-  // The drained window lives in arena scratch for the duration of the
-  // close: the hot per-window path performs no heap allocation for it.
-  ArenaScope scope(ScratchArena());
-  size_t event_count = 0;
-  StreamEvent* events = it->second.TakeSortedByTime(scope.arena(),
-                                                    &event_count);
-  state->open_windows.erase(it);
-  const int64_t dups = filter_.ReleaseWindow(sensor, window_index);
-
+void StreamEngine::CloseWindow(SensorId sensor, int64_t window_index,
+                               const OpenWindow& window, SensorState* state) {
   const Status fault = EvaluateSite(kWindowCloseFailPoint, sensor, nullptr);
   if (!fault.ok()) {
     // The whole window is lost: divert its records so nothing vanishes
     // silently, but emit no KPIs -- the window never "happened".
-    for (size_t e = 0; e < event_count; ++e) {
-      Quarantine(events[e].seq, events[e].record,
-                 QuarantineReason::kWindowFault, state);
+    for (const StreamEvent& ev : window.events) {
+      Quarantine(ev.seq, ev.record, QuarantineReason::kWindowFault, state);
     }
-    return Status::OK();
+    return;
   }
 
-  const SensorRule* rule = config_.rules.Find(sensor);
-  std::vector<KpiAlert> alerts;
-  QuarantineLedger window_ledger;
   const WindowKpis kpis = ProcessWindow(
-      sensor, window_index, config_.window_ms, events, event_count, dups,
-      *rule, config_.thresholds, &state->pipeline, &state->cleaned,
-      &window_ledger, &alerts);
-  for (const QuarantineEntry& entry : window_ledger.entries()) {
-    Quarantine(entry.seq,
-               StRecord(entry.sensor, entry.t, geometry::Point(), entry.value),
-               entry.reason, state);
+      sensor, window_index, config_.window_ms, window,
+      *config_.rules.Find(sensor), config_.thresholds, &state->pipeline,
+      &state->cleaned, &ledger_, &alerts_);
+  if (kpis.outliers > 0) {
+    CountQuarantined(QuarantineReason::kOutlier, kpis.outliers, state);
   }
-  alerts_.insert(alerts_.end(), alerts.begin(), alerts.end());
   kpis_.push_back(kpis);
   ++state->windows_closed;
   windows_counter_.Increment();
@@ -262,15 +244,11 @@ Status StreamEngine::CloseWindow(SensorId sensor, int64_t window_index,
                            "start=" + std::to_string(kpis.window_start) +
                                " count=" + std::to_string(kpis.count));
   }
-  return Status::OK();
 }
 
 Status StreamEngine::Flush() {
   for (auto& [sensor, state] : sensors_) {
-    while (!state.open_windows.empty()) {
-      SIDQ_RETURN_IF_ERROR(
-          CloseWindow(sensor, state.open_windows.begin()->first, &state));
-    }
+    SIDQ_RETURN_IF_ERROR(CloseWindows(sensor, /*end_of_stream=*/true, &state));
   }
   return Status::OK();
 }

@@ -77,8 +77,9 @@ struct StreamOutput {
 [[nodiscard]] uint64_t OutputChecksum(const StreamOutput& output);
 
 // Record-at-a-time ingestion engine: per-sensor declarative admission,
-// event-time watermarks, bounded tumbling windows, and online cleaning at
-// window close. Single-threaded by design -- parallel replay shards
+// event-time watermarks, bounded tumbling windows (held by the admission
+// filter until the watermark closes them), and online cleaning at window
+// close. Single-threaded by design -- parallel replay shards
 // *sensors* across engines (stream/replay.h), because every piece of
 // engine state is per-sensor, so sharding by sensor preserves the serial
 // decision sequence exactly.
@@ -115,10 +116,9 @@ class StreamEngine {
   void set_field_name(std::string name) { field_name_ = std::move(name); }
 
  private:
+  // The engine's per-sensor state; the sensor's open windows live in
+  // `filter_` until they close.
   struct SensorState {
-    // Open windows keyed by window index: std::map so ready windows close
-    // in ascending event-time order (determinism contract).
-    std::map<int64_t, RingWindow> open_windows;
     SensorPipeline pipeline;
     std::vector<StRecord> cleaned;
     int64_t admitted = 0;
@@ -137,9 +137,16 @@ class StreamEngine {
 
   void Quarantine(uint64_t seq, const StRecord& rec, QuarantineReason reason,
                   SensorState* state);
-  Status CloseWindow(SensorId sensor, int64_t window_index,
-                     SensorState* state);
-  Status CloseReadyWindows(SensorId sensor, SensorState* state);
+  // Counts `n` records quarantined for `reason` (their ledger entries are
+  // written by the caller).
+  void CountQuarantined(QuarantineReason reason, int64_t n,
+                        SensorState* state);
+  // Closes `sensor`'s windows oldest-first while the filter reports one
+  // ready (every open one with `end_of_stream`), checking the context
+  // before each release.
+  Status CloseWindows(SensorId sensor, bool end_of_stream, SensorState* state);
+  void CloseWindow(SensorId sensor, int64_t window_index,
+                   const OpenWindow& window, SensorState* state);
 
   StreamConfig config_;
   obs::ObsSinks sinks_;

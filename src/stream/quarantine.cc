@@ -36,14 +36,6 @@ const char* QuarantineReasonName(QuarantineReason reason) {
   return "unknown";
 }
 
-std::map<std::string, int64_t> QuarantineLedger::CountsByReason() const {
-  std::map<std::string, int64_t> counts;
-  for (const QuarantineEntry& e : entries_) {
-    ++counts[QuarantineReasonName(e.reason)];
-  }
-  return counts;
-}
-
 void QuarantineLedger::Canonicalize() {
   std::sort(entries_.begin(), entries_.end(),
             [](const QuarantineEntry& a, const QuarantineEntry& b) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -56,9 +55,6 @@ class QuarantineLedger {
   [[nodiscard]] const std::vector<QuarantineEntry>& entries() const {
     return entries_;
   }
-
-  // Per-reason entry counts, keyed by reason name (sorted by std::map).
-  [[nodiscard]] std::map<std::string, int64_t> CountsByReason() const;
 
   // Sorts entries by seq. seq is unique within a log, so this is a total
   // order; shard-merged and serial ledgers canonicalize identically.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,32 +64,34 @@ StreamOutput BatchReference(const EventLog& log, const StreamConfig& config) {
   out.cleaned = StDataset(log.field_name);
   out.ingested = static_cast<int64_t>(log.size());
 
-  std::map<SensorId, std::map<int64_t, std::vector<StreamEvent>>> admitted;
-  std::map<SensorId, SensorSummary> summaries;
+  // Admission and windows are per sensor, so the batch admits one sensor's
+  // events (in arrival order) and closes all its windows before the next
+  // sensor: only one sensor's windows are open at a time.
+  std::map<SensorId, std::vector<const StreamEvent*>> by_sensor;
   for (const StreamEvent& ev : log.events) {
-    SensorSummary& summary = summaries[ev.record.sensor];
-    summary.sensor = ev.record.sensor;
-    const AdmissionDecision d = filter.Observe(ev);
-    if (!d.admitted) {
-      out.ledger.Add(ev.seq, ev.record, d.reason);
-      ++summary.quarantined;
-      continue;
-    }
-    admitted[ev.record.sensor][d.window_index].push_back(ev);
-    ++summary.admitted;
+    by_sensor[ev.record.sensor].push_back(&ev);
   }
-
-  for (auto& [sensor, windows] : admitted) {
+  for (const auto& [sensor, events] : by_sensor) {
+    SensorSummary summary;
+    summary.sensor = sensor;
+    for (const StreamEvent* ev : events) {
+      const AdmissionDecision d = filter.Observe(*ev);
+      if (!d.admitted) {
+        out.ledger.Add(ev->seq, ev->record, d.reason);
+        ++summary.quarantined;
+        continue;
+      }
+      ++summary.admitted;
+    }
     SensorPipeline pipeline(config.kalman, config.robust_z, config.drift);
     std::vector<StRecord> cleaned;
-    const SensorRule* rule = config.rules.Find(sensor);
-    SensorSummary& summary = summaries[sensor];
-    for (auto& [window_index, events] : windows) {
-      const int64_t dups = filter.ReleaseWindow(sensor, window_index);
+    while (const std::optional<int64_t> window_index =
+               filter.ReadyWindow(sensor, /*end_of_stream=*/true)) {
       const WindowKpis kpis = ProcessWindow(
-          sensor, window_index, config.window_ms, events.data(),
-          events.size(), dups, *rule, config.thresholds, &pipeline,
-          &cleaned, &out.ledger, &out.alerts);
+          sensor, *window_index, config.window_ms,
+          filter.ReleaseWindow(sensor, *window_index),
+          *config.rules.Find(sensor), config.thresholds, &pipeline, &cleaned,
+          &out.ledger, &out.alerts);
       out.kpis.push_back(kpis);
       summary.quarantined += kpis.outliers;
       ++summary.windows_closed;
@@ -98,8 +101,6 @@ StreamOutput BatchReference(const EventLog& log, const StreamConfig& config) {
       series.mutable_records() = std::move(cleaned);
       out.cleaned.AddSeries(std::move(series));
     }
-  }
-  for (auto& [sensor, summary] : summaries) {
     summary.watermark = filter.Watermark(sensor);
     out.sensors.push_back(summary);
   }

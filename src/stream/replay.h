@@ -29,12 +29,12 @@ struct ReplayOptions {
                                             const StreamConfig& config,
                                             const ReplayOptions& options = {});
 
-// The batch pipeline the stream engine must reproduce bit-for-bit: one
-// admission pass over the whole log (identical AdmissionFilter, identical
-// arrival order), then per sensor, windows processed in ascending
-// event-time order through the same ProcessWindow. No watermark-driven
-// incremental closes, no chaos sites, no bounded buffers in play -- if
-// Replay() == BatchReference() on a log, the engine's incremental
+// The batch pipeline the stream engine must reproduce bit-for-bit: per
+// sensor, one admission pass over all its events (identical
+// AdmissionFilter, identical arrival order), then every window the filter
+// holds released in ascending event-time order through the same
+// ProcessWindow. No watermark-driven incremental closes, no chaos sites --
+// if Replay() == BatchReference() on a log, the engine's incremental
 // machinery added latency structure without changing a single bit of
 // output. That equality is the differential contract the stream tests pin
 // at 1/2/8 workers.

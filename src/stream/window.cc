@@ -2,56 +2,32 @@
 
 #include <algorithm>
 #include <sstream>
-#include <tuple>
 
 #include "obs/export.h"
 
 namespace sidq {
 namespace stream {
 
-namespace {
-
-// (event time, seq) is the total window-processing order; admission dedups
-// on (sensor, t), so it never depends on arrival order.
-bool EventTimeLess(const StreamEvent& a, const StreamEvent& b) {
-  return std::tie(a.record.t, a.seq) < std::tie(b.record.t, b.seq);
-}
-
-}  // namespace
-
-StreamEvent* RingWindow::TakeSortedByTime(Arena* arena, size_t* count) {
-  *count = events_.size();
-  StreamEvent* out = arena->AllocArray<StreamEvent>(events_.size());
-  std::copy(events_.begin(), events_.end(), out);
-  events_.clear();
-  std::sort(out, out + *count, EventTimeLess);
-  return out;
-}
-
 WindowKpis ProcessWindow(SensorId sensor, int64_t window_index,
-                         Timestamp window_ms, StreamEvent* events,
-                         size_t event_count, int64_t duplicates,
+                         Timestamp window_ms, const OpenWindow& window,
                          const SensorRule& rule,
                          const KpiThresholds& thresholds,
                          SensorPipeline* pipeline,
                          std::vector<StRecord>* cleaned,
                          QuarantineLedger* ledger,
                          std::vector<KpiAlert>* alerts) {
-  std::sort(events, events + event_count, EventTimeLess);
-
   WindowKpis kpis;
   kpis.sensor = sensor;
   kpis.window_start = static_cast<Timestamp>(window_index) * window_ms;
   kpis.window_end = kpis.window_start + window_ms;
-  kpis.duplicates = duplicates;
+  kpis.duplicates = window.duplicates;
 
   double sum_value = 0.0;
   double sum_stddev = 0.0;
   bool has_prev = false;
   Timestamp prev_t = kpis.window_start;
   double prev_value = 0.0;
-  for (size_t e = 0; e < event_count; ++e) {
-    const StreamEvent& ev = events[e];
+  for (const StreamEvent& ev : window.events) {
     const StRecord& rec = ev.record;
     if (pipeline->robust_z.Observe(rec.value)) {
       ledger->Add(ev.seq, rec, QuarantineReason::kOutlier);

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "core/arena.h"
 #include "core/quality.h"
 #include "core/stid.h"
 #include "core/types.h"
@@ -17,28 +16,15 @@
 namespace sidq {
 namespace stream {
 
-// Bounded buffer for one sensor's one open event-time window. Capacity is
-// fixed at construction; the admission filter guarantees Push is never
-// called on a full window (overflow records are quarantined upstream), so
-// memory per open window is a hard constant regardless of sensor behaviour.
-class RingWindow {
- public:
-  explicit RingWindow(size_t capacity) { events_.reserve(capacity); }
-
-  void Push(const StreamEvent& ev) { events_.push_back(ev); }
-  [[nodiscard]] size_t size() const { return events_.size(); }
-  [[nodiscard]] bool empty() const { return events_.empty(); }
-
-  // Drains the window's events sorted by event time into arena scratch
-  // (the stream engine's window-close path): the sorted events live until
-  // the caller's ArenaScope rewinds, and the close performs no heap
-  // allocation for them. Admission dedups on (sensor, t), so event times
-  // are unique within a window and this sort is a total order -- arrival
-  // order cannot leak into window processing.
-  [[nodiscard]] StreamEvent* TakeSortedByTime(Arena* arena, size_t* count);
-
- private:
-  std::vector<StreamEvent> events_;
+// One sensor's one open event-time window, owned by the AdmissionFilter
+// from its first admitted event until the window closes: the admitted
+// events in event-time order (times are unique, since a repeated time is a
+// duplicate) and the duplicate deliveries suppressed in it. Admission holds
+// `events` to the configured capacity (overflow records quarantine), so
+// memory per open window is bounded whatever a sensor sends.
+struct OpenWindow {
+  std::vector<StreamEvent> events;
+  int64_t duplicates = 0;
 };
 
 // Windowed data-quality KPIs for one (sensor, window), the streaming
@@ -98,18 +84,15 @@ struct SensorPipeline {
   outlier::PageHinkley drift;
 };
 
-// Processes one closed window: the `event_count` events at `events`
-// (already admitted) are sorted in place into event-time order, then run
+// Processes one closed window: `window`'s events run, in event-time order,
 // through the outlier gate and the Kalman update; survivors append to
 // `cleaned` with the filtered value and posterior stddev, rejects go to
 // `ledger` as kOutlier. Computes the window KPIs and any threshold alerts.
-// Shared verbatim by the stream engine (which passes arena scratch) and
-// the batch reference (which passes its vector's storage) -- the
+// Shared verbatim by the stream engine and the batch reference -- the
 // differential contract holds because both sides call exactly this
-// function on identical admitted event sets.
+// function on the identical windows their AdmissionFilter releases.
 WindowKpis ProcessWindow(SensorId sensor, int64_t window_index,
-                         Timestamp window_ms, StreamEvent* events,
-                         size_t event_count, int64_t duplicates,
+                         Timestamp window_ms, const OpenWindow& window,
                          const SensorRule& rule,
                          const KpiThresholds& thresholds,
                          SensorPipeline* pipeline,

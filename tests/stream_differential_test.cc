@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -89,8 +90,11 @@ class StreamDifferentialTest : public ::testing::Test {
   void TearDown() override { DisarmAllFailPoints(); }
 };
 
-TEST_F(StreamDifferentialTest, StreamEqualsBatchAcrossSeedsAndWorkers) {
-  const StreamConfig config = DifferentialConfig();
+// Replays seeded adversarial logs at 1, 2 and 8 workers and expects each
+// replay to equal the batch reference. Adds the batch ledgers' entry
+// counts per reason to `reasons`, so a caller can check which paths ran.
+void ExpectStreamEqualsBatch(const StreamConfig& config,
+                             std::map<QuarantineReason, size_t>* reasons) {
   const int num_seeds = Aggressive() ? 8 : 4;
   for (uint64_t seed = 0; seed < static_cast<uint64_t>(num_seeds); ++seed) {
     const EventLog log = MakeAdversarialLog(seed);
@@ -100,6 +104,9 @@ TEST_F(StreamDifferentialTest, StreamEqualsBatchAcrossSeedsAndWorkers) {
     // equality is vacuous.
     EXPECT_GT(batch.ledger.size(), 0u) << "seed " << seed;
     EXPECT_GT(batch.kpis.size(), 0u) << "seed " << seed;
+    for (const QuarantineEntry& e : batch.ledger.entries()) {
+      ++(*reasons)[e.reason];
+    }
 
     for (const int workers : {1, 2, 8}) {
       ReplayOptions options;
@@ -111,6 +118,22 @@ TEST_F(StreamDifferentialTest, StreamEqualsBatchAcrossSeedsAndWorkers) {
       EXPECT_EQ(OutputChecksum(*streamed), OutputChecksum(batch));
     }
   }
+}
+
+TEST_F(StreamDifferentialTest, StreamEqualsBatchAcrossSeedsAndWorkers) {
+  std::map<QuarantineReason, size_t> reasons;
+  ExpectStreamEqualsBatch(DifferentialConfig(), &reasons);
+}
+
+// Two events per window: most windows overflow, and a duplicate counts
+// only against its own window's admitted times.
+TEST_F(StreamDifferentialTest, TinyWindowsOverflowAndDedupLikeTheBatch) {
+  StreamConfig config = DifferentialConfig();
+  config.window_capacity = 2;
+  std::map<QuarantineReason, size_t> reasons;
+  ExpectStreamEqualsBatch(config, &reasons);
+  EXPECT_GT(reasons[QuarantineReason::kWindowOverflow], 0u);
+  EXPECT_GT(reasons[QuarantineReason::kDuplicate], 0u);
 }
 
 // Shuffling the arrival order of the SAME records (a different delay draw)

@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -183,8 +184,95 @@ TEST(AdmissionTest, ReleaseWindowReportsAndResetsDuplicates) {
   EXPECT_TRUE(filter.Observe(Event(0, 1, 1000, 5.0)).admitted);
   EXPECT_FALSE(filter.Observe(Event(1, 1, 1000, 5.0)).admitted);
   EXPECT_FALSE(filter.Observe(Event(2, 1, 1000, 5.0)).admitted);
-  EXPECT_EQ(filter.ReleaseWindow(1, 0), 2);
-  EXPECT_EQ(filter.ReleaseWindow(1, 0), 0);  // state pruned
+  EXPECT_EQ(filter.ReleaseWindow(1, 0).duplicates, 2);
+  EXPECT_EQ(filter.ReleaseWindow(1, 0).duplicates, 0);  // state pruned
+}
+
+// Dedup looks only inside the event's own open window. That equals dedup
+// against every admitted time because a window is released only once all
+// its times are at or before the watermark: a repeat is late first.
+TEST(AdmissionTest, RepeatOfAReleasedWindowsTimeIsLateNotDuplicate) {
+  const RuleSet rules = TightRules();  // lateness 5000
+  AdmissionFilter filter(&rules, 10'000, 100);
+  EXPECT_TRUE(filter.Observe(Event(0, 1, 1000, 5.0)).admitted);
+  EXPECT_EQ(filter.ReadyWindow(1, false), std::nullopt);  // watermark -4000
+  EXPECT_TRUE(filter.Observe(Event(1, 1, 15'000, 5.0)).admitted);
+  ASSERT_EQ(filter.ReadyWindow(1, false), std::optional<int64_t>(0));
+  EXPECT_EQ(filter.Observe(Event(2, 1, 1000, 5.0)).reason,
+            QuarantineReason::kLate);
+  EXPECT_EQ(filter.ReleaseWindow(1, 0).events.size(), 1u);
+  EXPECT_EQ(filter.Observe(Event(3, 1, 1000, 5.0)).reason,
+            QuarantineReason::kLate);
+  // The late repeat reopened nothing: window 1 is the only one left.
+  EXPECT_EQ(filter.ReadyWindow(1, true), std::optional<int64_t>(1));
+  EXPECT_EQ(filter.ReleaseWindow(1, 1).duplicates, 0);
+  EXPECT_EQ(filter.ReadyWindow(1, true), std::nullopt);
+
+  // The same through the engine, which releases window 0 as soon as the
+  // second admit makes it ready.
+  StreamConfig config;
+  config.rules = rules;
+  config.window_ms = 10'000;
+  StreamEngine engine(config);
+  ASSERT_TRUE(engine.Push(Event(0, 1, 1000, 5.0)).ok());
+  ASSERT_TRUE(engine.Push(Event(1, 1, 15'000, 5.0)).ok());
+  ASSERT_TRUE(engine.Push(Event(2, 1, 1000, 5.0)).ok());
+  ASSERT_TRUE(engine.Flush().ok());
+  const StreamOutput out = engine.TakeOutput();
+  ASSERT_EQ(out.ledger.size(), 1u);
+  EXPECT_EQ(out.ledger.entries()[0].reason, QuarantineReason::kLate);
+  ASSERT_EQ(out.kpis.size(), 2u);
+  EXPECT_EQ(out.kpis[0].duplicates, 0);
+}
+
+// Only an admit opens a window: a duplicate, out-of-range or overflow
+// rejection leaves no window behind for Flush to close.
+TEST(AdmissionTest, RejectionsNeverOpenAWindow) {
+  const RuleSet rules = TightRules();
+  AdmissionFilter filter(&rules, 10'000, 1);
+  EXPECT_TRUE(filter.Observe(Event(0, 1, 1000, 5.0)).admitted);
+  EXPECT_EQ(filter.Observe(Event(1, 1, 1000, 5.0)).reason,
+            QuarantineReason::kDuplicate);
+  EXPECT_EQ(filter.Observe(Event(2, 1, 2000, 5.0)).reason,
+            QuarantineReason::kWindowOverflow);
+  EXPECT_EQ(filter.Observe(Event(3, 1, 25'000, 999.0)).reason,
+            QuarantineReason::kOutOfRange);
+  ASSERT_EQ(filter.ReadyWindow(1, true), std::optional<int64_t>(0));
+  const OpenWindow window = filter.ReleaseWindow(1, 0);
+  EXPECT_EQ(window.events.size(), 1u);
+  EXPECT_EQ(window.duplicates, 1);
+  EXPECT_EQ(filter.ReadyWindow(1, true), std::nullopt);
+  // Capacity 0: every in-range record overflows a window that never opens.
+  AdmissionFilter closed(&rules, 10'000, 0);
+  EXPECT_EQ(closed.Observe(Event(4, 1, 1000, 5.0)).reason,
+            QuarantineReason::kWindowOverflow);
+  EXPECT_EQ(closed.ReadyWindow(1, true), std::nullopt);
+
+  for (const size_t capacity : {size_t{1}, size_t{0}}) {
+    StreamConfig config;
+    config.rules = rules;
+    config.window_ms = 10'000;
+    config.window_capacity = capacity;
+    StreamEngine engine(config);
+    ASSERT_TRUE(engine.Push(Event(0, 1, 1000, 5.0)).ok());
+    ASSERT_TRUE(engine.Push(Event(1, 1, 1000, 5.0)).ok());
+    ASSERT_TRUE(engine.Push(Event(2, 1, 2000, 5.0)).ok());
+    ASSERT_TRUE(engine.Push(Event(3, 1, 25'000, 999.0)).ok());
+    ASSERT_TRUE(engine.Flush().ok());
+    const StreamOutput out = engine.TakeOutput();
+    ASSERT_EQ(out.sensors.size(), 1u);
+    if (capacity == 1) {
+      EXPECT_EQ(out.ledger.size(), 3u);
+      ASSERT_EQ(out.kpis.size(), 1u);
+      EXPECT_EQ(out.kpis[0].window_start, 0);
+      EXPECT_EQ(out.kpis[0].duplicates, 1);
+      EXPECT_EQ(out.sensors[0].windows_closed, 1);
+    } else {
+      EXPECT_EQ(out.ledger.size(), 4u);
+      EXPECT_TRUE(out.kpis.empty());
+      EXPECT_EQ(out.sensors[0].windows_closed, 0);
+    }
+  }
 }
 
 // --- online operators ---
