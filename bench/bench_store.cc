@@ -13,6 +13,12 @@
 //   recovery   Store::Open wall time as the store grows across segment
 //              counts, plus a reopen after an injected torn tail (the
 //              power-cut case recovery exists for).
+//   long_lived one store over 400 commits: commit and reopen time and
+//              manifest bytes / data bytes after 10, 100 and 400 commits,
+//              against the same rows reopened after a single commit.
+//              commit_growth (commit 400 / commit 10) and
+//              manifest_over_data carry absolute ceilings in
+//              scripts/bench_compare.py.
 //
 // The store-backed scan must reproduce the in-memory FNV-1a checksum over
 // every record's raw bits; any mismatch or failed recovery exits 1, so
@@ -143,6 +149,53 @@ struct RecoveryPoint {
   uint64_t rows = 0;
   double open_ms = 0.0;
 };
+
+struct LongLivedPoint {
+  size_t commits = 0;
+  uint64_t rows = 0;
+  double commit_ms = 0.0;  // median of the 10 commits up to this point
+  double open_ms = 0.0;
+  uint64_t manifest_bytes = 0;  // manifest logs + CURRENT
+  uint64_t data_bytes = 0;      // segment files
+};
+
+// Bytes on disk of `dir`'s segment files and of its manifest files.
+void DiskBytes(const std::string& dir, uint64_t* data, uint64_t* manifest) {
+  store::Vfs* vfs = store::DefaultVfs();
+  *data = *manifest = 0;
+  const StatusOr<std::vector<std::string>> names = vfs->ListDir(dir);
+  if (!names.ok()) bench::Die("long-lived listdir", names.status());
+  for (const std::string& name : *names) {
+    uint64_t gen = 0;
+    uint32_t seg = 0;
+    const bool is_segment = store::ParseSegmentFileName(name, &seg);
+    if (!is_segment && !store::ParseManifestFileName(name, &gen) &&
+        name != store::kCurrentFileName) {
+      continue;
+    }
+    const StatusOr<uint64_t> size = vfs->FileSize(dir + "/" + name);
+    if (!size.ok()) bench::Die("long-lived stat", size.status());
+    *(is_segment ? data : manifest) += *size;
+  }
+}
+
+// Best-of-`reps` wall time of Store::Open on `dir`; exits 1 unless the
+// store serves `rows` rows.
+double TimedOpenMs(const std::string& dir, const store::StoreOptions& options,
+                   int reps, uint64_t rows) {
+  double best = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    StatusOr<std::unique_ptr<store::Store>> db =
+        store::Store::Open(nullptr, dir, options);
+    const double secs = bench::SecondsSince(t0);
+    if (!db.ok()) bench::Die("long-lived open", db.status());
+    bench::RequireEqual(dir + " rows after open", rows,
+                        (*db)->rows_readable());
+    best = std::min(best, secs);
+  }
+  return best * 1e3;
+}
 
 struct CachePoint {
   size_t budget_bytes = 0;  // 0 = unbounded
@@ -470,6 +523,90 @@ int main(int argc, char** argv) {
   const double compact_mb_per_s =
       static_cast<double>(compact_input_bytes) / compact_s / 1e6;
 
+  // --- long-lived: commit and open cost after many commits -------------
+  // Continuous ingest commits often and for a long time. One store takes
+  // 400 commits of the same size; after 10, 100 and 400 of them it is
+  // closed and reopened (as a restart would). A commit should cost what
+  // it adds, so the median commit time barely moves with the number of
+  // commits behind it, and the manifest should stay a small fraction of
+  // the data it describes. The 400-commit store's open is compared with
+  // an open of the same rows committed once.
+  const size_t rows_per_commit = quick ? 256 : 1024;
+  constexpr size_t kLongCommits = 400;
+  constexpr size_t kCommitWindow = 10;
+  // The first open after a store is written pays one-off costs (page
+  // faults, first file opens) worth as much as the open itself at these
+  // sizes, so each point takes the best of several opens.
+  constexpr int kOpenReps = 5;
+  const std::string long_dir = scratch + "/long_lived";
+  std::vector<LongLivedPoint> long_curve;
+  uint64_t long_checksum = kFnvOffset;
+  {
+    std::vector<double> commit_ms;
+    RecordStream stream;
+    std::unique_ptr<store::Store> db;
+    uint64_t appended = 0;
+    for (size_t c = 1; c <= kLongCommits; ++c) {
+      if (db == nullptr) {
+        StatusOr<std::unique_ptr<store::Store>> opened =
+            store::Store::Open(nullptr, long_dir, options);
+        if (!opened.ok()) bench::Die("long-lived open", opened.status());
+        db = std::move(*opened);
+      }
+      for (size_t i = 0; i < rows_per_commit; ++i) {
+        const StRecord rec = stream.Next();
+        long_checksum = RecordChecksum(long_checksum, rec);
+        const Status st = db->Append(rec);
+        if (!st.ok()) bench::Die("long-lived append", st);
+      }
+      appended += rows_per_commit;
+      const auto t0 = std::chrono::steady_clock::now();
+      const Status st = db->Commit();
+      commit_ms.push_back(bench::SecondsSince(t0) * 1e3);
+      if (!st.ok()) bench::Die("long-lived commit", st);
+      if (c != 10 && c != 100 && c != kLongCommits) continue;
+      const Status closed = db->Close();
+      if (!closed.ok()) bench::Die("long-lived close", closed);
+      db.reset();
+      LongLivedPoint p;
+      p.commits = c;
+      p.rows = appended;
+      std::vector<double> window(commit_ms.end() - kCommitWindow,
+                                 commit_ms.end());
+      std::nth_element(window.begin(), window.begin() + kCommitWindow / 2,
+                       window.end());
+      p.commit_ms = window[kCommitWindow / 2];
+      p.open_ms = TimedOpenMs(long_dir, options, kOpenReps, appended);
+      DiskBytes(long_dir, &p.data_bytes, &p.manifest_bytes);
+      long_curve.push_back(p);
+    }
+    StatusOr<std::unique_ptr<store::Store>> reopened =
+        store::Store::Open(nullptr, long_dir, options);
+    if (!reopened.ok()) bench::Die("long-lived reopen", reopened.status());
+    RequireIdentical("400-commit store scan",
+                     ChecksumScan(**reopened, "long-lived scan"),
+                     long_curve.back().rows, long_checksum);
+  }
+  const std::string once_dir = scratch + "/long_lived_once";
+  double open_once_ms = 0.0;
+  {
+    StatusOr<std::unique_ptr<store::Store>> db =
+        store::Store::Open(nullptr, once_dir, options);
+    if (!db.ok()) bench::Die("one-commit open", db.status());
+    RecordStream stream;
+    for (uint64_t i = 0; i < long_curve.back().rows; ++i) {
+      const Status st = (*db)->Append(stream.Next());
+      if (!st.ok()) bench::Die("one-commit append", st);
+    }
+    const Status st = (*db)->Close();
+    if (!st.ok()) bench::Die("one-commit close", st);
+    open_once_ms =
+        TimedOpenMs(once_dir, options, kOpenReps, long_curve.back().rows);
+  }
+  const double commit_growth =
+      long_curve.back().commit_ms / long_curve.front().commit_ms;
+  const double open_growth = long_curve.back().open_ms / open_once_ms;
+
   // --- fleet: ≫-RAM scan under a fixed cache budget (full runs only) ----
   // 10M rows (~480 MB on disk) streamed through the store and scanned
   // under the default 64 MB budget. The record stream is regenerated for
@@ -544,6 +681,8 @@ int main(int argc, char** argv) {
 
   RemoveTree(append_dir);
   RemoveTree(compact_dir);
+  RemoveTree(long_dir);
+  RemoveTree(once_dir);
   for (const size_t s : {1u, 4u, 16u}) {
     RemoveTree(scratch + "/recover" + std::to_string(s));
   }
@@ -601,6 +740,23 @@ int main(int argc, char** argv) {
              bench::F2(torn_open_ms)});
   rt.Print();
 
+  bench::Table lt({"commits", "rows", "commit ms (median of 10)", "open ms",
+                   "manifest KB", "data MB", "manifest / data"});
+  for (const LongLivedPoint& p : long_curve) {
+    lt.AddRow({std::to_string(p.commits), std::to_string(p.rows),
+               bench::F2(p.commit_ms), bench::F2(p.open_ms),
+               bench::F1(static_cast<double>(p.manifest_bytes) / 1e3),
+               bench::F1(static_cast<double>(p.data_bytes) / 1e6),
+               bench::Fmt("%.4f", static_cast<double>(p.manifest_bytes) /
+                         static_cast<double>(p.data_bytes))});
+  }
+  lt.AddRow({"1 (same rows)", std::to_string(long_curve.back().rows), "-",
+             bench::F2(open_once_ms), "-", "-", "-"});
+  lt.Print();
+  std::printf("commit 400 / commit 10: %.2f; open after 400 commits / "
+              "after one: %.2f\n\n",
+              commit_growth, open_growth);
+
   std::printf(
       "bit-identity: store-backed scan == in-memory path "
       "(checksum %llu over %zu rows)\n\n",
@@ -653,6 +809,28 @@ int main(int argc, char** argv) {
         .End();
   }
   json.End().Num("torn_tail_open_ms", torn_open_ms, 2);
+  json.Object("long_lived")
+      .Int("rows_per_commit", rows_per_commit)
+      .Array("curve");
+  for (const LongLivedPoint& p : long_curve) {
+    json.Object()
+        .Int("commits", p.commits)
+        .Int("rows", p.rows)
+        .Num("commit_ms", p.commit_ms, 3)
+        .Num("open_ms", p.open_ms, 2)
+        .Int("manifest_bytes", p.manifest_bytes)
+        .Int("data_bytes", p.data_bytes)
+        .Num("manifest_over_data",
+             static_cast<double>(p.manifest_bytes) /
+                 static_cast<double>(p.data_bytes),
+             4)
+        .End();
+  }
+  json.End()
+      .Num("open_once_ms", open_once_ms, 2)
+      .Num("commit_growth", commit_growth, 2)
+      .Num("open_growth", open_growth, 2)
+      .End();
   if (fleet_rows > 0) {
     json.Object("fleet")
         .Int("rows", fleet_rows)

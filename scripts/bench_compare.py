@@ -37,6 +37,16 @@ document is additionally floor-checked in full mode only: under
 whose speedups are structurally below steady state. A small measurement
 grace (--floor-grace, default 5%) absorbs same-machine timing noise.
 
+ABSOLUTE ceilings bind on bench_store's long-lived-store curve, in both
+documents and in both modes (the fresh --quick run included), because
+they are quotients of same-run quantities and the claim is absolute:
+  commit_growth       median commit time after 400 commits over the
+                      median after 10 <= 1.5 (a commit costs what it
+                      adds, not what the store already holds);
+  manifest_over_data  manifest bytes on disk over segment bytes <= 0.05
+                      at every point of the curve (the manifest log
+                      stays a small fraction of the data it describes).
+
 Usage: scripts/bench_compare.py BASELINE.json NEW.json [--tolerance F]
        [--ratios-only] [--floor-grace F]
 
@@ -75,6 +85,13 @@ SPEEDUP_FLOORS = {
     "packed_range": 2.5,
     "dtw_full": 1.0,
     "frechet_full": 1.3,
+}
+
+
+# Absolute ceilings on named leaves, wherever they sit in a document.
+CEILINGS = {
+    "commit_growth": 1.5,
+    "manifest_over_data": 0.05,
 }
 
 
@@ -123,6 +140,21 @@ def floor_violations(doc, grace, out, path=""):
     elif isinstance(doc, list):
         for i, item in enumerate(doc):
             floor_violations(item, grace, out, f"{path}[{i}]")
+
+
+def ceiling_violations(doc, out, path=""):
+    """Collects leaves named in CEILINGS whose value exceeds the ceiling."""
+    if isinstance(doc, dict):
+        for key, val in sorted(doc.items()):
+            sub = f"{path}.{key}" if path else key
+            if key in CEILINGS and isinstance(val, (int, float)) and \
+                    float(val) > CEILINGS[key]:
+                out.append(f"{sub}: {float(val):g} above ceiling "
+                           f"{CEILINGS[key]:g}")
+            ceiling_violations(val, out, sub)
+    elif isinstance(doc, list):
+        for i, item in enumerate(doc):
+            ceiling_violations(item, out, f"{path}[{i}]")
 
 
 def main():
@@ -183,20 +215,28 @@ def main():
     if not args.ratios_only:
         floor_violations(docs[1], args.floor_grace, floors, "new")
 
-    if regressions or floors:
+    ceilings = []
+    ceiling_violations(docs[0], ceilings, "baseline")
+    ceiling_violations(docs[1], ceilings, "new")
+
+    if regressions or floors or ceilings:
         for line in regressions:
             print(f"bench_compare: REGRESSION {line}", file=sys.stderr)
         for line in floors:
             print(f"bench_compare: FLOOR {line}", file=sys.stderr)
+        for line in ceilings:
+            print(f"bench_compare: CEILING {line}", file=sys.stderr)
         print(f"bench_compare: {len(regressions)} regression(s), "
-              f"{len(floors)} floor violation(s) across "
+              f"{len(floors)} floor violation(s), "
+              f"{len(ceilings)} ceiling violation(s) across "
               f"{checked} metric(s)", file=sys.stderr)
         return 1
     if checked == 0:
         print("bench_compare: no comparable metrics found", file=sys.stderr)
         return 1
     print(f"bench_compare: OK ({checked} metric(s) within "
-          f"{args.tolerance * 100.0:.0f}%; speedup floors hold)")
+          f"{args.tolerance * 100.0:.0f}%; speedup floors and ceilings "
+          f"hold)")
     return 0
 
 

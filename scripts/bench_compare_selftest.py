@@ -12,6 +12,9 @@ mode, and checks the exit code and the metric it names:
      both modes.
   3. A baseline whose pairwise kernel speedup sits below its floor fails
      in both modes.
+  4. A new run whose long-lived store's commit_growth or
+     manifest_over_data exceeds its absolute ceiling fails in both
+     modes, even when the baseline exceeds it equally.
 
 Registered as the tier-1 `bench_compare_selftest` ctest.
 """
@@ -37,6 +40,11 @@ BASELINE = {
     "obs": {"obs_slowdown": 1.02},
     "scan": {"cold_scan_slowdown_vs_ram": 3.8},
     "kernels": [{"primitive": "pairwise", "speedup": 4.8}],
+    "long_lived": {
+        "curve": [{"commits": 10, "manifest_over_data": 0.013},
+                  {"commits": 400, "manifest_over_data": 0.012}],
+        "commit_growth": 1.02,
+    },
 }
 
 
@@ -74,6 +82,12 @@ def main():
     def sink_pairwise(doc):
         doc["kernels"][0]["speedup"] = 2.0
 
+    def grow_commits(doc):
+        doc["long_lived"]["commit_growth"] = 1.8
+
+    def bloat_manifest(doc):
+        doc["long_lived"]["curve"][1]["manifest_over_data"] = 0.06
+
     # (name, baseline, new, ratios_only, want_exit, text the output must hold)
     cases = []
     for mode, ratios_only in (("ratios-only", True), ("full", False)):
@@ -90,6 +104,12 @@ def main():
             (f"{mode}: below-floor pairwise baseline",
              variant(sink_pairwise), variant(sink_pairwise), ratios_only, 1,
              "FLOOR baseline.kernels[0]: primitive 'pairwise'"),
+            (f"{mode}: commit_growth above its ceiling", BASELINE,
+             variant(grow_commits), ratios_only, 1,
+             "CEILING new.long_lived.commit_growth"),
+            (f"{mode}: manifest_over_data above its ceiling",
+             variant(bloat_manifest), variant(bloat_manifest), ratios_only, 1,
+             "CEILING new.long_lived.curve[1].manifest_over_data"),
         ]
     cases += [
         ("ratios-only: 50% traj_per_s drop is ignored", BASELINE,

@@ -1,5 +1,6 @@
 #include "store/format.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -35,15 +36,6 @@ void AppendColumn(std::string* out, const std::vector<T>& column) {
 constexpr size_t kRowBytes = sizeof(SensorId) + sizeof(Timestamp) +
                              4 * sizeof(double);
 
-bool ParseU64(std::istringstream* in, uint64_t* out) {
-  std::string tok;
-  if (!(*in >> tok)) return false;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(tok.c_str(), &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0' && !tok.empty();
-}
-
 bool ParseHex32(std::istringstream* in, uint32_t* out) {
   std::string tok;
   if (!(*in >> tok)) return false;
@@ -64,35 +56,224 @@ std::string Hex32(uint32_t v) {
   return buf;
 }
 
-void AppendSensorRows(
-    std::string* out,
-    const std::vector<std::pair<SensorId, uint32_t>>& sensor_rows) {
-  out->push_back(' ');
-  out->append(std::to_string(sensor_rows.size()));
-  for (const auto& [sensor, count] : sensor_rows) {
-    out->push_back(' ');
-    out->append(std::to_string(sensor));
-    out->push_back(' ');
-    out->append(std::to_string(count));
+// --- manifest record codec ---------------------------------------------
+
+void PutVarint(std::string* out, uint64_t v) {
+  while (v >= 0x80) {
+    out->push_back(static_cast<char>(v | 0x80));
+    v >>= 7;
+  }
+  out->push_back(static_cast<char>(v));
+}
+
+// Signed deltas: small magnitudes of either sign stay one byte.
+uint64_t ZigZag(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+int64_t UnZigZag(uint64_t v) {
+  return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
+}
+
+// Sensor ids as wrapping deltas from the previous one: consecutive ids
+// cost one byte each, and any order round-trips.
+void PutSensorRows(std::string* out,
+                   const std::vector<std::pair<SensorId, uint32_t>>& rows) {
+  PutVarint(out, rows.size());
+  SensorId prev = 0;
+  for (const auto& [sensor, count] : rows) {
+    PutVarint(out, sensor - prev);
+    PutVarint(out, count);
+    prev = sensor;
   }
 }
 
-bool ParseSensorRows(std::istringstream* in,
-                     std::vector<std::pair<SensorId, uint32_t>>* out) {
-  uint64_t n = 0;
-  if (!ParseU64(in, &n) || n > (1u << 20)) return false;
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t sensor = 0, count = 0;
-    if (!ParseU64(in, &sensor) || !ParseU64(in, &count) ||
-        count > 0xffffffffull) {
-      return false;
+// Bounds-checked reads over one record payload. Every getter fails
+// (returns false) rather than reading past the end.
+class Cursor {
+ public:
+  explicit Cursor(std::string_view in) : in_(in) {}
+
+  [[nodiscard]] size_t remaining() const { return in_.size() - pos_; }
+
+  bool Varint(uint64_t* v) {
+    uint64_t out = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      if (pos_ == in_.size()) return false;
+      const uint8_t byte = static_cast<uint8_t>(in_[pos_++]);
+      if (shift == 63 && byte > 1) return false;  // overflows 64 bits
+      out |= static_cast<uint64_t>(byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) {
+        *v = out;
+        return true;
+      }
     }
-    out->emplace_back(static_cast<SensorId>(sensor),
-                      static_cast<uint32_t>(count));
+    return false;
+  }
+  bool Varint32(uint32_t* v) {
+    uint64_t wide = 0;
+    if (!Varint(&wide) || wide > 0xffffffffull) return false;
+    *v = static_cast<uint32_t>(wide);
+    return true;
+  }
+  bool Fixed32(uint32_t* v) {
+    if (remaining() < sizeof(*v)) return false;
+    std::memcpy(v, in_.data() + pos_, sizeof(*v));
+    pos_ += sizeof(*v);
+    return true;
+  }
+  bool Byte(uint8_t* v) {
+    if (remaining() < 1) return false;
+    *v = static_cast<uint8_t>(in_[pos_++]);
+    return true;
+  }
+  bool Bytes(std::string* out) {
+    uint64_t n = 0;
+    if (!Varint(&n) || n > remaining()) return false;
+    out->assign(in_.data() + pos_, n);
+    pos_ += n;
+    return true;
+  }
+  // A list length, bounded by the bytes left (every element takes at
+  // least `min_bytes`), so a forged count cannot drive an allocation.
+  bool Count(size_t min_bytes, uint64_t* n) {
+    return Varint(n) && *n <= remaining() / min_bytes;
+  }
+
+ private:
+  std::string_view in_;
+  size_t pos_ = 0;
+};
+
+bool GetSensorRows(Cursor* in,
+                   std::vector<std::pair<SensorId, uint32_t>>* rows) {
+  uint64_t n = 0;
+  if (!in->Count(2, &n)) return false;
+  rows->resize(n);
+  SensorId prev = 0;
+  for (auto& [sensor, count] : *rows) {
+    uint64_t delta = 0;
+    if (!in->Varint(&delta) || !in->Varint32(&count)) return false;
+    sensor = prev + delta;
+    prev = sensor;
   }
   return true;
+}
+
+// A block entry, delta-coded against the previous entry of its list: the
+// next block usually starts where the previous one ended, in bytes and
+// in rows, so both deltas are zero.
+void PutBlock(std::string* out, const BlockEntry& b, const BlockEntry& prev) {
+  PutVarint(out, b.segment);
+  PutVarint(out, b.index);
+  const uint64_t expect_offset =
+      b.segment == prev.segment ? prev.offset + prev.length : 0;
+  PutVarint(out, ZigZag(static_cast<int64_t>(b.offset - expect_offset)));
+  PutVarint(out, b.length);
+  AppendRaw(out, b.crc);
+  PutVarint(out, ZigZag(static_cast<int64_t>(
+                     b.row_start - (prev.row_start + prev.row_count))));
+  PutVarint(out, b.row_count);
+  PutSensorRows(out, b.sensor_rows);
+}
+
+bool GetBlock(Cursor* in, const BlockEntry& prev, BlockEntry* b) {
+  uint64_t offset_delta = 0, row_delta = 0;
+  if (!in->Varint32(&b->segment) || !in->Varint32(&b->index) ||
+      !in->Varint(&offset_delta) || !in->Varint(&b->length) ||
+      !in->Fixed32(&b->crc) || !in->Varint(&row_delta) ||
+      !in->Varint32(&b->row_count) || !GetSensorRows(in, &b->sensor_rows)) {
+    return false;
+  }
+  const uint64_t expect_offset =
+      b->segment == prev.segment ? prev.offset + prev.length : 0;
+  b->offset = expect_offset + static_cast<uint64_t>(UnZigZag(offset_delta));
+  b->row_start = prev.row_start + prev.row_count +
+                 static_cast<uint64_t>(UnZigZag(row_delta));
+  return true;
+}
+
+void PutQuarantine(std::string* out, const QuarantinedBlockEntry& q) {
+  PutVarint(out, q.segment);
+  PutVarint(out, q.index);
+  out->push_back(static_cast<char>(q.defect));
+  PutVarint(out, q.offset);
+  PutVarint(out, q.length);
+  PutVarint(out, q.row_start);
+  PutVarint(out, q.row_count);
+  PutSensorRows(out, q.sensor_rows);
+}
+
+bool GetQuarantine(Cursor* in, QuarantinedBlockEntry* q) {
+  uint8_t defect = 0;
+  if (!in->Varint32(&q->segment) || !in->Varint32(&q->index) ||
+      !in->Byte(&defect) ||
+      defect > static_cast<uint8_t>(BlockDefect::kManifestMismatch) ||
+      !in->Varint(&q->offset) || !in->Varint(&q->length) ||
+      !in->Varint(&q->row_start) || !in->Varint32(&q->row_count) ||
+      !GetSensorRows(in, &q->sensor_rows)) {
+    return false;
+  }
+  q->defect = static_cast<BlockDefect>(defect);
+  return true;
+}
+
+// One frame of a manifest log, verified.
+struct Frame {
+  std::string_view payload;
+  uint32_t crc = 0;
+  uint64_t bytes = 0;  // header + payload
+};
+
+StatusOr<Frame> ReadFrame(std::string_view log, uint64_t offset) {
+  const uint64_t left = log.size() - offset;
+  if (left < kManifestFrameHeaderSize) {
+    return Status::DataLoss("manifest record header torn at byte " +
+                            std::to_string(offset));
+  }
+  uint32_t length = 0;
+  Frame frame;
+  std::memcpy(&length, log.data() + offset, sizeof(length));
+  std::memcpy(&frame.crc, log.data() + offset + 4, sizeof(frame.crc));
+  if (length > kMaxManifestRecord) {
+    return Status::DataLoss("manifest record length " +
+                            std::to_string(length) + " at byte " +
+                            std::to_string(offset) + " fails the bound");
+  }
+  if (left - kManifestFrameHeaderSize < length) {
+    return Status::DataLoss("manifest record torn at byte " +
+                            std::to_string(offset));
+  }
+  uint32_t crc = Crc32cExtend(0, log.data() + offset, sizeof(length));
+  crc = Crc32cExtend(crc, log.data() + offset + kManifestFrameHeaderSize,
+                     length);
+  if (crc != frame.crc) {
+    return Status::DataLoss("manifest record crc mismatch at byte " +
+                            std::to_string(offset) + ": recorded " +
+                            Hex32(frame.crc) + ", computed " + Hex32(crc));
+  }
+  frame.payload = log.substr(offset + kManifestFrameHeaderSize, length);
+  frame.bytes = kManifestFrameHeaderSize + length;
+  return frame;
+}
+
+// Applies an edit to the replayed state.
+void ApplyEdit(ManifestRecord&& edit, Manifest* state) {
+  state->gen = edit.head.gen;
+  state->field_name = std::move(edit.head.field_name);
+  state->num_segments = edit.head.num_segments;
+  state->rows = edit.head.rows;
+  state->blocks.insert(state->blocks.end(),
+                       std::make_move_iterator(edit.blocks.begin()),
+                       std::make_move_iterator(edit.blocks.end()));
+  for (QuarantinedBlockEntry& q : edit.quarantined) {
+    const auto live = std::find_if(
+        state->blocks.begin(), state->blocks.end(),
+        [&](const BlockEntry& b) {
+          return b.segment == q.segment && b.index == q.index;
+        });
+    if (live != state->blocks.end()) state->blocks.erase(live);
+    state->quarantined.push_back(std::move(q));
+  }
 }
 
 }  // namespace
@@ -213,164 +394,173 @@ ParsedBlock ParseBlockAt(std::string_view segment, uint64_t offset) {
 // Manifest
 // ---------------------------------------------------------------------------
 
-std::string SerializeManifest(const Manifest& m) {
-  std::string out = "# sidq-store manifest v1\n";
-  out += "gen " + std::to_string(m.gen) + "\n";
-  if (m.prev_gen == 0) {
-    out += "prev none\n";
-  } else {
-    out += "prev " + std::to_string(m.prev_gen) + " " + Hex32(m.prev_crc) +
-           "\n";
-  }
-  out += "field " + m.field_name + "\n";
-  out += "segments " + std::to_string(m.num_segments) + "\n";
-  out += "rows " + std::to_string(m.rows) + "\n";
-  for (const BlockEntry& b : m.blocks) {
-    out += "block " + std::to_string(b.segment) + " " +
-           std::to_string(b.index) + " " + std::to_string(b.offset) + " " +
-           std::to_string(b.length) + " " + Hex32(b.crc) + " " +
-           std::to_string(b.row_start) + " " + std::to_string(b.row_count);
-    AppendSensorRows(&out, b.sensor_rows);
-    out += "\n";
-  }
-  for (const QuarantinedBlockEntry& q : m.quarantined) {
-    out += "quarantine " + std::to_string(q.segment) + " " +
-           std::to_string(q.index) + " " +
-           std::to_string(static_cast<int>(q.defect)) + " " +
-           std::to_string(q.offset) + " " + std::to_string(q.length) + " " +
-           std::to_string(q.row_start) + " " + std::to_string(q.row_count);
-    AppendSensorRows(&out, q.sensor_rows);
-    out += "\n";
-  }
-  out += "commit " + Hex32(Crc32c(out.data(), out.size())) + "\n";
+std::string ManifestLogHeader() {
+  std::string out(kManifestLogMagic, sizeof(kManifestLogMagic));
+  AppendRaw(&out, kManifestLogVersion);
   return out;
 }
 
-StatusOr<ParsedManifest> ParseManifest(std::string_view text) {
-  // The commit line must be the last line and must checksum everything
-  // before it; anything else is a torn or corrupted manifest.
-  const size_t commit_pos = text.rfind("commit ");
-  if (commit_pos == std::string_view::npos ||
-      (commit_pos != 0 && text[commit_pos - 1] != '\n')) {
-    return Status::DataLoss("manifest has no commit line (torn)");
+uint32_t AppendManifestRecord(
+    std::string* log, const ManifestRecordHead& head,
+    std::initializer_list<std::span<const BlockEntry>> blocks,
+    std::span<const QuarantinedBlockEntry> quarantined,
+    std::span<const ManifestExtension> extensions) {
+  const size_t frame = log->size();
+  AppendRaw(log, static_cast<uint32_t>(0));  // length, patched below
+  AppendRaw(log, static_cast<uint32_t>(0));  // crc, patched below
+  log->push_back(static_cast<char>(head.kind));
+  PutVarint(log, head.gen);
+  AppendRaw(log, head.prev_crc);
+  PutVarint(log, head.rows);
+  PutVarint(log, head.num_segments);
+  PutVarint(log, head.field_name.size());
+  log->append(head.field_name);
+  size_t num_blocks = 0;
+  for (const std::span<const BlockEntry>& part : blocks) {
+    num_blocks += part.size();
   }
-  // The commit line must itself be newline-terminated: a manifest cut even
-  // one byte short is torn, full stop -- "every strict prefix fails" is
-  // the invariant the crash sweep leans on.
-  if (text.back() != '\n') {
-    return Status::DataLoss("manifest commit line unterminated (torn)");
-  }
-  std::istringstream commit_line(
-      std::string(text.substr(commit_pos + 7)));
-  uint32_t commit_crc = 0;
-  {
-    std::string tok;
-    if (!(commit_line >> tok)) {
-      return Status::DataLoss("manifest commit line unreadable (torn)");
-    }
-    std::istringstream hex_in(tok);
-    if (!ParseHex32(&hex_in, &commit_crc)) {
-      return Status::DataLoss("manifest commit crc unreadable (torn)");
-    }
-    std::string trailing;
-    if (commit_line >> trailing) {
-      return Status::InvalidArgument("garbage after manifest commit line");
+  PutVarint(log, num_blocks);
+  const BlockEntry none;
+  const BlockEntry* prev = &none;
+  for (const std::span<const BlockEntry>& part : blocks) {
+    for (const BlockEntry& b : part) {
+      PutBlock(log, b, *prev);
+      prev = &b;
     }
   }
-  const uint32_t actual =
-      Crc32c(text.data(), commit_pos);
-  if (actual != commit_crc) {
-    return Status::DataLoss("manifest commit crc mismatch: recorded " +
-                            Hex32(commit_crc) + ", computed " + Hex32(actual));
+  PutVarint(log, quarantined.size());
+  for (const QuarantinedBlockEntry& q : quarantined) PutQuarantine(log, q);
+  PutVarint(log, extensions.size());
+  for (const ManifestExtension& e : extensions) {
+    PutVarint(log, e.tag);
+    PutVarint(log, e.bytes.size());
+    log->append(e.bytes);
   }
+  const uint32_t length =
+      static_cast<uint32_t>(log->size() - frame - kManifestFrameHeaderSize);
+  std::memcpy(log->data() + frame, &length, sizeof(length));
+  uint32_t crc = Crc32cExtend(0, log->data() + frame, sizeof(length));
+  crc = Crc32cExtend(crc, log->data() + frame + kManifestFrameHeaderSize,
+                     length);
+  std::memcpy(log->data() + frame + 4, &crc, sizeof(crc));
+  return crc;
+}
 
-  ParsedManifest out;
-  out.commit_crc = commit_crc;
-  Manifest& m = out.manifest;
-  std::istringstream body{std::string(text.substr(0, commit_pos))};
-  std::string line;
-  if (!std::getline(body, line) || line != "# sidq-store manifest v1") {
-    return Status::InvalidArgument("bad manifest header line: " + line);
+StatusOr<ManifestRecord> DecodeManifestRecord(std::string_view payload) {
+  Cursor in(payload);
+  ManifestRecord r;
+  ManifestRecordHead& h = r.head;
+  uint8_t kind = 0;
+  if (!in.Byte(&kind) ||
+      (kind != static_cast<uint8_t>(ManifestRecordKind::kSnapshot) &&
+       kind != static_cast<uint8_t>(ManifestRecordKind::kEdit))) {
+    return Status::InvalidArgument("manifest record has no valid kind");
   }
-  bool saw_gen = false, saw_field = false, saw_segments = false,
-       saw_rows = false, saw_prev = false;
-  while (std::getline(body, line)) {
-    std::istringstream in(line);
-    std::string kind;
-    if (!(in >> kind)) continue;
-    if (kind == "gen") {
-      if (!ParseU64(&in, &m.gen)) {
-        return Status::InvalidArgument("bad gen line: " + line);
-      }
-      saw_gen = true;
-    } else if (kind == "prev") {
-      std::string tok;
-      if (!(in >> tok)) {
-        return Status::InvalidArgument("bad prev line: " + line);
-      }
-      if (tok != "none") {
-        std::istringstream gen_in(tok);
-        if (!ParseU64(&gen_in, &m.prev_gen)) {
-          return Status::InvalidArgument("bad prev gen: " + line);
-        }
-        if (!ParseHex32(&in, &m.prev_crc)) {
-          return Status::InvalidArgument("bad prev crc: " + line);
-        }
-      }
-      saw_prev = true;
-    } else if (kind == "field") {
-      std::string rest;
-      std::getline(in, rest);
-      m.field_name = rest.empty() ? "" : rest.substr(1);  // skip the space
-      saw_field = true;
-    } else if (kind == "segments") {
-      uint64_t v = 0;
-      if (!ParseU64(&in, &v) || v > 0xffffffffull) {
-        return Status::InvalidArgument("bad segments line: " + line);
-      }
-      m.num_segments = static_cast<uint32_t>(v);
-      saw_segments = true;
-    } else if (kind == "rows") {
-      if (!ParseU64(&in, &m.rows)) {
-        return Status::InvalidArgument("bad rows line: " + line);
-      }
-      saw_rows = true;
-    } else if (kind == "block") {
-      BlockEntry b;
-      uint64_t seg = 0, idx = 0, count = 0;
-      if (!ParseU64(&in, &seg) || !ParseU64(&in, &idx) ||
-          !ParseU64(&in, &b.offset) || !ParseU64(&in, &b.length) ||
-          !ParseHex32(&in, &b.crc) || !ParseU64(&in, &b.row_start) ||
-          !ParseU64(&in, &count) || count > 0xffffffffull ||
-          !ParseSensorRows(&in, &b.sensor_rows)) {
-        return Status::InvalidArgument("bad block line: " + line);
-      }
-      b.segment = static_cast<uint32_t>(seg);
-      b.index = static_cast<uint32_t>(idx);
-      b.row_count = static_cast<uint32_t>(count);
-      m.blocks.push_back(std::move(b));
-    } else if (kind == "quarantine") {
-      QuarantinedBlockEntry q;
-      uint64_t seg = 0, idx = 0, defect = 0, count = 0;
-      if (!ParseU64(&in, &seg) || !ParseU64(&in, &idx) ||
-          !ParseU64(&in, &defect) || !ParseU64(&in, &q.offset) ||
-          !ParseU64(&in, &q.length) || !ParseU64(&in, &q.row_start) ||
-          !ParseU64(&in, &count) || count > 0xffffffffull ||
-          defect > static_cast<uint64_t>(BlockDefect::kManifestMismatch) ||
-          !ParseSensorRows(&in, &q.sensor_rows)) {
-        return Status::InvalidArgument("bad quarantine line: " + line);
-      }
-      q.segment = static_cast<uint32_t>(seg);
-      q.index = static_cast<uint32_t>(idx);
-      q.defect = static_cast<BlockDefect>(defect);
-      q.row_count = static_cast<uint32_t>(count);
-      m.quarantined.push_back(std::move(q));
-    } else {
-      return Status::InvalidArgument("unknown manifest line: " + line);
+  h.kind = static_cast<ManifestRecordKind>(kind);
+  if (!in.Varint(&h.gen) || !in.Fixed32(&h.prev_crc) ||
+      !in.Varint(&h.rows) || !in.Varint32(&h.num_segments) ||
+      !in.Bytes(&h.field_name)) {
+    return Status::InvalidArgument("manifest record head malformed");
+  }
+  uint64_t n = 0;
+  // A block entry takes at least 11 bytes, a verdict 8, an extension 2.
+  if (!in.Count(11, &n)) {
+    return Status::InvalidArgument("manifest record block count malformed");
+  }
+  r.blocks.resize(n);
+  const BlockEntry none;
+  for (size_t i = 0; i < r.blocks.size(); ++i) {
+    if (!GetBlock(&in, i == 0 ? none : r.blocks[i - 1], &r.blocks[i])) {
+      return Status::InvalidArgument("manifest block entry " +
+                                     std::to_string(i) + " malformed");
     }
   }
-  if (!saw_gen || !saw_prev || !saw_field || !saw_segments || !saw_rows) {
-    return Status::InvalidArgument("manifest missing required line");
+  if (!in.Count(8, &n)) {
+    return Status::InvalidArgument("manifest record verdict count malformed");
+  }
+  r.quarantined.resize(n);
+  for (size_t i = 0; i < r.quarantined.size(); ++i) {
+    if (!GetQuarantine(&in, &r.quarantined[i])) {
+      return Status::InvalidArgument("manifest quarantine entry " +
+                                     std::to_string(i) + " malformed");
+    }
+  }
+  if (!in.Count(2, &n)) {
+    return Status::InvalidArgument(
+        "manifest record extension count malformed");
+  }
+  r.extensions.resize(n);
+  for (ManifestExtension& e : r.extensions) {
+    if (!in.Varint32(&e.tag) || !in.Bytes(&e.bytes)) {
+      return Status::InvalidArgument("manifest record extension malformed");
+    }
+  }
+  if (in.remaining() != 0) {
+    return Status::InvalidArgument("garbage after manifest record");
+  }
+  return r;
+}
+
+StatusOr<ManifestLogReplay> ReplayManifestLog(std::string_view log) {
+  constexpr std::string_view kTextManifest = "# sidq-store manifest v1";
+  if (log.substr(0, kTextManifest.size()) == kTextManifest) {
+    return Status::FailedPrecondition(
+        "text manifest (store format 1) is no longer read; rebuild the "
+        "store from its source data");
+  }
+  if (log.size() < kManifestLogHeaderSize ||
+      std::memcmp(log.data(), kManifestLogMagic, sizeof(kManifestLogMagic)) !=
+          0) {
+    return Status::DataLoss("manifest log header torn or missing");
+  }
+  uint32_t version = 0;
+  std::memcpy(&version, log.data() + sizeof(kManifestLogMagic),
+              sizeof(version));
+  if (version != kManifestLogVersion) {
+    return Status::DataLoss("manifest log version " +
+                            std::to_string(version) + " unknown");
+  }
+  SIDQ_ASSIGN_OR_RETURN(Frame frame, ReadFrame(log, kManifestLogHeaderSize));
+  SIDQ_ASSIGN_OR_RETURN(ManifestRecord snapshot,
+                        DecodeManifestRecord(frame.payload));
+  if (snapshot.head.kind != ManifestRecordKind::kSnapshot) {
+    return Status::DataLoss("manifest log does not start with a snapshot");
+  }
+  ManifestLogReplay out;
+  Manifest& state = out.state;
+  state.gen = snapshot.head.gen;
+  state.field_name = std::move(snapshot.head.field_name);
+  state.num_segments = snapshot.head.num_segments;
+  state.rows = snapshot.head.rows;
+  state.blocks = std::move(snapshot.blocks);
+  state.quarantined = std::move(snapshot.quarantined);
+  out.snapshot_crc = out.last_crc = frame.crc;
+  out.snapshot_bytes = out.valid_bytes = kManifestLogHeaderSize + frame.bytes;
+
+  while (out.valid_bytes < log.size()) {
+    StatusOr<Frame> next = ReadFrame(log, out.valid_bytes);
+    if (!next.ok()) {
+      out.stop = next.status();
+      break;
+    }
+    StatusOr<ManifestRecord> edit = DecodeManifestRecord(next->payload);
+    if (!edit.ok()) {
+      out.stop = edit.status();
+      break;
+    }
+    if (edit->head.kind != ManifestRecordKind::kEdit ||
+        edit->head.gen != state.gen + 1 ||
+        edit->head.prev_crc != out.last_crc) {
+      out.chain_intact = false;
+      out.stop = Status::DataLoss(
+          "manifest record at byte " + std::to_string(out.valid_bytes) +
+          " does not extend generation " + std::to_string(state.gen));
+      break;
+    }
+    ApplyEdit(std::move(*edit), &state);
+    out.last_crc = next->crc;
+    out.valid_bytes += next->bytes;
+    ++out.edits;
   }
   return out;
 }
@@ -420,12 +610,12 @@ bool ParseSegmentFileName(const std::string& name, uint32_t* segment) {
   return true;
 }
 
-std::string SerializeCurrent(uint64_t gen, uint32_t commit_crc) {
-  return ManifestFileName(gen) + " " + Hex32(commit_crc) + "\n";
+std::string SerializeCurrent(uint64_t gen, uint32_t snapshot_crc) {
+  return ManifestFileName(gen) + " " + Hex32(snapshot_crc) + "\n";
 }
 
 Status ParseCurrent(std::string_view text, uint64_t* gen,
-                    uint32_t* commit_crc) {
+                    uint32_t* snapshot_crc) {
   std::istringstream in{std::string(text)};
   std::string name;
   if (!(in >> name)) {
@@ -434,8 +624,8 @@ Status ParseCurrent(std::string_view text, uint64_t* gen,
   if (!ParseManifestFileName(name, gen)) {
     return Status::DataLoss("CURRENT names no manifest: " + name);
   }
-  if (!ParseHex32(&in, commit_crc)) {
-    return Status::DataLoss("CURRENT has no commit crc");
+  if (!ParseHex32(&in, snapshot_crc)) {
+    return Status::DataLoss("CURRENT has no snapshot crc");
   }
   return Status::OK();
 }

@@ -3,7 +3,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <map>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,15 +26,21 @@ namespace store {
 //                     a segment can be scanned without the manifest, which
 //                     is how tail recovery reclaims blocks appended after
 //                     the last manifest commit.
-//   MANIFEST-NNNNNN   one manifest per commit generation: canonical text
-//                     listing every live block (location + CRC + row span
-//                     + per-sensor row counts) plus carried-forward
-//                     quarantine verdicts. Ends in a `commit <crc>` line
-//                     so a torn manifest fails its own checksum. Each
-//                     manifest names its predecessor's generation and
-//                     commit CRC, forming a verifiable chain.
-//   CURRENT           the name + commit CRC of the live manifest, itself
-//                     published via AtomicWriteFile.
+//   MANIFEST-NNNNNN   the manifest log: a file header, then CRC-framed
+//                     binary records. The first record is a snapshot of
+//                     the whole committed state at generation NNNNNN
+//                     (every live block's location + CRC + row span +
+//                     varint per-sensor row counts, every quarantine
+//                     verdict); each Commit appends one edit record
+//                     holding only what it adds. Every record carries
+//                     its predecessor's frame CRC, so replay verifies the
+//                     chain as it goes, and a torn final record fails its
+//                     own CRC and is cut like a torn segment tail. When
+//                     the log outgrows a fixed multiple of its snapshot,
+//                     the next commit starts a new log with a fresh
+//                     snapshot and the superseded one is deleted.
+//   CURRENT           the name of the live log + its snapshot record's
+//                     CRC, itself published via AtomicWriteFile.
 //
 // Blocks are columnar (one array per field, mirroring src/kernels/ SoA).
 // A read verifies a block in the bytes it was read into and serves its
@@ -47,10 +54,10 @@ namespace store {
 // -------------------------------------------------------------------------
 
 // CRC32C (Castagnoli, reflected, as in RFC 3720) over every block and
-// manifest. Computed by the kernel layer's dispatched `crc32c` primitive:
-// on the avx2/avx512 tiers three interleaved SSE4.2 crc32 streams merged
-// with zero-shift tables, on scalar/sse2 and non-x86 builds a 256-entry
-// table loop (SIDQ_FORCE_ISA picks the tier). Every tier yields the same
+// manifest record. Computed by the kernel layer's dispatched `crc32c`
+// primitive: on the avx2/avx512 tiers three interleaved SSE4.2 crc32
+// streams merged with zero-shift tables, on scalar/sse2 and non-x86
+// builds a 256-entry table loop (SIDQ_FORCE_ISA picks the tier). Every tier yields the same
 // value, so the on-disk bytes do not depend on the host that wrote or
 // reads them.
 uint32_t Crc32c(const char* data, size_t n);
@@ -110,6 +117,9 @@ class BlockView {
       : columns_(columns), rows_(rows) {}
 
   [[nodiscard]] size_t size() const { return rows_; }
+  [[nodiscard]] SensorId sensor(size_t i) const {
+    return Load<SensorId>(0, i);
+  }
   [[nodiscard]] StRecord Record(size_t i) const {
     return StRecord(Load<SensorId>(0, i), Load<Timestamp>(1, i),
                     geometry::Point{Load<double>(2, i), Load<double>(3, i)},
@@ -191,13 +201,9 @@ struct QuarantinedBlockEntry {
   std::vector<std::pair<SensorId, uint32_t>> sensor_rows;
 };
 
+// The committed state a manifest log replays to.
 struct Manifest {
-  uint64_t gen = 0;
-  // Predecessor link: generation + commit CRC of the previous manifest
-  // (gen 1 has none). Recovery walks this chain backwards over whatever
-  // manifest files survive and reports how many links verify.
-  uint64_t prev_gen = 0;
-  uint32_t prev_crc = 0;
+  uint64_t gen = 0;  // commits since the store was created
   std::string field_name;
   uint32_t num_segments = 0;  // segment files 0..num_segments-1 exist
   uint64_t rows = 0;          // total rows ever appended (incl. quarantined)
@@ -205,17 +211,87 @@ struct Manifest {
   std::vector<QuarantinedBlockEntry> quarantined;
 };
 
-// Canonical text serialization ending in `commit <crc32c>` over every
-// preceding byte; a torn or bit-flipped manifest fails its own check.
-[[nodiscard]] std::string SerializeManifest(const Manifest& m);
+// Manifest log layout: kManifestLogMagic, a u32 version, then frames of
+// u32 payload length | u32 CRC32C over the length bytes and the payload |
+// payload. Version 1 was the text manifest, which is no longer read.
+inline constexpr char kManifestLogMagic[4] = {'S', 'M', 'L', 'G'};
+inline constexpr uint32_t kManifestLogVersion = 2;
+inline constexpr size_t kManifestLogHeaderSize = 8;
+inline constexpr size_t kManifestFrameHeaderSize = 8;
+// Sanity bound on one record, like kMaxBlockPayload for blocks.
+inline constexpr uint32_t kMaxManifestRecord = 1u << 30;
 
-struct ParsedManifest {
-  Manifest manifest;
-  uint32_t commit_crc = 0;  // the self-CRC the commit line carried
+[[nodiscard]] std::string ManifestLogHeader();
+
+enum class ManifestRecordKind : uint8_t {
+  kSnapshot = 1,  // the whole state; always and only a log's first record
+  kEdit = 2,      // what one commit adds to its predecessor's state
 };
-// Fails with DataLoss when the commit CRC does not match (torn/corrupt)
-// and InvalidArgument on any structural garbage.
-[[nodiscard]] StatusOr<ParsedManifest> ParseManifest(std::string_view text);
+
+// A tagged section a record may carry beyond the block lists, reserved
+// for commit-scoped side data (quality rows, a stream resume point).
+// Nothing writes one yet; decoding keeps them and replay ignores them.
+struct ManifestExtension {
+  uint32_t tag = 0;
+  std::string bytes;
+};
+
+// The scalar fields every record carries. For an edit, gen, field_name,
+// num_segments and rows are the values after the commit.
+struct ManifestRecordHead {
+  ManifestRecordKind kind = ManifestRecordKind::kEdit;
+  uint64_t gen = 0;
+  uint32_t prev_crc = 0;  // frame CRC of the record before this one
+  std::string field_name;
+  uint32_t num_segments = 0;
+  uint64_t rows = 0;
+};
+
+struct ManifestRecord {
+  ManifestRecordHead head;
+  // Snapshot: every live block and every verdict. Edit: blocks sealed
+  // since the previous record and new verdicts; a verdict replaces the
+  // live block at the same (segment, index), if any.
+  std::vector<BlockEntry> blocks;
+  std::vector<QuarantinedBlockEntry> quarantined;
+  std::vector<ManifestExtension> extensions;
+};
+
+// Appends one framed record to `log` and returns its frame CRC. The
+// record's blocks are the concatenation of `blocks`, so a snapshot of
+// committed + pending blocks needs no copy. Block positions are
+// delta-coded against the previous block and sensor_rows as varint
+// deltas, so an edit costs a few bytes per block plus two per sensor.
+uint32_t AppendManifestRecord(
+    std::string* log, const ManifestRecordHead& head,
+    std::initializer_list<std::span<const BlockEntry>> blocks,
+    std::span<const QuarantinedBlockEntry> quarantined,
+    std::span<const ManifestExtension> extensions = {});
+
+// Decodes one record payload (the bytes inside a verified frame). Every
+// malformation -- truncation, an overlong varint, a count the remaining
+// bytes cannot hold, a bad kind or defect code, trailing bytes -- is an
+// InvalidArgument, never a crash or an unbounded allocation.
+[[nodiscard]] StatusOr<ManifestRecord> DecodeManifestRecord(
+    std::string_view payload);
+
+// A manifest log replayed: its snapshot with every following edit whose
+// frame CRC and predecessor link verify applied in order.
+struct ManifestLogReplay {
+  Manifest state;
+  uint32_t snapshot_crc = 0;    // what CURRENT records for this log
+  uint32_t last_crc = 0;        // frame CRC of the last replayed record
+  uint64_t snapshot_bytes = 0;  // log header + snapshot frame
+  uint64_t valid_bytes = 0;     // log prefix holding the replayed records
+  uint32_t edits = 0;           // edits replayed, each linked to the last
+  bool chain_intact = true;     // false: a CRC-valid record broke the chain
+  Status stop;  // why replay ended before the end of the log (OK: it did not)
+};
+
+// Fails when no verified prefix exists: FailedPrecondition for a text
+// (version 1) manifest, DataLoss for a torn or corrupt header or snapshot.
+[[nodiscard]] StatusOr<ManifestLogReplay> ReplayManifestLog(
+    std::string_view log);
 
 [[nodiscard]] std::string ManifestFileName(uint64_t gen);
 [[nodiscard]] std::string SegmentFileName(uint32_t segment);
@@ -226,10 +302,11 @@ struct ParsedManifest {
                                         uint32_t* segment);
 
 inline constexpr char kCurrentFileName[] = "CURRENT";
-// CURRENT contents: "<manifest-file-name> <commit-crc-hex>\n".
-[[nodiscard]] std::string SerializeCurrent(uint64_t gen, uint32_t commit_crc);
+// CURRENT contents: "<manifest-log-name> <snapshot-crc-hex>\n".
+[[nodiscard]] std::string SerializeCurrent(uint64_t gen,
+                                           uint32_t snapshot_crc);
 [[nodiscard]] Status ParseCurrent(std::string_view text, uint64_t* gen,
-                                  uint32_t* commit_crc);
+                                  uint32_t* snapshot_crc);
 
 }  // namespace store
 }  // namespace sidq

@@ -1,7 +1,9 @@
 #include "store/store.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -12,27 +14,31 @@ namespace store {
 
 namespace {
 
-// Per-sensor row counts of a block (a ColumnarBlock or a BlockView),
-// sensor-ascending (std::map order).
-template <typename Block>
-std::vector<std::pair<SensorId, uint32_t>> SensorRowsOf(const Block& block) {
-  std::map<SensorId, uint32_t> counts;
-  for (size_t i = 0; i < block.size(); ++i) ++counts[block.Record(i).sensor];
-  return {counts.begin(), counts.end()};
-}
-
-// The commit CRC of a serialized manifest covers every byte before the
-// trailing commit line; recomputing it here avoids re-parsing what we
-// just serialized.
-uint32_t CommitCrcOf(const std::string& serialized) {
-  const size_t pos = serialized.rfind("commit ");
-  return Crc32c(serialized.data(), pos);
+// Per-sensor row counts of a block whose sensor ids the caller copied
+// into `sensors` (a buffer reused across blocks), sensor-ascending: one
+// sort, then a run-length pass into one allocation of exactly the
+// output's size.
+std::vector<std::pair<SensorId, uint32_t>> SensorRowsOf(
+    std::vector<SensorId>* sensors) {
+  std::sort(sensors->begin(), sensors->end());
+  size_t runs = 0;
+  for (size_t i = 0; i < sensors->size(); ++i) {
+    runs += i == 0 || (*sensors)[i] != (*sensors)[i - 1];
+  }
+  std::vector<std::pair<SensorId, uint32_t>> out;
+  out.reserve(runs);
+  for (const SensorId sensor : *sensors) {
+    if (out.empty() || out.back().first != sensor) out.emplace_back(sensor, 0);
+    ++out.back().second;
+  }
+  return out;
 }
 
 }  // namespace
 
 std::string RecoveryReport::Summary() const {
-  if (!tail_truncated && quarantined.empty() && chain_intact) {
+  if (!tail_truncated && quarantined.empty() && chain_intact &&
+      manifest_bytes_discarded == 0) {
     return "clean: gen " + std::to_string(manifest_gen) + ", " +
            std::to_string(blocks_verified) + " blocks verified, " +
            std::to_string(rows_recovered) + " rows";
@@ -46,6 +52,10 @@ std::string RecoveryReport::Summary() const {
     out += ", torn tail cut at segment " + std::to_string(tail_segment) +
            " (" + std::to_string(tail_bytes_discarded) + " bytes, " +
            BlockDefectName(tail_defect) + ")";
+  }
+  if (manifest_bytes_discarded > 0) {
+    out += ", torn manifest record cut (" +
+           std::to_string(manifest_bytes_discarded) + " bytes)";
   }
   if (!chain_intact) out += ", manifest chain broken";
   return out;
@@ -104,14 +114,14 @@ Status Store::Recover() {
       return listing.status();
     }
   }
-  std::vector<uint64_t> manifest_gens;
+  std::vector<uint64_t> log_gens;
   std::vector<uint32_t> disk_segments;
   std::vector<std::string> compaction_temps;  // NNNNNN.seg.cmp
   for (const std::string& name : names) {
     uint64_t gen = 0;
     uint32_t seg = 0;
     if (ParseManifestFileName(name, &gen)) {
-      manifest_gens.push_back(gen);
+      log_gens.push_back(gen);
     } else if (ParseSegmentFileName(name, &seg)) {
       disk_segments.push_back(seg);
     } else if (name.size() > 4 &&
@@ -122,80 +132,78 @@ Status Store::Recover() {
     // Anything else (CURRENT, stray *.tmp from an interrupted atomic
     // publish) is not data.
   }
-  std::sort(manifest_gens.begin(), manifest_gens.end());
+  std::sort(log_gens.begin(), log_gens.end());
   std::sort(disk_segments.begin(), disk_segments.end());
 
-  auto load_manifest = [&](uint64_t gen) -> StatusOr<ParsedManifest> {
+  // 1. Choose the manifest log: the one CURRENT names when its snapshot
+  //    carries CURRENT's CRC, else the highest-numbered log whose
+  //    snapshot verifies. Replay applies every edit whose frame CRC and
+  //    chain link verify and stops at the first that does not. A text
+  //    manifest (store format 1) fails the open with its reason.
+  uint64_t log_size = 0;
+  auto replay = [&](uint64_t gen) -> StatusOr<ManifestLogReplay> {
     SIDQ_ASSIGN_OR_RETURN(
-        std::string text,
-        // sidq: allow-raw-read(manifests are small bounded control files)
+        std::string bytes,
+        // sidq: allow-raw-read(the manifest log is a bounded control file)
         vfs_->ReadFile(dir_ + "/" + ManifestFileName(gen)));
-    SIDQ_ASSIGN_OR_RETURN(ParsedManifest parsed, ParseManifest(text));
-    if (parsed.manifest.gen != gen) {
-      return Status::DataLoss("manifest " + ManifestFileName(gen) +
-                              " claims gen " +
-                              std::to_string(parsed.manifest.gen));
-    }
-    return parsed;
+    log_size = bytes.size();
+    return ReplayManifestLog(bytes);
   };
-
-  // 1. Choose the manifest: CURRENT first, falling back to the highest
-  //    generation that passes its own commit CRC.
-  Manifest manifest;
-  bool have_manifest = false;
+  auto unreadable_format = [](const StatusOr<ManifestLogReplay>& r) {
+    return !r.ok() && r.status().code() == StatusCode::kFailedPrecondition;
+  };
+  std::optional<ManifestLogReplay> chosen;
   const std::string current_path = dir_ + "/" + kCurrentFileName;
   if (vfs_->Exists(current_path)) {
     StatusOr<std::string> current =
         // sidq: allow-raw-read(CURRENT is a one-line control file)
         vfs_->ReadFile(current_path);
-    if (current.ok()) {
-      uint64_t gen = 0;
-      uint32_t crc = 0;
-      if (ParseCurrent(*current, &gen, &crc).ok()) {
-        StatusOr<ParsedManifest> parsed = load_manifest(gen);
-        if (parsed.ok() && parsed->commit_crc == crc) {
-          manifest = std::move(parsed->manifest);
-          manifest_gen_ = gen;
-          manifest_crc_ = crc;
-          have_manifest = true;
-          recovery_.current_valid = true;
-        }
+    uint64_t gen = 0;
+    uint32_t crc = 0;
+    if (current.ok() && ParseCurrent(*current, &gen, &crc).ok()) {
+      StatusOr<ManifestLogReplay> r = replay(gen);
+      if (unreadable_format(r)) return r.status();
+      if (r.ok() && r->snapshot_crc == crc) {
+        chosen = std::move(r).value();
+        log_gen_ = gen;
+        recovery_.current_valid = true;
       }
     }
   }
-  if (!have_manifest) {
-    for (auto it = manifest_gens.rbegin(); it != manifest_gens.rend(); ++it) {
-      StatusOr<ParsedManifest> parsed = load_manifest(*it);
-      if (parsed.ok()) {
-        manifest = std::move(parsed->manifest);
-        manifest_gen_ = *it;
-        manifest_crc_ = parsed->commit_crc;
-        have_manifest = true;
-        break;
-      }
+  for (auto it = log_gens.rbegin(); !chosen && it != log_gens.rend(); ++it) {
+    StatusOr<ManifestLogReplay> r = replay(*it);
+    if (unreadable_format(r)) return r.status();
+    if (r.ok()) {
+      chosen = std::move(r).value();
+      log_gen_ = *it;
     }
+  }
+  const bool have_manifest = chosen.has_value();
+  Manifest manifest;
+  if (have_manifest) {
+    manifest = std::move(chosen->state);
+    manifest_gen_ = manifest.gen;
+    log_bytes_ = chosen->valid_bytes;
+    snapshot_bytes_ = chosen->snapshot_bytes;
+    log_crc_ = chosen->last_crc;
+    recovery_.chain_links_verified = chosen->edits;
+    recovery_.chain_intact = chosen->chain_intact;
+    // 2. Cut the log after its last replayed record, as the tail scan
+    //    cuts a segment, so the next edit extends a verified chain.
+    if (chosen->valid_bytes < log_size) {
+      SIDQ_RETURN_IF_ERROR(vfs_->Truncate(
+          dir_ + "/" + ManifestFileName(log_gen_), chosen->valid_bytes));
+      recovery_.manifest_bytes_discarded = log_size - chosen->valid_bytes;
+    }
+    // Without a valid CURRENT the next commit snapshots into a new log
+    // and repoints CURRENT at it.
+    if (!recovery_.current_valid) log_gen_ = 0;
+    chosen.reset();
+  }
+  for (uint64_t gen : log_gens) {
+    if (gen != log_gen_) stale_logs_.push_back(gen);
   }
   recovery_.manifest_gen = manifest_gen_;
-
-  // 2. Verify the generation chain backwards over surviving manifests.
-  if (have_manifest) {
-    uint64_t prev_gen = manifest.prev_gen;
-    uint32_t prev_crc = manifest.prev_crc;
-    while (prev_gen != 0) {
-      if (!std::binary_search(manifest_gens.begin(), manifest_gens.end(),
-                              prev_gen)) {
-        break;  // predecessors may legitimately be gone
-      }
-      StatusOr<ParsedManifest> parsed = load_manifest(prev_gen);
-      if (!parsed.ok() || parsed->commit_crc != prev_crc) {
-        recovery_.chain_intact = false;
-        break;
-      }
-      ++recovery_.chain_links_verified;
-      prev_gen = parsed->manifest.prev_gen;
-      prev_crc = parsed->manifest.prev_crc;
-    }
-  }
 
   // 2.5 Compaction roll-forward. A crash between a compaction's manifest
   //     commit and its segment rename leaves NNNNNN.seg.cmp beside a
@@ -227,6 +235,7 @@ Status Store::Recover() {
     account(q.segment, q.offset, q.length, q.index);
     Quarantine(q);
   }
+  logged_quarantines_ = quarantined_.size();
 
   // 4. CRC-verify every manifested block against both its self-checksum
   //    and its manifest entry; defects are quarantined, never dropped.
@@ -263,7 +272,8 @@ Status Store::Recover() {
   //    blocks appended after the last commit. They are self-describing;
   //    recover them until the first defect, cut the torn tail there, and
   //    drop (with a report) any segment past a torn point -- its row ids
-  //    would be unknowable.
+  //    would be unknowable. Adopted blocks are pending: the next commit's
+  //    edit record manifests them.
   uint32_t first_tail_segment = 0;
   if (have_manifest && manifest.num_segments > 0) {
     first_tail_segment = manifest.num_segments - 1;
@@ -297,11 +307,15 @@ Status Store::Recover() {
           entry.crc = b.crc;
           entry.row_start = next_row_;
           entry.row_count = static_cast<uint32_t>(b.block.size());
-          entry.sensor_rows = SensorRowsOf(b.block);
+          sensor_scratch_.resize(b.block.size());
+          for (size_t i = 0; i < b.block.size(); ++i) {
+            sensor_scratch_[i] = b.block.sensor(i);
+          }
+          entry.sensor_rows = SensorRowsOf(&sensor_scratch_);
           next_row_ += entry.row_count;
           account(segment, entry.offset, entry.length, entry.index);
-          committed_.push_back(entry);
           CountRecovered(entry);
+          pending_.push_back(std::move(entry));
           ++recovery_.tail_blocks_recovered;
           dirty_ = true;
         }));
@@ -420,6 +434,7 @@ Status Store::EnsureWriter() {
   SIDQ_ASSIGN_OR_RETURN(
       writer_, SegmentWriter::Open(vfs_, dir_, current_segment_,
                                    segment_size_, segment_blocks_));
+  segment_entry_unsynced_ = true;
   return Status::OK();
 }
 
@@ -440,7 +455,8 @@ Status Store::SealOpenBlock() {
   SIDQ_RETURN_IF_ERROR(writer_->AppendBlock(open_block_, &entry));
   entry.row_start = open_row_start_;
   entry.row_count = static_cast<uint32_t>(open_block_.size());
-  entry.sensor_rows = SensorRowsOf(open_block_);
+  sensor_scratch_.assign(open_block_.sensor.begin(), open_block_.sensor.end());
+  entry.sensor_rows = SensorRowsOf(&sensor_scratch_);
   append_blocks_metric_.Increment();
   append_bytes_metric_.Increment(static_cast<int64_t>(entry.length));
   pending_.push_back(std::move(entry));
@@ -460,9 +476,11 @@ Status Store::SealOpenBlock() {
 }
 
 uint32_t Store::ComputeNumSegments() const {
+  // committed_ and pending_ are each in row order, which is segment
+  // order, so their last blocks sit in their highest segments.
   uint32_t n = 0;
-  for (const BlockEntry& b : committed_) n = std::max(n, b.segment + 1);
-  for (const BlockEntry& b : pending_) n = std::max(n, b.segment + 1);
+  if (!committed_.empty()) n = committed_.back().segment + 1;
+  if (!pending_.empty()) n = std::max(n, pending_.back().segment + 1);
   for (const QuarantinedBlockEntry& q : quarantined_) {
     n = std::max(n, q.segment + 1);
   }
@@ -479,39 +497,67 @@ Status Store::Commit() {
   }
   // Data before metadata: every byte a manifest references must be
   // durable before the manifest exists. Rolled segments were synced at
-  // roll time; only the live writer still has volatile bytes.
+  // roll time; only the live writer still has volatile bytes, and only a
+  // segment opened since the last directory sync a volatile entry.
   if (writer_ != nullptr) {
     SIDQ_RETURN_IF_ERROR(writer_->Sync());
   }
-  return PublishManifest();
+  if (segment_entry_unsynced_) {
+    SIDQ_RETURN_IF_ERROR(vfs_->SyncDir(dir_));
+    segment_entry_unsynced_ = false;
+  }
+  return PublishManifest(/*snapshot=*/false);
 }
 
-Status Store::PublishManifest() {
-  Manifest m;
-  m.gen = manifest_gen_ + 1;
-  m.prev_gen = manifest_gen_;
-  m.prev_crc = manifest_crc_;
-  m.field_name = field_name_;
-  m.rows = next_row_;
-  m.blocks = committed_;
-  m.blocks.insert(m.blocks.end(), pending_.begin(), pending_.end());
-  m.quarantined = quarantined_;
-  m.num_segments = ComputeNumSegments();
-  const std::string serialized = SerializeManifest(m);
-  const uint32_t crc = CommitCrcOf(serialized);
-  // The manifest publish and the CURRENT repoint are each atomic; a crash
-  // between them leaves CURRENT at the old generation and the new
-  // manifest as a benign orphan the next commit overwrites.
-  SIDQ_RETURN_IF_ERROR(AtomicWriteFile(
-      vfs_, dir_ + "/" + ManifestFileName(m.gen), serialized));
-  SIDQ_RETURN_IF_ERROR(AtomicWriteFile(vfs_, dir_ + "/" + kCurrentFileName,
-                                       SerializeCurrent(m.gen, crc)));
+Status Store::PublishManifest(bool snapshot) {
+  ManifestRecordHead head;
+  head.gen = manifest_gen_ + 1;
+  head.prev_crc = log_crc_;
+  head.field_name = field_name_;
+  head.num_segments = ComputeNumSegments();
+  head.rows = next_row_;
+  Status st;
+  snapshot = snapshot || log_gen_ == 0;
+  if (!snapshot) {
+    std::string edit;
+    const uint32_t crc = AppendManifestRecord(
+        &edit, head, {pending_},
+        std::span<const QuarantinedBlockEntry>(quarantined_)
+            .subspan(logged_quarantines_));
+    if (log_bytes_ + edit.size() <= kLogSnapshotMultiple * snapshot_bytes_) {
+      // One append and one fsync: the edit is the whole commit.
+      if (log_ == nullptr) {
+        StatusOr<std::unique_ptr<WritableFile>> log = vfs_->NewWritableFile(
+            dir_ + "/" + ManifestFileName(log_gen_), WriteMode::kAppend);
+        st = log.status();
+        if (st.ok()) log_ = std::move(log).value();
+      }
+      if (st.ok()) st = log_->Append(edit);
+      if (st.ok()) st = log_->Sync();
+      if (st.ok()) {
+        log_bytes_ += edit.size();
+        log_crc_ = crc;
+      }
+    } else {
+      snapshot = true;
+    }
+  }
+  if (snapshot) st = WriteSnapshot(head);
+  if (!st.ok()) {
+    // The log may now end in part of a record, and CURRENT may name
+    // either log: never append to one again. The next commit writes a
+    // fresh snapshot and repoints CURRENT.
+    if (log_gen_ != 0) stale_logs_.push_back(log_gen_);
+    log_.reset();
+    log_gen_ = 0;
+    return st;
+  }
   committed_.insert(committed_.end(),
                     std::make_move_iterator(pending_.begin()),
                     std::make_move_iterator(pending_.end()));
   pending_.clear();
-  manifest_gen_ = m.gen;
-  manifest_crc_ = crc;
+  logged_quarantines_ = quarantined_.size();
+  manifest_gen_ = head.gen;
   dirty_ = false;
   commit_manifests_metric_.Increment();
   if (obs::Tracer* t = options_.obs.tracer) {
@@ -520,7 +566,46 @@ Status Store::PublishManifest() {
                    " blocks=" + std::to_string(committed_.size()) +
                    " rows=" + std::to_string(next_row_));
   }
+  return RemoveStaleLogs();
+}
+
+Status Store::WriteSnapshot(ManifestRecordHead head) {
+  head.kind = ManifestRecordKind::kSnapshot;
+  std::string log = ManifestLogHeader();
+  const uint32_t crc =
+      AppendManifestRecord(&log, head, {committed_, pending_}, quarantined_);
+  // The new log, directory entry included, is durable before CURRENT
+  // names it. A crash before the repoint leaves CURRENT on the old log
+  // and this file as debris; one after it leaves the old log as debris.
+  // Recovery serves the generation CURRENT names either way, and the
+  // next commit removes the debris.
+  SIDQ_ASSIGN_OR_RETURN(
+      std::unique_ptr<WritableFile> file,
+      vfs_->NewWritableFile(dir_ + "/" + ManifestFileName(head.gen),
+                            WriteMode::kTruncate));
+  SIDQ_RETURN_IF_ERROR(file->Append(log));
+  SIDQ_RETURN_IF_ERROR(file->Sync());
+  SIDQ_RETURN_IF_ERROR(vfs_->SyncDir(dir_));
+  SIDQ_RETURN_IF_ERROR(AtomicWriteFile(vfs_, dir_ + "/" + kCurrentFileName,
+                                       SerializeCurrent(head.gen, crc)));
+  if (log_gen_ != 0) stale_logs_.push_back(log_gen_);
+  log_ = std::move(file);
+  log_gen_ = head.gen;
+  log_bytes_ = snapshot_bytes_ = log.size();
+  log_crc_ = crc;
   return Status::OK();
+}
+
+Status Store::RemoveStaleLogs() {
+  if (stale_logs_.empty()) return Status::OK();
+  for (uint64_t gen : stale_logs_) {
+    const std::string path = dir_ + "/" + ManifestFileName(gen);
+    if (gen != log_gen_ && vfs_->Exists(path)) {
+      SIDQ_RETURN_IF_ERROR(vfs_->Remove(path));
+    }
+  }
+  stale_logs_.clear();
+  return vfs_->SyncDir(dir_);
 }
 
 Status Store::Compact(CompactionReport* report) {
@@ -596,8 +681,7 @@ Status Store::Compact(CompactionReport* report) {
       ++local.blocks_dropped;
     }
   }
-  dirty_ = true;
-  SIDQ_RETURN_IF_ERROR(PublishManifest());
+  SIDQ_RETURN_IF_ERROR(PublishManifest(/*snapshot=*/true));
   local.manifest_gen = manifest_gen_;
 
   // Phase 3: complete each rewrite with an atomic rename, then drop every
@@ -635,6 +719,10 @@ Status Store::Close() {
   if (writer_ != nullptr) {
     SIDQ_RETURN_IF_ERROR(writer_->Close());
     writer_.reset();
+  }
+  if (log_ != nullptr) {
+    SIDQ_RETURN_IF_ERROR(log_->Close());
+    log_.reset();
   }
   return Status::OK();
 }

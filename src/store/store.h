@@ -23,6 +23,13 @@
 namespace sidq {
 namespace store {
 
+// A commit writes a snapshot into a new manifest log instead of an edit
+// once the live log would outgrow this multiple of its snapshot record.
+// Snapshots then come at geometrically spaced commits while rows grow,
+// so their cost amortizes to O(new blocks) per commit, and the log stays
+// within a constant factor of the live state it describes.
+inline constexpr uint64_t kLogSnapshotMultiple = 4;
+
 struct StoreOptions {
   // Records per sealed block. Small blocks bound the blast radius of one
   // corrupt CRC; large blocks amortize header overhead.
@@ -67,9 +74,14 @@ struct SensorQuality {
 // degrades to serve-what's-readable but never silently drops.
 struct RecoveryReport {
   uint64_t manifest_gen = 0;       // generation served (0 = fresh store)
-  bool current_valid = false;      // CURRENT pointed at a verifiable manifest
-  uint32_t chain_links_verified = 0;  // prev-gen links that checksum-match
-  bool chain_intact = true;        // false when a surviving link mismatched
+  bool current_valid = false;      // CURRENT named a verifiable manifest log
+  // Edit records replayed after the log's snapshot, each carrying its
+  // predecessor's frame CRC and the next generation number.
+  uint32_t chain_links_verified = 0;
+  bool chain_intact = true;  // false when a CRC-valid record broke the link
+  // Manifest log bytes past the last replayed record (a torn or corrupt
+  // final record), cut like a torn segment tail.
+  uint64_t manifest_bytes_discarded = 0;
   uint64_t blocks_verified = 0;    // manifested blocks that passed CRC
   uint64_t tail_blocks_recovered = 0;  // valid blocks beyond the manifest
   uint64_t rows_recovered = 0;     // rows servable after recovery
@@ -91,19 +103,26 @@ struct RecoveryReport {
 //
 // Write path: Append buffers records into an in-memory columnar block;
 // full blocks are sealed (CRC'd, appended to the current segment file);
-// Commit seals the partial block, fsyncs segment data, then publishes a
-// new manifest generation via AtomicWriteFile and repoints CURRENT --
-// data is always durable on media before any manifest references it, so
-// a crash never yields a manifest pointing at missing bytes.
+// Commit seals the partial block, fsyncs segment data, then appends one
+// edit record -- the blocks and verdicts new since the last commit -- to
+// the live manifest log and fsyncs it. Data is always durable on media
+// before any manifest record references it, so a crash never yields a
+// manifest pointing at missing bytes. When the log outgrows
+// kLogSnapshotMultiple times its snapshot, the commit instead writes a
+// new log holding a snapshot of the whole state, repoints CURRENT, and
+// deletes the superseded log, so a commit costs O(new blocks) amortized
+// and the manifest stays O(live state) on disk.
 //
 // Read path: Scan replays every readable row in global append order with
 // its stable row id (row ids never shift; quarantined blocks leave gaps).
 // Uncommitted-but-written blocks and the open in-memory block are
 // included, so a Scan immediately after Append sees everything.
 //
-// Open runs recovery unconditionally; see RecoveryReport. Reopening a
-// recovered store without writing is read-only -- no files are created
-// or modified except a tail truncation cutting a torn append.
+// Open runs recovery unconditionally: it replays the log CURRENT names
+// (snapshot, then every edit whose CRC and chain link verify); see
+// RecoveryReport. Reopening a recovered store without writing is
+// read-only -- no files are created or modified except a tail
+// truncation cutting a torn append to a segment or to the manifest log.
 //
 // Thread model: externally synchronized (single logical writer), like the
 // stream engine. No internal locks.
@@ -125,9 +144,9 @@ class Store {
   Store& operator=(const Store&) = delete;
 
   [[nodiscard]] Status Append(const StRecord& rec);
-  // Seals the open block, fsyncs segment data, publishes the next
-  // manifest generation. No-op when nothing changed since the last
-  // commit.
+  // Seals the open block, fsyncs segment data, appends the next
+  // manifest generation to the log (or snapshots it into a new log).
+  // No-op when nothing changed since the last commit.
   [[nodiscard]] Status Commit();
   // Commit + close the segment writer. The destructor does NOT commit:
   // dropping a store loses uncommitted appends, exactly like a crash.
@@ -135,7 +154,8 @@ class Store {
 
   // Deterministic maintenance pass: rewrites every rolled segment that
   // holds quarantined bytes, dropping the dead blocks and tombstoning
-  // their verdicts, then commits a new manifest generation and completes
+  // their verdicts, then commits a new manifest generation (always a
+  // snapshot: offsets move and verdicts change in place) and completes
   // each rewrite with an atomic rename. Crash-safe at every I/O op:
   // recovery serves either the pre- or the post-compaction generation
   // bit-identically (the NNNNNN.seg.cmp roll-forward in Recover()
@@ -172,9 +192,16 @@ class Store {
                                              const std::string& name);
   [[nodiscard]] Status EnsureWriter();
   [[nodiscard]] Status SealOpenBlock();
-  // Serializes + atomically publishes manifest gen+1 from the current
-  // in-memory state (the commit tail shared by Commit and Compact).
-  [[nodiscard]] Status PublishManifest();
+  // Publishes manifest gen+1 from the in-memory state (the commit tail
+  // shared by Commit and Compact): an edit record appended to the live
+  // log, or -- with `snapshot`, without a live log, or when the edit
+  // would grow the log past kLogSnapshotMultiple times its snapshot -- a
+  // new log (WriteSnapshot).
+  [[nodiscard]] Status PublishManifest(bool snapshot);
+  [[nodiscard]] Status WriteSnapshot(ManifestRecordHead head);
+  // Removes every manifest log but the live one (crash debris, or logs a
+  // snapshot superseded).
+  [[nodiscard]] Status RemoveStaleLogs();
   [[nodiscard]] uint32_t ComputeNumSegments() const;
   [[nodiscard]] Status ScanEntries(
       const std::vector<BlockEntry>& entries,
@@ -200,23 +227,38 @@ class Store {
   obs::Counter append_bytes_metric_;
   obs::Counter commit_manifests_metric_;
 
-  // Committed state (mirrors the live manifest).
+  // Committed state (what the live log replays to).
   std::vector<BlockEntry> committed_;
   std::vector<QuarantinedBlockEntry> quarantined_;
   uint64_t manifest_gen_ = 0;
-  uint32_t manifest_crc_ = 0;
+  // quarantined_[0, logged_quarantines_) is in the log; the rest are
+  // recovery's new verdicts, which the next edit carries.
+  size_t logged_quarantines_ = 0;
+
+  // The live manifest log (MANIFEST-<log_gen_>), appended to by Commit.
+  std::unique_ptr<WritableFile> log_;  // lazily opened
+  uint64_t log_gen_ = 0;  // 0: no live log, the next commit snapshots
+  uint64_t log_bytes_ = 0;
+  uint64_t snapshot_bytes_ = 0;  // log header + snapshot record
+  uint32_t log_crc_ = 0;         // frame CRC of the log's last record
+  std::vector<uint64_t> stale_logs_;  // removed by the next commit
 
   // Uncommitted state.
   // Set when recovery changed what the next manifest must say (tail
   // blocks adopted, new quarantines, truncation) even with no new appends.
   bool dirty_ = false;
-  std::vector<BlockEntry> pending_;  // sealed + written, not yet manifested
+  // Sealed + written (or adopted from the tail), not yet manifested.
+  std::vector<BlockEntry> pending_;
   ColumnarBlock open_block_;         // in-memory, not yet sealed
   uint64_t open_row_start_ = 0;
   uint64_t next_row_ = 0;
+  std::vector<SensorId> sensor_scratch_;  // SensorRowsOf's buffer, reused
 
   // Current segment append position.
   std::unique_ptr<SegmentWriter> writer_;  // lazily opened
+  // A segment file was opened (possibly created) since the directory was
+  // last synced: its entry must be durable before a record references it.
+  bool segment_entry_unsynced_ = false;
   uint32_t current_segment_ = 0;
   uint64_t segment_size_ = 0;    // valid bytes in current segment
   uint32_t segment_blocks_ = 0;  // blocks in current segment

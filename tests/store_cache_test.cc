@@ -779,11 +779,12 @@ TEST(StoreCacheTest, PinnedBlockOutlivesSegmentRewrite) {
     uint64_t gen = 0;
     uint32_t crc = 0;
     EXPECT_TRUE(ParseCurrent(*current, &gen, &crc).ok());
-    StatusOr<std::string> text = vfs.ReadFile("db/" + ManifestFileName(gen));
-    EXPECT_TRUE(text.ok());
-    StatusOr<ParsedManifest> parsed = ParseManifest(*text);
-    EXPECT_TRUE(parsed.ok());
-    return parsed->manifest.blocks;
+    StatusOr<std::string> log = vfs.ReadFile("db/" + ManifestFileName(gen));
+    EXPECT_TRUE(log.ok());
+    StatusOr<ManifestLogReplay> replay = ReplayManifestLog(*log);
+    EXPECT_TRUE(replay.ok());
+    EXPECT_EQ(replay->snapshot_crc, crc);
+    return replay->state.blocks;
   };
   // Block 2 of segment 0 (rows 16..23) sits after the quarantined block 1,
   // so compaction moves it.

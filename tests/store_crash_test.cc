@@ -290,37 +290,358 @@ TEST(StoreCrashTest, TransientAppendErrorsSurfaceAndDoNotWedge) {
   }
 }
 
-TEST(StoreCrashTest, LostFsyncThenCrashStillRecoversConsistently) {
-  // Every fsync lies (reports success, persists nothing), then the power
-  // cut hits after the workload. Everything unsynced vanishes; recovery
-  // must still come up consistent -- possibly empty, never wrong.
-  FailPointConfig cfg;
-  cfg.action = FailPointAction::kCorrupt;  // vfs sync site: lost fsync
-  cfg.probability = 1.0;
-  ArmFailPoint(kVfsSyncFailPoint, cfg);
+// --- manifest log crash cases -------------------------------------------
+//
+// A longer workload of one-block commits, so the manifest log takes many
+// edits and rolls over to new snapshots. Each case crashes inside one
+// kind of commit and requires recovery to serve exactly one committed
+// generation: the previous one or the new one, never a blend, with
+// every surviving row bit-identical and a clean second open.
 
+constexpr uint64_t kLogCommits = 24;
+constexpr uint64_t kLogRowsPerCommit = 8;  // one block per commit
+
+// The fault-free run's shape: vfs ops and CURRENT after each commit.
+struct LogRun {
+  std::vector<int64_t> ops_after;     // ops_after[c]: after commit c
+  std::vector<std::string> current;   // current[c]: CURRENT after commit c
+};
+
+// Runs the workload, stopping at the first failure. `run` (may be null)
+// records its shape; `durable_gen` is the last commit that returned OK.
+Status RunLogWorkload(FaultVfs* vfs, LogRun* run, uint64_t* durable_gen) {
+  *durable_gen = 0;
+  SIDQ_ASSIGN_OR_RETURN(std::unique_ptr<Store> store,
+                        Store::Open(vfs, "db", SweepOptions()));
+  uint64_t row = 0;
+  for (uint64_t c = 0; c < kLogCommits; ++c) {
+    for (uint64_t i = 0; i < kLogRowsPerCommit; ++i) {
+      SIDQ_RETURN_IF_ERROR(store->Append(MakeRecord(row++)));
+    }
+    SIDQ_RETURN_IF_ERROR(store->Commit());
+    *durable_gen = c + 1;
+    if (run != nullptr) {
+      run->ops_after.push_back(vfs->ops());
+      SIDQ_ASSIGN_OR_RETURN(std::string current, vfs->ReadFile("db/CURRENT"));
+      run->current.push_back(std::move(current));
+    }
+  }
+  return store->Close();
+}
+
+std::vector<std::string> LogFiles(const MemVfs& vfs) {
+  std::vector<std::string> logs;
+  const StatusOr<std::vector<std::string>> names = vfs.ListDir("db");
+  if (!names.ok()) return logs;
+  for (const std::string& name : *names) {
+    uint64_t gen = 0;
+    if (ParseManifestFileName(name, &gen)) logs.push_back(name);
+  }
+  return logs;
+}
+
+// What a crash left of the manifest: the log CURRENT names, and whether
+// another log that replays also exists.
+struct LogDebris {
+  std::string current_log;
+  bool other_valid_log = false;
+};
+
+LogDebris InspectLogs(const MemVfs& vfs) {
+  LogDebris out;
+  const StatusOr<std::string> current = vfs.ReadFile("db/CURRENT");
+  uint64_t gen = 0;
+  uint32_t crc = 0;
+  if (current.ok() && ParseCurrent(*current, &gen, &crc).ok()) {
+    out.current_log = ManifestFileName(gen);
+  }
+  for (const std::string& name : LogFiles(vfs)) {
+    if (name == out.current_log) continue;
+    const StatusOr<std::string> log = vfs.ReadFile("db/" + name);
+    if (log.ok() && ReplayManifestLog(*log).ok()) out.other_valid_log = true;
+  }
+  return out;
+}
+
+// Crashes at `at_op` in `style`, recovers, and checks the generation
+// served is `want_gen` (or, when `alt_gen` is nonzero, `alt_gen`), that
+// rows are a bit-identical prefix covering every committed row, that a
+// second open repairs nothing, and that the next commit leaves exactly
+// one log behind, named by CURRENT.
+void CrashAndRecoverLog(FaultVfs::CrashStyle style, int64_t at_op,
+                        uint64_t seed, uint64_t want_gen, uint64_t alt_gen,
+                        const std::string& label, LogDebris* debris,
+                        uint64_t* discarded) {
   MemVfs base;
   FaultVfs fault(&base);
-  uint64_t durable_rows = 0;
-  // sidq: allow-ignored-status(workload may "succeed" -- the lost fsyncs lie)
-  (void)RunWorkload(&fault, &durable_rows);
-  DisarmAllFailPoints();
-  base.SimulateCrash();
+  fault.set_plan({at_op, style, seed});
+  uint64_t durable_gen = 0;
+  const Status st = RunLogWorkload(&fault, nullptr, &durable_gen);
+  ASSERT_TRUE(fault.crashed()) << label << ": " << st;
+  *debris = InspectLogs(base);
 
   StatusOr<std::unique_ptr<Store>> recovered =
       Store::Open(&base, "db", SweepOptions());
-  ASSERT_TRUE(recovered.ok()) << recovered.status();
-  const std::map<uint64_t, StRecord> got = ScanAll(**recovered);
+  ASSERT_TRUE(recovered.ok()) << label << ": " << recovered.status();
+  const Store& r = **recovered;
+  *discarded = r.recovery().manifest_bytes_discarded;
+  EXPECT_TRUE(r.manifest_gen() == want_gen ||
+              (alt_gen != 0 && r.manifest_gen() == alt_gen))
+      << label << ": gen " << r.manifest_gen() << ", want " << want_gen;
+  EXPECT_GE(r.manifest_gen(), durable_gen) << label;
+  EXPECT_TRUE(r.recovery().current_valid) << label;
+  EXPECT_TRUE(r.recovery().chain_intact) << label;
+  EXPECT_TRUE(r.recovery().quarantined.empty()) << label;
+  const std::map<uint64_t, StRecord> got = ScanAll(r);
+  EXPECT_GE(got.size(), r.manifest_gen() * kLogRowsPerCommit) << label;
   uint64_t next = 0;
   for (const auto& [row, rec] : got) {
-    ASSERT_EQ(row, next++);
-    EXPECT_TRUE(BitIdentical(rec, MakeRecord(row))) << row;
+    ASSERT_EQ(row, next++) << label;
+    EXPECT_TRUE(BitIdentical(rec, MakeRecord(row))) << label << " row " << row;
   }
-  // Idempotent reopen, as everywhere.
+
   StatusOr<std::unique_ptr<Store>> again =
       Store::Open(&base, "db", SweepOptions());
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(ScanAll(**again).size(), got.size());
+  ASSERT_TRUE(again.ok()) << label;
+  EXPECT_EQ((*again)->manifest_gen(), r.manifest_gen()) << label;
+  EXPECT_EQ((*again)->recovery().manifest_bytes_discarded, 0u) << label;
+  EXPECT_EQ(ScanAll(**again).size(), got.size()) << label;
+
+  // The next commit extends what was recovered and removes the debris.
+  const uint64_t gen = r.manifest_gen();
+  const uint64_t rows = (*again)->rows();
+  ASSERT_TRUE((*again)->Append(MakeRecord(rows)).ok()) << label;
+  ASSERT_TRUE((*again)->Close().ok()) << label;
+  const std::vector<std::string> logs = LogFiles(base);
+  ASSERT_EQ(logs.size(), 1u) << label;
+  EXPECT_EQ(InspectLogs(base).current_log, logs[0]) << label;
+  StatusOr<std::unique_ptr<Store>> final_open =
+      Store::Open(&base, "db", SweepOptions());
+  ASSERT_TRUE(final_open.ok()) << label;
+  EXPECT_EQ((*final_open)->manifest_gen(), gen + 1) << label;
+  EXPECT_EQ((*final_open)->rows_readable(), rows + 1) << label;
+  EXPECT_EQ((*final_open)->recovery().Summary().rfind("clean", 0), 0u)
+      << label << ": " << (*final_open)->recovery().Summary();
+}
+
+LogRun FaultFreeLogRun() {
+  MemVfs base;
+  FaultVfs fault(&base);
+  LogRun run;
+  uint64_t durable_gen = 0;
+  EXPECT_TRUE(RunLogWorkload(&fault, &run, &durable_gen).ok());
+  EXPECT_EQ(durable_gen, kLogCommits);
+  return run;
+}
+
+// A commit c > 0 that appended an edit (CURRENT unchanged) or rolled the
+// log to a new snapshot (CURRENT repointed).
+std::vector<uint64_t> CommitsWhere(const LogRun& run, bool snapshot) {
+  std::vector<uint64_t> out;
+  for (uint64_t c = 1; c < run.current.size(); ++c) {
+    if ((run.current[c] != run.current[c - 1]) == snapshot) out.push_back(c);
+  }
+  return out;
+}
+
+TEST(StoreCrashTest, TornEditRecordIsCutAndServesThePreviousGeneration) {
+  const LogRun run = FaultFreeLogRun();
+  const std::vector<uint64_t> edits = CommitsWhere(run, /*snapshot=*/false);
+  ASSERT_GE(edits.size(), 4u);
+  const std::vector<std::pair<FaultVfs::CrashStyle, uint64_t>> styles = {
+      {FaultVfs::CrashStyle::kTornAppend, 3},
+      {FaultVfs::CrashStyle::kTornAppend, 41},
+      {FaultVfs::CrashStyle::kBitFlip, 5},
+  };
+  int cut = 0;
+  for (const uint64_t c : edits) {
+    for (const auto& [style, seed] : styles) {
+      // Commit c is generation c + 1; any crash inside it serves c.
+      for (int64_t op = run.ops_after[c - 1]; op < run.ops_after[c]; ++op) {
+        const std::string label = "commit " + std::to_string(c) + " op " +
+                                  std::to_string(op) + " seed " +
+                                  std::to_string(seed);
+        LogDebris debris;
+        uint64_t discarded = 0;
+        CrashAndRecoverLog(style, op, seed, c, 0, label, &debris, &discarded);
+        if (HasFatalFailure()) FAIL() << "aborted at " << label;
+        if (discarded > 0) ++cut;
+      }
+    }
+  }
+  // The sweep is vacuous unless some crash left a torn or flipped edit.
+  EXPECT_GE(cut, static_cast<int>(edits.size()));
+}
+
+// Sweeps every op of every commit that rolled the log; returns how many
+// crashes left each kind of debris.
+void SweepSnapshotCommits(int* new_log_before_repoint,
+                          int* old_log_after_repoint) {
+  const LogRun run = FaultFreeLogRun();
+  const std::vector<uint64_t> snapshots = CommitsWhere(run, true);
+  ASSERT_GE(snapshots.size(), 2u);
+  *new_log_before_repoint = 0;
+  *old_log_after_repoint = 0;
+  for (const uint64_t c : snapshots) {
+    const std::string new_log = ManifestFileName(c + 1);
+    for (int64_t op = run.ops_after[c - 1]; op < run.ops_after[c]; ++op) {
+      const std::string label =
+          "snapshot commit " + std::to_string(c) + " op " + std::to_string(op);
+      LogDebris debris;
+      uint64_t discarded = 0;
+      CrashAndRecoverLog(FaultVfs::CrashStyle::kBeforeOp, op, 0, c, c + 1,
+                         label, &debris, &discarded);
+      if (::testing::Test::HasFatalFailure()) {
+        FAIL() << "aborted at " << label;
+      }
+      if (debris.current_log != new_log && debris.other_valid_log) {
+        ++*new_log_before_repoint;
+      }
+      if (debris.current_log == new_log && debris.other_valid_log) {
+        ++*old_log_after_repoint;
+      }
+    }
+  }
+}
+
+TEST(StoreCrashTest, CrashBetweenSnapshotAndCurrentRepointServesOldLog) {
+  int before = 0, after = 0;
+  SweepSnapshotCommits(&before, &after);
+  EXPECT_GE(before, 1) << "no crash left a new log CURRENT did not name";
+}
+
+TEST(StoreCrashTest, CrashBetweenRepointAndGcServesNewLog) {
+  int before = 0, after = 0;
+  SweepSnapshotCommits(&before, &after);
+  EXPECT_GE(after, 1) << "no crash left a superseded log behind";
+}
+
+TEST(StoreCrashTest, LostFsyncThenCrashStillRecoversConsistently) {
+  // Every fsync lies (reports success, persists nothing), then the power
+  // cut hits after the workload. Everything unsynced vanishes; recovery
+  // must still come up consistent -- possibly empty, never wrong. Both
+  // workloads run: the short one and the one whose commits roll the
+  // manifest log over to new snapshots.
+  for (const bool log_workload : {false, true}) {
+    FailPointConfig cfg;
+    cfg.action = FailPointAction::kCorrupt;  // vfs sync site: lost fsync
+    cfg.probability = 1.0;
+    ArmFailPoint(kVfsSyncFailPoint, cfg);
+
+    MemVfs base;
+    FaultVfs fault(&base);
+    uint64_t durable = 0;
+    if (log_workload) {
+      // sidq: allow-ignored-status(the lost fsyncs make a "success" a lie)
+      (void)RunLogWorkload(&fault, nullptr, &durable);
+    } else {
+      // sidq: allow-ignored-status(the lost fsyncs make a "success" a lie)
+      (void)RunWorkload(&fault, &durable);
+    }
+    DisarmAllFailPoints();
+    base.SimulateCrash();
+
+    StatusOr<std::unique_ptr<Store>> recovered =
+        Store::Open(&base, "db", SweepOptions());
+    ASSERT_TRUE(recovered.ok()) << recovered.status();
+    const std::map<uint64_t, StRecord> got = ScanAll(**recovered);
+    uint64_t next = 0;
+    for (const auto& [row, rec] : got) {
+      ASSERT_EQ(row, next++);
+      EXPECT_TRUE(BitIdentical(rec, MakeRecord(row))) << row;
+    }
+    // Idempotent reopen, as everywhere.
+    StatusOr<std::unique_ptr<Store>> again =
+        Store::Open(&base, "db", SweepOptions());
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(ScanAll(**again).size(), got.size());
+  }
+}
+
+// A MemVfs whose next Sync of a manifest log fails once armed, after the
+// appended bytes reached the file: an fsync error without a crash.
+class FailLogSyncVfs : public MemVfs {
+ public:
+  void Arm() { armed_ = true; }
+
+  StatusOr<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path, WriteMode mode) override {
+    SIDQ_ASSIGN_OR_RETURN(std::unique_ptr<WritableFile> file,
+                          MemVfs::NewWritableFile(path, mode));
+    if (path.find("MANIFEST-") == std::string::npos) return file;
+    return {std::make_unique<File>(this, std::move(file))};
+  }
+
+ private:
+  class File : public WritableFile {
+   public:
+    File(FailLogSyncVfs* vfs, std::unique_ptr<WritableFile> base)
+        : vfs_(vfs), base_(std::move(base)) {}
+    Status Append(const char* data, size_t n) override {
+      return base_->Append(data, n);
+    }
+    Status Sync() override {
+      if (vfs_->armed_) {
+        vfs_->armed_ = false;
+        return Status::Unavailable("injected fsync error");
+      }
+      return base_->Sync();
+    }
+    Status Close() override { return base_->Close(); }
+
+   private:
+    FailLogSyncVfs* vfs_;
+    std::unique_ptr<WritableFile> base_;
+  };
+
+  bool armed_ = false;
+};
+
+// A commit whose log fsync fails leaves its record in the file. The next
+// commit must not append after it (replay would then see two records for
+// one generation and break the chain); it starts a fresh log instead, and
+// the reopened store is clean and complete.
+TEST(StoreCrashTest, FailedLogSyncIsRetriedIntoAFreshLog) {
+  FailLogSyncVfs vfs;
+  uint64_t row = 0;
+  {
+    StatusOr<std::unique_ptr<Store>> opened =
+        Store::Open(&vfs, "db", SweepOptions());
+    ASSERT_TRUE(opened.ok());
+    Store& store = **opened;
+    for (int commit = 0; commit < 2; ++commit) {
+      for (int i = 0; i < 10; ++i) {
+        ASSERT_TRUE(store.Append(MakeRecord(row++)).ok());
+      }
+      ASSERT_TRUE(store.Commit().ok());
+    }
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(store.Append(MakeRecord(row++)).ok());
+    }
+    vfs.Arm();
+    EXPECT_FALSE(store.Commit().ok());
+    EXPECT_EQ(store.manifest_gen(), 2u);
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(store.Append(MakeRecord(row++)).ok());
+    }
+    ASSERT_TRUE(store.Commit().ok());
+    EXPECT_EQ(store.manifest_gen(), 3u);
+    ASSERT_TRUE(store.Close().ok());
+  }
+  EXPECT_EQ(LogFiles(vfs).size(), 1u);
+  StatusOr<std::unique_ptr<Store>> reopened =
+      Store::Open(&vfs, "db", SweepOptions());
+  ASSERT_TRUE(reopened.ok());
+  const RecoveryReport& report = (*reopened)->recovery();
+  EXPECT_EQ((*reopened)->manifest_gen(), 3u);
+  EXPECT_TRUE(report.chain_intact);
+  EXPECT_EQ(report.tail_blocks_recovered, 0u);
+  EXPECT_EQ(report.Summary().rfind("clean", 0), 0u) << report.Summary();
+  const std::map<uint64_t, StRecord> got = ScanAll(**reopened);
+  ASSERT_EQ(got.size(), row);
+  for (const auto& [r, rec] : got) {
+    EXPECT_TRUE(BitIdentical(rec, MakeRecord(r))) << r;
+  }
 }
 
 // --- compaction crash sweep ----------------------------------------------

@@ -159,14 +159,14 @@ TEST(BlockFormatTest, DefectLadder) {
 
 // --- manifest codec ---
 
-Manifest SampleManifest() {
-  Manifest m;
-  m.gen = 3;
-  m.prev_gen = 2;
-  m.prev_crc = 0xdeadbeef;
-  m.field_name = "pm2.5";
-  m.num_segments = 2;
-  m.rows = 40;
+ManifestRecord SampleSnapshot() {
+  ManifestRecord m;
+  m.head.kind = ManifestRecordKind::kSnapshot;
+  m.head.gen = 3;
+  m.head.prev_crc = 0xdeadbeef;
+  m.head.field_name = "pm2.5";
+  m.head.num_segments = 2;
+  m.head.rows = 40;
   BlockEntry b;
   b.segment = 0;
   b.index = 0;
@@ -190,39 +190,297 @@ Manifest SampleManifest() {
   return m;
 }
 
+// A log holding `record` as its snapshot.
+std::string LogOf(const ManifestRecord& record) {
+  std::string log = ManifestLogHeader();
+  AppendManifestRecord(&log, record.head, {record.blocks}, record.quarantined,
+                       record.extensions);
+  return log;
+}
+
+// The payload of the frame starting at `offset` of a log.
+std::string_view PayloadAt(std::string_view log, size_t offset) {
+  uint32_t length = 0;
+  std::memcpy(&length, log.data() + offset, sizeof(length));
+  return log.substr(offset + kManifestFrameHeaderSize, length);
+}
+
+void ExpectSameBlocks(const std::vector<BlockEntry>& got,
+                      const std::vector<BlockEntry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].segment, want[i].segment) << i;
+    EXPECT_EQ(got[i].index, want[i].index) << i;
+    EXPECT_EQ(got[i].offset, want[i].offset) << i;
+    EXPECT_EQ(got[i].length, want[i].length) << i;
+    EXPECT_EQ(got[i].crc, want[i].crc) << i;
+    EXPECT_EQ(got[i].row_start, want[i].row_start) << i;
+    EXPECT_EQ(got[i].row_count, want[i].row_count) << i;
+    EXPECT_EQ(got[i].sensor_rows, want[i].sensor_rows) << i;
+  }
+}
+
 TEST(ManifestTest, SerializeParseRoundTrip) {
-  const Manifest m = SampleManifest();
-  const std::string text = SerializeManifest(m);
-  const StatusOr<ParsedManifest> parsed = ParseManifest(text);
+  const ManifestRecord m = SampleSnapshot();
+  const std::string log = LogOf(m);
+  const StatusOr<ManifestRecord> parsed =
+      DecodeManifestRecord(PayloadAt(log, kManifestLogHeaderSize));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const Manifest& r = parsed->manifest;
-  EXPECT_EQ(r.gen, m.gen);
-  EXPECT_EQ(r.prev_gen, m.prev_gen);
-  EXPECT_EQ(r.prev_crc, m.prev_crc);
-  EXPECT_EQ(r.field_name, m.field_name);
-  EXPECT_EQ(r.num_segments, m.num_segments);
-  EXPECT_EQ(r.rows, m.rows);
+  const ManifestRecord& r = *parsed;
+  EXPECT_EQ(r.head.kind, ManifestRecordKind::kSnapshot);
+  EXPECT_EQ(r.head.gen, m.head.gen);
+  EXPECT_EQ(r.head.prev_crc, m.head.prev_crc);
+  EXPECT_EQ(r.head.field_name, m.head.field_name);
+  EXPECT_EQ(r.head.num_segments, m.head.num_segments);
+  EXPECT_EQ(r.head.rows, m.head.rows);
   ASSERT_EQ(r.blocks.size(), 1u);
   EXPECT_EQ(r.blocks[0].length, 784u);
   EXPECT_EQ(r.blocks[0].sensor_rows, m.blocks[0].sensor_rows);
+  ExpectSameBlocks(r.blocks, m.blocks);
   ASSERT_EQ(r.quarantined.size(), 1u);
   EXPECT_EQ(r.quarantined[0].defect, BlockDefect::kBadCrc);
   EXPECT_EQ(r.quarantined[0].offset, 784u);
+  EXPECT_EQ(r.quarantined[0].sensor_rows, m.quarantined[0].sensor_rows);
+
+  // The replayed state of a snapshot-only log is the snapshot.
+  const StatusOr<ManifestLogReplay> replay = ReplayManifestLog(log);
+  ASSERT_TRUE(replay.ok()) << replay.status();
+  EXPECT_EQ(replay->state.gen, m.head.gen);
+  EXPECT_EQ(replay->state.field_name, m.head.field_name);
+  EXPECT_EQ(replay->state.rows, m.head.rows);
+  ExpectSameBlocks(replay->state.blocks, m.blocks);
+  EXPECT_EQ(replay->valid_bytes, log.size());
+  EXPECT_EQ(replay->edits, 0u);
+  EXPECT_TRUE(replay->stop.ok());
 }
 
 TEST(ManifestTest, TornOrFlippedManifestFailsItsOwnChecksum) {
-  const std::string text = SerializeManifest(SampleManifest());
-  // Any strict prefix either loses the commit line (InvalidArgument) or
-  // keeps it with mismatched coverage -- never parses as valid.
+  const std::string text = LogOf(SampleSnapshot());
+  // Any strict prefix loses part of the header or the snapshot record,
+  // so no verified prefix exists.
   for (size_t len = 0; len < text.size(); ++len) {
-    EXPECT_FALSE(ParseManifest(text.substr(0, len)).ok()) << len;
+    EXPECT_FALSE(ReplayManifestLog(text.substr(0, len)).ok()) << len;
   }
-  // A flipped bit in the body fails the commit CRC with DataLoss.
+  // A flipped bit in the body fails the record CRC with DataLoss.
   std::string flipped = text;
-  flipped[10] = static_cast<char>(flipped[10] ^ 4);
-  const StatusOr<ParsedManifest> got = ParseManifest(flipped);
+  flipped[20] = static_cast<char>(flipped[20] ^ 4);
+  const StatusOr<ManifestLogReplay> got = ReplayManifestLog(flipped);
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kDataLoss);
+}
+
+// Appends an edit of one block (and optionally a verdict) to `log`.
+uint32_t AppendEdit(std::string* log, uint64_t gen, uint32_t prev_crc,
+                    uint32_t index,
+                    const std::vector<QuarantinedBlockEntry>& verdicts) {
+  ManifestRecordHead head;
+  head.kind = ManifestRecordKind::kEdit;
+  head.gen = gen;
+  head.prev_crc = prev_crc;
+  head.field_name = "pm2.5";
+  head.num_segments = 2;
+  head.rows = 40 + 16 * (gen - 3);
+  BlockEntry b;
+  b.segment = 1;
+  b.index = index;
+  b.offset = 784 * index;
+  b.length = 784;
+  b.crc = 0x1000 + index;
+  b.row_start = 40 + 16 * (gen - 4);
+  b.row_count = 16;
+  b.sensor_rows = {{3, 16}};
+  const std::vector<BlockEntry> blocks = {b};
+  return AppendManifestRecord(log, head, {blocks}, verdicts);
+}
+
+TEST(ManifestTest, EditsReplayInChainOrderUpToTheFirstBadRecord) {
+  std::string log = ManifestLogHeader();
+  const ManifestRecord snap = SampleSnapshot();
+  uint32_t crc =
+      AppendManifestRecord(&log, snap.head, {snap.blocks}, snap.quarantined);
+  const uint64_t snapshot_bytes = log.size();
+  // Edit 4 adds block (1,0); edit 5 adds (1,1) and a verdict on (0,0),
+  // which leaves the live list for the quarantine list.
+  crc = AppendEdit(&log, 4, crc, 0, {});
+  const size_t one_edit = log.size();
+  QuarantinedBlockEntry q;
+  q.segment = 0;
+  q.index = 0;
+  q.defect = BlockDefect::kBadCrc;
+  q.length = 784;
+  q.row_count = 16;
+  const uint32_t crc5 = AppendEdit(&log, 5, crc, 1, {q});
+  const size_t two_edits = log.size();
+
+  StatusOr<ManifestLogReplay> r = ReplayManifestLog(log);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->state.gen, 5u);
+  EXPECT_EQ(r->state.rows, 72u);
+  EXPECT_EQ(r->edits, 2u);
+  EXPECT_TRUE(r->chain_intact);
+  EXPECT_EQ(r->last_crc, crc5);
+  EXPECT_EQ(r->snapshot_bytes, snapshot_bytes);
+  EXPECT_EQ(r->valid_bytes, two_edits);
+  ASSERT_EQ(r->state.blocks.size(), 2u);
+  EXPECT_EQ(r->state.blocks[0].segment, 1u);
+  EXPECT_EQ(r->state.blocks[1].index, 1u);
+  ASSERT_EQ(r->state.quarantined.size(), 2u);
+  EXPECT_EQ(r->state.quarantined[1].index, 0u);
+
+  // A log cut inside an edit replays the records before it and reports
+  // the torn rest.
+  for (size_t len = snapshot_bytes + 1; len < two_edits; ++len) {
+    r = ReplayManifestLog(std::string_view(log).substr(0, len));
+    ASSERT_TRUE(r.ok()) << len;
+    const bool whole_first = len >= one_edit;
+    EXPECT_EQ(r->edits, whole_first ? 1u : 0u) << len;
+    EXPECT_EQ(r->valid_bytes, whole_first ? one_edit : snapshot_bytes) << len;
+    EXPECT_EQ(r->stop.ok(), len == one_edit) << len;
+    EXPECT_TRUE(r->chain_intact) << len;
+  }
+
+  // A CRC-valid record that does not extend the chain stops replay and
+  // breaks it: an edit for the next generation that names another
+  // predecessor, and a second edit for generation 5.
+  for (const auto& [gen, prev] :
+       {std::pair<uint64_t, uint32_t>{6, crc}, {5, crc5}}) {
+    std::string spliced = log.substr(0, two_edits);
+    AppendEdit(&spliced, gen, prev, 2, {});
+    r = ReplayManifestLog(spliced);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->state.gen, 5u) << gen;
+    EXPECT_EQ(r->valid_bytes, two_edits) << gen;
+    EXPECT_FALSE(r->chain_intact) << gen;
+    EXPECT_EQ(r->stop.code(), StatusCode::kDataLoss) << gen;
+  }
+}
+
+TEST(ManifestTest, ExtensionsAndLargeValuesRoundTrip) {
+  ManifestRecord m = SampleSnapshot();
+  m.head.gen = ~0ull;
+  m.head.rows = 1ull << 63;
+  m.head.field_name = std::string("a\nb \0c", 6);
+  // Out-of-order positions and sensors still round-trip exactly.
+  BlockEntry back = m.blocks[0];
+  back.offset = 3;
+  back.row_start = 1;
+  back.sensor_rows = {{~0ull, 1}, {5, 0xffffffffu}, {5, 2}};
+  m.blocks.push_back(back);
+  m.extensions = {{1, "quality"}, {7, std::string(300, 'x')}};
+  const std::string log = LogOf(m);
+  const StatusOr<ManifestRecord> r =
+      DecodeManifestRecord(PayloadAt(log, kManifestLogHeaderSize));
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->head.gen, m.head.gen);
+  EXPECT_EQ(r->head.rows, m.head.rows);
+  EXPECT_EQ(r->head.field_name, m.head.field_name);
+  ExpectSameBlocks(r->blocks, m.blocks);
+  ASSERT_EQ(r->extensions.size(), 2u);
+  EXPECT_EQ(r->extensions[1].tag, 7u);
+  EXPECT_EQ(r->extensions[1].bytes, m.extensions[1].bytes);
+}
+
+TEST(ManifestTest, TextManifestIsRejectedWithAReason) {
+  const StatusOr<ManifestLogReplay> r = ReplayManifestLog(
+      "# sidq-store manifest v1\ngen 1\nprev none\nfield f\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
+
+  // A store whose CURRENT names a text manifest fails to open, with the
+  // same code, instead of being served as empty.
+  MemVfs vfs;
+  ASSERT_TRUE(vfs.CreateDir("db").ok());
+  ASSERT_TRUE(AtomicWriteFile(&vfs, "db/MANIFEST-000001",
+                              "# sidq-store manifest v1\ngen 1\n")
+                  .ok());
+  ASSERT_TRUE(
+      AtomicWriteFile(&vfs, "db/CURRENT", SerializeCurrent(1, 0x1234)).ok());
+  const StatusOr<std::unique_ptr<Store>> opened = Store::Open(&vfs, "db");
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kFailedPrecondition);
+}
+
+// Seeded mutations of a three-record log and of each record's payload:
+// every strict prefix, single- and multi-byte flips, forged length
+// fields. The log reader yields a reason-coded Status or a verified
+// prefix; the payload decoder a Status or a record. Neither crashes nor
+// reads out of bounds (the ASan leg runs this).
+TEST(ManifestTest, SeededMutationSweepNeverCrashes) {
+  std::string log = ManifestLogHeader();
+  const ManifestRecord snap = SampleSnapshot();
+  uint32_t crc =
+      AppendManifestRecord(&log, snap.head, {snap.blocks}, snap.quarantined);
+  std::vector<size_t> frames = {kManifestLogHeaderSize};
+  frames.push_back(log.size());
+  crc = AppendEdit(&log, 4, crc, 0, {});
+  frames.push_back(log.size());
+  QuarantinedBlockEntry q;
+  q.defect = BlockDefect::kShortPayload;
+  q.sensor_rows = {{2, 3}};
+  AppendEdit(&log, 5, crc, 1, {q});
+
+  const auto check_log = [](std::string_view bytes, const std::string& what) {
+    const StatusOr<ManifestLogReplay> r = ReplayManifestLog(bytes);
+    if (!r.ok()) {
+      EXPECT_NE(r.status().code(), StatusCode::kOk) << what;
+      EXPECT_FALSE(r.status().message().empty()) << what;
+      return;
+    }
+    EXPECT_LE(r->valid_bytes, bytes.size()) << what;
+    EXPECT_EQ(r->valid_bytes == bytes.size(), r->stop.ok()) << what;
+    EXPECT_LE(r->snapshot_bytes, r->valid_bytes) << what;
+  };
+  const auto check_payload = [](std::string_view payload) {
+    const StatusOr<ManifestRecord> r = DecodeManifestRecord(payload);
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    }
+  };
+
+  for (size_t len = 0; len < log.size(); ++len) {
+    check_log(std::string_view(log).substr(0, len),
+              "prefix " + std::to_string(len));
+  }
+  std::vector<std::string> payloads;
+  for (size_t f : frames) payloads.emplace_back(PayloadAt(log, f));
+  for (const std::string& p : payloads) {
+    for (size_t len = 0; len < p.size(); ++len) {
+      check_payload(std::string_view(p).substr(0, len));
+    }
+  }
+
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  const auto next = [&]() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  const int kIters = std::getenv("SIDQ_CHAOS_AGGRESSIVE") ? 20000 : 4000;
+  for (int iter = 0; iter < kIters; ++iter) {
+    const int flips = 1 + static_cast<int>(next() % 4);
+    std::string bad = log;
+    std::string bad_payload = payloads[next() % payloads.size()];
+    for (int k = 0; k < flips; ++k) {
+      const uint64_t r = next();
+      bad[r % bad.size()] ^= static_cast<char>(1 + (r >> 32) % 255);
+      bad_payload[(r >> 8) % bad_payload.size()] ^=
+          static_cast<char>(1 + (r >> 40) % 255);
+    }
+    check_log(bad, "flip iter " + std::to_string(iter));
+    check_payload(bad_payload);
+
+    // A forged length field in one frame header: longer, shorter, huge.
+    std::string forged = log;
+    const size_t f = frames[next() % frames.size()];
+    uint32_t length = 0;
+    std::memcpy(&length, forged.data() + f, sizeof(length));
+    const uint32_t lengths[] = {length + 1, length - 1,
+                                static_cast<uint32_t>(next()), 0xffffffffu};
+    length = lengths[next() % 4];
+    std::memcpy(forged.data() + f, &length, sizeof(length));
+    check_log(forged, "forged length iter " + std::to_string(iter));
+  }
 }
 
 TEST(ManifestTest, FileNames) {
@@ -364,6 +622,22 @@ TEST(RandomAccessFileTest, ShortReadsGrowthAndTruncationOnRealVfs) {
 
 // --- store round trips ---
 
+// The committed state on disk: the log CURRENT names, replayed.
+StatusOr<Manifest> LiveManifest(const Vfs& vfs, const std::string& dir) {
+  SIDQ_ASSIGN_OR_RETURN(std::string current,
+                        vfs.ReadFile(dir + "/" + kCurrentFileName));
+  uint64_t gen = 0;
+  uint32_t crc = 0;
+  SIDQ_RETURN_IF_ERROR(ParseCurrent(current, &gen, &crc));
+  SIDQ_ASSIGN_OR_RETURN(std::string log,
+                        vfs.ReadFile(dir + "/" + ManifestFileName(gen)));
+  SIDQ_ASSIGN_OR_RETURN(ManifestLogReplay replay, ReplayManifestLog(log));
+  if (replay.snapshot_crc != crc) {
+    return Status::DataLoss("CURRENT crc does not match the snapshot");
+  }
+  return std::move(replay.state);
+}
+
 StoreOptions SmallBlocks() {
   StoreOptions o;
   o.block_records = 8;
@@ -468,12 +742,10 @@ TEST(StoreTest, WriteCountersMatchTheManifest) {
   ASSERT_TRUE(store.Close().ok());
   ASSERT_EQ(store.manifest_gen(), 2u);
 
-  const StatusOr<std::string> text =
-      vfs.ReadFile("db/" + ManifestFileName(store.manifest_gen()));
-  ASSERT_TRUE(text.ok()) << text.status();
-  const StatusOr<ParsedManifest> parsed = ParseManifest(*text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const std::vector<BlockEntry>& blocks = parsed->manifest.blocks;
+  const StatusOr<Manifest> live = LiveManifest(vfs, "db");
+  ASSERT_TRUE(live.ok()) << live.status();
+  EXPECT_EQ(live->gen, store.manifest_gen());
+  const std::vector<BlockEntry>& blocks = live->blocks;
   int64_t block_bytes = 0;
   for (const BlockEntry& b : blocks) {
     block_bytes += static_cast<int64_t>(b.length);
@@ -617,6 +889,170 @@ TEST(StoreTest, CorruptInteriorBlockIsQuarantinedWithReason) {
   ASSERT_EQ((*again)->recovery().quarantined.size(), 1u);
   EXPECT_EQ((*again)->recovery().quarantined[0].defect, BlockDefect::kBadCrc);
   EXPECT_EQ((*again)->rows_readable(), 24u);
+}
+
+// The manifest log files in `dir`.
+std::vector<std::string> ManifestLogs(const Vfs& vfs, const std::string& dir) {
+  std::vector<std::string> logs;
+  const StatusOr<std::vector<std::string>> names = vfs.ListDir(dir);
+  EXPECT_TRUE(names.ok());
+  for (const std::string& name : *names) {
+    uint64_t gen = 0;
+    if (ParseManifestFileName(name, &gen)) logs.push_back(name);
+  }
+  return logs;
+}
+
+std::string CurrentText(const Vfs& vfs) {
+  StatusOr<std::string> current = vfs.ReadFile("db/CURRENT");
+  EXPECT_TRUE(current.ok());
+  return current.ok() ? *current : std::string();
+}
+
+// The field name is length-prefixed in every manifest record, so bytes
+// that a line-oriented format would split on come back unchanged: after
+// a reopen of the log's first snapshot, and after later snapshots.
+TEST(StoreTest, FieldNameRoundTripsThroughReopenAndSnapshot) {
+  const std::vector<std::string> names = {
+      "pm25\nrows 0", "pm25\n", std::string("pm\0 25", 6),
+      "pm25\nblock 0 0 0 784 0 0 16 0", " ", ""};
+  for (const std::string& name : names) {
+    MemVfs vfs;
+    StoreOptions options = SmallBlocks();
+    options.field_name = name;
+    {
+      StatusOr<std::unique_ptr<Store>> opened =
+          Store::Open(&vfs, "db", options);
+      ASSERT_TRUE(opened.ok());
+      ASSERT_TRUE((*opened)->Append(MakeRecord(0)).ok());
+      ASSERT_TRUE((*opened)->Close().ok());
+    }
+    options.field_name = "ignored";  // a recovered store's manifest wins
+    {
+      StatusOr<std::unique_ptr<Store>> reopened =
+          Store::Open(&vfs, "db", options);
+      ASSERT_TRUE(reopened.ok());
+      EXPECT_EQ((*reopened)->field_name(), name);
+      EXPECT_EQ((*reopened)->recovery().Summary().rfind("clean", 0), 0u)
+          << (*reopened)->recovery().Summary();
+      // Commit until a new snapshot replaces the first log.
+      const std::string first = CurrentText(vfs);
+      uint64_t i = 1;
+      while (CurrentText(vfs) == first && i < 64) {
+        ASSERT_TRUE((*reopened)->Append(MakeRecord(i++)).ok());
+        ASSERT_TRUE((*reopened)->Commit().ok());
+      }
+      ASSERT_NE(CurrentText(vfs), first);
+      ASSERT_TRUE((*reopened)->Close().ok());
+    }
+    StatusOr<std::unique_ptr<Store>> again = Store::Open(&vfs, "db", options);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ((*again)->field_name(), name);
+    EXPECT_EQ((*again)->field_name().size(), name.size());
+  }
+}
+
+// Many commits: each one appends an edit, snapshots come at geometrically
+// spaced commits, and after every commit exactly one log remains, no
+// larger than kLogSnapshotMultiple times its snapshot. The reopened
+// store replays to the same state.
+TEST(StoreTest, LongLivedStoreKeepsOneBoundedLog) {
+  MemVfs vfs;
+  StatusOr<std::unique_ptr<Store>> opened =
+      Store::Open(&vfs, "db", SmallBlocks());
+  ASSERT_TRUE(opened.ok());
+  Store& store = **opened;
+  constexpr uint64_t kCommits = 200;
+  int snapshots = 0;
+  std::string current;
+  for (uint64_t c = 0; c < kCommits; ++c) {
+    for (uint64_t i = 0; i < 9; ++i) {
+      ASSERT_TRUE(store.Append(MakeRecord(c * 9 + i)).ok());
+    }
+    ASSERT_TRUE(store.Commit().ok());
+    ASSERT_EQ(store.manifest_gen(), c + 1);
+    const std::vector<std::string> logs = ManifestLogs(vfs, "db");
+    ASSERT_EQ(logs.size(), 1u) << "commit " << c;
+    const std::string now = CurrentText(vfs);
+    if (now != current) ++snapshots;
+    current = now;
+    StatusOr<std::string> log = vfs.ReadFile("db/" + logs[0]);
+    ASSERT_TRUE(log.ok());
+    StatusOr<ManifestLogReplay> replay = ReplayManifestLog(*log);
+    ASSERT_TRUE(replay.ok()) << replay.status();
+    EXPECT_LE(log->size(), kLogSnapshotMultiple * replay->snapshot_bytes);
+    EXPECT_EQ(replay->state.gen, c + 1);
+  }
+  // Geometric spacing: a handful of snapshots, not one per commit.
+  EXPECT_GE(snapshots, 2);
+  EXPECT_LE(snapshots, 8);
+  ASSERT_TRUE(store.Close().ok());
+
+  StatusOr<std::unique_ptr<Store>> reopened =
+      Store::Open(&vfs, "db", SmallBlocks());
+  ASSERT_TRUE(reopened.ok());
+  const Store& r = **reopened;
+  EXPECT_EQ(r.manifest_gen(), kCommits);
+  EXPECT_EQ(r.rows_readable(), kCommits * 9);
+  EXPECT_TRUE(r.recovery().chain_intact);
+  EXPECT_EQ(r.recovery().Summary().rfind("clean", 0), 0u);
+  uint64_t seen = 0;
+  ASSERT_TRUE(r.Scan([&](uint64_t row, const StRecord& rec) {
+                 EXPECT_EQ(row, seen);
+                 ExpectBitIdentical(rec, MakeRecord(row));
+                 ++seen;
+               })
+                  .ok());
+  EXPECT_EQ(seen, kCommits * 9);
+}
+
+// Every block's sensor_rows, whether sealed by Append/Commit or adopted
+// from the tail by recovery, equals a std::map count of the block's own
+// rows, sensor-ascending.
+TEST(StoreTest, SensorRowsMatchAPerBlockCount) {
+  MemVfs vfs;
+  StoreOptions options = SmallBlocks();
+  options.block_records = 16;
+  std::vector<StRecord> rows;
+  uint64_t state = 12345;
+  for (uint64_t i = 0; i < 200; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    StRecord r = MakeRecord(i);
+    // Unsorted, repeating, and one id near the top of the range.
+    r.sensor = (state >> 60) == 0 ? ~0ull - 1 : 1 + (state >> 33) % 23;
+    rows.push_back(r);
+  }
+  {
+    StatusOr<std::unique_ptr<Store>> opened = Store::Open(&vfs, "db", options);
+    ASSERT_TRUE(opened.ok());
+    for (uint64_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE((*opened)->Append(rows[i]).ok());
+    }
+    ASSERT_TRUE((*opened)->Commit().ok());
+    // Sealed but never committed: recovery adopts these from the tail.
+    for (uint64_t i = 100; i < 200; ++i) {
+      ASSERT_TRUE((*opened)->Append(rows[i]).ok());
+    }
+  }
+  {
+    StatusOr<std::unique_ptr<Store>> reopened =
+        Store::Open(&vfs, "db", options);
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_EQ((*reopened)->recovery().tail_blocks_recovered, 6u);
+    ASSERT_TRUE((*reopened)->Close().ok());  // manifests the adopted blocks
+  }
+  const StatusOr<Manifest> live = LiveManifest(vfs, "db");
+  ASSERT_TRUE(live.ok()) << live.status();
+  ASSERT_EQ(live->blocks.size(), 13u);  // 6 + a partial, then 6 adopted
+  for (const BlockEntry& b : live->blocks) {
+    std::map<SensorId, uint32_t> counts;
+    for (uint64_t r = b.row_start; r < b.row_start + b.row_count; ++r) {
+      ++counts[rows[r].sensor];
+    }
+    const std::vector<std::pair<SensorId, uint32_t>> want(counts.begin(),
+                                                          counts.end());
+    EXPECT_EQ(b.sensor_rows, want) << "block at row " << b.row_start;
+  }
 }
 
 // Runs over any Vfs: the same torn-tail recovery must hold in MemVfs and
