@@ -1,6 +1,6 @@
-// M1 -- substrate micro-benchmarks (google-benchmark): index queries,
-// coder throughput, filter throughput, Rng draws, the block CRC32C and the
-// stream engine's cost per event.
+// M1 -- substrate micro-benchmarks (google-benchmark): index queries, the
+// batched probabilistic range query, coder throughput, filter throughput,
+// Rng draws, the block CRC32C and the stream engine's cost per event.
 // These quantify the building blocks the experiment harness stands on.
 
 #include <cstdint>
@@ -14,6 +14,7 @@
 #include "geometry/bbox.h"
 #include "kernels/dispatch.h"
 #include "kernels/packed_rtree.h"
+#include "query/uncertain_point.h"
 #include "reduce/coding.h"
 #include "reduce/simplify.h"
 #include "refine/kalman.h"
@@ -75,6 +76,33 @@ void BM_RTreeRange(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RTreeRange)->Arg(10'000)->Arg(100'000);
+
+// The batched probabilistic range query at the shape of the end-to-end
+// request (bench/e2e query_hot): 256 Gaussian points (sigma 3-20 m) and
+// 256 boxes of half-width 100-400 m over an 8 km square, tau 0.5, answered
+// through ProbabilisticRangeQueryMany's fan-out-16 PackedRTree.
+void BM_ProbRangeMany(benchmark::State& state) {
+  constexpr double kSide = 8000.0;
+  Rng rng(9);
+  std::vector<query::UncertainPoint> points;
+  for (ObjectId id = 0; id < 256; ++id) {
+    const geometry::Point mean(rng.Uniform(0, kSide), rng.Uniform(0, kSide));
+    points.push_back(query::UncertainPoint::MakeGaussian(
+        id, mean, rng.Uniform(3.0, 20.0)));
+  }
+  std::vector<geometry::BBox> boxes;
+  for (int b = 0; b < 256; ++b) {
+    const double cx = rng.Uniform(0, kSide);
+    const double cy = rng.Uniform(0, kSide);
+    const double half = rng.Uniform(100.0, 400.0);
+    boxes.emplace_back(cx - half, cy - half, cx + half, cy + half);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        query::ProbabilisticRangeQueryMany(points, boxes, 0.5));
+  }
+}
+BENCHMARK(BM_ProbRangeMany);
 
 void BM_GolombRiceEncode(benchmark::State& state) {
   Rng rng(5);

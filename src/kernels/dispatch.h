@@ -66,10 +66,6 @@ struct KernelOps {
   void (*pairwise_sq_dist)(const double* ax, const double* ay, size_t n,
                            const double* bx, const double* by, size_t m,
                            double* out);
-  // out[j] = sqrt((qx-bx[j])^2 + (qy-by[j])^2) for j in [lo, hi).
-  // Entries outside [lo, hi) are left untouched.
-  void (*dist_row)(double qx, double qy, const double* bx, const double* by,
-                   size_t lo, size_t hi, double* out);
   // out[j] = distance from column sample j to (px, py), computed as
   // (sample - point): matches geometry::Distance(sample, point).
   void (*point_to_many_dist)(double px, double py, const double* xs,

@@ -20,14 +20,13 @@ double BoxGap(const geometry::BBox& a, const geometry::BBox& b);
 // A read-only, bulk-loaded R-tree packed into contiguous arrays: the
 // items in leaf order and the nodes in level order (all leaves first,
 // root last). This is the one spatial tree the library queries, with one
-// range walk (RangeQueryMany; RangeQuery is its single-query reference)
-// and one best-first walk (BoxGapScan below; trajectory calibration snaps
-// through its first item). Traversal is pointer-free over dense
-// arrays -- child ranges are [begin, end) index spans, and the batched
-// range query amortizes the traversal stack and result buffers across a
-// whole query set. Queries write no member state (traversal state lives on
-// the stack or in the thread-local scratch arena), so any number of
-// threads may query one loaded tree concurrently. Leaf boxes are additionally stored COLUMNAR
+// range walk (a depth-first search that RangeQuery and RangeQueryMany
+// both run) and one best-first walk (BoxGapScan below; trajectory
+// calibration snaps through its first item). Traversal is pointer-free
+// over dense arrays -- child ranges are [begin, end) index spans. Queries
+// write no member state (the traversal stack lives in the thread-local
+// scratch arena), so any number of threads may query one loaded tree
+// concurrently. Leaf boxes are additionally stored COLUMNAR
 // (min_x/min_y/max_x/max_y in separate arrays mirroring leaf order, ~40
 // extra bytes per item) so the per-leaf intersection test is a
 // branch-free SIMD sweep instead of a branchy AoS scan; because the
@@ -84,15 +83,8 @@ class PackedRTree {
   // Ids of items whose box intersects `query`.
   [[nodiscard]] std::vector<uint64_t> RangeQuery(
       const geometry::BBox& query) const;
-  // Batched range query over a SHARED tree walk: one DFS visits each node
-  // at most once carrying the subset of queries still active there, so a
-  // fleet of probes pays one pass over the node array instead of one
-  // root-to-leaf traversal each. Traversal state (frames, active-query
-  // subsets, emission runs) lives in the thread-local scratch arena --
-  // zero heap allocations beyond the caller-visible result buffers.
-  // Contract: for every query q, the id sequence [begin_of(q), end_of(q))
-  // is IDENTICAL to what RangeQuery(queries[q]) returns -- the shared walk
-  // restricted to q pops q's nodes in exactly the solo DFS order.
+  // RangeQuery over each box in turn: the ids of queries[q] go to
+  // [begin_of(q), end_of(q)) in the same order RangeQuery returns them.
   // Results go into caller-owned buffers (cleared, capacity kept) so
   // repeated batches reuse their result allocations.
   void RangeQueryMany(const std::vector<geometry::BBox>& queries,
@@ -108,7 +100,7 @@ class PackedRTree {
   // item_begin/item_end always span the node's descendant items: because
   // packing is level-by-level over consecutive children, every subtree's
   // items form one contiguous run of items_ -- which is what makes the
-  // contains-whole-subtree fast path in RangeQuery a linear copy.
+  // contains-whole-subtree fast path of the range walk a linear copy.
   struct Node {
     geometry::BBox box;
     uint32_t begin = 0;
@@ -122,14 +114,10 @@ class PackedRTree {
     return nodes_.empty() ? -1 : static_cast<int32_t>(nodes_.size()) - 1;
   }
 
-  // Appends the ids of this leaf's items intersecting `query` to `out`
-  // (dispatched SIMD sweep over the columnar leaf arrays).
-  void ScanLeaf(const Node& node, const geometry::BBox& query,
-                std::vector<uint64_t>* out) const;
-  // Same sweep into a raw buffer (capacity >= node entry count); returns
-  // the hit count. The shared-walk batch traversal writes arena scratch.
-  size_t ScanLeafInto(const Node& node, const geometry::BBox& query,
-                      uint64_t* out) const;
+  // The range walk: appends the ids of items intersecting `query` to
+  // `out` in depth-first order.
+  void AppendRange(const geometry::BBox& query,
+                   std::vector<uint64_t>* out) const;
 
   size_t max_entries_;
   size_t leaf_count_ = 0;
@@ -139,13 +127,6 @@ class PackedRTree {
   // Columnar mirror of items_ (same order): leaf scans read these.
   std::vector<double> leaf_min_x_, leaf_min_y_, leaf_max_x_, leaf_max_y_;
   std::vector<uint64_t> leaf_ids_;
-  // Columnar mirror of nodes_' boxes (same level order) plus an identity
-  // index column: the shared-walk batch traversal partitions a node's
-  // active query set by running the SIMD leaf-scan kernel over the node's
-  // contiguous CHILD span of these arrays -- one 8-wide sweep per query
-  // instead of a scalar test per (child, query) pair.
-  std::vector<double> node_min_x_, node_min_y_, node_max_x_, node_max_y_;
-  std::vector<uint64_t> node_index_;
 };
 
 // Streams the items of a PackedRTree in non-decreasing BoxGap order from a

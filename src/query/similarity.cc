@@ -134,7 +134,7 @@ double EdrDistance(const Trajectory& a, const Trajectory& b,
   for (size_t j = 0; j <= m; ++j) prev[j] = static_cast<double>(j);
   for (size_t i = 1; i <= n; ++i) {
     cur[0] = static_cast<double>(i);
-    k.dist_row(va.x[i - 1], va.y[i - 1], vb.x, vb.y, 0, m, dist);
+    k.point_to_many_dist(va.x[i - 1], va.y[i - 1], vb.x, vb.y, m, dist);
     for (size_t j = 1; j <= m; ++j) {
       const bool match = dist[j - 1] <= epsilon_m;
       const double sub = prev[j - 1] + (match ? 0.0 : 1.0);
@@ -160,7 +160,7 @@ double LcssSimilarity(const Trajectory& a, const Trajectory& b,
   double* cur = scope.AllocFilled<double>(m + 1, 0.0);
   double* dist = scope.AllocArray<double>(m);
   for (size_t i = 1; i <= n; ++i) {
-    k.dist_row(va.x[i - 1], va.y[i - 1], vb.x, vb.y, 0, m, dist);
+    k.point_to_many_dist(va.x[i - 1], va.y[i - 1], vb.x, vb.y, m, dist);
     const Timestamp ta = va.t[i - 1];
     for (size_t j = 1; j <= m; ++j) {
       const bool match = dist[j - 1] <= epsilon_m &&

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
-#include "core/arena.h"
 #include "kernels/packed_rtree.h"
 
 namespace sidq {
@@ -153,27 +151,22 @@ std::vector<std::vector<ObjectId>> ProbabilisticRangeQueryMany(
   }
   kernels::PackedRTree tree;
   tree.BulkLoad(std::move(items));
-  // One shared walk answers every box; BBox::Intersects is symmetric, so
-  // the tree's region-vs-box test prunes exactly the objects the solo
-  // scan's region.Intersects(box) would.
+  // One tree probe per box; BBox::Intersects is symmetric, so the tree's
+  // region-vs-box test prunes exactly the objects the solo scan's
+  // region.Intersects(box) would.
   kernels::PackedRTree::BatchResults candidates;
   tree.RangeQueryMany(boxes, &candidates);
   for (size_t q = 0; q < boxes.size(); ++q) {
     PruningStats local;
     local.total_objects = objects.size();
-    const size_t cand_count = candidates.count_of(q);
-    local.pruned_out = objects.size() - cand_count;
-    // The solo scan emits ids in object order; sort the tree's DFS-order
+    local.pruned_out = objects.size() - candidates.count_of(q);
+    // The solo scan emits ids in object order; sort the box's DFS-order
     // candidates back to index order so the output is bit-identical.
-    ArenaScope scope(ScratchArena());
-    uint64_t* cand = scope.AllocArray<uint64_t>(cand_count);
-    if (cand_count > 0) {
-      std::memcpy(cand, candidates.begin_of(q),
-                  cand_count * sizeof(uint64_t));
-    }
-    std::sort(cand, cand + cand_count);
-    for (size_t c = 0; c < cand_count; ++c) {
-      const size_t i = static_cast<size_t>(cand[c]);
+    uint64_t* cand_begin = candidates.ids.data() + candidates.offsets[q];
+    uint64_t* cand_end = candidates.ids.data() + candidates.offsets[q + 1];
+    std::sort(cand_begin, cand_end);
+    for (const uint64_t* c = cand_begin; c != cand_end; ++c) {
+      const size_t i = static_cast<size_t>(*c);
       const UncertainPoint& obj = objects[i];
       if (boxes[q].Contains(regions[i]) && tau <= 1.0 - 1e-5) {
         ++local.accepted_cheap;  // probability ~ 1

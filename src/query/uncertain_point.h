@@ -79,12 +79,12 @@ std::vector<ObjectId> ProbabilisticRangeQuery(
     double tau, PruningStats* stats = nullptr);
 
 // Batched form for a fleet of boxes: bulk-loads a packed R-tree over the
-// objects' bounding regions once and answers all boxes with ONE shared
-// tree walk (kernels::PackedRTree::RangeQueryMany), replacing B full
-// linear scans with B tree probes that share their traversal. Per box, the
-// returned ids and the stats are IDENTICAL to ProbabilisticRangeQuery on
-// that box -- candidates are re-ordered to object order before the exact
-// evaluation, and the pruning predicates are the same box tests.
+// objects' bounding regions once and answers each box with one tree probe
+// (kernels::PackedRTree::RangeQueryMany), replacing B full linear scans.
+// Per box, the returned ids and the stats are IDENTICAL to
+// ProbabilisticRangeQuery on that box -- candidates are re-ordered to
+// object order before the exact evaluation, and the pruning predicates are
+// the same box tests.
 // `stats`, when non-null, is resized to one entry per box.
 std::vector<std::vector<ObjectId>> ProbabilisticRangeQueryMany(
     const std::vector<UncertainPoint>& objects,

@@ -599,10 +599,10 @@ Status Store::WriteSnapshot(ManifestRecordHead head) {
 Status Store::RemoveStaleLogs() {
   if (stale_logs_.empty()) return Status::OK();
   for (uint64_t gen : stale_logs_) {
-    const std::string path = dir_ + "/" + ManifestFileName(gen);
-    if (gen != log_gen_ && vfs_->Exists(path)) {
-      SIDQ_RETURN_IF_ERROR(vfs_->Remove(path));
-    }
+    if (gen == log_gen_) continue;
+    // A log a crash or an earlier pass already removed is not an error.
+    const Status st = vfs_->Remove(dir_ + "/" + ManifestFileName(gen));
+    if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
   }
   stale_logs_.clear();
   return vfs_->SyncDir(dir_);

@@ -215,6 +215,7 @@ class RealVfs : public Vfs {
 
   Status Rename(const std::string& from, const std::string& to) override {
     if (::rename(from.c_str(), to.c_str()) != 0) {
+      if (errno == ENOENT) return Status::NotFound("no such file: " + from);
       return Status::Unavailable(ErrnoMessage("rename failed for", from + " -> " + to));
     }
     return Status::OK();
@@ -222,6 +223,7 @@ class RealVfs : public Vfs {
 
   Status Truncate(const std::string& path, uint64_t size) override {
     if (::truncate(path.c_str(), static_cast<off_t>(size)) != 0) {
+      if (errno == ENOENT) return Status::NotFound("no such file: " + path);
       return Status::Unavailable(ErrnoMessage("truncate failed for", path));
     }
     return Status::OK();
@@ -229,6 +231,7 @@ class RealVfs : public Vfs {
 
   Status Remove(const std::string& path) override {
     if (::unlink(path.c_str()) != 0) {
+      if (errno == ENOENT) return Status::NotFound("no such file: " + path);
       return Status::Unavailable(ErrnoMessage("unlink failed for", path));
     }
     return Status::OK();

@@ -111,29 +111,18 @@ TEST(KernelDispatchTest, RowAndColumnPrimitivesMatchScalarOnEveryTier) {
     const auto xs = Column(rng, n, true);
     const auto ys = Column(rng, n, true);
     const double px = rng->Uniform(-100.0, 100.0), py = -0.0;
-    const size_t lo =
-        n == 0 ? 0
-               : static_cast<size_t>(
-                     rng->UniformInt(0, static_cast<int64_t>(n) - 1));
-    const size_t hi =
-        n == 0 ? 0
-               : static_cast<size_t>(rng->UniformInt(
-                     static_cast<int64_t>(lo), static_cast<int64_t>(n)));
 
-    std::vector<double> want_row(n, -7.0), want_many(n, -7.0);
+    std::vector<double> want_many(n, -7.0);
     std::vector<double> want_consec(n > 1 ? n - 1 : 0, -7.0);
-    ref.dist_row(px, py, xs.data(), ys.data(), lo, hi, want_row.data());
     ref.point_to_many_dist(px, py, xs.data(), ys.data(), n, want_many.data());
     ref.consecutive_dist(xs.data(), ys.data(), n, want_consec.data());
 
     for (Isa isa : CompiledTiers()) {
       const KernelOps& ops = *KernelDispatch::Table(isa);
-      std::vector<double> row(n, -7.0), many(n, -7.0);
+      std::vector<double> many(n, -7.0);
       std::vector<double> consec(n > 1 ? n - 1 : 0, -7.0);
-      ops.dist_row(px, py, xs.data(), ys.data(), lo, hi, row.data());
       ops.point_to_many_dist(px, py, xs.data(), ys.data(), n, many.data());
       ops.consecutive_dist(xs.data(), ys.data(), n, consec.data());
-      ExpectBytesEqual(want_row, row, isa, "dist_row");
       ExpectBytesEqual(want_many, many, isa, "point_to_many_dist");
       ExpectBytesEqual(want_consec, consec, isa, "consecutive_dist");
     }
@@ -238,11 +227,10 @@ TEST(KernelDispatchTest, DtwFullResumesOneDiagonalPerCallOnEveryTier) {
 
 TEST(KernelDispatchTest, FrechetFullMatchesRowIterationOnEveryTier) {
   // Two properties at once: the wavefront form equals the row-serial DP
-  // (row 0 = prefix max of dist_row, then one recurrence per row with the
-  // reference operand order) on the scalar tier, and every tier's
-  // wavefront equals the scalar wavefront -- so the anti-diagonal schedule
-  // changes no bits anywhere.
-  const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
+  // (row 0 = prefix max of the a_0 distance row, then one recurrence per
+  // row with the reference operand order) on the scalar tier, and every
+  // tier's wavefront equals the scalar wavefront -- so the anti-diagonal
+  // schedule changes no bits anywhere.
   Rng rng_store(16);
   Rng* rng = &rng_store;
   for (size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{33}}) {
@@ -251,14 +239,22 @@ TEST(KernelDispatchTest, FrechetFullMatchesRowIterationOnEveryTier) {
       const auto ay = Column(rng, n, true);
       const auto bx = Column(rng, m, true);
       const auto by = Column(rng, m, true);
+      // d(a_i, b_j) in the wavefront's (a_i - b_j) operand order.
       std::vector<double> prev(m), cur(m), dist(m);
-      ref.dist_row(ax[0], ay[0], bx.data(), by.data(), 0, m, dist.data());
+      const auto fill_dist = [&](size_t i) {
+        for (size_t j = 0; j < m; ++j) {
+          const double dx = ax[i] - bx[j];
+          const double dy = ay[i] - by[j];
+          dist[j] = std::sqrt(dx * dx + dy * dy);
+        }
+      };
+      fill_dist(0);
       prev[0] = dist[0];
       for (size_t j = 1; j < m; ++j) {
         prev[j] = std::max(prev[j - 1], dist[j]);
       }
       for (size_t i = 1; i < n; ++i) {
-        ref.dist_row(ax[i], ay[i], bx.data(), by.data(), 0, m, dist.data());
+        fill_dist(i);
         cur[0] = std::max(prev[0], dist[0]);
         for (size_t j = 1; j < m; ++j) {
           cur[j] = std::max(std::min({prev[j], prev[j - 1], cur[j - 1]}),

@@ -319,24 +319,40 @@ TEST(PackedRTreeTest, RangeQueryManyReusesCallerBuffers) {
             packed.RangeQuery(queries.front()));
 }
 
-TEST(PackedRTreeTest, RangeQueryManyMatchesSingleQueries) {
+// Every box of a batch gets exactly the brute-force result set, including
+// the boxes a batch must not trip over: an inverted box, one disjoint from
+// the root, one containing the root and a zero-area point box.
+TEST(PackedRTreeTest, RangeQueryManyMatchesBruteForce) {
   Rng rng(53);
-  PackedRTree packed;
-  packed.BulkLoad(RandomBoxes(&rng, 200));
-  std::vector<BBox> queries;
+  const std::vector<PackedRTree::Item> items = RandomBoxes(&rng, 1000);
+  const BBox& corner = items[7].box;
+  std::vector<BBox> queries{
+      BBox(600.0, 600.0, 400.0, 400.0),
+      BBox(2000.0, 2000.0, 2100.0, 2100.0),
+      BBox(-10.0, -10.0, 1100.0, 1100.0),
+      BBox(corner.min_x, corner.min_y, corner.min_x, corner.min_y),
+  };
   for (int q = 0; q < 30; ++q) {
     const double x = rng.Uniform(0.0, 1000.0);
     const double y = rng.Uniform(0.0, 1000.0);
     queries.emplace_back(x, y, x + 100.0, y + 100.0);
   }
-  PackedRTree::BatchResults batch;
-  packed.RangeQueryMany(queries, &batch);
-  ASSERT_EQ(batch.queries(), queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const std::vector<uint64_t> single = packed.RangeQuery(queries[q]);
-    const std::vector<uint64_t> from_batch(batch.begin_of(q),
-                                           batch.end_of(q));
-    EXPECT_EQ(from_batch, single) << "q=" << q;
+  for (size_t max_entries : {size_t{4}, size_t{16}, size_t{64}}) {
+    PackedRTree packed(max_entries);
+    packed.BulkLoad(items);
+    PackedRTree::BatchResults batch;
+    packed.RangeQueryMany(queries, &batch);
+    ASSERT_EQ(batch.queries(), queries.size());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      std::vector<uint64_t> got(batch.begin_of(q), batch.end_of(q));
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, BruteRange(items, queries[q]))
+          << "max_entries=" << max_entries << " q=" << q;
+    }
+    EXPECT_EQ(batch.count_of(0), 0u);
+    EXPECT_EQ(batch.count_of(1), 0u);
+    EXPECT_EQ(batch.count_of(2), items.size());
+    EXPECT_GE(batch.count_of(3), 1u);
   }
 }
 

@@ -551,6 +551,34 @@ TEST(MemVfsTest, AtomicWriteFileSurvivesCrashAfterPublish) {
   EXPECT_EQ(*data, "v1");
 }
 
+// Runs over any Vfs: every call on a path that does not exist reports
+// NotFound, so a caller can tell an already-removed file from an I/O error
+// on either backend.
+void ExpectMissingPathIsNotFound(Vfs* vfs, const std::string& dir) {
+  ASSERT_TRUE(vfs->CreateDir(dir).ok());
+  const std::string missing = dir + "/absent";
+  EXPECT_EQ(vfs->ReadFile(missing).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(vfs->FileSize(missing).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(vfs->NewRandomAccessFile(missing).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(vfs->Rename(missing, dir + "/other").code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(vfs->Truncate(missing, 0).code(), StatusCode::kNotFound);
+  EXPECT_EQ(vfs->Remove(missing).code(), StatusCode::kNotFound);
+  EXPECT_FALSE(vfs->Exists(dir + "/other"));
+}
+
+TEST(MemVfsTest, MissingPathIsNotFound) {
+  MemVfs vfs;
+  ExpectMissingPathIsNotFound(&vfs, "db");
+}
+
+TEST(MemVfsTest, MissingPathIsNotFoundOnRealVfs) {
+  RealStoreDir dir;
+  ASSERT_TRUE(dir.ok());
+  ExpectMissingPathIsNotFound(DefaultVfs(), dir.db());
+}
+
 // --- RandomAccessFile contract ---
 
 // Runs over any Vfs: the guarantees the BlockReader builds on. A read past
