@@ -10,8 +10,6 @@
 // BENCH_kernels.json.
 //
 // Primitives:
-//   pairwise     all-pairs squared distances (the EDR/LCSS/Frechet inner
-//                pattern) -- embarrassingly vectorizable, the headline win
 //   dtw_full     full banded DTW: one anti-diagonal dtw_full call over the
 //                whole table, as query::DtwDistance makes it
 //   frechet_full full discrete Frechet: one anti-diagonal frechet_full call,
@@ -20,7 +18,7 @@
 //                kernels::PackedRTree vs. per-query
 //                RangeQuery on the pointer R-tree in bench/rtree.h
 //
-// The kernel side of the first three reads x/y columns built before the
+// The kernel side of the first two reads x/y columns built before the
 // timed loops and calls the KernelOps fields on them, so it times the
 // kernels and not the per-call column copy.
 //
@@ -132,35 +130,6 @@ PrimitiveResult Finish(PrimitiveResult r, const Checksum& scalar_sum,
 }
 
 // ------------------------------------------------------------- primitives
-
-PrimitiveResult BenchPairwise(const std::vector<Trajectory>& fleet,
-                              const FleetColumns& cols, size_t pairs) {
-  PrimitiveResult r{"pairwise"};
-  std::vector<double> out(kPointsEach * kPointsEach);
-  Checksum scalar_sum, kernel_sum;
-
-  auto t0 = std::chrono::steady_clock::now();
-  for (size_t p = 0; p < pairs; ++p) {
-    const Trajectory& a = fleet[p % fleet.size()];
-    const Trajectory& b = fleet[(p * 7 + 1) % fleet.size()];
-    kernels::scalar::PairwiseSqDist(a, b, out.data());
-    scalar_sum.MixDouble(out[p % out.size()]);
-  }
-  r.scalar_s = bench::SecondsSince(t0);
-
-  const kernels::KernelOps& k = kernels::KernelDispatch::Get();
-  t0 = std::chrono::steady_clock::now();
-  for (size_t p = 0; p < pairs; ++p) {
-    const size_t a = p % fleet.size();
-    const size_t b = (p * 7 + 1) % fleet.size();
-    k.pairwise_sq_dist(cols.x(a), cols.y(a), kPointsEach, cols.x(b),
-                       cols.y(b), kPointsEach, out.data());
-    kernel_sum.MixDouble(out[p % out.size()]);
-  }
-  r.kernel_s = bench::SecondsSince(t0);
-
-  return Finish(r, scalar_sum, kernel_sum);
-}
 
 PrimitiveResult BenchDtw(const std::vector<Trajectory>& fleet,
                          const FleetColumns& cols, size_t pairs, int band) {
@@ -307,7 +276,6 @@ int main(int argc, char** argv) {
   const FleetColumns cols(fleet);
   const size_t mul = quick ? 1 : 10;
   std::vector<PrimitiveResult> results;
-  results.push_back(BenchPairwise(fleet, cols, 400 * mul));
   results.push_back(BenchDtw(fleet, cols, 200 * mul, /*band=*/32));
   results.push_back(BenchFrechet(fleet, cols, 100 * mul));
   results.push_back(BenchPackedRange(fleet, 2 * mul));

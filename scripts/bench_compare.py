@@ -75,13 +75,12 @@ SLOWDOWN_KEYS = {"obs_slowdown", "scan_slowdown_vs_ram",
 SKIP_KEYS = {"recorded_utc"}
 
 # Absolute speedup floors per kernel primitive (dispatched kernel vs the
-# scalar reference, same machine, same run). pairwise and packed_range are
-# the vectorization/batching headline wins. dtw_full and frechet_full are
+# scalar reference, same machine, same run). packed_range is the
+# vectorized leaf scan over the packed tree. dtw_full and frechet_full are
 # the anti-diagonal wavefronts, which break the row form's loop-carried DP
 # recurrence; their floors catch a silent fallback to a row-serial form
 # (~1.0x for Frechet, ~0.95x for DTW).
 SPEEDUP_FLOORS = {
-    "pairwise": 3.5,
     "packed_range": 2.5,
     "dtw_full": 1.0,
     "frechet_full": 1.3,

@@ -10,7 +10,7 @@ mode, and checks the exit code and the metric it names:
   2. A speedup drop, an obs_slowdown rise and a 4x rise of bench_store's
      cold_scan_slowdown_vs_ram (the table-CRC fallback) are flagged in
      both modes.
-  3. A baseline whose pairwise kernel speedup sits below its floor fails
+  3. A baseline whose frechet_full kernel speedup sits below its floor fails
      in both modes.
   4. A new run whose long-lived store's commit_growth or
      manifest_over_data exceeds its absolute ceiling fails in both
@@ -39,7 +39,7 @@ BASELINE = {
     ],
     "obs": {"obs_slowdown": 1.02},
     "scan": {"cold_scan_slowdown_vs_ram": 3.8},
-    "kernels": [{"primitive": "pairwise", "speedup": 4.8}],
+    "kernels": [{"primitive": "frechet_full", "speedup": 1.9}],
     "long_lived": {
         "curve": [{"commits": 10, "manifest_over_data": 0.013},
                   {"commits": 400, "manifest_over_data": 0.012}],
@@ -79,8 +79,8 @@ def main():
     def quadruple_cold_scan(doc):
         doc["scan"]["cold_scan_slowdown_vs_ram"] = 15.2
 
-    def sink_pairwise(doc):
-        doc["kernels"][0]["speedup"] = 2.0
+    def sink_frechet(doc):
+        doc["kernels"][0]["speedup"] = 1.0
 
     def grow_commits(doc):
         doc["long_lived"]["commit_growth"] = 1.8
@@ -101,9 +101,9 @@ def main():
             (f"{mode}: 4x cold_scan_slowdown_vs_ram rise", BASELINE,
              variant(quadruple_cold_scan), ratios_only, 1,
              "REGRESSION scan.cold_scan_slowdown_vs_ram"),
-            (f"{mode}: below-floor pairwise baseline",
-             variant(sink_pairwise), variant(sink_pairwise), ratios_only, 1,
-             "FLOOR baseline.kernels[0]: primitive 'pairwise'"),
+            (f"{mode}: below-floor frechet_full baseline",
+             variant(sink_frechet), variant(sink_frechet), ratios_only, 1,
+             "FLOOR baseline.kernels[0]: primitive 'frechet_full'"),
             (f"{mode}: commit_growth above its ceiling", BASELINE,
              variant(grow_commits), ratios_only, 1,
              "CEILING new.long_lived.commit_growth"),

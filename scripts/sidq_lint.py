@@ -3,9 +3,9 @@
 
 v2: a tokenizing multi-pass engine. Pass 1 strips comments/strings and
 collects suppression annotations; pass 2 runs line rules; pass 3 runs
-file-scope rules that need cross-line structure (range-for scanning,
-class-body capability checks); pass 4 flags suppressions that matched
-nothing; pass 5 formats output.
+the file-scope rule that needs cross-line structure (range-for
+scanning); pass 4 flags suppressions that matched nothing; pass 5
+formats output.
 
 Rules
 -----
@@ -74,12 +74,6 @@ Rules
                          `// sidq: allow-unordered-iter(<reason>)`.
                          A `sort(...)` later in the same enclosing block
                          sequence also clears the finding.
-  R12 guarded-by-unknown-lock
-                         every `SIDQ_GUARDED_BY(x)` / `SIDQ_PT_GUARDED_BY(x)`
-                         must name a `Mutex` / `SharedMutex` member of the
-                         same class or struct. A guard expression the
-                         analysis cannot resolve locally is a contract
-                         that cannot be checked.
   R14 hotloop-heap-alloc heap allocation inside a loop in src/kernels/:
                          `new`/`delete`, `malloc`/`free` and friends, or
                          `push_back`/`emplace_back` onto a container with
@@ -166,7 +160,6 @@ RULES = {
     "R8": "wallclock",
     "R10": "raw-mutex",
     "R11": "unordered-iter",
-    "R12": "guarded-by-unknown-lock",
     "R14": "hotloop-heap-alloc",
     "R15": "raw-io",
     "R16": "raw-read",
@@ -178,8 +171,8 @@ SLUG_TO_RULE = {v: k for k, v in RULES.items()}
 # Rules whose findings may be waived with // sidq: allow-<slug>(<reason>).
 SUPPRESSIBLE = {
     "ignored-status", "stray-thread", "scalar-haversine", "wallclock",
-    "raw-mutex", "unordered-iter", "guarded-by-unknown-lock",
-    "hotloop-heap-alloc", "raw-io", "raw-read",
+    "raw-mutex", "unordered-iter", "hotloop-heap-alloc", "raw-io",
+    "raw-read",
 }
 
 # ---------------------------------------------------------------------------
@@ -280,13 +273,6 @@ UNORDERED_ITER_SCOPED = re.compile(
     r"(^|/)src/(?:obs|core|analytics|query|stream)/")
 UNORDERED_CONTAINER_RE = re.compile(r"\bunordered_(?:map|set)\b")
 SORT_CALL_RE = re.compile(r"\b(?:std::)?(?:stable_)?sort\s*\(")
-
-GUARDED_BY_RE = re.compile(r"\bSIDQ_(?:PT_)?GUARDED_BY\s*\(([^)]*)\)")
-# The macro definitions themselves are the one legitimate out-of-class use.
-GUARDED_BY_DEFINITION_FILE = "src/core/thread_annotations.h"
-CLASS_HEAD_RE = re.compile(
-    r"\b(?:class|struct)\s+(?:SIDQ_\w+\s*(?:\([^)]*\))?\s*)*"
-    r"([A-Za-z_]\w*)\s*(?:final\s*)?(?::[^{;]*)?\{")
 
 # Suppression comments. Only recognized when `sidq:` directly follows the
 # first `//` on the line, so prose that *mentions* the syntax (docs) does
@@ -638,7 +624,7 @@ def run_line_rules(ctx):
 
 
 # ---------------------------------------------------------------------------
-# Pass 3a: R11 -- unordered-container iteration in ordering-sensitive code
+# Pass 3: R11 -- unordered-container iteration in ordering-sensitive code
 
 def unordered_decl_names(code_text):
     """Identifiers declared with an unordered_{map,set} type, including
@@ -745,73 +731,6 @@ def run_unordered_iter_rule(ctx):
 
 
 # ---------------------------------------------------------------------------
-# Pass 3b: R12 -- GUARDED_BY must name a lock member of the same class
-
-def class_spans(code_text):
-    """[(open_brace_pos, close_brace_pos, name)] for every class/struct
-    body, nested bodies included."""
-    spans = []
-    n = len(code_text)
-    for m in CLASS_HEAD_RE.finditer(code_text):
-        open_pos = m.end() - 1
-        depth = 0
-        j = open_pos
-        while j < n:
-            c = code_text[j]
-            if c == "{":
-                depth += 1
-            elif c == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            j += 1
-        spans.append((open_pos, j, m.group(1)))
-    return spans
-
-
-def run_guarded_by_rule(ctx):
-    if "SIDQ_" not in ctx.code_text:
-        return
-    if ctx.rel == GUARDED_BY_DEFINITION_FILE:
-        return
-    spans = class_spans(ctx.code_text)
-    for m in GUARDED_BY_RE.finditer(ctx.code_text):
-        lineno = ctx.line_of(m.start())
-        arg = m.group(1).strip()
-        if arg.startswith("this->"):
-            arg = arg[len("this->"):].strip()
-        enclosing = None
-        for start, end, name in spans:
-            if start < m.start() < end:
-                if enclosing is None or start > enclosing[0]:
-                    enclosing = (start, end, name)
-        if enclosing is None:
-            if not ctx.suppressed(lineno, "guarded-by-unknown-lock"):
-                ctx.add(lineno, "R12",
-                        "SIDQ_GUARDED_BY outside any class/struct body; "
-                        "the capability has no owner the analysis can "
-                        "resolve")
-            continue
-        if not re.fullmatch(r"[A-Za-z_]\w*", arg):
-            if not ctx.suppressed(lineno, "guarded-by-unknown-lock"):
-                ctx.add(lineno, "R12",
-                        f"SIDQ_GUARDED_BY({arg}): guard must be a plain "
-                        "member name the analysis can resolve locally")
-            continue
-        body = ctx.code_text[enclosing[0] : enclosing[1]]
-        decl = re.search(
-            r"\b(?:sidq::)?(?:Mutex|SharedMutex)\s+" + re.escape(arg)
-            + r"\b", body)
-        if not decl:
-            if not ctx.suppressed(lineno, "guarded-by-unknown-lock"):
-                ctx.add(lineno, "R12",
-                        f"SIDQ_GUARDED_BY({arg}): '{arg}' is not declared "
-                        "as a Mutex/SharedMutex member of "
-                        f"'{enclosing[2]}'; the guard relation cannot be "
-                        "checked")
-
-
-# ---------------------------------------------------------------------------
 # Pass 4: stale suppressions
 
 def run_unused_suppression_pass(ctx):
@@ -852,7 +771,6 @@ def lint_tree(root, files):
         ctx = FileContext(f, rel, root)
         run_line_rules(ctx)
         run_unordered_iter_rule(ctx)
-        run_guarded_by_rule(ctx)
         run_unused_suppression_pass(ctx)
         findings.extend(ctx.findings)
     findings.sort(key=lambda f: (f.file, f.line, f.rule))

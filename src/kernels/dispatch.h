@@ -61,11 +61,6 @@ const char* IsaName(Isa isa);
 // column sample j is computed as dq = q - column[j] (matching
 // geometry::Distance(q, col) = (q - col).Norm()), except where noted.
 struct KernelOps {
-  // out[i*m + j] = squared Euclidean distance between a-sample i and
-  // b-sample j. `out` must hold n*m doubles.
-  void (*pairwise_sq_dist)(const double* ax, const double* ay, size_t n,
-                           const double* bx, const double* by, size_t m,
-                           double* out);
   // out[j] = distance from column sample j to (px, py), computed as
   // (sample - point): matches geometry::Distance(sample, point).
   void (*point_to_many_dist)(double px, double py, const double* xs,

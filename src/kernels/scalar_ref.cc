@@ -108,15 +108,6 @@ double LcssSimilarity(const Trajectory& a, const Trajectory& b,
   return prev[m] / static_cast<double>(std::min(n, m));
 }
 
-void PairwiseSqDist(const Trajectory& a, const Trajectory& b, double* out) {
-  const size_t m = b.size();
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      out[i * m + j] = geometry::DistanceSq(a[i].p, b[j].p);
-    }
-  }
-}
-
 void ConsecutiveDist(const Trajectory& tr, double* out) {
   for (size_t i = 0; i + 1 < tr.size(); ++i) {
     out[i] = geometry::Distance(tr[i].p, tr[i + 1].p);

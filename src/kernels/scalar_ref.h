@@ -29,9 +29,6 @@ double EdrDistance(const Trajectory& a, const Trajectory& b,
 double LcssSimilarity(const Trajectory& a, const Trajectory& b,
                       double epsilon_m, Timestamp delta_ms);
 
-// AoS pairwise squared distances: out[i*m + j] = DistanceSq(a[i].p, b[j].p).
-void PairwiseSqDist(const Trajectory& a, const Trajectory& b, double* out);
-
 // AoS consecutive-sample distances: out[i] = Distance(tr[i].p, tr[i+1].p).
 void ConsecutiveDist(const Trajectory& tr, double* out);
 

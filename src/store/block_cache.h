@@ -95,22 +95,24 @@ class BlockCache {
   // may be null -- metric handles degrade to no-ops.
   BlockCache(size_t capacity_bytes, obs::MetricsRegistry* obs);
 
-  // (segment, offset) -> cache key. Segment files roll at tens of MiB, so
-  // 40 offset bits (1 TiB) can never collide with the segment number.
+  // (segment, offset) -> cache key. Store::Open rejects a segment shape
+  // whose bytes need more than kOffsetBits, so an offset never collides
+  // with the segment number.
+  static constexpr int kOffsetBits = 40;
   [[nodiscard]] static uint64_t KeyOf(uint32_t segment, uint64_t offset) {
-    return (static_cast<uint64_t>(segment) << 40) | offset;
+    return (static_cast<uint64_t>(segment) << kOffsetBits) | offset;
   }
   [[nodiscard]] static uint32_t SegmentOf(uint64_t key) {
-    return static_cast<uint32_t>(key >> 40);
+    return static_cast<uint32_t>(key >> kOffsetBits);
   }
   // Fixed per-entry allowance for a block's header, the shared
   // allocation's control block and the table entry.
   static constexpr size_t kEntryOverhead = 208;
-  // Bytes an entry is charged for: 48 bytes of columns per row plus the
+  // Bytes an entry is charged for: kRowBytes of columns per row plus the
   // fixed allowance. Exposed so tests and budget flags can reason in
   // whole blocks.
   [[nodiscard]] static size_t ChargeOf(size_t rows) {
-    return kEntryOverhead + rows * 48;
+    return kEntryOverhead + rows * kRowBytes;
   }
 
   // Hit: pins the entry and returns it (counts one hit). Miss: returns a

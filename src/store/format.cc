@@ -32,10 +32,6 @@ void AppendColumn(std::string* out, const std::vector<T>& column) {
               column.size() * sizeof(T));
 }
 
-// Per-record payload bytes: sensor u64 + t i64 + four doubles.
-constexpr size_t kRowBytes = sizeof(SensorId) + sizeof(Timestamp) +
-                             4 * sizeof(double);
-
 bool ParseHex32(std::istringstream* in, uint32_t* out) {
   std::string tok;
   if (!(*in >> tok)) return false;
@@ -314,7 +310,7 @@ std::string EncodeBlock(const ColumnarBlock& block) {
   // buffer; payload_len and crc are patched in once the payload is known.
   const uint32_t n = static_cast<uint32_t>(block.size());
   std::string out;
-  out.reserve(kBlockHeaderSize + sizeof(uint32_t) + n * kRowBytes);
+  out.reserve(EncodedBlockBytes(n));
   out.append(kBlockMagic, sizeof(kBlockMagic));
   AppendRaw(&out, kFormatVersion);
   AppendRaw(&out, kBlockTypeColumnar);

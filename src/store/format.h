@@ -72,6 +72,18 @@ inline constexpr size_t kBlockHeaderSize = 16;
 // Sanity bound: a length field beyond this is a corrupt header, not a
 // 64 MiB block (keeps a flipped length bit from driving a huge allocation).
 inline constexpr uint32_t kMaxBlockPayload = 1u << 26;
+// Per-record payload bytes: sensor u64 + t i64 + four doubles.
+inline constexpr size_t kRowBytes =
+    sizeof(SensorId) + sizeof(Timestamp) + 4 * sizeof(double);
+// Header + payload bytes of a block of `rows` records: the payload is a
+// u32 row count, then kRowBytes per record.
+inline constexpr uint64_t EncodedBlockBytes(uint64_t rows) {
+  return kBlockHeaderSize + sizeof(uint32_t) + rows * kRowBytes;
+}
+// The most records one block holds: a longer payload fails the
+// kMaxBlockPayload bound when read back.
+inline constexpr size_t kMaxBlockRecords =
+    (kMaxBlockPayload - sizeof(uint32_t)) / kRowBytes;
 
 // One columnar block of STID records (struct-of-arrays).
 struct ColumnarBlock {

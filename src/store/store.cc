@@ -1,9 +1,11 @@
 #include "store/store.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <set>
 #include <span>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -80,6 +82,27 @@ StatusOr<std::unique_ptr<Store>> Store::Open(Vfs* vfs, std::string dir,
   if (options.block_records == 0 || options.segment_target_blocks == 0) {
     return Status::InvalidArgument(
         "block_records and segment_target_blocks must be positive");
+  }
+  // A shape the format cannot read back or address is refused here, not
+  // discovered by the first Scan as a quarantined block: each block within
+  // kMaxBlockRecords, a segment's block count within BlockEntry::index's
+  // 32 bits and a full segment's bytes within the cache key's offset bits.
+  if (options.block_records > kMaxBlockRecords) {
+    return Status::InvalidArgument(
+        std::string("block_records ") +
+        std::to_string(options.block_records) +
+        " exceeds the " + std::to_string(kMaxBlockRecords) +
+        " records one block can hold");
+  }
+  const uint64_t block_bytes = EncodedBlockBytes(options.block_records);
+  if (options.segment_target_blocks > std::numeric_limits<uint32_t>::max() ||
+      options.segment_target_blocks >
+          (uint64_t{1} << BlockCache::kOffsetBits) / block_bytes) {
+    return Status::InvalidArgument(
+        std::string("segment_target_blocks ") +
+        std::to_string(options.segment_target_blocks) + " of " +
+        std::to_string(block_bytes) +
+        "-byte blocks exceeds what a segment can address");
   }
   auto store =
       std::make_unique<Store>(vfs, std::move(dir), std::move(options));

@@ -32,7 +32,8 @@ inline constexpr uint64_t kLogSnapshotMultiple = 4;
 
 struct StoreOptions {
   // Records per sealed block. Small blocks bound the blast radius of one
-  // corrupt CRC; large blocks amortize header overhead.
+  // corrupt CRC; large blocks amortize header overhead. At most
+  // kMaxBlockRecords.
   size_t block_records = 256;
   // Blocks per segment file before rolling to the next NNNNNN.seg.
   size_t segment_target_blocks = 64;

@@ -277,7 +277,7 @@ class FaultVfs : public Vfs {
   bool crashed_ = false;
 };
 
-// Chaos site names (armed via ArmFailPoint in tests and chaos CI legs).
+// Chaos site names (armed via ArmFailPoint in tests).
 inline constexpr char kVfsAppendFailPoint[] = "store.vfs.append";
 inline constexpr char kVfsSyncFailPoint[] = "store.vfs.sync";
 inline constexpr char kVfsRenameFailPoint[] = "store.vfs.rename";

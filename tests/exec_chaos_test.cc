@@ -3,8 +3,8 @@
 // never of worker count or OS scheduling. The pinned property from
 // ISSUE/DESIGN: the chaos run equals the serial run minus exactly the
 // quarantined object ids, for 1/2/8 workers. Fault rates are raised when
-// SIDQ_CHAOS_AGGRESSIVE is set (the CI chaos job exports it) so the
-// sanitizer jobs sweep the error paths hard.
+// SIDQ_CHAOS_AGGRESSIVE is set (the CI asan and tsan jobs' aggressive
+// chaos steps export it) so the sanitizers sweep the error paths hard.
 
 #include <algorithm>
 #include <cstdlib>

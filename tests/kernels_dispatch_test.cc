@@ -81,28 +81,6 @@ TEST(KernelDispatchTest, ScalarTierAlwaysAvailable) {
   EXPECT_EQ(KernelDispatch::Get().isa, KernelDispatch::Active());
 }
 
-TEST(KernelDispatchTest, PairwiseSqDistMatchesScalarOnEveryTier) {
-  const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
-  Rng rng(11);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{33}}) {
-    for (size_t m : {size_t{0}, size_t{1}, size_t{7}, size_t{64}}) {
-      const auto ax = Column(&rng, n, true);
-      const auto ay = Column(&rng, n, true);
-      const auto bx = Column(&rng, m, true);
-      const auto by = Column(&rng, m, true);
-      std::vector<double> want(n * m, -7.0);
-      ref.pairwise_sq_dist(ax.data(), ay.data(), n, bx.data(), by.data(), m,
-                           want.data());
-      for (Isa isa : CompiledTiers()) {
-        std::vector<double> got(n * m, -7.0);
-        KernelDispatch::Table(isa)->pairwise_sq_dist(
-            ax.data(), ay.data(), n, bx.data(), by.data(), m, got.data());
-        ExpectBytesEqual(want, got, isa, "pairwise_sq_dist");
-      }
-    }
-  }
-}
-
 TEST(KernelDispatchTest, RowAndColumnPrimitivesMatchScalarOnEveryTier) {
   const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
   Rng rng_store(12);
@@ -552,16 +530,17 @@ TEST(KernelDispatchTest, WorkloadChecksumIdenticalAcrossTiers) {
       const size_t n = static_cast<size_t>(rng->UniformInt(1, 96));
       const auto xs = Column(rng, n, trial % 2 == 0);
       const auto ys = Column(rng, n, trial % 3 == 0);
-      std::vector<double> out(n * n);
-      ops.pairwise_sq_dist(xs.data(), ys.data(), n, xs.data(), ys.data(), n,
-                           out.data());
-      h = FnvBytes(h, out.data(), out.size() * sizeof(double));
+      std::vector<double> scratch(3 * (n + 2));
+      const double dtw =
+          ops.dtw_full(xs.data(), ys.data(), n, ys.data(), xs.data(), n,
+                       (trial % 4) * 8, 0, 2 * n - 1, scratch.data());
+      h = FnvBytes(h, &dtw, sizeof(double));
+      std::vector<double> out(n);
       ops.point_to_many_dist(xs[0], ys[0], xs.data(), ys.data(), n,
                              out.data());
       h = FnvBytes(h, out.data(), n * sizeof(double));
       ops.consecutive_dist(xs.data(), ys.data(), n, out.data());
       h = FnvBytes(h, out.data(), (n - 1) * sizeof(double));
-      std::vector<double> scratch(3 * n);
       const double frechet = ops.frechet_full(
           xs.data(), ys.data(), n, ys.data(), xs.data(), n, 0, 2 * n - 1,
           scratch.data());

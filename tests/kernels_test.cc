@@ -139,24 +139,6 @@ TEST(KernelEquivalenceTest, LcssMatchesScalarBitForBit) {
 
 // ----------------------------------------------------- primitive identity
 
-TEST(KernelEquivalenceTest, PairwiseSqDistMatchesScalar) {
-  Rng rng(19);
-  for (size_t n : InterestingSizes()) {
-    for (size_t m : InterestingSizes()) {
-      const Trajectory a = RandomTrajectory(&rng, n, 1);
-      const Trajectory b = RandomTrajectory(&rng, m, 2);
-      ArenaScope scope(ScratchArena());
-      const SoaView va = CopyColumns(a, &scope);
-      const SoaView vb = CopyColumns(b, &scope);
-      std::vector<double> got(n * m, -1.0), want(n * m, -2.0);
-      KernelDispatch::Get().pairwise_sq_dist(va.x, va.y, n, vb.x, vb.y, m,
-                                             got.data());
-      scalar::PairwiseSqDist(a, b, want.data());
-      EXPECT_EQ(got, want) << "n=" << n << " m=" << m;
-    }
-  }
-}
-
 TEST(KernelEquivalenceTest, ConsecutiveDistMatchesScalar) {
   Rng rng(23);
   for (size_t n : InterestingSizes()) {

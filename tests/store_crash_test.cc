@@ -15,9 +15,10 @@
 //   (c) a second recovery is a no-op (idempotent), and the store accepts
 //       appends afterwards.
 //
-// The chaos CI legs run this under ASan/TSan with SIDQ_CHAOS_AGGRESSIVE,
-// which widens the sweep with extra torn/bit-flip seeds and adds seeded
-// FailPoint chaos (injected EIO and lost fsyncs) on top.
+// The aggressive chaos steps of the CI asan and tsan jobs run this with
+// SIDQ_CHAOS_AGGRESSIVE, which widens the sweep with extra torn/bit-flip
+// seeds and adds seeded FailPoint chaos (injected EIO and lost fsyncs) on
+// top.
 
 #include <cstdint>
 #include <cstdlib>

@@ -1264,10 +1264,41 @@ TEST(StoreTest, StoreWrittenOnBestTierReopensOnScalarTier) {
 }
 
 TEST(StoreTest, RejectsBadOptions) {
-  MemVfs vfs;
-  StoreOptions bad;
-  bad.block_records = 0;
-  EXPECT_FALSE(Store::Open(&vfs, "db", bad).ok());
+  // (block_records, segment_target_blocks, accepted). A block of 1,398,102
+  // records has a payload past kMaxBlockPayload, so it would commit and
+  // then read back as bad-length; a segment must keep its block count in
+  // 32 bits and its bytes in the block cache key's 40 offset bits.
+  const uint64_t max_blocks = std::numeric_limits<uint32_t>::max();
+  const uint64_t max_big_blocks = (uint64_t{1} << BlockCache::kOffsetBits) /
+                                  EncodedBlockBytes(kMaxBlockRecords);
+  const struct {
+    uint64_t block_records, segment_target_blocks;
+    bool accepted;
+  } cases[] = {
+      {0, 64, false},
+      {256, 0, false},
+      {1'398'102, 64, false},
+      {1'398'101, 64, true},
+      {1, max_blocks + 1, false},
+      {1, max_blocks, true},
+      {kMaxBlockRecords, max_big_blocks + 1, false},
+      {kMaxBlockRecords, max_big_blocks, true},
+  };
+  for (const auto& c : cases) {
+    MemVfs vfs;
+    StoreOptions options;
+    options.block_records = c.block_records;
+    options.segment_target_blocks = c.segment_target_blocks;
+    StatusOr<std::unique_ptr<Store>> store = Store::Open(&vfs, "db", options);
+    if (c.accepted) {
+      EXPECT_TRUE(store.ok()) << c.block_records << " x "
+                              << c.segment_target_blocks << ": "
+                              << store.status().ToString();
+    } else {
+      EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument)
+          << c.block_records << " x " << c.segment_target_blocks;
+    }
+  }
 }
 
 }  // namespace
