@@ -14,6 +14,9 @@
 namespace sidq {
 namespace stream {
 
+// Additional attempts when a chaos site injects a transient fault.
+constexpr int kMaxFaultRetries = 3;
+
 void StreamOutput::Canonicalize() {
   std::sort(cleaned.mutable_series().begin(), cleaned.mutable_series().end(),
             [](const StSeries& a, const StSeries& b) {
@@ -128,8 +131,7 @@ Status StreamEngine::EvaluateSite(const char* site, SensorId sensor,
   Status s = Status::OK();
   for (int attempt = 0;; ++attempt) {
     s = MaybeInjectFailPoint(site, sensor, ctx_, corrupt);
-    if (s.ok() || !IsTransient(s.code()) ||
-        attempt >= config_.max_fault_retries) {
+    if (s.ok() || !IsTransient(s.code()) || attempt >= kMaxFaultRetries) {
       return s;
     }
     // Deterministic backoff on the context clock: instant under

@@ -36,8 +36,6 @@ struct StreamConfig {
   refine::OnlineKalman1D::Options kalman;
   outlier::RollingRobustZ::Options robust_z;
   outlier::PageHinkley::Options drift;
-  // Additional attempts when a chaos site injects a transient fault.
-  int max_fault_retries = 3;
 };
 
 // Per-sensor roll-up of one replay, for summaries and quick assertions.
