@@ -423,8 +423,8 @@ int main(int argc, char** argv) {
     const store::BlockCache::Stats stats = (*db)->cache_stats();
     point.hit_ratio = HitRatio(stats);
     point.resident_bytes = stats.resident_bytes;
-    // The budget is a hard bound on decoded bytes held, not a hint. No
-    // pins are live between scans, so resident == unpinned here.
+    // The budget is a hard bound on the bytes the cache keeps resident,
+    // not a hint.
     if (budget > 0 && stats.resident_bytes > budget) {
       bench::Die("cache budget",
                  Status::ResourceExhausted(

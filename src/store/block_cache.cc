@@ -5,26 +5,6 @@
 namespace sidq {
 namespace store {
 
-PinnedBlock& PinnedBlock::operator=(PinnedBlock&& other) noexcept {
-  if (this != &other) {
-    Release();
-    cache_ = other.cache_;
-    key_ = other.key_;
-    block_ = std::move(other.block_);
-    other.cache_ = nullptr;
-    other.block_ = CachedBlock();
-  }
-  return *this;
-}
-
-void PinnedBlock::Release() {
-  if (cache_ != nullptr && block_.bytes != nullptr) {
-    cache_->Unpin(key_);
-  }
-  cache_ = nullptr;
-  block_ = CachedBlock();
-}
-
 BlockCache::BlockCache(size_t capacity_bytes, obs::MetricsRegistry* obs)
     : capacity_bytes_(capacity_bytes) {
   if (obs != nullptr) {
@@ -36,86 +16,55 @@ BlockCache::BlockCache(size_t capacity_bytes, obs::MetricsRegistry* obs)
   }
 }
 
-PinnedBlock BlockCache::Lookup(uint32_t segment, uint64_t offset) {
-  const uint64_t key = KeyOf(segment, offset);
+CachedBlock BlockCache::Lookup(uint32_t segment, uint64_t offset) {
   MutexLock lock(mu_);
-  auto it = table_.find(key);
+  victims_.clear();
+  auto it = table_.find(KeyOf(segment, offset));
   if (it == table_.end()) {
     ++misses_;
     miss_metric_.Increment();
-    return PinnedBlock();
+    return CachedBlock();
   }
   ++hits_;
   hit_metric_.Increment();
-  Entry& e = it->second;
-  if (e.in_lru) {
-    lru_.erase(e.lru_it);
-    e.in_lru = false;
-    unpinned_bytes_ -= e.charge;
-  }
-  ++e.pins;
-  return PinnedBlock(this, key, e.block);
+  lru_.splice(lru_.end(), lru_, it->second.lru_it);
+  return it->second.block;
 }
 
-PinnedBlock BlockCache::Insert(uint32_t segment, uint64_t offset,
+CachedBlock BlockCache::Insert(uint32_t segment, uint64_t offset,
                                CachedBlock block) {
   const uint64_t key = KeyOf(segment, offset);
   MutexLock lock(mu_);
-  auto it = table_.find(key);
-  if (it != table_.end()) {
+  victims_.clear();
+  auto [it, inserted] = table_.try_emplace(key);
+  Entry& e = it->second;
+  if (!inserted) {
     // Raced with another reader decoding the same block: keep the
-    // incumbent so existing pins stay coherent.
-    Entry& e = it->second;
-    if (e.in_lru) {
-      lru_.erase(e.lru_it);
-      e.in_lru = false;
-      unpinned_bytes_ -= e.charge;
-    }
-    ++e.pins;
-    return PinnedBlock(this, key, e.block);
+    // incumbent so every holder sees the same bytes.
+    lru_.splice(lru_.end(), lru_, e.lru_it);
+    return e.block;
   }
-  Entry e;
   e.charge = ChargeOf(block.view.size());
   e.block = std::move(block);
-  e.pins = 1;
-  e.in_lru = false;
+  e.lru_it = lru_.insert(lru_.end(), key);
   resident_bytes_ += e.charge;
   ++inserts_;
   insert_metric_.Increment();
   resident_metric_.Add(static_cast<int64_t>(e.charge));
-  auto inserted = table_.emplace(key, std::move(e)).first;
-  EvictIfNeeded();
-  return PinnedBlock(this, key, inserted->second.block);
-}
-
-void BlockCache::Unpin(uint64_t key) {
-  MutexLock lock(mu_);
-  auto it = table_.find(key);
-  if (it == table_.end()) return;  // invalidated while pinned
-  Entry& e = it->second;
-  if (e.pins == 0) return;  // stale handle from a removed+reinserted key
-  if (--e.pins == 0) {
-    e.lru_it = lru_.insert(lru_.end(), key);
-    e.in_lru = true;
-    unpinned_bytes_ += e.charge;
-    EvictIfNeeded();
+  CachedBlock out = e.block;
+  // capacity_bytes_ == 0 is unbounded.
+  while (capacity_bytes_ != 0 && resident_bytes_ > capacity_bytes_) {
+    auto victim = table_.find(lru_.front());
+    victims_.push_back(std::move(victim->second.block));
+    EraseLocked(victim, /*count_as_eviction=*/true);
   }
-}
-
-void BlockCache::EvictIfNeeded() {
-  if (capacity_bytes_ == 0) return;  // unbounded
-  while (unpinned_bytes_ > capacity_bytes_ && !lru_.empty()) {
-    EraseLocked(table_.find(lru_.front()), /*count_as_eviction=*/true);
-  }
+  return out;
 }
 
 void BlockCache::EraseLocked(std::map<uint64_t, Entry>::iterator it,
                              bool count_as_eviction) {
   Entry& e = it->second;
-  if (e.in_lru) {
-    lru_.erase(e.lru_it);
-    unpinned_bytes_ -= e.charge;
-  }
+  lru_.erase(e.lru_it);
   resident_bytes_ -= e.charge;
   resident_metric_.Add(-static_cast<int64_t>(e.charge));
   if (count_as_eviction) {
@@ -136,13 +85,6 @@ void BlockCache::EraseSegment(uint32_t segment) {
   }
 }
 
-void BlockCache::Clear() {
-  MutexLock lock(mu_);
-  while (!table_.empty()) {
-    EraseLocked(table_.begin(), /*count_as_eviction=*/false);
-  }
-}
-
 BlockCache::Stats BlockCache::GetStats() const {
   MutexLock lock(mu_);
   Stats out;
@@ -151,12 +93,7 @@ BlockCache::Stats BlockCache::GetStats() const {
   out.inserts = inserts_;
   out.evictions = evictions_;
   out.resident_bytes = resident_bytes_;
-  out.unpinned_bytes = unpinned_bytes_;
   out.resident_blocks = table_.size();
-  for (const auto& [key, e] : table_) {
-    (void)key;
-    if (e.pins > 0) ++out.pinned_blocks;
-  }
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "core/mutex.h"
 #include "core/thread_annotations.h"
@@ -13,69 +14,43 @@
 namespace sidq {
 namespace store {
 
-class BlockCache;
-
 // -------------------------------------------------------------------------
 // BlockCache: one LRU over CRC-verified blocks, the RAM arm of the
 // ≫-RAM scan path (DESIGN.md "Durability & recovery"). Shaped after
-// rippled's TaggedCache (beast/container): a fixed byte budget, entry
-// pinning so a block being scanned can never be evicted under the
-// reader, and deterministic LRU order.
+// rippled's TaggedCache (beast/container): a fixed byte budget and
+// deterministic LRU order.
 //
 // Invariants (pinned by the model-based property test in
 // tests/store_cache_test.cc):
-//   - UNPINNED resident bytes never exceed capacity_bytes after any
-//     operation returns. Pinned bytes may transiently exceed it -- a
-//     budget of one block must still be able to pin the block currently
-//     under the scan cursor.
-//   - A pinned entry is never evicted; eviction only consumes the LRU
-//     list, which holds exactly the unpinned entries.
+//   - Resident bytes never exceed capacity_bytes after any operation
+//     returns. Every resident entry sits in the one LRU list: a hit
+//     moves it to the back, and Insert evicts from the front until the
+//     budget holds.
 //   - hits/misses count Lookup outcomes exactly; inserts/evictions count
 //     entry lifecycle exactly.
 //
+// Block lifetime: entries are handed out as CachedBlock copies, whose
+// shared_ptr keeps the block's bytes alive for as long as the caller
+// holds it -- across its eviction and across segment invalidation during
+// compaction. A held block that has left the cache is the holder's
+// memory. The blocks an Insert evicts are released at the next Lookup or
+// Insert, not inside it: a scan's next miss then reuses a victim's
+// allocation, where a victim freed at once leaves a slot that the scan's
+// row callbacks split meanwhile, so the heap grows (DESIGN.md
+// "BlockCache"). A reader that holds one block at a time (the Store's
+// scan and recovery) thus peaks at the budget plus one block.
+//
 // Thread safety: one sidq::Mutex guards the table, the LRU and the
 // counters (each Store owns one cache and is externally synchronized, so
-// the lock is uncontended there); entries are handed out as shared_ptrs,
-// so an entry erased mid-pin (segment invalidation during compaction)
-// stays alive until its last PinnedBlock drops.
+// the lock is uncontended there).
 // -------------------------------------------------------------------------
 
 // A verified block as the cache keeps it: the one allocation its encoded
 // bytes were read into, and the view of its columns inside those bytes.
+// Null `bytes` means no block (a Lookup miss).
 struct CachedBlock {
   std::shared_ptr<const char[]> bytes;
   BlockView view;
-};
-
-// RAII pin on a cached block. While alive, the block cannot be evicted
-// and its bytes stay valid even if the entry is invalidated under it.
-class PinnedBlock {
- public:
-  PinnedBlock() = default;
-  PinnedBlock(PinnedBlock&& other) noexcept { *this = std::move(other); }
-  PinnedBlock& operator=(PinnedBlock&& other) noexcept;
-  PinnedBlock(const PinnedBlock&) = delete;
-  PinnedBlock& operator=(const PinnedBlock&) = delete;
-  ~PinnedBlock() { Release(); }
-
-  explicit operator bool() const { return block_.bytes != nullptr; }
-  const BlockView& operator*() const { return block_.view; }
-  const BlockView* operator->() const { return &block_.view; }
-  [[nodiscard]] const BlockView* get() const {
-    return block_.bytes != nullptr ? &block_.view : nullptr;
-  }
-
-  // Unpins early (idempotent).
-  void Release();
-
- private:
-  friend class BlockCache;
-  PinnedBlock(BlockCache* cache, uint64_t key, CachedBlock block)
-      : cache_(cache), key_(key), block_(std::move(block)) {}
-
-  BlockCache* cache_ = nullptr;
-  uint64_t key_ = 0;
-  CachedBlock block_;
 };
 
 class BlockCache {
@@ -85,10 +60,8 @@ class BlockCache {
     uint64_t misses = 0;
     uint64_t inserts = 0;
     uint64_t evictions = 0;
-    uint64_t resident_bytes = 0;  // pinned + unpinned
-    uint64_t unpinned_bytes = 0;
+    uint64_t resident_bytes = 0;
     uint64_t resident_blocks = 0;
-    uint64_t pinned_blocks = 0;
   };
 
   // capacity_bytes == 0 means unbounded (nothing is ever evicted). `obs`
@@ -115,41 +88,33 @@ class BlockCache {
     return kEntryOverhead + rows * kRowBytes;
   }
 
-  // Hit: pins the entry and returns it (counts one hit). Miss: returns a
-  // null handle (counts one miss).
-  [[nodiscard]] PinnedBlock Lookup(uint32_t segment, uint64_t offset);
+  // Hit: moves the entry to the LRU back and returns it (counts one hit).
+  // Miss: returns a null block (counts one miss).
+  [[nodiscard]] CachedBlock Lookup(uint32_t segment, uint64_t offset);
 
-  // Inserts a verified block and returns it pinned. If the key is already
-  // resident the existing entry is pinned and returned instead (neither a
-  // hit nor a miss: Lookup already counted this key's miss).
-  [[nodiscard]] PinnedBlock Insert(uint32_t segment, uint64_t offset,
+  // Inserts a verified block at the LRU back, evicts from the front until
+  // the budget holds, and returns the block -- still valid if it was
+  // evicted itself. If the key is already resident the incumbent is moved
+  // to the back and returned instead (neither a hit nor a miss: Lookup
+  // already counted this key's miss).
+  [[nodiscard]] CachedBlock Insert(uint32_t segment, uint64_t offset,
                                    CachedBlock block);
 
   // Drops every resident entry of `segment` (compaction / truncation
-  // invalidation). Pinned entries are unlinked immediately -- later
-  // lookups miss -- and their memory is freed when the last pin drops.
+  // invalidation). Later lookups miss; blocks a caller still holds stay
+  // valid until released.
   void EraseSegment(uint32_t segment);
-
-  // Drops everything (same pinned-entry semantics as EraseSegment).
-  void Clear();
 
   [[nodiscard]] Stats GetStats() const;
   [[nodiscard]] size_t capacity_bytes() const { return capacity_bytes_; }
 
  private:
-  friend class PinnedBlock;
-
   struct Entry {
     CachedBlock block;
     size_t charge = 0;
-    uint32_t pins = 0;
-    bool in_lru = false;
     std::list<uint64_t>::iterator lru_it;
   };
 
-  void Unpin(uint64_t key);
-  // Evicts LRU entries until the unpinned bytes fit the budget.
-  void EvictIfNeeded() SIDQ_REQUIRES(mu_);
   // Unlinks one entry from table + LRU and updates accounting/metrics.
   void EraseLocked(std::map<uint64_t, Entry>::iterator it,
                    bool count_as_eviction) SIDQ_REQUIRES(mu_);
@@ -159,10 +124,11 @@ class BlockCache {
   // std::map, not unordered: eviction order must be a pure function of
   // the operation sequence, and invalidation walks the table.
   std::map<uint64_t, Entry> table_ SIDQ_GUARDED_BY(mu_);
-  // front = next eviction victim; holds exactly the unpinned entries.
+  // front = next eviction victim; holds every resident key.
   std::list<uint64_t> lru_ SIDQ_GUARDED_BY(mu_);
   size_t resident_bytes_ SIDQ_GUARDED_BY(mu_) = 0;
-  size_t unpinned_bytes_ SIDQ_GUARDED_BY(mu_) = 0;
+  // Blocks the last Insert evicted, released by the next Lookup/Insert.
+  std::vector<CachedBlock> victims_ SIDQ_GUARDED_BY(mu_);
   uint64_t hits_ SIDQ_GUARDED_BY(mu_) = 0;
   uint64_t misses_ SIDQ_GUARDED_BY(mu_) = 0;
   uint64_t inserts_ SIDQ_GUARDED_BY(mu_) = 0;

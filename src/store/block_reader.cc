@@ -108,10 +108,10 @@ Status BlockReader::VerifyAt(RandomAccessFile* file, const BlockEntry& entry,
 }
 
 Status BlockReader::Read(const BlockEntry& entry, MissingPolicy policy,
-                         BlockDefect* defect, PinnedBlock* out) {
+                         BlockDefect* defect, CachedBlock* out) {
   *defect = BlockDefect::kNone;
   *out = cache_->Lookup(entry.segment, entry.offset);
-  if (*out) return Status::OK();
+  if (out->bytes != nullptr) return Status::OK();
   StatusOr<RandomAccessFile*> handle = Handle(entry.segment);
   if (!handle.ok()) {
     if (policy == MissingPolicy::kDefect) {

@@ -64,7 +64,7 @@ class BlockReader {
   // kManifestMismatch), and that allocation enters the cache when clean.
   // *defect receives the verdict; *out is set only when it is kNone.
   [[nodiscard]] Status Read(const BlockEntry& entry, MissingPolicy policy,
-                            BlockDefect* defect, PinnedBlock* out);
+                            BlockDefect* defect, CachedBlock* out);
 
   // Runs the defect ladder + manifest cross-check at entry.offset of an
   // arbitrary handle (no cache): recovery's compaction roll-forward

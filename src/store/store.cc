@@ -269,7 +269,7 @@ Status Store::Recover() {
   for (const BlockEntry& entry : manifest.blocks) {
     account(entry.segment, entry.offset, entry.length, entry.index);
     BlockDefect defect = BlockDefect::kNone;
-    PinnedBlock block;
+    CachedBlock block;
     SIDQ_RETURN_IF_ERROR(reader_->Read(
         entry, BlockReader::MissingPolicy::kDefect, &defect, &block));
     if (defect == BlockDefect::kNone) {
@@ -755,11 +755,11 @@ Status Store::ScanEntries(
     const std::function<void(uint64_t, const StRecord&)>& fn) const {
   // Every block flows through the bounded reader: a cache hit costs no
   // I/O, a miss reads exactly one block, and peak RSS is capped by the
-  // cache budget plus the block under the cursor (which stays pinned for
-  // the duration of its rows).
+  // cache budget plus the block under the cursor (held for the duration
+  // of its rows, even if the cache evicts it meanwhile).
   for (const BlockEntry& entry : entries) {
     BlockDefect defect = BlockDefect::kNone;
-    PinnedBlock block;
+    CachedBlock block;
     SIDQ_RETURN_IF_ERROR(reader_->Read(
         entry, BlockReader::MissingPolicy::kError, &defect, &block));
     if (defect != BlockDefect::kNone) {
@@ -768,8 +768,8 @@ Status Store::ScanEntries(
           SegmentFileName(entry.segment) + " failed verification mid-scan (" +
           BlockDefectName(defect) + "); reopen the store to recover");
     }
-    for (size_t i = 0; i < block->size(); ++i) {
-      fn(entry.row_start + i, block->Record(i));
+    for (size_t i = 0; i < block.view.size(); ++i) {
+      fn(entry.row_start + i, block.view.Record(i));
     }
   }
   return Status::OK();
